@@ -73,6 +73,12 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _positive_int_arg(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _grid_arg(text: str) -> tuple[Fraction, ...]:
     return tuple(_fraction_arg(part) for part in text.split(","))
 
@@ -98,8 +104,9 @@ def build_parser() -> _Parser:
         default="unrestricted",
         help="unrestricted | strict | weak_only | explicit:<name> | file:<path>",
     )
-    p_analyze.add_argument("--cap", type=int, default=None, help="enumeration cap override")
-    p_analyze.add_argument("--jobs", type=int, default=1, help="search worker processes")
+    p_analyze.add_argument(
+        "--cap", type=_positive_int_arg, default=None, help="enumeration cap override"
+    )
     p_analyze.add_argument(
         "--strict-iii",
         action="store_true",
@@ -167,12 +174,16 @@ def _run_builder(args) -> tuple[str, Environment, DetMechanism | ProbMechanism, 
     return "mixed-counterexample", env, mech, True
 
 
-def _load_bundle(path: str, prob: bool):
+def _read_json(path: str) -> object:
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from None
+
+
+def _load_bundle(path: str, prob: bool):
+    data = _read_json(path)
     if not isinstance(data, dict) or "environment" not in data or "mechanism" not in data:
         raise ParseError("bundle must have 'environment' and 'mechanism' keys")
     env = env_from_json(data["environment"])
@@ -205,8 +216,7 @@ def _domains_from_flag(flag: str, env: Environment, args) -> object:
             )
         raise InvariantViolation(f"unknown explicit domain shorthand {name!r}")
     if flag.startswith("file:"):
-        with open(flag.split(":", 1)[1]) as fh:
-            other = env_from_json(json.load(fh))
+        other = env_from_json(_read_json(flag.split(":", 1)[1]))
         if other.n != env.n:
             raise InvariantViolation("domain file agent count does not match")
         return other.domains
@@ -263,12 +273,7 @@ def _describe_domains(specs) -> list[str]:
 
 def cmd_validate(args) -> int:
     try:
-        with open(args.path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
+        data = _read_json(args.path)
         if isinstance(data, dict) and "environment" in data:
             env = env_from_json(data["environment"])
             mech_data = data.get("mechanism")
@@ -283,7 +288,7 @@ def cmd_validate(args) -> int:
         else:
             env_from_json(data)
             kind = "environment"
-    except (ParseError, ExmechError) as exc:
+    except (OSError, ExmechError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
     print(f"ok: valid {kind}")
@@ -308,9 +313,7 @@ def _analyze_deterministic(mech, specs, args):
     characterization when enumeration blows the cap and all agents share one
     of the three full domain kinds."""
     try:
-        result = search_ba_witness(
-            mech, specs, cap=args.cap, strict_iii=args.strict_iii, jobs=args.jobs
-        )
+        result = search_ba_witness(mech, specs, cap=args.cap, strict_iii=args.strict_iii)
         return result.witness, result.stats, "exhaustive-search"
     except CapExceeded:
         kinds = {spec.kind for spec in specs}
@@ -337,7 +340,7 @@ def cmd_analyze(args) -> int:
     specs = resolve_domains(env, domains)
     try:
         if prob:
-            result = search_prob_ba_witness(mech, specs, cap=args.cap, jobs=args.jobs)
+            result = search_prob_ba_witness(mech, specs, cap=args.cap)
             witness, stats, method = result.witness, result.stats, "exhaustive-search"
         else:
             witness, stats, method = _analyze_deterministic(mech, specs, args)

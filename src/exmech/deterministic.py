@@ -18,7 +18,6 @@ weak-only domains.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -47,6 +46,7 @@ from .domains import (
     resolve_domains,
 )
 from .queueing import QueueingOutcome, QueueingParams, grid_labels
+from .search import SearchResult, check_witness_structure, search_witness
 
 CHARACTERIZATION_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 
@@ -177,30 +177,15 @@ def witness_from_counterexample(
 
 def validate_witness(mech: DetMechanism, witness: BAWitness, strict_iii: bool = False) -> None:
     """Re-check the three certificate conditions; raise on the first failure."""
-    env = mech.env
-    env.check_agent(witness.agent)
-    acts = env.actions[witness.agent]
-    if witness.r not in acts or witness.l not in acts:
-        raise InvariantViolation("witness actions not in the agent's action set")
-    if witness.r == witness.l:
-        raise InvariantViolation("witness actions must be distinct")
-    subs = set(sub_profiles(env, witness.agent))
-    if witness.a_minus not in subs or witness.b_minus not in subs:
-        raise InvariantViolation("witness sub-profiles not valid for the environment")
-    if witness.a_minus == witness.b_minus:
-        raise InvariantViolation("witness sub-profiles must be distinct")
+    check_witness_structure(mech.env, witness)
     ordering = witness.ordering
-    if ordering.agent != witness.agent:
-        raise InvariantViolation("witness ordering tagged for a different agent")
-    if ordering.pairs != frozenset(env.pairs_for(witness.agent)):
-        raise InvariantViolation("witness ordering does not partition the agent's pairs")
     za = mech.outcome_at(witness.agent, witness.r, witness.a_minus)
     if za != mech.outcome_at(witness.agent, witness.l, witness.a_minus):
         raise InvariantViolation("condition (i) fails: outcomes differ at a_minus")
     if not ordering.strictly_prefers((witness.l, za), (witness.r, za)):
         raise InvariantViolation("condition (ii) fails: protest pair not strictly preferred")
     anchor = (witness.r, mech.outcome_at(witness.agent, witness.r, witness.b_minus))
-    for x in acts:
+    for x in mech.env.actions[witness.agent]:
         other = (x, mech.outcome_at(witness.agent, x, witness.b_minus))
         if strict_iii:
             if x != witness.r and not ordering.strictly_prefers(anchor, other):
@@ -212,72 +197,34 @@ def validate_witness(mech: DetMechanism, witness: BAWitness, strict_iii: bool = 
 # --- exhaustive witness search ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BASearchResult:
-    witness: BAWitness | None
-    stats: dict
+class _RankKernel:
+    """Pair comparisons for one agent through rank vectors over its canonical pairs."""
 
+    def __init__(self, env: Environment, agent: int, orderings, vectors, strict_iii: bool):
+        self.orderings = orderings
+        self._vectors = vectors
+        self._index = {pair: idx for idx, pair in enumerate(env.pairs_for(agent))}
+        self._strict_iii = strict_iii
 
-def _scan_task(
-    mech: DetMechanism,
-    agent: int,
-    r_idx: int,
-    l_idx: int,
-    subs: tuple[SubProfile, ...],
-    rank_vectors: tuple[tuple[int, ...], ...],
-    pair_index: dict,
-    strict_iii: bool,
-) -> tuple[int, int, int] | None:
-    """First (a, b, ordering) hit for a fixed agent and action pair, or None."""
-    acts = mech.env.actions[agent]
-    r, l = acts[r_idx], acts[l_idx]
-    outcome_at = mech.outcome_at
-    for a_i, a in enumerate(subs):
-        za = outcome_at(agent, r, a)
-        if za != outcome_at(agent, l, a):
-            continue
-        protest = pair_index[(l, za)]
-        baseline = pair_index[(r, za)]
-        for b_i, b in enumerate(subs):
-            if b == a:
-                continue
-            anchor = pair_index[(r, outcome_at(agent, r, b))]
-            targets = [pair_index[(x, outcome_at(agent, x, b))] for x in acts]
-            if strict_iii:
-                targets = [t for x, t in zip(acts, targets) if x != r]
-            for o_i, rv in enumerate(rank_vectors):
-                if rv[protest] >= rv[baseline]:
-                    continue
-                best = rv[anchor]
-                if strict_iii:
-                    if all(best < rv[t] for t in targets):
-                        return a_i, b_i, o_i
-                elif all(best <= rv[t] for t in targets):
-                    return a_i, b_i, o_i
-    return None
+    def protest(self, r: str, l: str, za: str) -> list[int]:
+        protest, baseline = self._index[(l, za)], self._index[(r, za)]
+        return [o for o, rv in enumerate(self._vectors) if rv[protest] < rv[baseline]]
 
-
-_POOL_STATE: dict = {}
-
-
-def _pool_init(mech, subs_by_agent, ranks_by_agent, pairs_by_agent, strict_iii) -> None:
-    _POOL_STATE.update(
-        mech=mech,
-        subs=subs_by_agent,
-        ranks=ranks_by_agent,
-        pairs=pairs_by_agent,
-        strict_iii=strict_iii,
-    )
-
-
-def _pool_task(task: tuple[int, int, int]):
-    agent, r_idx, l_idx = task
-    s = _POOL_STATE
-    hit = _scan_task(
-        s["mech"], agent, r_idx, l_idx,
-        s["subs"][agent], s["ranks"][agent], s["pairs"][agent], s["strict_iii"],
-    )
-    return task, hit
+    def best_response(self, anchor, rivals, candidates: list[int]) -> int | None:
+        index, vectors = self._index, self._vectors
+        best = index[anchor]
+        targets = [index[pair] for pair in rivals]
+        if self._strict_iii:
+            for o in candidates:
+                rv = vectors[o]
+                if rv[best] < min(map(rv.__getitem__, targets)):
+                    return o
+        else:
+            for o in candidates:
+                rv = vectors[o]
+                if rv[best] <= min(map(rv.__getitem__, targets)):
+                    return o
+        return None
 
 
 def search_ba_witness(
@@ -286,74 +233,19 @@ def search_ba_witness(
     *,
     cap: int | None = None,
     strict_iii: bool = False,
-    jobs: int = 1,
-) -> BASearchResult:
+) -> SearchResult:
     """Exhaustive anomaly search; returns the canonically first witness.
 
-    The search space is ordered by agent, then ordered action pairs (r, l),
-    then ordered pairs of distinct sub-profiles (a, b), then orderings in
-    domain-enumeration order.  Raises CapExceeded if a full domain kind is
-    too large to enumerate.
+    The search order is that of `search.search_witness`.  Raises CapExceeded
+    if a full domain kind is too large to enumerate.
     """
     env = mech.env
     specs = resolve_domains(env, domains)
-    orderings_by_agent = []
-    ranks_by_agent = []
-    for i in range(env.n):
-        orderings, vectors = domain_rank_vectors(env, i, specs[i], cap)
-        orderings_by_agent.append(orderings)
-        ranks_by_agent.append(vectors)
-    subs_by_agent = tuple(tuple(sub_profiles(env, i)) for i in range(env.n))
-    pairs_by_agent = tuple(
-        {pair: idx for idx, pair in enumerate(env.pairs_for(i))} for i in range(env.n)
-    )
-    tasks = [
-        (i, ri, li)
+    kernels = [
+        _RankKernel(env, i, *domain_rank_vectors(env, i, specs[i], cap), strict_iii)
         for i in range(env.n)
-        for ri in range(len(env.actions[i]))
-        for li in range(len(env.actions[i]))
-        if ri != li
     ]
-    stats = {
-        "agents": env.n,
-        "action_pairs": len(tasks),
-        "sub_profiles": [len(s) for s in subs_by_agent],
-        "orderings_per_agent": [len(o) for o in orderings_by_agent],
-    }
-
-    def to_witness(task, hit) -> BAWitness:
-        agent, r_idx, l_idx = task
-        a_i, b_i, o_i = hit
-        return BAWitness(
-            agent=agent,
-            r=env.actions[agent][r_idx],
-            l=env.actions[agent][l_idx],
-            a_minus=subs_by_agent[agent][a_i],
-            b_minus=subs_by_agent[agent][b_i],
-            ordering=orderings_by_agent[agent][o_i],
-        )
-
-    if jobs <= 1:
-        for task in tasks:
-            agent, r_idx, l_idx = task
-            hit = _scan_task(
-                mech, agent, r_idx, l_idx,
-                subs_by_agent[agent], ranks_by_agent[agent], pairs_by_agent[agent],
-                strict_iii,
-            )
-            if hit is not None:
-                return BASearchResult(to_witness(task, hit), stats)
-        return BASearchResult(None, stats)
-
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_pool_init,
-        initargs=(mech, subs_by_agent, tuple(ranks_by_agent), pairs_by_agent, strict_iii),
-    ) as pool:
-        for task, hit in pool.map(_pool_task, tasks):
-            if hit is not None:
-                return BASearchResult(to_witness(task, hit), stats)
-    return BASearchResult(None, stats)
+    return search_witness(env, mech.outcome_at, kernels)
 
 
 def find_ba_witness(
@@ -362,12 +254,9 @@ def find_ba_witness(
     *,
     cap: int | None = None,
     strict_iii: bool = False,
-    jobs: int = 1,
 ) -> BAWitness | None:
     """Canonically first anomaly witness, or None when none exists."""
-    return search_ba_witness(
-        mech, domains, cap=cap, strict_iii=strict_iii, jobs=jobs
-    ).witness
+    return search_ba_witness(mech, domains, cap=cap, strict_iii=strict_iii).witness
 
 
 # --- voting environments ------------------------------------------------------

@@ -99,12 +99,14 @@ def domain_orderings(
     cached = _DOMAIN_CACHE.get(key)
     if cached is None:
         pairs = env.pairs_for(agent)
+        if cap is None:
+            cap = DEFAULT_STRICT_CAP if spec.kind is DomainKind.STRICT else DEFAULT_WEAK_CAP
         if spec.kind is DomainKind.UNRESTRICTED:
-            gen = enumerate_weak_orderings(agent, pairs, cap or DEFAULT_WEAK_CAP)
+            gen = enumerate_weak_orderings(agent, pairs, cap)
         elif spec.kind is DomainKind.STRICT:
-            gen = enumerate_strict_orderings(agent, pairs, cap or DEFAULT_STRICT_CAP)
+            gen = enumerate_strict_orderings(agent, pairs, cap)
         else:
-            gen = enumerate_weak_only_orderings(agent, pairs, cap or DEFAULT_WEAK_CAP)
+            gen = enumerate_weak_only_orderings(agent, pairs, cap)
         cached = _DOMAIN_CACHE[key] = tuple(gen)
     return cached
 

@@ -6,8 +6,7 @@ choosing can matter to an agent beyond the outcome it induces.  Orderings are
 ranked partitions (ordered indifference classes, best first), which makes
 completeness, transitivity and reflexivity hold by construction.
 
-Everything here is immutable after construction and safe to share across
-concurrent search workers.
+Everything here is immutable after construction.
 """
 
 from __future__ import annotations

@@ -1,0 +1,95 @@
+"""Canonical-order anomaly search and structural witness checks for both mechanism kinds.
+
+A deterministic outcome is a point-mass lottery, so the deterministic and the
+probabilistic certificates differ only in how an ordering compares pairs or
+lotteries.  This module owns everything else: the search order, condition (i)
+(equality of the mechanism's value at a), the statistics block and the
+structural half of witness validation.  Each mechanism kind supplies a
+comparison kernel with two calls:
+
+  protest(r, l, value_at_a)
+      indices of the orderings satisfying condition (ii), in enumeration order;
+  best_response(anchor, rivals, candidates)
+      the first candidate index under which condition (iii) holds, or None;
+      `anchor` is (r, value at b) and `rivals` lists (x, value at b) for every
+      other action x, in action order.
+
+A kernel also carries the agent's `orderings`, which its indices refer to.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+from .errors import InvariantViolation
+from .model import BAWitness, Environment, SubProfile, sub_profiles
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    witness: BAWitness | None
+    stats: dict
+
+
+def search_witness(
+    env: Environment,
+    value_at: Callable[[int, str, SubProfile], object],
+    kernels: Sequence,
+) -> SearchResult:
+    """Canonically first witness over the kernels' orderings, one kernel per agent.
+
+    The search space is ordered by agent, then ordered action pairs (r, l),
+    then ordered pairs of distinct sub-profiles (a, b), then orderings in
+    domain-enumeration order.  Condition (ii) does not depend on b, so it is
+    evaluated once per a.
+    """
+    subs_by_agent = tuple(tuple(sub_profiles(env, i)) for i in range(env.n))
+    stats = {
+        "agents": env.n,
+        "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
+        "sub_profiles": [len(s) for s in subs_by_agent],
+        "orderings_per_agent": [len(k.orderings) for k in kernels],
+    }
+    for agent, (acts, subs, kernel) in enumerate(zip(env.actions, subs_by_agent, kernels)):
+        for r in acts:
+            for l in acts:
+                if r == l:
+                    continue
+                for a in subs:
+                    value = value_at(agent, r, a)
+                    if value != value_at(agent, l, a):
+                        continue
+                    candidates = kernel.protest(r, l, value)
+                    if not candidates:
+                        continue
+                    for b in subs:
+                        if b == a:
+                            continue
+                        anchor = (r, value_at(agent, r, b))
+                        rivals = [(x, value_at(agent, x, b)) for x in acts if x != r]
+                        hit = kernel.best_response(anchor, rivals, candidates)
+                        if hit is not None:
+                            witness = BAWitness(agent, r, l, a, b, kernel.orderings[hit])
+                            return SearchResult(witness, stats)
+    return SearchResult(None, stats)
+
+
+def check_witness_structure(env: Environment, witness: BAWitness) -> None:
+    """Check a witness names valid, distinct actions and sub-profiles and a full ordering."""
+    env.check_agent(witness.agent)
+    acts = env.actions[witness.agent]
+    if witness.r not in acts or witness.l not in acts:
+        raise InvariantViolation("witness actions not in the agent's action set")
+    if witness.r == witness.l:
+        raise InvariantViolation("witness actions must be distinct")
+    subs = set(sub_profiles(env, witness.agent))
+    if witness.a_minus not in subs or witness.b_minus not in subs:
+        raise InvariantViolation("witness sub-profiles not valid for the environment")
+    if witness.a_minus == witness.b_minus:
+        raise InvariantViolation("witness sub-profiles must be distinct")
+    ordering = witness.ordering
+    if ordering.agent != witness.agent:
+        raise InvariantViolation("witness ordering tagged for a different agent")
+    if ordering.pairs != frozenset(env.pairs_for(witness.agent)):
+        raise InvariantViolation("witness ordering does not partition the agent's pairs")

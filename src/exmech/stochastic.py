@@ -11,7 +11,6 @@ somewhere.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,10 +35,10 @@ from .model import (
     SubProfile,
     enumerate_profiles,
     full_profile,
-    sub_profiles,
 )
 from .domains import domain_orderings, resolve_domains
 from .queueing import parse_fraction
+from .search import SearchResult, check_witness_structure, search_witness
 
 
 @dataclass(frozen=True)
@@ -203,30 +202,15 @@ def dominance_dichotomy(ordering: Ordering, r: str, l: str) -> DominanceBlock:
 
 def validate_prob_witness(mech: ProbMechanism, witness: BAWitness) -> None:
     """Re-check the probabilistic certificate conditions; raise on failure."""
-    env = mech.env
-    env.check_agent(witness.agent)
-    acts = env.actions[witness.agent]
-    if witness.r not in acts or witness.l not in acts:
-        raise InvariantViolation("witness actions not in the agent's action set")
-    if witness.r == witness.l:
-        raise InvariantViolation("witness actions must be distinct")
-    subs = set(sub_profiles(env, witness.agent))
-    if witness.a_minus not in subs or witness.b_minus not in subs:
-        raise InvariantViolation("witness sub-profiles not valid for the environment")
-    if witness.a_minus == witness.b_minus:
-        raise InvariantViolation("witness sub-profiles must be distinct")
+    check_witness_structure(mech.env, witness)
     ordering = witness.ordering
-    if ordering.agent != witness.agent:
-        raise InvariantViolation("witness ordering tagged for a different agent")
-    if ordering.pairs != frozenset(env.pairs_for(witness.agent)):
-        raise InvariantViolation("witness ordering does not partition the agent's pairs")
     ga = mech.dist_at(witness.agent, witness.r, witness.a_minus)
     if ga != mech.dist_at(witness.agent, witness.l, witness.a_minus):
         raise InvariantViolation("condition (i) fails: distributions differ at a_minus")
     if not fsd(ordering, Lottery(witness.l, ga), Lottery(witness.r, ga)):
         raise InvariantViolation("condition (ii) fails: protest lottery does not dominate")
     anchor = Lottery(witness.r, mech.dist_at(witness.agent, witness.r, witness.b_minus))
-    for x in acts:
+    for x in mech.env.actions[witness.agent]:
         if x == witness.r:
             continue
         other = Lottery(x, mech.dist_at(witness.agent, x, witness.b_minus))
@@ -234,49 +218,28 @@ def validate_prob_witness(mech: ProbMechanism, witness: BAWitness) -> None:
             raise InvariantViolation(f"condition (iii) fails against action {x!r}")
 
 
-def _prob_scan_task(
-    mech: ProbMechanism,
-    agent: int,
-    r_idx: int,
-    l_idx: int,
-    subs: tuple[SubProfile, ...],
-    orderings: tuple[Ordering, ...],
-) -> tuple[int, int, int] | None:
-    acts = mech.env.actions[agent]
-    r, l = acts[r_idx], acts[l_idx]
-    for a_i, a in enumerate(subs):
-        ga = mech.dist_at(agent, r, a)
-        if ga != mech.dist_at(agent, l, a):
-            continue
-        for b_i, b in enumerate(subs):
-            if b == a:
-                continue
-            dists = [mech.dist_at(agent, x, b) for x in acts]
-            for o_i, ordering in enumerate(orderings):
-                if not fsd(ordering, Lottery(l, ga), Lottery(r, ga)):
-                    continue
-                anchor = Lottery(r, dists[r_idx])
-                if all(
-                    x == r or fsd(ordering, anchor, Lottery(x, dists[xi]))
-                    for xi, x in enumerate(acts)
-                ):
-                    return a_i, b_i, o_i
-    return None
+class _FSDKernel:
+    """Lottery comparisons for one agent by first-order stochastic dominance.
 
+    Dominance is irreflexive, so condition (iii) is quantified over the other
+    actions only.
+    """
 
-_POOL_STATE: dict = {}
+    def __init__(self, orderings: tuple[Ordering, ...]):
+        self.orderings = orderings
 
+    def protest(self, r: str, l: str, ga: Distribution) -> list[int]:
+        protest, baseline = Lottery(l, ga), Lottery(r, ga)
+        return [o for o, ordering in enumerate(self.orderings) if fsd(ordering, protest, baseline)]
 
-def _pool_init(mech, subs_by_agent, orderings_by_agent) -> None:
-    _POOL_STATE.update(mech=mech, subs=subs_by_agent, orderings=orderings_by_agent)
-
-
-def _pool_task(task: tuple[int, int, int]):
-    agent, r_idx, l_idx = task
-    s = _POOL_STATE
-    return task, _prob_scan_task(
-        s["mech"], agent, r_idx, l_idx, s["subs"][agent], s["orderings"][agent]
-    )
+    def best_response(self, anchor, rivals, candidates: list[int]) -> int | None:
+        best = Lottery(*anchor)
+        others = [Lottery(*rival) for rival in rivals]
+        for o in candidates:
+            ordering = self.orderings[o]
+            if all(fsd(ordering, best, other) for other in others):
+                return o
+        return None
 
 
 def search_prob_ba_witness(
@@ -284,72 +247,17 @@ def search_prob_ba_witness(
     domains: Sequence[DomainSpec] | DomainSpec | DomainKind | str | None = None,
     *,
     cap: int | None = None,
-    jobs: int = 1,
-) -> "ProbBASearchResult":
+) -> SearchResult:
     """Exhaustive probabilistic anomaly search in canonical order.
 
     Condition (i) is exact distribution equality; (ii) and (iii) use
-    first-order stochastic dominance, with (iii) quantified over the other
-    actions (dominance is irreflexive, so the anchor action itself is
-    exempt).
+    first-order stochastic dominance.  The search order is that of
+    `search.search_witness`.
     """
     env = mech.env
     specs = resolve_domains(env, domains)
-    orderings_by_agent = tuple(
-        domain_orderings(env, i, specs[i], cap) for i in range(env.n)
-    )
-    subs_by_agent = tuple(tuple(sub_profiles(env, i)) for i in range(env.n))
-    tasks = [
-        (i, ri, li)
-        for i in range(env.n)
-        for ri in range(len(env.actions[i]))
-        for li in range(len(env.actions[i]))
-        if ri != li
-    ]
-    stats = {
-        "agents": env.n,
-        "action_pairs": len(tasks),
-        "sub_profiles": [len(s) for s in subs_by_agent],
-        "orderings_per_agent": [len(o) for o in orderings_by_agent],
-    }
-
-    def to_witness(task, hit) -> BAWitness:
-        agent, r_idx, l_idx = task
-        a_i, b_i, o_i = hit
-        return BAWitness(
-            agent=agent,
-            r=env.actions[agent][r_idx],
-            l=env.actions[agent][l_idx],
-            a_minus=subs_by_agent[agent][a_i],
-            b_minus=subs_by_agent[agent][b_i],
-            ordering=orderings_by_agent[agent][o_i],
-        )
-
-    if jobs <= 1:
-        for task in tasks:
-            agent, r_idx, l_idx = task
-            hit = _prob_scan_task(
-                mech, agent, r_idx, l_idx, subs_by_agent[agent], orderings_by_agent[agent]
-            )
-            if hit is not None:
-                return ProbBASearchResult(to_witness(task, hit), stats)
-        return ProbBASearchResult(None, stats)
-
-    with ProcessPoolExecutor(
-        max_workers=jobs,
-        initializer=_pool_init,
-        initargs=(mech, subs_by_agent, orderings_by_agent),
-    ) as pool:
-        for task, hit in pool.map(_pool_task, tasks):
-            if hit is not None:
-                return ProbBASearchResult(to_witness(task, hit), stats)
-    return ProbBASearchResult(None, stats)
-
-
-@dataclass(frozen=True)
-class ProbBASearchResult:
-    witness: BAWitness | None
-    stats: dict
+    kernels = [_FSDKernel(domain_orderings(env, i, specs[i], cap)) for i in range(env.n)]
+    return search_witness(env, mech.dist_at, kernels)
 
 
 def find_prob_ba_witness(
@@ -357,10 +265,9 @@ def find_prob_ba_witness(
     domains: Sequence[DomainSpec] | DomainSpec | DomainKind | str | None = None,
     *,
     cap: int | None = None,
-    jobs: int = 1,
 ) -> BAWitness | None:
     """Canonically first probabilistic anomaly witness, or None."""
-    return search_prob_ba_witness(mech, domains, cap=cap, jobs=jobs).witness
+    return search_prob_ba_witness(mech, domains, cap=cap).witness
 
 
 # --- builders -----------------------------------------------------------------

@@ -144,6 +144,25 @@ def test_analyze_cap_flag_lowers_the_limit(capsys):
     assert code == 3 and "cap exceeded" in err
 
 
+@pytest.mark.parametrize("cap", ("0", "-1"))
+def test_analyze_rejects_non_positive_cap(capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--builder", "referendum", "--m", "1", "--cap", cap])
+    assert exc.value.code == 1
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", (b"{bad", b"\xff\xfe"))
+def test_analyze_malformed_domain_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, _, err = run(
+        capsys,
+        "analyze", "--builder", "referendum", "--m", "1", "--domains", f"file:{path}",
+    )
+    assert code == 2 and err.startswith("invalid: invalid JSON")
+
+
 def test_analyze_mech_file_with_domain_file(tmp_path, capsys):
     bundle_path = tmp_path / "referendum.json"
     code, *_ = run(capsys, "build", "referendum", "--m", "1", "--out", str(bundle_path))

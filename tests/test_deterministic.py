@@ -164,15 +164,6 @@ def test_search_stats_and_strict_iii():
     assert result.stats["orderings_per_agent"] == [4683, 4683, 4683]
 
 
-def test_parallel_search_matches_sequential():
-    env = small_env()
-    table = dict(zip(enumerate_profiles(env), ("z0", "z0", "z0", "z1")))
-    mech = DetMechanism(env, table)
-    sequential = find_ba_witness(mech, DomainKind.UNRESTRICTED)
-    parallel = find_ba_witness(mech, DomainKind.UNRESTRICTED, jobs=2)
-    assert sequential == parallel is not None
-
-
 def test_voting_environment_recognition():
     ref_env, _ = build_majority_referendum(1)
     assert is_voting_environment(ref_env)

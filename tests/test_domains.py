@@ -8,6 +8,7 @@ from exmech.domains import (
     build_queueing_pref_1,
     build_queueing_pref_2,
     classical_orderings,
+    domain_orderings,
     enumerate_strict_orderings,
     enumerate_weak_only_orderings,
     enumerate_weak_orderings,
@@ -17,7 +18,7 @@ from exmech.domains import (
     separability_violation,
 )
 from exmech.errors import CapExceeded, NotQueueingEnvironment
-from exmech.model import Environment, Ordering
+from exmech.model import DomainKind, DomainSpec, Environment, Ordering
 from exmech.queueing import QueueingParams
 
 
@@ -70,6 +71,13 @@ def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         list(enumerate_strict_orderings(0, pairs(9)))
     assert sum(1 for _ in enumerate_weak_orderings(0, pairs(7), cap=7)) == ordered_bell(7)
+
+
+@pytest.mark.parametrize("kind", ("unrestricted", "strict", "weak_only"))
+def test_domain_orderings_cap_zero_is_a_cap(kind):
+    env = Environment.create((("a0", "a1"),), ("z0",))
+    with pytest.raises(CapExceeded):
+        domain_orderings(env, 0, DomainSpec(DomainKind(kind)), cap=0)
 
 
 def queueing_setup(theta1=Fraction(1, 2), theta2=Fraction(1, 4), grid=None):

@@ -183,13 +183,6 @@ def test_strictness_is_what_protects_the_counterexample():
         validate_prob_witness(mech, witness)
 
 
-def test_parallel_prob_search_matches_sequential():
-    env, mech = build_mixed_counterexample()
-    sequential = find_prob_ba_witness(mech, DomainKind.WEAK_ONLY)
-    parallel = find_prob_ba_witness(mech, DomainKind.WEAK_ONLY, jobs=2)
-    assert sequential == parallel is not None
-
-
 def strict_orderings_2x2():
     pairs = tuple((a, z) for a in ("a0", "a1") for z in Z2)
     return list(enumerate_strict_orderings(0, pairs))
