@@ -116,8 +116,8 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run the built-in claim suite")
     p_verify.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
-    p_verify.add_argument("--mixed-count", type=int, default=200)
-    p_verify.add_argument("--samples", type=int, default=100)
+    p_verify.add_argument("--mixed-count", type=_positive_int_arg, default=200)
+    p_verify.add_argument("--samples", type=_positive_int_arg, default=100)
     return parser
 
 
@@ -309,7 +309,7 @@ def cmd_build(args) -> int:
 
 
 def _analyze_deterministic(mech, specs, args):
-    """Returns (verdict, witness, method).  Falls back to the tie-propagation
+    """Returns (witness, stats, method).  Falls back to the tie-propagation
     characterization when enumeration blows the cap and all agents share one
     of the three full domain kinds."""
     try:

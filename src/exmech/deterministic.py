@@ -18,6 +18,7 @@ weak-only domains.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -40,11 +41,7 @@ from .model import (
     full_profile,
     sub_profiles,
 )
-from .domains import (
-    build_queueing_pref_1,
-    domain_rank_vectors,
-    resolve_domains,
-)
+from .domains import build_queueing_pref_1
 from .queueing import QueueingOutcome, QueueingParams, grid_labels
 from .search import SearchResult, check_witness_structure, search_witness
 
@@ -198,11 +195,10 @@ def validate_witness(mech: DetMechanism, witness: BAWitness, strict_iii: bool = 
 
 
 class _RankKernel:
-    """Pair comparisons for one agent through rank vectors over its canonical pairs."""
+    """Pair comparisons for one agent through the rows of its rank table."""
 
-    def __init__(self, env: Environment, agent: int, orderings, vectors, strict_iii: bool):
-        self.orderings = orderings
-        self._vectors = vectors
+    def __init__(self, env: Environment, agent: int, table, strict_iii: bool):
+        self._vectors = table
         self._index = {pair: idx for idx, pair in enumerate(env.pairs_for(agent))}
         self._strict_iii = strict_iii
 
@@ -239,13 +235,8 @@ def search_ba_witness(
     The search order is that of `search.search_witness`.  Raises CapExceeded
     if a full domain kind is too large to enumerate.
     """
-    env = mech.env
-    specs = resolve_domains(env, domains)
-    kernels = [
-        _RankKernel(env, i, *domain_rank_vectors(env, i, specs[i], cap), strict_iii)
-        for i in range(env.n)
-    ]
-    return search_witness(env, mech.outcome_at, kernels)
+    kernel = functools.partial(_RankKernel, strict_iii=strict_iii)
+    return search_witness(mech.env, mech.outcome_at, domains, kernel, cap)
 
 
 def find_ba_witness(

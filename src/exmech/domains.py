@@ -1,14 +1,16 @@
 """Preference-domain generators and structural predicates.
 
 Enumerates weak orders (ranked partitions), strict orders and weak-only
-orders over an agent's action-outcome pairs, classifies orderings as
-classical or separable, and builds the lexicographic queueing preferences.
-Enumeration is capped because the number of weak orders grows like the
-ordered Bell numbers (4683 already at six pairs).
+orders as rank tables over pair positions, one per pair count and kind, so
+every agent with as many action-outcome pairs shares one table.  Also
+classifies orderings as classical or separable and builds the lexicographic
+queueing preferences.  Enumeration is capped because the number of weak
+orders grows like the ordered Bell numbers (4683 already at six pairs).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,108 +31,101 @@ DEFAULT_WEAK_CAP = 6
 DEFAULT_STRICT_CAP = 8
 
 
-def _ordered_set_partitions(elements: tuple) -> Iterator[tuple[frozenset, ...]]:
-    """All ordered set partitions, first class varying slowest.
+@functools.cache
+def rank_table(n: int, kind: DomainKind) -> tuple[tuple[int, ...], ...]:
+    """Rank vectors of every ordering in a full domain over pair positions 0..n-1.
 
-    The first class runs over non-empty subsets by increasing size, then
-    lexicographically by element position; the tail recurses the same way.
+    Row k gives each position's class index (0 is best) under the k-th
+    ordering.  Weak orders are ordered set partitions, first class varying
+    slowest: it runs over non-empty subsets by increasing size, then
+    lexicographically by position, and the tail recurses the same way.
+    Strict orders follow `itertools.permutations`; weak-only orders are the
+    weak rows that are not all singletons.  Only the pair count matters, so
+    every agent and environment with n pairs shares one table.
     """
-    if not elements:
-        yield ()
-        return
-    for size in range(1, len(elements) + 1):
-        for head in itertools.combinations(elements, size):
-            head_set = frozenset(head)
-            rest = tuple(e for e in elements if e not in head_set)
-            for tail in _ordered_set_partitions(rest):
-                yield (head_set,) + tail
+    if kind is DomainKind.STRICT:
+        return tuple(tuple(map(perm.index, range(n))) for perm in itertools.permutations(range(n)))
+    if kind is DomainKind.WEAK_ONLY:
+        return tuple(rv for rv in rank_table(n, DomainKind.UNRESTRICTED) if max(rv) < n - 1)
+    ranks = [0] * n
+
+    def partitions(rest: tuple[int, ...], depth: int) -> Iterator[tuple[int, ...]]:
+        if not rest:
+            yield tuple(ranks)
+            return
+        for size in range(1, len(rest) + 1):
+            for head in itertools.combinations(rest, size):
+                for position in head:
+                    ranks[position] = depth
+                yield from partitions(tuple(p for p in rest if p not in head), depth + 1)
+
+    return tuple(partitions(tuple(range(n)), 0))
 
 
-def _checked_pairs(pairs: Iterable[Pair], cap: int, what: str) -> tuple[Pair, ...]:
+def table_orderings(agent: int, pairs: Sequence[Pair], table: Iterable) -> Iterator[Ordering]:
+    """The orderings a rank table describes over the given pairs, row by row."""
+    return (Ordering.from_ranks(agent, pairs, ranks) for ranks in table)
+
+
+def _full_table(kind: DomainKind, pairs: Iterable[Pair], cap: int | None) -> tuple:
+    """(pairs, rank table) for a full domain kind, after the size checks."""
     pairs = tuple(tuple(p) for p in pairs)
     if not pairs:
         raise InvariantViolation("need at least one pair to enumerate orderings")
     if len(set(pairs)) != len(pairs):
         raise InvariantViolation("duplicate pairs")
+    strict = kind is DomainKind.STRICT
+    if cap is None:
+        cap = DEFAULT_STRICT_CAP if strict else DEFAULT_WEAK_CAP
     if len(pairs) > cap:
+        what = "strict-order" if strict else "weak-order"
         raise CapExceeded(f"{len(pairs)} pairs exceed the {what} enumeration cap of {cap}")
-    return pairs
+    return pairs, rank_table(len(pairs), kind)
 
 
 def enumerate_weak_orderings(
     agent: int, pairs: Iterable[Pair], cap: int = DEFAULT_WEAK_CAP
 ) -> Iterator[Ordering]:
     """Every weak order over the pairs, exactly once, in a fixed order."""
-    pairs = _checked_pairs(pairs, cap, "weak-order")
-    return (Ordering(agent, classes) for classes in _ordered_set_partitions(pairs))
+    return table_orderings(agent, *_full_table(DomainKind.UNRESTRICTED, pairs, cap))
 
 
 def enumerate_strict_orderings(
     agent: int, pairs: Iterable[Pair], cap: int = DEFAULT_STRICT_CAP
 ) -> Iterator[Ordering]:
     """Every strict (all-singleton) order, i.e. every permutation of the pairs."""
-    pairs = _checked_pairs(pairs, cap, "strict-order")
-    return (
-        Ordering(agent, tuple(frozenset((p,)) for p in perm))
-        for perm in itertools.permutations(pairs)
-    )
+    return table_orderings(agent, *_full_table(DomainKind.STRICT, pairs, cap))
 
 
 def enumerate_weak_only_orderings(
     agent: int, pairs: Iterable[Pair], cap: int = DEFAULT_WEAK_CAP
 ) -> Iterator[Ordering]:
     """Weak orders with at least one non-trivial indifference class."""
-    return (o for o in enumerate_weak_orderings(agent, pairs, cap) if not o.is_strict)
+    return table_orderings(agent, *_full_table(DomainKind.WEAK_ONLY, pairs, cap))
 
 
-_DOMAIN_CACHE: dict[tuple, tuple[Ordering, ...]] = {}
-_RANK_CACHE: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+def domain_rank_vectors(
+    env: Environment, agent: int, spec: DomainSpec, cap: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Rank vectors of the agent's admissible orderings over its canonical pairs.
+
+    A full domain kind gives the shared `rank_table` of the agent's pair
+    count; an explicit domain gives its listed orderings' ranks, in order.
+    """
+    env.check_agent(agent)
+    pairs = env.pairs_for(agent)
+    if spec.kind is DomainKind.EXPLICIT:
+        validate_explicit_domain(env, agent, spec)
+        return tuple(tuple(o.rank(p) for p in pairs) for o in spec.orderings)
+    return _full_table(spec.kind, pairs, cap)[1]
 
 
 def domain_orderings(
     env: Environment, agent: int, spec: DomainSpec, cap: int | None = None
 ) -> tuple[Ordering, ...]:
-    """Materialize the admissible orderings of one agent, memoized per shape."""
-    env.check_agent(agent)
-    if spec.kind is DomainKind.EXPLICIT:
-        validate_explicit_domain(env, agent, spec)
-        return spec.orderings
-    key = (agent, env.actions[agent], env.outcomes, spec.kind, cap)
-    cached = _DOMAIN_CACHE.get(key)
-    if cached is None:
-        pairs = env.pairs_for(agent)
-        if cap is None:
-            cap = DEFAULT_STRICT_CAP if spec.kind is DomainKind.STRICT else DEFAULT_WEAK_CAP
-        if spec.kind is DomainKind.UNRESTRICTED:
-            gen = enumerate_weak_orderings(agent, pairs, cap)
-        elif spec.kind is DomainKind.STRICT:
-            gen = enumerate_strict_orderings(agent, pairs, cap)
-        else:
-            gen = enumerate_weak_only_orderings(agent, pairs, cap)
-        cached = _DOMAIN_CACHE[key] = tuple(gen)
-    return cached
-
-
-def domain_rank_vectors(
-    env: Environment, agent: int, spec: DomainSpec, cap: int | None = None
-) -> tuple[tuple[Ordering, ...], tuple[tuple[int, ...], ...]]:
-    """Orderings plus their rank vectors over the canonical pair order.
-
-    Rank vectors let the witness search compare pairs by integer index
-    without per-ordering dict lookups.
-    """
-    orderings = domain_orderings(env, agent, spec, cap)
-    if spec.kind is DomainKind.EXPLICIT:
-        pairs = env.pairs_for(agent)
-        return orderings, tuple(tuple(o.rank(p) for p in pairs) for o in orderings)
-    key = (agent, env.actions[agent], env.outcomes, spec.kind, cap)
-    vectors = _RANK_CACHE.get(key)
-    if vectors is None:
-        pairs = env.pairs_for(agent)
-        vectors = _RANK_CACHE[key] = tuple(
-            tuple(o.rank(p) for p in pairs) for o in orderings
-        )
-    return orderings, vectors
+    """Materialize the admissible orderings of one agent in enumeration order."""
+    table = domain_rank_vectors(env, agent, spec, cap)
+    return tuple(table_orderings(agent, env.pairs_for(agent), table))
 
 
 def resolve_domains(
@@ -227,11 +222,9 @@ def classical_orderings(
     agent: int, actions: Sequence[str], outcomes: Sequence[str]
 ) -> Iterator[Ordering]:
     """Every classical ordering: a weak order over outcomes lifted to pairs."""
-    for outcome_classes in _ordered_set_partitions(tuple(outcomes)):
-        yield Ordering(
-            agent,
-            tuple(frozenset((a, z) for a in actions for z in cls) for cls in outcome_classes),
-        )
+    pairs = tuple((a, z) for a in actions for z in outcomes)
+    lifted = (ranks * len(actions) for ranks in rank_table(len(outcomes), DomainKind.UNRESTRICTED))
+    return table_orderings(agent, pairs, lifted)
 
 
 def indifferent_ordering(agent: int, actions: Sequence[str], outcomes: Sequence[str]) -> Ordering:
@@ -259,8 +252,6 @@ def build_queueing_pref_1(params: QueueingParams, env: Environment) -> Ordering:
     the report from the true waiting cost (smaller first).  Pairs tying on
     all three are indifferent.
     """
-    from fractions import Fraction
-
     outcomes = queueing_outcomes_of(env)
     keyed = []
     for action in env.actions[0]:

@@ -56,6 +56,14 @@ class Ordering:
                 raise InvariantViolation("pair appears in multiple classes")
             seen |= cls
 
+    @classmethod
+    def from_ranks(cls, agent: int, pairs: Sequence[Pair], ranks: Sequence[int]) -> "Ordering":
+        """The ordering that puts pairs[k] in class ranks[k]."""
+        classes: list[list[Pair]] = [[] for _ in range(max(ranks, default=-1) + 1)]
+        for pair, rank in zip(pairs, ranks):
+            classes[rank].append(pair)
+        return cls(agent, tuple(map(frozenset, classes)))
+
     @cached_property
     def _ranks(self) -> dict[Pair, int]:
         return {pair: idx for idx, cls in enumerate(self.classes) for pair in cls}
@@ -309,6 +317,8 @@ def env_from_json(data: object) -> Environment:
     for key in ("agents", "outcomes"):
         if key not in data or not isinstance(data[key], list):
             raise ParseError(f"environment needs a list-valued {key!r} key")
+    if not all(isinstance(acts, list) for acts in data["agents"]):
+        raise ParseError("each agent must be a list of action labels")
     actions = tuple(tuple(str(a) for a in acts) for acts in data["agents"])
     outcomes = tuple(str(z) for z in data["outcomes"])
     raw_domains = data.get("domains")

@@ -2,28 +2,30 @@
 
 A deterministic outcome is a point-mass lottery, so the deterministic and the
 probabilistic certificates differ only in how an ordering compares pairs or
-lotteries.  This module owns everything else: the search order, condition (i)
-(equality of the mechanism's value at a), the statistics block and the
-structural half of witness validation.  Each mechanism kind supplies a
-comparison kernel with two calls:
+lotteries.  This module owns everything else: the search order, the agents'
+rank tables (`domains.domain_rank_vectors`), condition (i) (equality of the
+mechanism's value at a), the statistics block, the witness ordering and the
+structural half of witness validation.  Row k of an agent's `table` ranks
+its pairs, in `env.pairs_for(agent)` order, under its k-th admissible
+ordering.  Each mechanism kind supplies a kernel factory, called as
+`make_kernel(env, agent, table)` once per agent, whose kernel answers:
 
   protest(r, l, value_at_a)
-      indices of the orderings satisfying condition (ii), in enumeration order;
+      indices of the table rows satisfying condition (ii), in table order;
   best_response(anchor, rivals, candidates)
       the first candidate index under which condition (iii) holds, or None;
       `anchor` is (r, value at b) and `rivals` lists (x, value at b) for every
       other action x, in action order.
-
-A kernel also carries the agent's `orderings`, which its indices refer to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
+from . import domains
 from .errors import InvariantViolation
-from .model import BAWitness, Environment, SubProfile, sub_profiles
+from .model import BAWitness, Environment, Ordering, SubProfile, sub_profiles
 
 
 @dataclass(frozen=True)
@@ -35,21 +37,28 @@ class SearchResult:
 def search_witness(
     env: Environment,
     value_at: Callable[[int, str, SubProfile], object],
-    kernels: Sequence,
+    domain_specs,
+    make_kernel: Callable,
+    cap: int | None = None,
 ) -> SearchResult:
-    """Canonically first witness over the kernels' orderings, one kernel per agent.
+    """Canonically first witness over the admissible orderings `domain_specs` resolve to.
 
     The search space is ordered by agent, then ordered action pairs (r, l),
     then ordered pairs of distinct sub-profiles (a, b), then orderings in
-    domain-enumeration order.  Condition (ii) does not depend on b, so it is
-    evaluated once per a.
+    rank-table order.  Condition (ii) does not depend on b, so it is
+    evaluated once per a.  Raises CapExceeded if a full domain kind is too
+    large to enumerate.
     """
+    specs = domains.resolve_domains(env, domain_specs)
+    # looked up on the module so that a wrapper installed there sees every search
+    tables = [domains.domain_rank_vectors(env, i, spec, cap) for i, spec in enumerate(specs)]
+    kernels = [make_kernel(env, i, table) for i, table in enumerate(tables)]
     subs_by_agent = tuple(tuple(sub_profiles(env, i)) for i in range(env.n))
     stats = {
         "agents": env.n,
         "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
         "sub_profiles": [len(s) for s in subs_by_agent],
-        "orderings_per_agent": [len(k.orderings) for k in kernels],
+        "orderings_per_agent": [len(table) for table in tables],
     }
     for agent, (acts, subs, kernel) in enumerate(zip(env.actions, subs_by_agent, kernels)):
         for r in acts:
@@ -70,8 +79,10 @@ def search_witness(
                         rivals = [(x, value_at(agent, x, b)) for x in acts if x != r]
                         hit = kernel.best_response(anchor, rivals, candidates)
                         if hit is not None:
-                            witness = BAWitness(agent, r, l, a, b, kernel.orderings[hit])
-                            return SearchResult(witness, stats)
+                            ordering = Ordering.from_ranks(
+                                agent, env.pairs_for(agent), tables[agent][hit]
+                            )
+                            return SearchResult(BAWitness(agent, r, l, a, b, ordering), stats)
     return SearchResult(None, stats)
 
 

@@ -36,7 +36,7 @@ from .model import (
     enumerate_profiles,
     full_profile,
 )
-from .domains import domain_orderings, resolve_domains
+from .domains import table_orderings
 from .queueing import parse_fraction
 from .search import SearchResult, check_witness_structure, search_witness
 
@@ -225,8 +225,8 @@ class _FSDKernel:
     actions only.
     """
 
-    def __init__(self, orderings: tuple[Ordering, ...]):
-        self.orderings = orderings
+    def __init__(self, env: Environment, agent: int, table):
+        self.orderings = tuple(table_orderings(agent, env.pairs_for(agent), table))
 
     def protest(self, r: str, l: str, ga: Distribution) -> list[int]:
         protest, baseline = Lottery(l, ga), Lottery(r, ga)
@@ -254,10 +254,7 @@ def search_prob_ba_witness(
     first-order stochastic dominance.  The search order is that of
     `search.search_witness`.
     """
-    env = mech.env
-    specs = resolve_domains(env, domains)
-    kernels = [_FSDKernel(domain_orderings(env, i, specs[i], cap)) for i in range(env.n)]
-    return search_witness(env, mech.dist_at, kernels)
+    return search_witness(mech.env, mech.dist_at, domains, _FSDKernel, cap)
 
 
 def find_prob_ba_witness(

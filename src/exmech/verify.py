@@ -227,7 +227,7 @@ def claim_strict_dichotomy_blocks_dominance(
                 violations += blocked
     return ClaimResult(
         "strict-dichotomy-blocks-dominance",
-        violations == 0,
+        checks > 0 and violations == 0,
         f"{violations} dominance violations in {checks} sampled lottery pairs",
     )
 
@@ -246,7 +246,7 @@ def claim_mixed_mechanisms_avoid_anomaly(
             clean += 1
     return ClaimResult(
         "mixed-mechanisms-avoid-anomaly",
-        clean == count,
+        count > 0 and clean == count,
         f"{clean}/{count} seeded mechanisms witness-free under strict domains",
     )
 

@@ -6,7 +6,12 @@ from exmech.cli import main
 from exmech.deterministic import build_majority_referendum, validate_witness
 from exmech.model import witness_from_json
 from exmech.stochastic import build_mixed_counterexample, validate_prob_witness
-from exmech.verify import claim_mixed_counterexample_reproduced, run_all
+from exmech.verify import (
+    claim_mixed_counterexample_reproduced,
+    claim_mixed_mechanisms_avoid_anomaly,
+    claim_strict_dichotomy_blocks_dominance,
+    run_all,
+)
 from exmech import stochastic
 
 
@@ -43,6 +48,15 @@ def test_validate_incomplete_ordering(tmp_path, capsys):
     path.write_text(json.dumps(bundle))
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2 and "partition incomplete" in err
+
+
+@pytest.mark.parametrize("agents", ([5, 6], ["ab", "cd"]), ids=("numbers", "strings"))
+def test_validate_rejects_agents_that_are_not_lists(tmp_path, capsys, agents):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps({"agents": agents, "outcomes": ["x"]}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid: ") and "list of action labels" in err
 
 
 def _build_bundle(capsys, *argv):
@@ -204,6 +218,22 @@ def test_verify_default_all_pass(capsys):
     assert code == 0
     assert "9/9 claims passed" in out
     assert out.count("PASS") == 9 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("flag", ("--mixed-count", "--samples"))
+@pytest.mark.parametrize("count", ("0", "-1"))
+def test_verify_rejects_non_positive_counts(capsys, flag, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", flag, count])
+    assert exc.value.code == 1
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_sweep_claims_fail_when_they_check_nothing():
+    assert not claim_mixed_mechanisms_avoid_anomaly(count=0).passed
+    assert not claim_strict_dichotomy_blocks_dominance(samples=0).passed
+    assert claim_mixed_mechanisms_avoid_anomaly(count=3).passed
+    assert claim_strict_dichotomy_blocks_dominance(samples=3).passed
 
 
 def test_verify_seed_does_not_change_verdicts():

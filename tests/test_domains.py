@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import comb, factorial
 
@@ -9,6 +10,7 @@ from exmech.domains import (
     build_queueing_pref_2,
     classical_orderings,
     domain_orderings,
+    domain_rank_vectors,
     enumerate_strict_orderings,
     enumerate_weak_only_orderings,
     enumerate_weak_orderings,
@@ -186,3 +188,86 @@ def test_separability_sweep_small():
         env, _ = build_groves_queueing(params)
         assert is_separable(build_queueing_pref_1(params, env))
         assert is_separable(build_queueing_pref_2(params, env))
+
+
+# --- enumeration order --------------------------------------------------------
+#
+# The canonical witness is the first one in enumeration order, so the order is
+# pinned against these reference generators, written out independently of the
+# shared rank tables.
+
+
+def reference_partitions(elements):
+    """Ordered set partitions, first class by increasing size, then lexicographically."""
+    if not elements:
+        yield ()
+        return
+    for size in range(1, len(elements) + 1):
+        for head in itertools.combinations(elements, size):
+            rest = tuple(e for e in elements if e not in head)
+            for tail in reference_partitions(rest):
+                yield (frozenset(head),) + tail
+
+
+def reference_weak(agent, ps):
+    return [Ordering(agent, classes) for classes in reference_partitions(ps)]
+
+
+def reference_strict(agent, ps):
+    perms = itertools.permutations(ps)
+    return [Ordering(agent, tuple(frozenset((p,)) for p in perm)) for perm in perms]
+
+
+def reference_classical(agent, actions, outcomes):
+    return [
+        Ordering(agent, tuple(frozenset((a, z) for a in actions for z in cls) for cls in classes))
+        for classes in reference_partitions(tuple(outcomes))
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_weak_enumeration_order_is_pinned(n):
+    ps = tuple(reversed(pairs(n)))  # positions follow the given pair order, not sorted labels
+    weak = reference_weak(2, ps)
+    assert list(enumerate_weak_orderings(2, ps)) == weak
+    assert list(enumerate_weak_only_orderings(2, ps)) == [o for o in weak if not o.is_strict]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_strict_enumeration_order_is_pinned(n):
+    ps = tuple(reversed(pairs(n)))
+    assert list(enumerate_strict_orderings(1, ps)) == reference_strict(1, ps)
+
+
+@pytest.mark.parametrize("actions", [("a",), ("a", "b"), ("b", "a", "c")])
+@pytest.mark.parametrize("n_outcomes", [1, 2, 3, 4])
+def test_classical_enumeration_order_is_pinned(actions, n_outcomes):
+    outcomes = tuple(f"z{k}" for k in reversed(range(n_outcomes)))
+    expected = reference_classical(0, actions, outcomes)
+    assert list(classical_orderings(0, actions, outcomes)) == expected
+
+
+@pytest.mark.parametrize("kind", ("unrestricted", "strict", "weak_only"))
+def test_domain_orderings_follow_the_pinned_order(kind):
+    env = Environment.create((("a0", "a1"), ("b0", "b1", "b2")), ("z0", "z1"))
+    ps = env.pairs_for(1)
+    weak = reference_weak(1, ps)
+    expected = {
+        "unrestricted": weak,
+        "strict": reference_strict(1, ps),
+        "weak_only": [o for o in weak if not o.is_strict],
+    }[kind]
+    assert list(domain_orderings(env, 1, DomainSpec(DomainKind(kind)))) == expected
+
+
+@pytest.mark.parametrize("kind", ("unrestricted", "strict", "weak_only"))
+def test_equal_pair_counts_share_one_rank_table(kind):
+    spec = DomainSpec(DomainKind(kind))
+    env = Environment.create((("a0", "a1", "a2"), ("b0", "b1", "b2")), ("z0", "z1"))
+    # different labels and a different split into actions and outcomes, same six pairs
+    other = Environment.create((("p", "q"), ("r",)), ("x", "y", "w"))
+    table = domain_rank_vectors(env, 0, spec)
+    assert domain_rank_vectors(env, 1, spec) is table
+    assert domain_rank_vectors(other, 0, spec) is table
+    assert domain_rank_vectors(other, 1, spec) is not table
+    assert len(table) == {"unrestricted": 4683, "strict": 720, "weak_only": 4683 - 720}[kind]
