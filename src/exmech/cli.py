@@ -336,6 +336,13 @@ def cmd_analyze(args) -> int:
         identity, env, mech, prob = _run_builder(args)
         if args.prob and not prob:
             raise ParseError(f"builder {args.builder!r} is deterministic")
+    if prob and args.strict_iii:
+        print(
+            "exmech analyze: error: --strict-iii does not apply to probabilistic "
+            "mechanisms (--prob): their search has no strict variant",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     domains = _domains_from_flag(args.domains, env, args)
     specs = resolve_domains(env, domains)
     try:
@@ -345,12 +352,15 @@ def cmd_analyze(args) -> int:
         else:
             witness, stats, method = _analyze_deterministic(mech, specs, args)
     except CapExceeded as exc:
-        print(
-            f"cap exceeded: {exc}\n"
-            "hint: use --domains unrestricted|strict|weak_only so the verdict can come "
-            "from the tie-propagation characterization, or raise --cap",
-            file=sys.stderr,
-        )
+        # only a deterministic search without --strict-iii has the fallback
+        if prob or args.strict_iii:
+            hint = "raise --cap"
+        else:
+            hint = (
+                "use --domains unrestricted|strict|weak_only so the verdict can come "
+                "from the tie-propagation characterization, or raise --cap"
+            )
+        print(f"cap exceeded: {exc}\nhint: {hint}", file=sys.stderr)
         return EXIT_CAP
     if witness is not None:
         if prob:

@@ -319,8 +319,12 @@ def env_from_json(data: object) -> Environment:
             raise ParseError(f"environment needs a list-valued {key!r} key")
     if not all(isinstance(acts, list) for acts in data["agents"]):
         raise ParseError("each agent must be a list of action labels")
-    actions = tuple(tuple(str(a) for a in acts) for acts in data["agents"])
-    outcomes = tuple(str(z) for z in data["outcomes"])
+    if not all(isinstance(a, str) for acts in data["agents"] for a in acts):
+        raise ParseError("action labels must be strings")
+    if not all(isinstance(z, str) for z in data["outcomes"]):
+        raise ParseError("outcome labels must be strings")
+    actions = tuple(tuple(acts) for acts in data["agents"])
+    outcomes = tuple(data["outcomes"])
     raw_domains = data.get("domains")
     if raw_domains is None:
         domains = tuple(DomainSpec.unrestricted() for _ in actions)

@@ -6,10 +6,17 @@ distribution; comparisons between them use first-order stochastic dominance
 through upper-contour probabilities: the chance of landing weakly above a
 target pair must be at least as large everywhere and strictly larger
 somewhere.
+
+`phi` and `fsd` are the reference definition in `Fraction` arithmetic; every
+witness is re-checked with them.  The anomaly search does not call them: it
+compares integer class masses over the rows of the agent's rank table, which
+gives the same verdicts because `phi` depends on its target only through the
+target's indifference class.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -36,7 +43,6 @@ from .model import (
     enumerate_profiles,
     full_profile,
 )
-from .domains import table_orderings
 from .queueing import parse_fraction
 from .search import SearchResult, check_witness_structure, search_witness
 
@@ -218,26 +224,66 @@ def validate_prob_witness(mech: ProbMechanism, witness: BAWitness) -> None:
             raise InvariantViolation(f"condition (iii) fails against action {x!r}")
 
 
-class _FSDKernel:
-    """Lottery comparisons for one agent by first-order stochastic dominance.
+def _class_terms(index: Mapping[Pair, int], lhs, rhs) -> list[tuple[int, int]]:
+    """`lhs` minus `rhs` as (pair position, signed integer mass) terms.
 
-    Dominance is irreflexive, so condition (iii) is quantified over the other
-    actions only.
+    `lhs` and `rhs` are (action, distribution) lotteries.  Masses are scaled
+    by the least common denominator of both distributions, and
+    zero-probability outcomes are dropped.
+    """
+    scale = math.lcm(*(p.denominator for _, dist in (lhs, rhs) for p in dist.probs.values()))
+    return [
+        (index[(action, z)], sign * p.numerator * (scale // p.denominator))
+        for (action, dist), sign in ((lhs, 1), (rhs, -1))
+        for z, p in dist.probs.items()
+        if p
+    ]
+
+
+def _dominates(rv: Sequence[int], terms: list[tuple[int, int]]) -> bool:
+    """`fsd` under the ordering with rank vector `rv`, for the lotteries behind `terms`.
+
+    `phi` depends on its target only through the target's class, so the
+    upper-contour differences are the prefix sums of the class masses, best
+    class first: all must be non-negative and one positive.
+    """
+    mass = [0] * len(rv)
+    for position, m in terms:
+        mass[rv[position]] += m
+    strict = False
+    total = 0
+    for m in mass:
+        total += m
+        if total < 0:
+            return False
+        if total:
+            strict = True
+    return strict
+
+
+class _FSDKernel:
+    """Lottery comparisons for one agent over the rows of its rank table.
+
+    Each comparison becomes integer class-mass terms once (`_class_terms`)
+    and is then decided row by row (`_dominates`) without building orderings
+    or fractions; `phi` and `fsd` stay the reference that witnesses are
+    validated against.  Dominance is irreflexive, so condition (iii) is
+    quantified over the other actions only.
     """
 
     def __init__(self, env: Environment, agent: int, table):
-        self.orderings = tuple(table_orderings(agent, env.pairs_for(agent), table))
+        self._vectors = table
+        self._index = {pair: idx for idx, pair in enumerate(env.pairs_for(agent))}
 
     def protest(self, r: str, l: str, ga: Distribution) -> list[int]:
-        protest, baseline = Lottery(l, ga), Lottery(r, ga)
-        return [o for o, ordering in enumerate(self.orderings) if fsd(ordering, protest, baseline)]
+        terms = _class_terms(self._index, (l, ga), (r, ga))
+        return [o for o, rv in enumerate(self._vectors) if _dominates(rv, terms)]
 
     def best_response(self, anchor, rivals, candidates: list[int]) -> int | None:
-        best = Lottery(*anchor)
-        others = [Lottery(*rival) for rival in rivals]
+        rival_terms = [_class_terms(self._index, anchor, rival) for rival in rivals]
         for o in candidates:
-            ordering = self.orderings[o]
-            if all(fsd(ordering, best, other) for other in others):
+            rv = self._vectors[o]
+            if all(_dominates(rv, terms) for terms in rival_terms):
                 return o
         return None
 

@@ -59,6 +59,22 @@ def test_validate_rejects_agents_that_are_not_lists(tmp_path, capsys, agents):
     assert err.startswith("invalid: ") and "list of action labels" in err
 
 
+@pytest.mark.parametrize(
+    "document",
+    (
+        {"agents": [["a", "b"]], "outcomes": [["x"], {"y": 1}]},
+        {"agents": [[["a"], "b"]], "outcomes": ["x", "y"]},
+    ),
+    ids=("outcomes", "actions"),
+)
+def test_validate_rejects_labels_that_are_not_strings(tmp_path, capsys, document):
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid: ") and "labels must be strings" in err
+
+
 def _build_bundle(capsys, *argv):
     code = main(["build", *argv])
     out = capsys.readouterr().out
@@ -147,6 +163,33 @@ def test_analyze_prob_cap_exceeded(capsys):
         "--domains", "unrestricted",
     )
     assert code == 3 and "cap exceeded" in err
+    assert "--cap" in err and "characterization" not in err
+
+
+def test_analyze_strict_iii_cap_exceeded_suggests_only_cap(capsys):
+    code, _, err = run(
+        capsys,
+        "analyze", "--builder", "groves", "--grid", "0,1/4,1/2,3/4",
+        "--domains", "unrestricted", "--strict-iii",
+    )
+    assert code == 3 and "cap exceeded" in err
+    assert "--cap" in err and "characterization" not in err
+
+
+def test_analyze_mixed_kinds_cap_exceeded_suggests_characterization(tmp_path, capsys):
+    # one domain kind for every agent would let the search fall back
+    bundle = json.loads(_build_bundle(capsys, "referendum", "--m", "1"))
+    env = bundle["environment"]
+    env["domains"] = [{"kind": kind} for kind in ("unrestricted", "strict", "unrestricted")]
+    path = tmp_path / "domains.json"
+    path.write_text(json.dumps(env))
+    code, _, err = run(
+        capsys,
+        "analyze", "--builder", "referendum", "--m", "1",
+        "--domains", f"file:{path}", "--cap", "5",
+    )
+    assert code == 3 and "cap exceeded" in err
+    assert "tie-propagation characterization" in err and "--cap" in err
 
 
 def test_analyze_cap_flag_lowers_the_limit(capsys):
@@ -205,6 +248,17 @@ def test_analyze_text_report_and_strict_iii(capsys):
     assert code == 0
     assert "verdict:    BA" in out
     assert "duration:" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (["--prob", "--builder", "mixed-counterexample"], ["--builder", "relfreq"]),
+    ids=("prob-flag", "prob-builder"),
+)
+def test_analyze_rejects_strict_iii_for_probabilistic_mechanisms(capsys, argv):
+    code, out, err = run(capsys, "analyze", *argv, "--strict-iii")
+    assert code == 1 and out == ""
+    assert "--strict-iii" in err and "--prob" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from exmech.domains import (
+    domain_rank_vectors,
     enumerate_strict_orderings,
     enumerate_weak_orderings,
     indifferent_ordering,
+    rank_table,
 )
 from exmech.errors import (
     ActionsEqual,
@@ -15,12 +17,13 @@ from exmech.errors import (
     InvariantViolation,
     NotStrict,
 )
-from exmech.model import DomainKind, DomainSpec, Environment, enumerate_profiles
+from exmech.model import DomainKind, DomainSpec, Environment, Ordering, enumerate_profiles
 from exmech.stochastic import (
     Distribution,
     DominanceBlock,
     Lottery,
     ProbMechanism,
+    _FSDKernel,
     best_outcome,
     build_mixed_counterexample,
     build_relative_frequency,
@@ -112,6 +115,71 @@ def test_phi_weakly_decreasing_in_target():
     for ordering in enumerate_weak_orderings(0, pairs):
         values = [phi(ordering, lot, target) for target in sorted(pairs, key=ordering.rank)]
         assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+# Distributions per outcome count: point masses, zero entries, and
+# denominators 2, 3 and 4 side by side.
+PALETTES = {
+    1: [("1",)],
+    2: [("1", "0"), ("0", "1"), ("1/2", "1/2"), ("1/3", "2/3"), ("3/4", "1/4")],
+    3: [("1", "0", "0"), ("0", "1", "0"), ("1/3", "1/3", "1/3"), ("1/4", "0", "3/4"),
+        ("0", "2/3", "1/3"), ("1/2", "1/4", "1/4")],
+    4: [("0", "0", "0", "1"), ("1/4", "1/4", "1/4", "1/4"), ("1/3", "0", "1/3", "1/3"),
+        ("1/2", "1/4", "0", "1/4"), ("0", "2/3", "0", "1/3")],
+}
+
+
+def assert_kernel_matches_fsd(env, agent, table, orderings):
+    """The kernel's verdict on every row equals `fsd` on that row's ordering.
+
+    Every ordered pair of palette lotteries is compared, equal ones and
+    same-action ones included, through both kernel entry points.
+    """
+    kernel = _FSDKernel(env, agent, table)
+    actions, outcomes = env.actions[agent], env.outcomes
+    dists = [
+        Distribution({z: Fraction(p) for z, p in zip(outcomes, row)})
+        for row in PALETTES[len(outcomes)]
+    ]
+    lotteries = [(x, d) for x in actions for d in dists]
+    for lhs, rhs in itertools.product(lotteries, repeat=2):
+        expected = [fsd(o, Lottery(*lhs), Lottery(*rhs)) for o in orderings]
+        assert [kernel.best_response(lhs, [rhs], [k]) == k for k in range(len(table))] == expected
+        if lhs == rhs:
+            assert not any(expected)
+    for (r, l), d in itertools.product(itertools.permutations(actions, 2), dists):
+        expected = [k for k, o in enumerate(orderings) if fsd(o, Lottery(l, d), Lottery(r, d))]
+        assert kernel.protest(r, l, d) == expected
+
+
+@pytest.mark.parametrize("kind", (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY))
+@pytest.mark.parametrize(
+    "shape",
+    ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1)),
+    ids=lambda shape: "{}x{}".format(*shape),
+)
+def test_fsd_kernel_matches_reference_on_rank_tables(kind, shape):
+    n_actions, n_outcomes = shape
+    env = Environment.create(
+        (tuple(f"a{i}" for i in range(n_actions)), ("b0",)),
+        tuple(f"z{j}" for j in range(n_outcomes)),
+    )
+    pairs = env.pairs_for(0)
+    table = rank_table(len(pairs), kind)
+    orderings = [Ordering.from_ranks(0, pairs, rv) for rv in table]
+    assert_kernel_matches_fsd(env, 0, table, orderings)
+
+
+def test_fsd_kernel_matches_reference_on_explicit_rows():
+    env, _ = build_mixed_counterexample()
+    pairs = env.pairs_for(0)
+    orderings = [
+        counterexample_preference(),
+        indifferent_ordering(0, env.actions[0], env.outcomes),
+        Ordering(0, (frozenset({("a1", "z1")}), frozenset(pairs) - {("a1", "z1")})),
+    ]
+    table = domain_rank_vectors(env, 0, DomainSpec.explicit(orderings))
+    assert_kernel_matches_fsd(env, 0, table, orderings)
 
 
 def test_completely_mixed_mechanism_predicate():
