@@ -363,10 +363,12 @@ def cmd_analyze(args) -> int:
         print(f"cap exceeded: {exc}\nhint: {hint}", file=sys.stderr)
         return EXIT_CAP
     if witness is not None:
+        domain = specs[witness.agent]
         if prob:
-            validate_prob_witness(mech, witness)
+            validate_prob_witness(mech, witness, domain)
         else:
-            validate_witness(mech, witness, strict_iii=args.strict_iii and method != "characterization")
+            strict_iii = args.strict_iii and method != "characterization"
+            validate_witness(mech, witness, strict_iii, domain)
     report = AnalysisReport(
         mechanism=identity,
         probabilistic=prob,

@@ -19,6 +19,7 @@ weak-only domains.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -39,9 +40,10 @@ from .model import (
     SubProfile,
     enumerate_profiles,
     full_profile,
+    string_labels,
     sub_profiles,
 )
-from .domains import build_queueing_pref_1
+from .domains import build_queueing_pref_1, rank_table, resolve_domains
 from .queueing import QueueingOutcome, QueueingParams, grid_labels
 from .search import SearchResult, check_witness_structure, search_witness
 
@@ -172,9 +174,17 @@ def witness_from_counterexample(
 # --- witness validation ------------------------------------------------------
 
 
-def validate_witness(mech: DetMechanism, witness: BAWitness, strict_iii: bool = False) -> None:
-    """Re-check the three certificate conditions; raise on the first failure."""
-    check_witness_structure(mech.env, witness)
+def validate_witness(
+    mech: DetMechanism,
+    witness: BAWitness,
+    strict_iii: bool = False,
+    domain: DomainSpec | None = None,
+) -> None:
+    """Re-check the three certificate conditions; raise on the first failure.
+
+    With a `domain`, the witness ordering must also belong to it.
+    """
+    check_witness_structure(mech.env, witness, domain)
     ordering = witness.ordering
     za = mech.outcome_at(witness.agent, witness.r, witness.a_minus)
     if za != mech.outcome_at(witness.agent, witness.l, witness.a_minus):
@@ -194,33 +204,70 @@ def validate_witness(mech: DetMechanism, witness: BAWitness, strict_iii: bool = 
 # --- exhaustive witness search ------------------------------------------------
 
 
+def _row_sets(table, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Bit-parallel pair comparisons over the rows of a rank table.
+
+    Returns (lt, le): bit o of lt[p][q] is set iff row o ranks position p
+    strictly above position q (a smaller class index), and of le[p][q] iff
+    weakly above.  Class-membership masks eq[p][c] come from one pass over
+    the rows; lt is the union over classes c of eq[p][c] with the rows
+    placing q below c (a suffix union over q's classes), and le[p][q] is the
+    complement of lt[q][p].
+    """
+    size = (len(table) + 7) // 8
+    eq_bytes = [[bytearray(size) for _ in range(n)] for _ in range(n)]
+    for o, rv in enumerate(table):
+        byte, bit = o >> 3, 1 << (o & 7)
+        for by_class, c in zip(eq_bytes, rv):
+            by_class[c][byte] |= bit
+    eq = [[int.from_bytes(b, "little") for b in by_class] for by_class in eq_bytes]
+    below = []  # below[q][c]: rows ranking q in a class after c
+    for by_class in eq:
+        suffix, acc = [0] * n, 0
+        for c in reversed(range(n)):
+            suffix[c] = acc
+            acc |= by_class[c]
+        below.append(suffix)
+    lt = [
+        [functools.reduce(operator.or_, map(operator.and_, eq_p, below_q)) for below_q in below]
+        for eq_p in eq
+    ]
+    everything = (1 << len(table)) - 1
+    le = [[everything ^ lt[q][p] for q in range(n)] for p in range(n)]
+    return lt, le
+
+
+@functools.cache
+def _shared_row_sets(n: int, kind: DomainKind) -> tuple[list[list[int]], list[list[int]]]:
+    """Row sets of the shared full-domain table, built once per pair count and kind."""
+    return _row_sets(rank_table(n, kind), n)
+
+
 class _RankKernel:
-    """Pair comparisons for one agent through the rows of its rank table."""
+    """Pair comparisons for one agent as bitsets over the rows of its rank table.
 
-    def __init__(self, env: Environment, agent: int, table, strict_iii: bool):
-        self._vectors = table
+    A row set is a Python int whose bit o stands for row o of the table.
+    Condition (ii) is one `lt` lookup; condition (iii) ANDs the candidates
+    with the anchor's `le` mask (`lt` under `strict_iii`) against each rival.
+    The lowest surviving bit is the first qualifying row in table order.
+    """
+
+    def __init__(self, env: Environment, agent: int, row_sets, strict_iii: bool):
         self._index = {pair: idx for idx, pair in enumerate(env.pairs_for(agent))}
-        self._strict_iii = strict_iii
+        self._lt, le = row_sets
+        self._beats = self._lt if strict_iii else le
 
-    def protest(self, r: str, l: str, za: str) -> list[int]:
-        protest, baseline = self._index[(l, za)], self._index[(r, za)]
-        return [o for o, rv in enumerate(self._vectors) if rv[protest] < rv[baseline]]
+    def protest(self, r: str, l: str, za: str) -> int:
+        return self._lt[self._index[(l, za)]][self._index[(r, za)]]
 
-    def best_response(self, anchor, rivals, candidates: list[int]) -> int | None:
-        index, vectors = self._index, self._vectors
-        best = index[anchor]
-        targets = [index[pair] for pair in rivals]
-        if self._strict_iii:
-            for o in candidates:
-                rv = vectors[o]
-                if rv[best] < min(map(rv.__getitem__, targets)):
-                    return o
-        else:
-            for o in candidates:
-                rv = vectors[o]
-                if rv[best] <= min(map(rv.__getitem__, targets)):
-                    return o
-        return None
+    def best_response(self, anchor, rivals, candidates: int) -> int | None:
+        index = self._index
+        beats = self._beats[index[anchor]]
+        for pair in rivals:
+            candidates &= beats[index[pair]]
+            if not candidates:
+                return None
+        return (candidates & -candidates).bit_length() - 1 if candidates else None
 
 
 def search_ba_witness(
@@ -235,8 +282,15 @@ def search_ba_witness(
     The search order is that of `search.search_witness`.  Raises CapExceeded
     if a full domain kind is too large to enumerate.
     """
-    kernel = functools.partial(_RankKernel, strict_iii=strict_iii)
-    return search_witness(mech.env, mech.outcome_at, domains, kernel, cap)
+    specs = resolve_domains(mech.env, domains)
+
+    def kernel(env: Environment, agent: int, table) -> _RankKernel:
+        n, kind = len(env.pairs_for(agent)), specs[agent].kind
+        # full kinds share one table per pair count, so they share its row sets too
+        row_sets = _row_sets(table, n) if kind is DomainKind.EXPLICIT else _shared_row_sets(n, kind)
+        return _RankKernel(env, agent, row_sets, strict_iii)
+
+    return search_witness(mech.env, mech.outcome_at, specs, kernel, cap)
 
 
 def find_ba_witness(
@@ -416,8 +470,10 @@ def det_mech_from_json(env: Environment, data: object) -> DetMechanism:
     for profile, outcome in zip(profiles, outcomes):
         if not isinstance(profile, list):
             raise ParseError("each profile must be a list of actions")
-        key = tuple(str(a) for a in profile)
+        key = string_labels(profile, "profile action")
         if key in table:
             raise InvariantViolation(f"profile {key!r} listed twice")
-        table[key] = str(outcome)
+        if not isinstance(outcome, str):
+            raise ParseError("mechanism outcome labels must be strings")
+        table[key] = outcome
     return DetMechanism(env, table)

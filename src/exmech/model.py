@@ -259,6 +259,17 @@ class BAWitness:
 # of [action, outcome] pairs, best class first.
 
 
+def string_labels(values: Sequence[object], what: str) -> tuple[str, ...]:
+    """The values as a tuple of labels; ParseError unless every one is a string.
+
+    JSON numbers are rejected rather than converted, so `0` never stands in
+    for the label `"0"`.
+    """
+    if not all(isinstance(value, str) for value in values):
+        raise ParseError(f"{what} labels must be strings")
+    return tuple(values)
+
+
 def ordering_to_json(ordering: Ordering) -> list:
     return [[list(pair) for pair in sorted(cls)] for cls in ordering.classes]
 
@@ -274,7 +285,7 @@ def ordering_from_json(agent: int, data: object) -> Ordering:
         for item in cls:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise ParseError("ordering pair must be an [action, outcome] pair")
-            pairs.append((str(item[0]), str(item[1])))
+            pairs.append(string_labels(item, "ordering pair"))
         classes.append(frozenset(pairs))
     return Ordering(agent, tuple(classes))
 
@@ -319,12 +330,8 @@ def env_from_json(data: object) -> Environment:
             raise ParseError(f"environment needs a list-valued {key!r} key")
     if not all(isinstance(acts, list) for acts in data["agents"]):
         raise ParseError("each agent must be a list of action labels")
-    if not all(isinstance(a, str) for acts in data["agents"] for a in acts):
-        raise ParseError("action labels must be strings")
-    if not all(isinstance(z, str) for z in data["outcomes"]):
-        raise ParseError("outcome labels must be strings")
-    actions = tuple(tuple(acts) for acts in data["agents"])
-    outcomes = tuple(data["outcomes"])
+    actions = tuple(string_labels(acts, "action") for acts in data["agents"])
+    outcomes = string_labels(data["outcomes"], "outcome")
     raw_domains = data.get("domains")
     if raw_domains is None:
         domains = tuple(DomainSpec.unrestricted() for _ in actions)
@@ -351,13 +358,11 @@ def witness_from_json(data: object) -> BAWitness:
         raise ParseError("witness must be a JSON object")
     try:
         agent = int(data["agent"])
-        return BAWitness(
-            agent=agent,
-            r=str(data["r"]),
-            l=str(data["l"]),
-            a_minus=tuple(str(a) for a in data["a_minus"]),
-            b_minus=tuple(str(b) for b in data["b_minus"]),
-            ordering=ordering_from_json(agent, data["ordering"]),
-        )
+        r, l = string_labels((data["r"], data["l"]), "witness action")
+        subs = (data["a_minus"], data["b_minus"])
+        if not all(isinstance(sub, list) for sub in subs):
+            raise ParseError("witness sub-profiles must be lists of action labels")
+        a_minus, b_minus = (string_labels(sub, "witness sub-profile") for sub in subs)
+        return BAWitness(agent, r, l, a_minus, b_minus, ordering_from_json(agent, data["ordering"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed witness: {exc}") from None

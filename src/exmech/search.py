@@ -11,11 +11,17 @@ ordering.  Each mechanism kind supplies a kernel factory, called as
 `make_kernel(env, agent, table)` once per agent, whose kernel answers:
 
   protest(r, l, value_at_a)
-      indices of the table rows satisfying condition (ii), in table order;
+      the set of table rows satisfying condition (ii), in a form of the
+      kernel's choosing that the driver only tests for truth (true iff
+      non-empty) and hands back unchanged;
   best_response(anchor, rivals, candidates)
-      the first candidate index under which condition (iii) holds, or None;
-      `anchor` is (r, value at b) and `rivals` lists (x, value at b) for every
-      other action x, in action order.
+      given that set, the index of the first row in table order under which
+      condition (iii) holds, or None; `anchor` is (r, value at b) and
+      `rivals` lists (x, value at b) for every other action x, in action
+      order.
+
+The deterministic kernel's row sets are bitsets over table rows; the
+probabilistic kernel's are lists of row indices.
 """
 
 from __future__ import annotations
@@ -25,7 +31,15 @@ from typing import Callable
 
 from . import domains
 from .errors import InvariantViolation
-from .model import BAWitness, Environment, Ordering, SubProfile, sub_profiles
+from .model import (
+    BAWitness,
+    DomainKind,
+    DomainSpec,
+    Environment,
+    Ordering,
+    SubProfile,
+    sub_profiles,
+)
 
 
 @dataclass(frozen=True)
@@ -86,8 +100,15 @@ def search_witness(
     return SearchResult(None, stats)
 
 
-def check_witness_structure(env: Environment, witness: BAWitness) -> None:
-    """Check a witness names valid, distinct actions and sub-profiles and a full ordering."""
+def check_witness_structure(
+    env: Environment, witness: BAWitness, domain: DomainSpec | None = None
+) -> None:
+    """Check a witness names valid, distinct actions and sub-profiles and a full ordering.
+
+    With a `domain`, the ordering must also belong to it: all classes
+    singletons under `strict`, some class of two or more pairs under
+    `weak_only`, one of the listed orderings under `explicit`.
+    """
     env.check_agent(witness.agent)
     acts = env.actions[witness.agent]
     if witness.r not in acts or witness.l not in acts:
@@ -104,3 +125,10 @@ def check_witness_structure(env: Environment, witness: BAWitness) -> None:
         raise InvariantViolation("witness ordering tagged for a different agent")
     if ordering.pairs != frozenset(env.pairs_for(witness.agent)):
         raise InvariantViolation("witness ordering does not partition the agent's pairs")
+    kind = domain.kind if domain is not None else DomainKind.UNRESTRICTED
+    if kind is DomainKind.STRICT and not ordering.is_strict:
+        raise InvariantViolation("witness ordering has an indifference, outside the strict domain")
+    if kind is DomainKind.WEAK_ONLY and ordering.is_strict:
+        raise InvariantViolation("witness ordering is strict, outside the weak-only domain")
+    if kind is DomainKind.EXPLICIT and ordering not in domain.orderings:
+        raise InvariantViolation("witness ordering is not one of the explicit domain's orderings")

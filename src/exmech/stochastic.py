@@ -42,6 +42,7 @@ from .model import (
     SubProfile,
     enumerate_profiles,
     full_profile,
+    string_labels,
 )
 from .queueing import parse_fraction
 from .search import SearchResult, check_witness_structure, search_witness
@@ -206,9 +207,14 @@ def dominance_dichotomy(ordering: Ordering, r: str, l: str) -> DominanceBlock:
 # --- exhaustive witness search -------------------------------------------------
 
 
-def validate_prob_witness(mech: ProbMechanism, witness: BAWitness) -> None:
-    """Re-check the probabilistic certificate conditions; raise on failure."""
-    check_witness_structure(mech.env, witness)
+def validate_prob_witness(
+    mech: ProbMechanism, witness: BAWitness, domain: DomainSpec | None = None
+) -> None:
+    """Re-check the probabilistic certificate conditions; raise on failure.
+
+    With a `domain`, the witness ordering must also belong to it.
+    """
+    check_witness_structure(mech.env, witness, domain)
     ordering = witness.ordering
     ga = mech.dist_at(witness.agent, witness.r, witness.a_minus)
     if ga != mech.dist_at(witness.agent, witness.l, witness.a_minus):
@@ -408,7 +414,7 @@ def prob_mech_from_json(env: Environment, data: object) -> ProbMechanism:
             raise ParseError("profiles and distributions must be lists")
         if len(row) != len(env.outcomes):
             raise ParseError("distribution row must list one probability per outcome")
-        key = tuple(str(a) for a in profile)
+        key = string_labels(profile, "profile action")
         if key in table:
             raise InvariantViolation(f"profile {key!r} listed twice")
         table[key] = Distribution(

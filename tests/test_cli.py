@@ -75,6 +75,42 @@ def test_validate_rejects_labels_that_are_not_strings(tmp_path, capsys, document
     assert err.startswith("invalid: ") and "labels must be strings" in err
 
 
+@pytest.mark.parametrize(
+    "document",
+    (
+        {
+            "environment": {"agents": [["0", "1"], ["0", "1"]], "outcomes": ["0", "1"]},
+            "mechanism": {"profiles": [[0, 0], [0, 1], [1, 0], [1, 1]], "outcomes": [0, 1, 1, 1]},
+        },
+        {
+            "agents": [["0", "1"]],
+            "outcomes": ["0", "1"],
+            "domains": [{"kind": "explicit", "orderings": [[[[0, 0], [0, 1], [1, 0], [1, 1]]]]}],
+        },
+    ),
+    ids=("mechanism", "explicit-domain"),
+)
+def test_validate_rejects_numeric_labels(tmp_path, capsys, document):
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid: ") and "labels must be strings" in err
+
+
+def test_analyze_rejects_numeric_mechanism_labels(tmp_path, capsys):
+    bundle = {
+        "environment": {"agents": [["0", "1"], ["0", "1"]], "outcomes": ["0", "1"]},
+        "mechanism": {"profiles": [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]],
+                      "outcomes": ["0", "1", "1", 1]},
+    }
+    path = tmp_path / "numeric.json"
+    path.write_text(json.dumps(bundle))
+    code, out, err = run(capsys, "analyze", "--mech", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid: ") and "labels must be strings" in err
+
+
 def _build_bundle(capsys, *argv):
     code = main(["build", *argv])
     out = capsys.readouterr().out

@@ -1,10 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from exmech.deterministic import (
     DetMechanism,
+    _RankKernel,
+    _row_sets,
+    _shared_row_sets,
     build_groves_queueing,
     build_majority_referendum,
     build_plurality,
@@ -23,7 +27,7 @@ from exmech.deterministic import (
     validate_witness,
     witness_from_counterexample,
 )
-from exmech.domains import classical_orderings
+from exmech.domains import classical_orderings, rank_table
 from exmech.errors import (
     GridDoesNotSupportWitness,
     InvariantViolation,
@@ -149,7 +153,7 @@ def test_witness_from_counterexample_all_kinds():
             continue
         for kind in FULL_KINDS:
             witness = witness_from_counterexample(mech, cex, kind)
-            validate_witness(mech, witness)
+            validate_witness(mech, witness, domain=DomainSpec(kind))
             if kind is DomainKind.STRICT:
                 assert witness.ordering.is_strict
             if kind is DomainKind.WEAK_ONLY:
@@ -162,6 +166,116 @@ def test_search_stats_and_strict_iii():
     assert result.witness is not None
     validate_witness(mech, result.witness, strict_iii=True)
     assert result.stats["orderings_per_agent"] == [4683, 4683, 4683]
+
+
+# --- bit-parallel kernel against a row-wise reference ---------------------------
+
+
+def row_set(rows):
+    return sum(1 << o for o in rows)
+
+
+def first_best_response(table, anchor, rivals, candidates, strict_iii):
+    """Row-wise reference: the first candidate row, in table order, whose
+    anchor rank beats every rival's (strictly under `strict_iii`)."""
+    for o in sorted(candidates):
+        rv = table[o]
+        if all(rv[anchor] < rv[x] if strict_iii else rv[anchor] <= rv[x] for x in rivals):
+            return o
+    return None
+
+
+def assert_kernel_matches_rows(table, n, row_sets):
+    """`protest` on every position pair and `best_response` on every row and
+    every protest set match the row-wise reference, strict_iii off and on.
+
+    The agent has n actions and one outcome, so position k is pair (xk, z).
+    """
+    env = Environment.create([tuple(f"x{k}" for k in range(n))], ("z",))
+    pair = [(f"x{k}", "z") for k in range(n)]
+    for strict_iii in (False, True):
+        kernel = _RankKernel(env, 0, row_sets, strict_iii)
+        for r, l in itertools.product(range(n), repeat=2):
+            if r == l:
+                continue
+            protest = [o for o, rv in enumerate(table) if rv[l] < rv[r]]
+            candidates = kernel.protest(f"x{r}", f"x{l}", "z")
+            assert candidates == row_set(protest)
+            assert bool(candidates) == bool(protest)
+            for anchor in range(n):
+                rivals = [x for x in range(n) if x != anchor]
+                got = kernel.best_response(pair[anchor], [pair[x] for x in rivals], candidates)
+                assert got == first_best_response(table, anchor, rivals, protest, strict_iii)
+        for anchor in range(n):
+            rivals = [x for x in range(n) if x != anchor]
+            rival_pairs = [pair[x] for x in rivals]
+            assert kernel.best_response(pair[anchor], rival_pairs, 0) is None
+            for o in range(len(table)):
+                got = kernel.best_response(pair[anchor], rival_pairs, 1 << o)
+                expected = first_best_response(table, anchor, rivals, [o], strict_iii)
+                assert got == expected
+
+
+FULL_TABLE_SIZES = [(n, kind) for kind in FULL_KINDS for n in range(1, 6)]
+FULL_TABLE_SIZES.append((6, DomainKind.STRICT))
+
+
+@pytest.mark.parametrize(
+    "n, kind", FULL_TABLE_SIZES, ids=lambda v: v.value if isinstance(v, DomainKind) else str(v)
+)
+def test_rank_kernel_matches_row_wise_reference_on_full_tables(n, kind):
+    assert_kernel_matches_rows(rank_table(n, kind), n, _shared_row_sets(n, kind))
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_rank_kernel_matches_row_wise_reference_on_explicit_tables(n):
+    rng = random.Random(n)
+    full = rank_table(n, DomainKind.UNRESTRICTED)
+    for size in (1, 2, 7, 30):
+        table = tuple(rng.sample(full, min(size, len(full))))
+        assert_kernel_matches_rows(table, n, _row_sets(table, n))
+
+
+def test_rank_kernel_single_row_table():
+    # one ordering x0 > x1 > x2; the rival set empties at the second rival
+    env = Environment.create([("x0", "x1", "x2")], ("z",))
+    x0, x1, x2 = env.pairs_for(0)
+    for strict_iii in (False, True):
+        kernel = _RankKernel(env, 0, _row_sets(((0, 1, 2),), 3), strict_iii)
+        assert kernel.protest("x1", "x0", "z") == 1
+        assert kernel.protest("x0", "x1", "z") == 0
+        assert kernel.best_response(x0, [x1, x2], 1) == 0
+        assert kernel.best_response(x1, [x2, x0], 1) is None
+        assert kernel.best_response(x0, [x1, x2], 0) is None
+    # x0 ~ x1 > x2: a tie answers (iii) only when it is weak
+    tied = _row_sets(((0, 0, 1),), 3)
+    assert _RankKernel(env, 0, tied, False).best_response(x0, [x1, x2], 1) == 0
+    assert _RankKernel(env, 0, tied, True).best_response(x0, [x1, x2], 1) is None
+
+
+def test_full_row_sets_are_shared():
+    assert _shared_row_sets(4, DomainKind.WEAK_ONLY) is _shared_row_sets(4, DomainKind.WEAK_ONLY)
+
+
+# --- witness domain membership ---------------------------------------------------
+
+
+def test_validate_witness_checks_domain_membership():
+    _, mech = build_majority_referendum(1)
+    weak = find_ba_witness(mech, DomainKind.WEAK_ONLY)
+    strict = find_ba_witness(mech, DomainKind.STRICT)
+    assert not weak.ordering.is_strict and strict.ordering.is_strict
+    validate_witness(mech, weak, domain=DomainSpec.weak_only())
+    validate_witness(mech, weak, domain=DomainSpec.unrestricted())
+    validate_witness(mech, strict, domain=DomainSpec.strict())
+    with pytest.raises(InvariantViolation, match="outside the strict domain"):
+        validate_witness(mech, weak, domain=DomainSpec.strict())
+    with pytest.raises(InvariantViolation, match="outside the weak-only domain"):
+        validate_witness(mech, strict, domain=DomainSpec.weak_only())
+    listed = DomainSpec.explicit((strict.ordering,))
+    validate_witness(mech, strict, domain=listed)
+    with pytest.raises(InvariantViolation, match="not one of the explicit domain's orderings"):
+        validate_witness(mech, weak, domain=listed)
 
 
 def test_voting_environment_recognition():

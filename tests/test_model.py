@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exmech.errors import AgentOutOfRange, InvariantViolation, UnknownPair
+from exmech.errors import AgentOutOfRange, InvariantViolation, ParseError, UnknownPair
 from exmech.model import (
     DomainSpec,
     Environment,
@@ -17,6 +17,7 @@ from exmech.model import (
     ordering_from_json,
     ordering_to_json,
     sub_profiles,
+    witness_from_json,
 )
 
 
@@ -168,3 +169,20 @@ def test_env_json_round_trip():
         (DomainSpec.strict(), DomainSpec.explicit((explicit,))),
     )
     assert env_from_json(env_to_json(env)) == env
+
+
+WITNESS = {
+    "agent": 0, "r": "1", "l": "0", "a_minus": ["0"], "b_minus": ["1"],
+    "ordering": [[["0", "0"]], [["0", "1"], ["1", "0"], ["1", "1"]]],
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    (("r", 1), ("l", 0), ("a_minus", [0]), ("b_minus", [1]), ("a_minus", "0"),
+     ("ordering", [[[0, 0]], [["0", "1"], ["1", "0"], ["1", "1"]]])),
+)
+def test_witness_from_json_rejects_labels_that_are_not_strings(key, value):
+    assert witness_from_json(WITNESS).r == "1"
+    with pytest.raises(ParseError):
+        witness_from_json({**WITNESS, key: value})

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from exmech.errors import (
     AgentMismatch,
     InvariantViolation,
     NotStrict,
+    ParseError,
 )
 from exmech.model import DomainKind, DomainSpec, Environment, Ordering, enumerate_profiles
 from exmech.stochastic import (
@@ -212,6 +214,33 @@ def test_find_prob_witness_counterexample():
         ("b1",),
     )
     validate_prob_witness(mech, witness)
+
+
+def test_validate_prob_witness_checks_domain_membership():
+    _, mech = build_mixed_counterexample()
+    witness = find_prob_ba_witness(mech, DomainKind.WEAK_ONLY)
+    validate_prob_witness(mech, witness, DomainSpec.weak_only())
+    with pytest.raises(InvariantViolation, match="outside the strict domain"):
+        validate_prob_witness(mech, witness, DomainSpec.strict())
+    others = [o for o in enumerate_weak_orderings(0, witness.ordering.pairs) if o != witness.ordering]
+    with pytest.raises(InvariantViolation, match="not one of the explicit domain's orderings"):
+        validate_prob_witness(mech, witness, DomainSpec.explicit(others))
+    validate_prob_witness(mech, witness, DomainSpec.explicit(others + [witness.ordering]))
+    strict = dataclasses.replace(
+        witness, ordering=next(enumerate_strict_orderings(0, sorted(witness.ordering.pairs)))
+    )
+    with pytest.raises(InvariantViolation, match="outside the weak-only domain"):
+        validate_prob_witness(mech, strict, DomainSpec.weak_only())
+
+
+def test_prob_mech_from_json_rejects_numeric_profile_labels():
+    env = Environment.create((("0", "1"), ("0", "1")), Z2)
+    data = {
+        "profiles": [[0, 0], [0, 1], [1, 0], [1, 1]],
+        "distributions": [["1", "0"]] * 4,
+    }
+    with pytest.raises(ParseError, match="labels must be strings"):
+        prob_mech_from_json(env, data)
 
 
 def test_relative_frequency_rows():
