@@ -146,32 +146,27 @@ def _queueing_params(args, grid) -> QueueingParams:
     return QueueingParams(args.theta1, args.theta2, grid, args.ubar)
 
 
-def _run_builder(args) -> tuple[str, Environment, DetMechanism | ProbMechanism, bool]:
-    """Returns (identity, env, mechanism, probabilistic)."""
+def _run_builder(args) -> tuple[str, Environment, DetMechanism | ProbMechanism]:
+    """Returns (identity, env, mechanism)."""
     name = args.builder
     if name == "referendum":
         m = args.m if args.m is not None else 1
-        env, mech = build_majority_referendum(m)
-        return f"referendum(m={m})", env, mech, False
+        return (f"referendum(m={m})", *build_majority_referendum(m))
     if name == "plurality":
         n = args.n if args.n is not None else 2
         m = args.m if args.m is not None else 2
         tiebreak = args.tiebreak.split(",") if args.tiebreak else None
-        env, mech = build_plurality(n, m, tiebreak)
-        return f"plurality(n={n},m={m})", env, mech, False
+        return (f"plurality(n={n},m={m})", *build_plurality(n, m, tiebreak))
     if name == "groves":
         if args.grid is None:
             raise InvariantViolation("groves builder needs --grid")
-        env, mech = build_groves_queueing(_queueing_params(args, args.grid))
         grid = ",".join(str(g) for g in args.grid)
-        return f"groves(grid={grid})", env, mech, False
+        return (f"groves(grid={grid})", *build_groves_queueing(_queueing_params(args, args.grid)))
     if name == "relfreq":
         n = args.n if args.n is not None else 2
         m = args.m if args.m is not None else 2
-        env, mech = build_relative_frequency(n, m)
-        return f"relfreq(n={n},m={m})", env, mech, True
-    env, mech = build_mixed_counterexample()
-    return "mixed-counterexample", env, mech, True
+        return (f"relfreq(n={n},m={m})", *build_relative_frequency(n, m))
+    return ("mixed-counterexample", *build_mixed_counterexample())
 
 
 def _read_json(path: str) -> object:
@@ -182,18 +177,19 @@ def _read_json(path: str) -> object:
             raise ParseError(f"invalid JSON: {exc}") from None
 
 
-def _load_bundle(path: str, prob: bool):
+def _mechanism_from_json(env: Environment, data: object) -> DetMechanism | ProbMechanism:
+    """A mechanism document holding "distributions" is probabilistic, any other deterministic."""
+    if isinstance(data, dict) and "distributions" in data:
+        return prob_mech_from_json(env, data)
+    return det_mech_from_json(env, data)
+
+
+def _load_bundle(path: str) -> tuple[Environment, DetMechanism | ProbMechanism]:
     data = _read_json(path)
     if not isinstance(data, dict) or "environment" not in data or "mechanism" not in data:
         raise ParseError("bundle must have 'environment' and 'mechanism' keys")
     env = env_from_json(data["environment"])
-    mech_data = data["mechanism"]
-    is_prob = isinstance(mech_data, dict) and "distributions" in mech_data
-    if prob and not is_prob:
-        raise ParseError("--prob given but the file holds a deterministic mechanism")
-    if is_prob:
-        return env, prob_mech_from_json(env, mech_data), True
-    return env, det_mech_from_json(env, mech_data), False
+    return env, _mechanism_from_json(env, data["mechanism"])
 
 
 def _domains_from_flag(flag: str, env: Environment, args) -> object:
@@ -279,11 +275,9 @@ def cmd_validate(args) -> int:
             mech_data = data.get("mechanism")
             if mech_data is None:
                 kind = "environment"
-            elif isinstance(mech_data, dict) and "distributions" in mech_data:
-                prob_mech_from_json(env, mech_data)
+            elif isinstance(_mechanism_from_json(env, mech_data), ProbMechanism):
                 kind = "probabilistic mechanism"
             else:
-                det_mech_from_json(env, mech_data)
                 kind = "deterministic mechanism"
         else:
             env_from_json(data)
@@ -296,9 +290,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build(args) -> int:
-    identity, env, mech, prob = _run_builder(args)
-    mech_json = prob_mech_to_json(mech) if prob else det_mech_to_json(mech)
-    bundle = {"environment": env_to_json(env), "mechanism": mech_json}
+    _, env, mech = _run_builder(args)
+    to_json = prob_mech_to_json if isinstance(mech, ProbMechanism) else det_mech_to_json
+    bundle = {"environment": env_to_json(env), "mechanism": to_json(mech)}
     text = json.dumps(bundle, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
@@ -308,34 +302,32 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _analyze_deterministic(mech, specs, args):
-    """Returns (witness, stats, method).  Falls back to the tie-propagation
-    characterization when enumeration blows the cap and all agents share one
-    of the three full domain kinds."""
-    try:
-        result = search_ba_witness(mech, specs, cap=args.cap, strict_iii=args.strict_iii)
-        return result.witness, result.stats, "exhaustive-search"
-    except CapExceeded:
-        kinds = {spec.kind for spec in specs}
-        if len(kinds) == 1 and next(iter(kinds)) in CHARACTERIZATION_KINDS and not args.strict_iii:
-            cex = condition1_counterexample(mech)
-            witness = None
-            if cex is not None:
-                witness = witness_from_counterexample(mech, cex, next(iter(kinds)))
-            stats = {"agents": mech.env.n, "mode": "tie-propagation"}
-            return witness, stats, "characterization"
-        raise
+def _characterization_kind(mech, specs, strict_iii: bool) -> DomainKind | None:
+    """The domain kind under which the tie-propagation characterization may
+    stand in for a search that blew the cap, or None.
+
+    It decides deterministic mechanisms without --strict-iii when every agent
+    has the same one of the three full domain kinds.
+    """
+    kinds = {spec.kind for spec in specs}
+    if isinstance(mech, ProbMechanism) or strict_iii or len(kinds) != 1:
+        return None
+    (kind,) = kinds
+    return kind if kind in CHARACTERIZATION_KINDS else None
 
 
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
     if args.mech:
         identity = args.mech
-        env, mech, prob = _load_bundle(args.mech, args.prob)
+        env, mech = _load_bundle(args.mech)
     else:
-        identity, env, mech, prob = _run_builder(args)
-        if args.prob and not prob:
-            raise ParseError(f"builder {args.builder!r} is deterministic")
+        identity, env, mech = _run_builder(args)
+    prob = isinstance(mech, ProbMechanism)
+    if args.prob and not prob:
+        if args.mech:
+            raise ParseError("--prob given but the file holds a deterministic mechanism")
+        raise ParseError(f"builder {args.builder!r} is deterministic")
     if prob and args.strict_iii:
         print(
             "exmech analyze: error: --strict-iii does not apply to probabilistic "
@@ -348,27 +340,31 @@ def cmd_analyze(args) -> int:
     try:
         if prob:
             result = search_prob_ba_witness(mech, specs, cap=args.cap)
-            witness, stats, method = result.witness, result.stats, "exhaustive-search"
         else:
-            witness, stats, method = _analyze_deterministic(mech, specs, args)
+            result = search_ba_witness(mech, specs, cap=args.cap, strict_iii=args.strict_iii)
+        witness, stats, method = result.witness, result.stats, "exhaustive-search"
     except CapExceeded as exc:
-        # only a deterministic search without --strict-iii has the fallback
-        if prob or args.strict_iii:
-            hint = "raise --cap"
-        else:
-            hint = (
-                "use --domains unrestricted|strict|weak_only so the verdict can come "
-                "from the tie-propagation characterization, or raise --cap"
-            )
-        print(f"cap exceeded: {exc}\nhint: {hint}", file=sys.stderr)
-        return EXIT_CAP
+        kind = _characterization_kind(mech, specs, args.strict_iii)
+        if kind is None:
+            # name the characterization only where --domains alone would enable it
+            if _characterization_kind(mech, (DomainSpec.unrestricted(),), args.strict_iii) is None:
+                hint = "raise --cap"
+            else:
+                hint = (
+                    "use --domains unrestricted|strict|weak_only so the verdict can come "
+                    "from the tie-propagation characterization, or raise --cap"
+                )
+            print(f"cap exceeded: {exc}\nhint: {hint}", file=sys.stderr)
+            return EXIT_CAP
+        cex = condition1_counterexample(mech)
+        witness = None if cex is None else witness_from_counterexample(mech, cex, kind)
+        stats, method = {"agents": env.n, "mode": "tie-propagation"}, "characterization"
     if witness is not None:
         domain = specs[witness.agent]
         if prob:
             validate_prob_witness(mech, witness, domain)
         else:
-            strict_iii = args.strict_iii and method != "characterization"
-            validate_witness(mech, witness, strict_iii, domain)
+            validate_witness(mech, witness, args.strict_iii, domain)
     report = AnalysisReport(
         mechanism=identity,
         probabilistic=prob,
@@ -412,10 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, InvariantViolation) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except ExmechError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (ExmechError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

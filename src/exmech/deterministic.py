@@ -28,7 +28,6 @@ from .errors import (
     GridDoesNotSupportWitness,
     InvariantViolation,
     NotVotingEnvironment,
-    ParseError,
 )
 from .model import (
     BAWitness,
@@ -36,16 +35,19 @@ from .model import (
     DomainSpec,
     Environment,
     Ordering,
+    Pair,
     Profile,
     SubProfile,
+    check_profile_table,
     enumerate_profiles,
     full_profile,
+    profile_rows,
     string_labels,
     sub_profiles,
 )
-from .domains import build_queueing_pref_1, rank_table, resolve_domains
+from .domains import build_queueing_pref_1, rank_table
 from .queueing import QueueingOutcome, QueueingParams, grid_labels
-from .search import SearchResult, check_witness_structure, search_witness
+from .search import SearchResult, check_certificate, search_witness
 
 CHARACTERIZATION_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 
@@ -60,11 +62,7 @@ class DetMechanism:
     def __post_init__(self) -> None:
         table = {tuple(k): str(v) for k, v in self.table.items()}
         object.__setattr__(self, "table", table)
-        expected = set(enumerate_profiles(self.env))
-        if set(table) - expected:
-            raise InvariantViolation("mechanism table has an unknown profile")
-        if expected - set(table):
-            raise InvariantViolation("mechanism table incomplete")
+        check_profile_table(self.env, table)
         outcomes = set(self.env.outcomes)
         for profile, value in table.items():
             if value not in outcomes:
@@ -184,21 +182,10 @@ def validate_witness(
 
     With a `domain`, the witness ordering must also belong to it.
     """
-    check_witness_structure(mech.env, witness, domain)
-    ordering = witness.ordering
-    za = mech.outcome_at(witness.agent, witness.r, witness.a_minus)
-    if za != mech.outcome_at(witness.agent, witness.l, witness.a_minus):
-        raise InvariantViolation("condition (i) fails: outcomes differ at a_minus")
-    if not ordering.strictly_prefers((witness.l, za), (witness.r, za)):
-        raise InvariantViolation("condition (ii) fails: protest pair not strictly preferred")
-    anchor = (witness.r, mech.outcome_at(witness.agent, witness.r, witness.b_minus))
-    for x in mech.env.actions[witness.agent]:
-        other = (x, mech.outcome_at(witness.agent, x, witness.b_minus))
-        if strict_iii:
-            if x != witness.r and not ordering.strictly_prefers(anchor, other):
-                raise InvariantViolation(f"strict condition (iii) fails against action {x!r}")
-        elif not ordering.weakly_prefers(anchor, other):
-            raise InvariantViolation(f"condition (iii) fails against action {x!r}")
+    beats_iii = Ordering.strictly_prefers if strict_iii else Ordering.weakly_prefers
+    check_certificate(
+        mech.env, witness, mech.outcome_at, Ordering.strictly_prefers, beats_iii, domain
+    )
 
 
 # --- exhaustive witness search ------------------------------------------------
@@ -252,8 +239,8 @@ class _RankKernel:
     The lowest surviving bit is the first qualifying row in table order.
     """
 
-    def __init__(self, env: Environment, agent: int, row_sets, strict_iii: bool):
-        self._index = {pair: idx for idx, pair in enumerate(env.pairs_for(agent))}
+    def __init__(self, index: Mapping[Pair, int], row_sets, strict_iii: bool):
+        self._index = index
         self._lt, le = row_sets
         self._beats = self._lt if strict_iii else le
 
@@ -282,15 +269,14 @@ def search_ba_witness(
     The search order is that of `search.search_witness`.  Raises CapExceeded
     if a full domain kind is too large to enumerate.
     """
-    specs = resolve_domains(mech.env, domains)
 
-    def kernel(env: Environment, agent: int, table) -> _RankKernel:
-        n, kind = len(env.pairs_for(agent)), specs[agent].kind
+    def kernel(spec: DomainSpec, index: Mapping[Pair, int], table) -> _RankKernel:
+        n, kind = len(index), spec.kind
         # full kinds share one table per pair count, so they share its row sets too
         row_sets = _row_sets(table, n) if kind is DomainKind.EXPLICIT else _shared_row_sets(n, kind)
-        return _RankKernel(env, agent, row_sets, strict_iii)
+        return _RankKernel(index, row_sets, strict_iii)
 
-    return search_witness(mech.env, mech.outcome_at, specs, kernel, cap)
+    return search_witness(mech.env, mech.outcome_at, domains, kernel, cap)
 
 
 def find_ba_witness(
@@ -458,22 +444,6 @@ def det_mech_to_json(mech: DetMechanism) -> dict:
 
 
 def det_mech_from_json(env: Environment, data: object) -> DetMechanism:
-    if not isinstance(data, dict):
-        raise ParseError("mechanism must be a JSON object")
-    profiles = data.get("profiles")
-    outcomes = data.get("outcomes")
-    if not isinstance(profiles, list) or not isinstance(outcomes, list):
-        raise ParseError("mechanism needs parallel 'profiles' and 'outcomes' lists")
-    if len(profiles) != len(outcomes):
-        raise ParseError("'profiles' and 'outcomes' must have equal length")
-    table = {}
-    for profile, outcome in zip(profiles, outcomes):
-        if not isinstance(profile, list):
-            raise ParseError("each profile must be a list of actions")
-        key = string_labels(profile, "profile action")
-        if key in table:
-            raise InvariantViolation(f"profile {key!r} listed twice")
-        if not isinstance(outcome, str):
-            raise ParseError("mechanism outcome labels must be strings")
-        table[key] = outcome
+    table = profile_rows(data, "outcomes")
+    string_labels(list(table.values()), "mechanism outcome")
     return DetMechanism(env, table)

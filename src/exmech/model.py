@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import AgentOutOfRange, InvariantViolation, ParseError, UnknownPair
 
@@ -221,6 +221,15 @@ def enumerate_profiles(env: Environment) -> Iterator[Profile]:
     return itertools.product(*env.actions)
 
 
+def check_profile_table(env: Environment, table: Mapping[Profile, object]) -> None:
+    """A mechanism table must have exactly one entry per action profile."""
+    expected = set(enumerate_profiles(env))
+    if set(table) - expected:
+        raise InvariantViolation("mechanism table has an unknown profile")
+    if expected - set(table):
+        raise InvariantViolation("mechanism table incomplete")
+
+
 def sub_profiles(env: Environment, agent: int) -> Iterator[SubProfile]:
     """Every profile of the other agents' actions, lexicographic order."""
     env.check_agent(agent)
@@ -270,6 +279,30 @@ def string_labels(values: Sequence[object], what: str) -> tuple[str, ...]:
     return tuple(values)
 
 
+def profile_rows(data: object, key: str) -> dict[Profile, object]:
+    """The rows of a mechanism document {"profiles": [...], key: [...]}, by profile.
+
+    The two lists are parallel; each profile is a list of action labels and
+    appears once.  The values are returned unchecked.
+    """
+    if not isinstance(data, dict):
+        raise ParseError("mechanism must be a JSON object")
+    profiles, values = data.get("profiles"), data.get(key)
+    if not isinstance(profiles, list) or not isinstance(values, list):
+        raise ParseError(f"mechanism needs parallel 'profiles' and {key!r} lists")
+    if len(profiles) != len(values):
+        raise ParseError(f"'profiles' and {key!r} must have equal length")
+    rows = {}
+    for profile, value in zip(profiles, values):
+        if not isinstance(profile, list):
+            raise ParseError("each profile must be a list of actions")
+        profile = string_labels(profile, "profile action")
+        if profile in rows:
+            raise InvariantViolation(f"profile {profile!r} listed twice")
+        rows[profile] = value
+    return rows
+
+
 def ordering_to_json(ordering: Ordering) -> list:
     return [[list(pair) for pair in sorted(cls)] for cls in ordering.classes]
 
@@ -304,7 +337,7 @@ def domain_from_json(agent: int, data: object) -> DomainSpec:
         kind = DomainKind(data["kind"])
     except ValueError:
         raise ParseError(f"unknown domain kind {data['kind']!r}") from None
-    orderings = data.get("orderings") or []
+    orderings = [] if data.get("orderings") is None else data["orderings"]
     if not isinstance(orderings, list):
         raise ParseError("domain orderings must be a list")
     if kind is DomainKind.EXPLICIT:
@@ -357,7 +390,9 @@ def witness_from_json(data: object) -> BAWitness:
     if not isinstance(data, dict):
         raise ParseError("witness must be a JSON object")
     try:
-        agent = int(data["agent"])
+        agent = data["agent"]
+        if not isinstance(agent, int) or isinstance(agent, bool):
+            raise ParseError("witness agent must be a JSON integer")
         r, l = string_labels((data["r"], data["l"]), "witness action")
         subs = (data["a_minus"], data["b_minus"])
         if not all(isinstance(sub, list) for sub in subs):

@@ -1,14 +1,16 @@
-"""Canonical-order anomaly search and structural witness checks for both mechanism kinds.
+"""Canonical-order anomaly search and the certificate check for both mechanism kinds.
 
 A deterministic outcome is a point-mass lottery, so the deterministic and the
 probabilistic certificates differ only in how an ordering compares pairs or
 lotteries.  This module owns everything else: the search order, the agents'
 rank tables (`domains.domain_rank_vectors`), condition (i) (equality of the
 mechanism's value at a), the statistics block, the witness ordering and the
-structural half of witness validation.  Row k of an agent's `table` ranks
-its pairs, in `env.pairs_for(agent)` order, under its k-th admissible
-ordering.  Each mechanism kind supplies a kernel factory, called as
-`make_kernel(env, agent, table)` once per agent, whose kernel answers:
+witness check (`check_certificate`), to which each kind supplies only its
+comparisons.  Row k of an agent's `table` ranks its pairs, in
+`env.pairs_for(agent)` order, under its k-th admissible ordering; `index`
+maps each of those pairs to its column.  Each mechanism kind supplies a
+kernel factory, called as `make_kernel(spec, index, table)` once per agent
+with the agent's resolved `DomainSpec`, whose kernel answers:
 
   protest(r, l, value_at_a)
       the set of table rows satisfying condition (ii), in a form of the
@@ -66,7 +68,8 @@ def search_witness(
     specs = domains.resolve_domains(env, domain_specs)
     # looked up on the module so that a wrapper installed there sees every search
     tables = [domains.domain_rank_vectors(env, i, spec, cap) for i, spec in enumerate(specs)]
-    kernels = [make_kernel(env, i, table) for i, table in enumerate(tables)]
+    indexes = [{pair: k for k, pair in enumerate(env.pairs_for(i))} for i in range(env.n)]
+    kernels = [make_kernel(*args) for args in zip(specs, indexes, tables)]
     subs_by_agent = tuple(tuple(sub_profiles(env, i)) for i in range(env.n))
     stats = {
         "agents": env.n,
@@ -100,14 +103,24 @@ def search_witness(
     return SearchResult(None, stats)
 
 
-def check_witness_structure(
-    env: Environment, witness: BAWitness, domain: DomainSpec | None = None
+def check_certificate(
+    env: Environment,
+    witness: BAWitness,
+    value_at: Callable[[int, str, SubProfile], object],
+    beats_ii: Callable[[Ordering, tuple, tuple], bool],
+    beats_iii: Callable[[Ordering, tuple, tuple], bool],
+    domain: DomainSpec | None = None,
 ) -> None:
-    """Check a witness names valid, distinct actions and sub-profiles and a full ordering.
+    """Re-check a witness against the mechanism `value_at` reads; raise on the first failure.
 
-    With a `domain`, the ordering must also belong to it: all classes
-    singletons under `strict`, some class of two or more pairs under
-    `weak_only`, one of the listed orderings under `explicit`.
+    The witness must name valid, distinct actions and sub-profiles and a
+    full ordering of the agent's pairs.  With a `domain`, the ordering must
+    also belong to it: all classes singletons under `strict`, some class of
+    two or more pairs under `weak_only`, one of the listed orderings under
+    `explicit`.  Then (i) r and l must give equal values at a; (ii)
+    `beats_ii(ordering, (l, value), (r, value))` must hold for that value;
+    and (iii) `beats_iii(ordering, (r, value of r at b), (x, value of x at
+    b))` must hold for every action x other than r.
     """
     env.check_agent(witness.agent)
     acts = env.actions[witness.agent]
@@ -132,3 +145,13 @@ def check_witness_structure(
         raise InvariantViolation("witness ordering is strict, outside the weak-only domain")
     if kind is DomainKind.EXPLICIT and ordering not in domain.orderings:
         raise InvariantViolation("witness ordering is not one of the explicit domain's orderings")
+    agent, r, l = witness.agent, witness.r, witness.l
+    value = value_at(agent, r, witness.a_minus)
+    if value != value_at(agent, l, witness.a_minus):
+        raise InvariantViolation("condition (i) fails: r and l give different values at a_minus")
+    if not beats_ii(ordering, (l, value), (r, value)):
+        raise InvariantViolation("condition (ii) fails: the protest does not beat the tie")
+    anchor = (r, value_at(agent, r, witness.b_minus))
+    for x in acts:
+        if x != r and not beats_iii(ordering, anchor, (x, value_at(agent, x, witness.b_minus))):
+            raise InvariantViolation(f"condition (iii) fails against action {x!r}")

@@ -40,12 +40,13 @@ from .model import (
     Pair,
     Profile,
     SubProfile,
+    check_profile_table,
     enumerate_profiles,
     full_profile,
-    string_labels,
+    profile_rows,
 )
 from .queueing import parse_fraction
-from .search import SearchResult, check_witness_structure, search_witness
+from .search import SearchResult, check_certificate, search_witness
 
 
 @dataclass(frozen=True)
@@ -102,11 +103,7 @@ class ProbMechanism:
     def __post_init__(self) -> None:
         table = {tuple(k): v for k, v in self.table.items()}
         object.__setattr__(self, "table", table)
-        expected = set(enumerate_profiles(self.env))
-        if set(table) - expected:
-            raise InvariantViolation("mechanism table has an unknown profile")
-        if expected - set(table):
-            raise InvariantViolation("mechanism table incomplete")
+        check_profile_table(self.env, table)
         outcomes = set(self.env.outcomes)
         for profile, dist in table.items():
             if not isinstance(dist, Distribution):
@@ -214,20 +211,12 @@ def validate_prob_witness(
 
     With a `domain`, the witness ordering must also belong to it.
     """
-    check_witness_structure(mech.env, witness, domain)
-    ordering = witness.ordering
-    ga = mech.dist_at(witness.agent, witness.r, witness.a_minus)
-    if ga != mech.dist_at(witness.agent, witness.l, witness.a_minus):
-        raise InvariantViolation("condition (i) fails: distributions differ at a_minus")
-    if not fsd(ordering, Lottery(witness.l, ga), Lottery(witness.r, ga)):
-        raise InvariantViolation("condition (ii) fails: protest lottery does not dominate")
-    anchor = Lottery(witness.r, mech.dist_at(witness.agent, witness.r, witness.b_minus))
-    for x in mech.env.actions[witness.agent]:
-        if x == witness.r:
-            continue
-        other = Lottery(x, mech.dist_at(witness.agent, x, witness.b_minus))
-        if not fsd(ordering, anchor, other):
-            raise InvariantViolation(f"condition (iii) fails against action {x!r}")
+    check_certificate(mech.env, witness, mech.dist_at, _fsd_pairs, _fsd_pairs, domain)
+
+
+def _fsd_pairs(ordering: Ordering, lhs: tuple, rhs: tuple) -> bool:
+    """`fsd` on two (action, distribution) pairs."""
+    return fsd(ordering, Lottery(*lhs), Lottery(*rhs))
 
 
 def _class_terms(index: Mapping[Pair, int], lhs, rhs) -> list[tuple[int, int]]:
@@ -277,9 +266,9 @@ class _FSDKernel:
     quantified over the other actions only.
     """
 
-    def __init__(self, env: Environment, agent: int, table):
+    def __init__(self, index: Mapping[Pair, int], table):
         self._vectors = table
-        self._index = {pair: idx for idx, pair in enumerate(env.pairs_for(agent))}
+        self._index = index
 
     def protest(self, r: str, l: str, ga: Distribution) -> list[int]:
         terms = _class_terms(self._index, (l, ga), (r, ga))
@@ -306,7 +295,9 @@ def search_prob_ba_witness(
     first-order stochastic dominance.  The search order is that of
     `search.search_witness`.
     """
-    return search_witness(mech.env, mech.dist_at, domains, _FSDKernel, cap)
+    return search_witness(
+        mech.env, mech.dist_at, domains, lambda _spec, index, table: _FSDKernel(index, table), cap
+    )
 
 
 def find_prob_ba_witness(
@@ -367,22 +358,18 @@ def counterexample_preference() -> Ordering:
     )
 
 
-def random_totally_mixed(
-    outcomes: Sequence[str], rng: random.Random, denominator: int = 12
-) -> Distribution:
-    """Draw positive rational weights k/denominator and renormalize."""
-    ks = [rng.randint(1, denominator - 1) for _ in outcomes]
+MIXED_WEIGHT_DENOMINATOR = 12
+
+
+def random_totally_mixed(outcomes: Sequence[str], rng: random.Random) -> Distribution:
+    """Draw positive rational weights k/MIXED_WEIGHT_DENOMINATOR and renormalize."""
+    ks = [rng.randint(1, MIXED_WEIGHT_DENOMINATOR - 1) for _ in outcomes]
     total = sum(ks)
     return Distribution({z: Fraction(k, total) for z, k in zip(outcomes, ks)})
 
 
-def random_completely_mixed_mechanism(
-    env: Environment, rng: random.Random, denominator: int = 12
-) -> ProbMechanism:
-    table = {
-        profile: random_totally_mixed(env.outcomes, rng, denominator)
-        for profile in enumerate_profiles(env)
-    }
+def random_completely_mixed_mechanism(env: Environment, rng: random.Random) -> ProbMechanism:
+    table = {profile: random_totally_mixed(env.outcomes, rng) for profile in enumerate_profiles(env)}
     return ProbMechanism(env, table)
 
 
@@ -400,24 +387,9 @@ def prob_mech_to_json(mech: ProbMechanism) -> dict:
 
 
 def prob_mech_from_json(env: Environment, data: object) -> ProbMechanism:
-    if not isinstance(data, dict):
-        raise ParseError("mechanism must be a JSON object")
-    profiles = data.get("profiles")
-    dists = data.get("distributions")
-    if not isinstance(profiles, list) or not isinstance(dists, list):
-        raise ParseError("mechanism needs parallel 'profiles' and 'distributions' lists")
-    if len(profiles) != len(dists):
-        raise ParseError("'profiles' and 'distributions' must have equal length")
     table = {}
-    for profile, row in zip(profiles, dists):
-        if not isinstance(profile, list) or not isinstance(row, list):
-            raise ParseError("profiles and distributions must be lists")
-        if len(row) != len(env.outcomes):
+    for profile, row in profile_rows(data, "distributions").items():
+        if not isinstance(row, list) or len(row) != len(env.outcomes):
             raise ParseError("distribution row must list one probability per outcome")
-        key = string_labels(profile, "profile action")
-        if key in table:
-            raise InvariantViolation(f"profile {key!r} listed twice")
-        table[key] = Distribution(
-            {z: parse_fraction(p) for z, p in zip(env.outcomes, row)}
-        )
+        table[profile] = Distribution({z: parse_fraction(p) for z, p in zip(env.outcomes, row)})
     return ProbMechanism(env, table)

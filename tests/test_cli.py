@@ -98,6 +98,31 @@ def test_validate_rejects_numeric_labels(tmp_path, capsys, document):
     assert err.startswith("invalid: ") and "labels must be strings" in err
 
 
+@pytest.mark.parametrize("orderings", (0, "", {}, False), ids=repr)
+def test_validate_rejects_falsy_orderings_that_are_not_lists(tmp_path, capsys, orderings):
+    document = {
+        "agents": [["a"]], "outcomes": ["z"],
+        "domains": [{"kind": "unrestricted", "orderings": orderings}],
+    }
+    path = tmp_path / "env.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid: ") and "orderings must be a list" in err
+
+
+@pytest.mark.parametrize("builder", ("referendum", "mixed-counterexample"))
+def test_validate_rejects_a_profile_listed_twice(tmp_path, capsys, builder):
+    bundle = json.loads(_build_bundle(capsys, builder))
+    profiles = bundle["mechanism"]["profiles"]
+    profiles[1] = profiles[0]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(bundle))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid: ") and "listed twice" in err
+
+
 def test_analyze_rejects_numeric_mechanism_labels(tmp_path, capsys):
     bundle = {
         "environment": {"agents": [["0", "1"], ["0", "1"]], "outcomes": ["0", "1"]},
@@ -295,6 +320,21 @@ def test_analyze_rejects_strict_iii_for_probabilistic_mechanisms(capsys, argv):
     code, out, err = run(capsys, "analyze", *argv, "--strict-iii")
     assert code == 1 and out == ""
     assert "--strict-iii" in err and "--prob" in err
+
+
+def test_analyze_prob_rejects_deterministic_bundle(tmp_path, capsys):
+    path = tmp_path / "referendum.json"
+    code, *_ = run(capsys, "build", "referendum", "--m", "1", "--out", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "analyze", "--prob", "--mech", str(path))
+    assert code == 2 and out == ""
+    assert err == "invalid: --prob given but the file holds a deterministic mechanism\n"
+
+
+def test_analyze_prob_rejects_deterministic_builder(capsys):
+    code, out, err = run(capsys, "analyze", "--prob", "--builder", "referendum", "--m", "1")
+    assert code == 2 and out == ""
+    assert err == "invalid: builder 'referendum' is deterministic\n"
 
 
 def test_usage_error_exit_code(capsys):

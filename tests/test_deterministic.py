@@ -185,6 +185,12 @@ def first_best_response(table, anchor, rivals, candidates, strict_iii):
     return None
 
 
+def rank_kernel(env, row_sets, strict_iii):
+    """Agent 0's kernel over `row_sets`, indexed by its pairs in canonical order."""
+    index = {pair: k for k, pair in enumerate(env.pairs_for(0))}
+    return _RankKernel(index, row_sets, strict_iii)
+
+
 def assert_kernel_matches_rows(table, n, row_sets):
     """`protest` on every position pair and `best_response` on every row and
     every protest set match the row-wise reference, strict_iii off and on.
@@ -194,7 +200,7 @@ def assert_kernel_matches_rows(table, n, row_sets):
     env = Environment.create([tuple(f"x{k}" for k in range(n))], ("z",))
     pair = [(f"x{k}", "z") for k in range(n)]
     for strict_iii in (False, True):
-        kernel = _RankKernel(env, 0, row_sets, strict_iii)
+        kernel = rank_kernel(env, row_sets, strict_iii)
         for r, l in itertools.product(range(n), repeat=2):
             if r == l:
                 continue
@@ -241,7 +247,7 @@ def test_rank_kernel_single_row_table():
     env = Environment.create([("x0", "x1", "x2")], ("z",))
     x0, x1, x2 = env.pairs_for(0)
     for strict_iii in (False, True):
-        kernel = _RankKernel(env, 0, _row_sets(((0, 1, 2),), 3), strict_iii)
+        kernel = rank_kernel(env, _row_sets(((0, 1, 2),), 3), strict_iii)
         assert kernel.protest("x1", "x0", "z") == 1
         assert kernel.protest("x0", "x1", "z") == 0
         assert kernel.best_response(x0, [x1, x2], 1) == 0
@@ -249,8 +255,8 @@ def test_rank_kernel_single_row_table():
         assert kernel.best_response(x0, [x1, x2], 0) is None
     # x0 ~ x1 > x2: a tie answers (iii) only when it is weak
     tied = _row_sets(((0, 0, 1),), 3)
-    assert _RankKernel(env, 0, tied, False).best_response(x0, [x1, x2], 1) == 0
-    assert _RankKernel(env, 0, tied, True).best_response(x0, [x1, x2], 1) is None
+    assert rank_kernel(env, tied, False).best_response(x0, [x1, x2], 1) == 0
+    assert rank_kernel(env, tied, True).best_response(x0, [x1, x2], 1) is None
 
 
 def test_full_row_sets_are_shared():

@@ -186,3 +186,10 @@ def test_witness_from_json_rejects_labels_that_are_not_strings(key, value):
     assert witness_from_json(WITNESS).r == "1"
     with pytest.raises(ParseError):
         witness_from_json({**WITNESS, key: value})
+
+
+@pytest.mark.parametrize("agent", (0.9, 1.5, True, False, "0", None, [0]), ids=repr)
+def test_witness_from_json_rejects_agents_that_are_not_integers(agent):
+    assert witness_from_json(WITNESS).agent == 0
+    with pytest.raises(ParseError, match="agent must be a JSON integer"):
+        witness_from_json({**WITNESS, "agent": agent})

@@ -137,7 +137,7 @@ def assert_kernel_matches_fsd(env, agent, table, orderings):
     Every ordered pair of palette lotteries is compared, equal ones and
     same-action ones included, through both kernel entry points.
     """
-    kernel = _FSDKernel(env, agent, table)
+    kernel = _FSDKernel({pair: k for k, pair in enumerate(env.pairs_for(agent))}, table)
     actions, outcomes = env.actions[agent], env.outcomes
     dists = [
         Distribution({z: Fraction(p) for z, p in zip(outcomes, row)})
