@@ -60,7 +60,7 @@ class DetMechanism:
     table: Mapping[Profile, str]
 
     def __post_init__(self) -> None:
-        table = {tuple(k): str(v) for k, v in self.table.items()}
+        table = {tuple(k): v for k, v in self.table.items()}
         object.__setattr__(self, "table", table)
         check_profile_table(self.env, table)
         outcomes = set(self.env.outcomes)
@@ -231,12 +231,11 @@ def _shared_row_sets(n: int, kind: DomainKind) -> tuple[list[list[int]], list[li
 
 
 class _RankKernel:
-    """Pair comparisons for one agent as bitsets over the rows of its rank table.
+    """Pair comparisons for one agent as row sets over its rank table.
 
     A row set is a Python int whose bit o stands for row o of the table.
-    Condition (ii) is one `lt` lookup; condition (iii) ANDs the candidates
-    with the anchor's `le` mask (`lt` under `strict_iii`) against each rival.
-    The lowest surviving bit is the first qualifying row in table order.
+    Condition (ii) is one `lt` lookup; `beats` ANDs the given rows with the
+    anchor's `le` mask (`lt` under `strict_iii`) against the rival.
     """
 
     def __init__(self, index: Mapping[Pair, int], row_sets, strict_iii: bool):
@@ -247,14 +246,8 @@ class _RankKernel:
     def protest(self, r: str, l: str, za: str) -> int:
         return self._lt[self._index[(l, za)]][self._index[(r, za)]]
 
-    def best_response(self, anchor, rivals, candidates: int) -> int | None:
-        index = self._index
-        beats = self._beats[index[anchor]]
-        for pair in rivals:
-            candidates &= beats[index[pair]]
-            if not candidates:
-                return None
-        return (candidates & -candidates).bit_length() - 1 if candidates else None
+    def beats(self, anchor: Pair, rival: Pair, rows: int) -> int:
+        return rows & self._beats[self._index[anchor]][self._index[rival]]
 
 
 def search_ba_witness(

@@ -10,20 +10,19 @@ comparisons.  Row k of an agent's `table` ranks its pairs, in
 `env.pairs_for(agent)` order, under its k-th admissible ordering; `index`
 maps each of those pairs to its column.  Each mechanism kind supplies a
 kernel factory, called as `make_kernel(spec, index, table)` once per agent
-with the agent's resolved `DomainSpec`, whose kernel answers:
+with the agent's resolved `DomainSpec`.  A row set is a Python int whose bit
+o stands for row o of the agent's table, and the kernel answers two
+comparisons, both as row sets:
 
   protest(r, l, value_at_a)
-      the set of table rows satisfying condition (ii), in a form of the
-      kernel's choosing that the driver only tests for truth (true iff
-      non-empty) and hands back unchanged;
-  best_response(anchor, rivals, candidates)
-      given that set, the index of the first row in table order under which
-      condition (iii) holds, or None; `anchor` is (r, value at b) and
-      `rivals` lists (x, value at b) for every other action x, in action
-      order.
+      the rows satisfying condition (ii);
+  beats(anchor, rival, rows)
+      the subset of `rows` under which `anchor`, (r, value at b), beats
+      `rival`, (x, value at b), as condition (iii) requires against x.
 
-The deterministic kernel's row sets are bitsets over table rows; the
-probabilistic kernel's are lists of row indices.
+The driver narrows the protest rows rival by rival, in action order, and
+stops as soon as none remain; the lowest set bit of what survives every
+rival is the witness row.  That choice is made here and nowhere else.
 """
 
 from __future__ import annotations
@@ -93,12 +92,15 @@ def search_witness(
                         if b == a:
                             continue
                         anchor = (r, value_at(agent, r, b))
-                        rivals = [(x, value_at(agent, x, b)) for x in acts if x != r]
-                        hit = kernel.best_response(anchor, rivals, candidates)
-                        if hit is not None:
-                            ordering = Ordering.from_ranks(
-                                agent, env.pairs_for(agent), tables[agent][hit]
-                            )
+                        rows = candidates
+                        for x in acts:
+                            if x != r:
+                                rows = kernel.beats(anchor, (x, value_at(agent, x, b)), rows)
+                                if not rows:
+                                    break
+                        if rows:  # the lowest set bit is the canonically first row
+                            rv = tables[agent][(rows & -rows).bit_length() - 1]
+                            ordering = Ordering.from_ranks(agent, env.pairs_for(agent), rv)
                             return SearchResult(BAWitness(agent, r, l, a, b, ordering), stats)
     return SearchResult(None, stats)
 

@@ -60,8 +60,10 @@ class Distribution:
     probs: dict[str, Fraction]
 
     def __post_init__(self) -> None:
-        probs = {str(z): Fraction(p) for z, p in self.probs.items()}
+        probs = {z: Fraction(p) for z, p in self.probs.items()}
         object.__setattr__(self, "probs", probs)
+        if not all(isinstance(z, str) for z in probs):
+            raise InvariantViolation("distribution keys must be outcome labels (strings)")
         if any(p < 0 for p in probs.values()):
             raise InvariantViolation("negative probability")
         if sum(probs.values()) != 1:
@@ -257,30 +259,31 @@ def _dominates(rv: Sequence[int], terms: list[tuple[int, int]]) -> bool:
 
 
 class _FSDKernel:
-    """Lottery comparisons for one agent over the rows of its rank table.
+    """Lottery comparisons for one agent as row sets over its rank table.
 
+    A row set is a Python int whose bit o stands for row o of the table.
     Each comparison becomes integer class-mass terms once (`_class_terms`)
-    and is then decided row by row (`_dominates`) without building orderings
-    or fractions; `phi` and `fsd` stay the reference that witnesses are
-    validated against.  Dominance is irreflexive, so condition (iii) is
-    quantified over the other actions only.
+    and is then decided row by row (`_dominates`, as dominance is no pairwise
+    rank predicate) without building orderings or fractions; `phi` and `fsd`
+    stay the reference that witnesses are validated against.  `protest` is
+    `beats` of the protest lottery over the tie, on every row.
     """
 
     def __init__(self, index: Mapping[Pair, int], table):
         self._vectors = table
         self._index = index
 
-    def protest(self, r: str, l: str, ga: Distribution) -> list[int]:
-        terms = _class_terms(self._index, (l, ga), (r, ga))
-        return [o for o, rv in enumerate(self._vectors) if _dominates(rv, terms)]
+    def protest(self, r: str, l: str, ga: Distribution) -> int:
+        return self.beats((l, ga), (r, ga), (1 << len(self._vectors)) - 1)
 
-    def best_response(self, anchor, rivals, candidates: list[int]) -> int | None:
-        rival_terms = [_class_terms(self._index, anchor, rival) for rival in rivals]
-        for o in candidates:
-            rv = self._vectors[o]
-            if all(_dominates(rv, terms) for terms in rival_terms):
-                return o
-        return None
+    def beats(self, anchor, rival, rows: int) -> int:
+        terms = _class_terms(self._index, anchor, rival)
+        # character o of the reversed binary string is bit o: one linear scan
+        kept = "".join(
+            "1" if bit == "1" and _dominates(rv, terms) else "0"
+            for bit, rv in zip(bin(rows)[:1:-1], self._vectors)
+        )
+        return int(kept[::-1] or "0", 2)
 
 
 def search_prob_ba_witness(

@@ -123,6 +123,25 @@ def test_validate_rejects_a_profile_listed_twice(tmp_path, capsys, builder):
     assert err.startswith("invalid: ") and "listed twice" in err
 
 
+def test_validate_rejects_a_null_mechanism(tmp_path, capsys):
+    # only a missing "mechanism" key means a bare environment
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(
+        {"environment": {"agents": [["a"]], "outcomes": ["z"]}, "mechanism": None}
+    ))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err == "invalid: mechanism must be a JSON object\n"
+
+
+@pytest.mark.parametrize("argv", (["validate"], ["analyze", "--mech"]), ids=("validate", "analyze"))
+def test_unreadable_file_reports_one_error_prefix(tmp_path, capsys, argv):
+    path = tmp_path / "missing.json"
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: [Errno 2] ") and str(path) in err
+
+
 def test_analyze_rejects_numeric_mechanism_labels(tmp_path, capsys):
     bundle = {
         "environment": {"agents": [["0", "1"], ["0", "1"]], "outcomes": ["0", "1"]},

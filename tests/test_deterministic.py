@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -60,6 +61,12 @@ def test_mechanism_table_must_be_total():
         DetMechanism(env, {("a0", "b0"): "z0"})
     with pytest.raises(InvariantViolation, match="not an outcome"):
         DetMechanism(env, {p: "nope" for p in enumerate_profiles(env)})
+
+
+def test_mechanism_values_are_not_coerced_to_labels():
+    env = Environment.create([("0", "1")], ("0", "1"))
+    with pytest.raises(InvariantViolation, match="is not an outcome"):
+        DetMechanism(env, {("0",): 0, ("1",): 1})
 
 
 def test_condition1_holds_for_constant():
@@ -175,14 +182,11 @@ def row_set(rows):
     return sum(1 << o for o in rows)
 
 
-def first_best_response(table, anchor, rivals, candidates, strict_iii):
-    """Row-wise reference: the first candidate row, in table order, whose
-    anchor rank beats every rival's (strictly under `strict_iii`)."""
-    for o in sorted(candidates):
-        rv = table[o]
-        if all(rv[anchor] < rv[x] if strict_iii else rv[anchor] <= rv[x] for x in rivals):
-            return o
-    return None
+def beating_rows(table, anchor, rival, rows, strict_iii):
+    """Row-wise reference: the rows among `rows` whose anchor rank beats the
+    rival's (strictly under `strict_iii`)."""
+    beats = operator.lt if strict_iii else operator.le
+    return row_set(o for o in rows if beats(table[o][anchor], table[o][rival]))
 
 
 def rank_kernel(env, row_sets, strict_iii):
@@ -192,13 +196,15 @@ def rank_kernel(env, row_sets, strict_iii):
 
 
 def assert_kernel_matches_rows(table, n, row_sets):
-    """`protest` on every position pair and `best_response` on every row and
-    every protest set match the row-wise reference, strict_iii off and on.
+    """`protest` on every position pair, and `beats` on every protest set and
+    on every single row, match the row-wise reference, strict_iii off and on;
+    `beats` never returns a row outside the rows it is given.
 
     The agent has n actions and one outcome, so position k is pair (xk, z).
     """
     env = Environment.create([tuple(f"x{k}" for k in range(n))], ("z",))
     pair = [(f"x{k}", "z") for k in range(n)]
+    rivalries = [(anchor, x) for anchor, x in itertools.product(range(n), repeat=2) if anchor != x]
     for strict_iii in (False, True):
         kernel = rank_kernel(env, row_sets, strict_iii)
         for r, l in itertools.product(range(n), repeat=2):
@@ -207,19 +213,15 @@ def assert_kernel_matches_rows(table, n, row_sets):
             protest = [o for o, rv in enumerate(table) if rv[l] < rv[r]]
             candidates = kernel.protest(f"x{r}", f"x{l}", "z")
             assert candidates == row_set(protest)
-            assert bool(candidates) == bool(protest)
-            for anchor in range(n):
-                rivals = [x for x in range(n) if x != anchor]
-                got = kernel.best_response(pair[anchor], [pair[x] for x in rivals], candidates)
-                assert got == first_best_response(table, anchor, rivals, protest, strict_iii)
-        for anchor in range(n):
-            rivals = [x for x in range(n) if x != anchor]
-            rival_pairs = [pair[x] for x in rivals]
-            assert kernel.best_response(pair[anchor], rival_pairs, 0) is None
+            for anchor, x in rivalries:
+                got = kernel.beats(pair[anchor], pair[x], candidates)
+                assert got & ~candidates == 0
+                assert got == beating_rows(table, anchor, x, protest, strict_iii)
+        for anchor, x in rivalries:
+            assert kernel.beats(pair[anchor], pair[x], 0) == 0
             for o in range(len(table)):
-                got = kernel.best_response(pair[anchor], rival_pairs, 1 << o)
-                expected = first_best_response(table, anchor, rivals, [o], strict_iii)
-                assert got == expected
+                got = kernel.beats(pair[anchor], pair[x], 1 << o)
+                assert got == beating_rows(table, anchor, x, [o], strict_iii)
 
 
 FULL_TABLE_SIZES = [(n, kind) for kind in FULL_KINDS for n in range(1, 6)]
@@ -243,20 +245,22 @@ def test_rank_kernel_matches_row_wise_reference_on_explicit_tables(n):
 
 
 def test_rank_kernel_single_row_table():
-    # one ordering x0 > x1 > x2; the rival set empties at the second rival
+    # one ordering x0 > x1 > x2
     env = Environment.create([("x0", "x1", "x2")], ("z",))
     x0, x1, x2 = env.pairs_for(0)
     for strict_iii in (False, True):
         kernel = rank_kernel(env, _row_sets(((0, 1, 2),), 3), strict_iii)
         assert kernel.protest("x1", "x0", "z") == 1
         assert kernel.protest("x0", "x1", "z") == 0
-        assert kernel.best_response(x0, [x1, x2], 1) == 0
-        assert kernel.best_response(x1, [x2, x0], 1) is None
-        assert kernel.best_response(x0, [x1, x2], 0) is None
+        assert kernel.beats(x0, x1, 1) == kernel.beats(x0, x2, 1) == 1
+        assert kernel.beats(x1, x2, 1) == 1
+        assert kernel.beats(x1, x0, 1) == 0
+        assert kernel.beats(x0, x1, 0) == 0
     # x0 ~ x1 > x2: a tie answers (iii) only when it is weak
     tied = _row_sets(((0, 0, 1),), 3)
-    assert rank_kernel(env, tied, False).best_response(x0, [x1, x2], 1) == 0
-    assert rank_kernel(env, tied, True).best_response(x0, [x1, x2], 1) is None
+    assert rank_kernel(env, tied, False).beats(x0, x1, 1) == 1
+    assert rank_kernel(env, tied, True).beats(x0, x1, 1) == 0
+    assert rank_kernel(env, tied, True).beats(x0, x2, 1) == 1
 
 
 def test_full_row_sets_are_shared():

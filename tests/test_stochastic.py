@@ -57,6 +57,11 @@ def test_distribution_validation():
         Distribution({"z0": Fraction(3, 2), "z1": Fraction(-1, 2)})
 
 
+def test_distribution_keys_are_not_coerced_to_labels():
+    with pytest.raises(InvariantViolation, match="keys must be outcome labels"):
+        Distribution({0: Fraction(1), 1: Fraction(0)})
+
+
 def test_totally_mixed():
     assert is_totally_mixed(Distribution.uniform(Z2))
     assert not is_totally_mixed(Distribution.point_mass("z0", Z2))
@@ -131,11 +136,17 @@ PALETTES = {
 }
 
 
+def row_set(rows):
+    return sum(1 << o for o in rows)
+
+
 def assert_kernel_matches_fsd(env, agent, table, orderings):
     """The kernel's verdict on every row equals `fsd` on that row's ordering.
 
     Every ordered pair of palette lotteries is compared, equal ones and
-    same-action ones included, through both kernel entry points.
+    same-action ones included, through both kernel entry points; `beats`
+    gets each row alone and all rows at once, and never returns a row
+    outside the rows it is given.
     """
     kernel = _FSDKernel({pair: k for k, pair in enumerate(env.pairs_for(agent))}, table)
     actions, outcomes = env.actions[agent], env.outcomes
@@ -143,15 +154,20 @@ def assert_kernel_matches_fsd(env, agent, table, orderings):
         Distribution({z: Fraction(p) for z, p in zip(outcomes, row)})
         for row in PALETTES[len(outcomes)]
     ]
+    every_row = (1 << len(table)) - 1
     lotteries = [(x, d) for x in actions for d in dists]
     for lhs, rhs in itertools.product(lotteries, repeat=2):
         expected = [fsd(o, Lottery(*lhs), Lottery(*rhs)) for o in orderings]
-        assert [kernel.best_response(lhs, [rhs], [k]) == k for k in range(len(table))] == expected
+        single = [kernel.beats(lhs, rhs, 1 << k) for k in range(len(table))]
+        assert all(got & ~(1 << k) == 0 for k, got in enumerate(single))
+        assert [got == 1 << k for k, got in enumerate(single)] == expected
+        assert kernel.beats(lhs, rhs, every_row) == row_set(k for k, e in enumerate(expected) if e)
+        assert kernel.beats(lhs, rhs, 0) == 0
         if lhs == rhs:
             assert not any(expected)
     for (r, l), d in itertools.product(itertools.permutations(actions, 2), dists):
         expected = [k for k, o in enumerate(orderings) if fsd(o, Lottery(l, d), Lottery(r, d))]
-        assert kernel.protest(r, l, d) == expected
+        assert kernel.protest(r, l, d) == row_set(expected)
 
 
 @pytest.mark.parametrize("kind", (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY))
