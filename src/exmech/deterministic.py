@@ -18,8 +18,6 @@ weak-only domains.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -45,7 +43,7 @@ from .model import (
     string_labels,
     sub_profiles,
 )
-from .domains import build_queueing_pref_1, rank_table
+from .domains import build_queueing_pref_1
 from .queueing import QueueingOutcome, QueueingParams, grid_labels
 from .search import SearchResult, check_certificate, search_witness
 
@@ -65,7 +63,7 @@ class DetMechanism:
         check_profile_table(self.env, table)
         outcomes = set(self.env.outcomes)
         for profile, value in table.items():
-            if value not in outcomes:
+            if not isinstance(value, str) or value not in outcomes:
                 raise InvariantViolation(f"value {value!r} at {profile!r} is not an outcome")
 
     def outcome(self, profile: Profile) -> str:
@@ -191,45 +189,6 @@ def validate_witness(
 # --- exhaustive witness search ------------------------------------------------
 
 
-def _row_sets(table, n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Bit-parallel pair comparisons over the rows of a rank table.
-
-    Returns (lt, le): bit o of lt[p][q] is set iff row o ranks position p
-    strictly above position q (a smaller class index), and of le[p][q] iff
-    weakly above.  Class-membership masks eq[p][c] come from one pass over
-    the rows; lt is the union over classes c of eq[p][c] with the rows
-    placing q below c (a suffix union over q's classes), and le[p][q] is the
-    complement of lt[q][p].
-    """
-    size = (len(table) + 7) // 8
-    eq_bytes = [[bytearray(size) for _ in range(n)] for _ in range(n)]
-    for o, rv in enumerate(table):
-        byte, bit = o >> 3, 1 << (o & 7)
-        for by_class, c in zip(eq_bytes, rv):
-            by_class[c][byte] |= bit
-    eq = [[int.from_bytes(b, "little") for b in by_class] for by_class in eq_bytes]
-    below = []  # below[q][c]: rows ranking q in a class after c
-    for by_class in eq:
-        suffix, acc = [0] * n, 0
-        for c in reversed(range(n)):
-            suffix[c] = acc
-            acc |= by_class[c]
-        below.append(suffix)
-    lt = [
-        [functools.reduce(operator.or_, map(operator.and_, eq_p, below_q)) for below_q in below]
-        for eq_p in eq
-    ]
-    everything = (1 << len(table)) - 1
-    le = [[everything ^ lt[q][p] for q in range(n)] for p in range(n)]
-    return lt, le
-
-
-@functools.cache
-def _shared_row_sets(n: int, kind: DomainKind) -> tuple[list[list[int]], list[list[int]]]:
-    """Row sets of the shared full-domain table, built once per pair count and kind."""
-    return _row_sets(rank_table(n, kind), n)
-
-
 class _RankKernel:
     """Pair comparisons for one agent as row sets over its rank table.
 
@@ -238,10 +197,9 @@ class _RankKernel:
     anchor's `le` mask (`lt` under `strict_iii`) against the rival.
     """
 
-    def __init__(self, index: Mapping[Pair, int], row_sets, strict_iii: bool):
-        self._index = index
-        self._lt, le = row_sets
-        self._beats = self._lt if strict_iii else le
+    def __init__(self, index: Mapping[Pair, int], lt, le, strict_iii: bool):
+        self._index, self._lt = index, lt
+        self._beats = lt if strict_iii else le
 
     def protest(self, r: str, l: str, za: str) -> int:
         return self._lt[self._index[(l, za)]][self._index[(r, za)]]
@@ -263,11 +221,8 @@ def search_ba_witness(
     if a full domain kind is too large to enumerate.
     """
 
-    def kernel(spec: DomainSpec, index: Mapping[Pair, int], table) -> _RankKernel:
-        n, kind = len(index), spec.kind
-        # full kinds share one table per pair count, so they share its row sets too
-        row_sets = _row_sets(table, n) if kind is DomainKind.EXPLICIT else _shared_row_sets(n, kind)
-        return _RankKernel(index, row_sets, strict_iii)
+    def kernel(index: Mapping[Pair, int], lt, le) -> _RankKernel:
+        return _RankKernel(index, lt, le, strict_iii)
 
     return search_witness(mech.env, mech.outcome_at, domains, kernel, cap)
 

@@ -161,6 +161,8 @@ class Environment:
         object.__setattr__(self, "domains", tuple(self.domains))
         if not self.actions:
             raise InvariantViolation("environment needs at least one agent")
+        if not all(isinstance(x, str) for labels in (*self.actions, self.outcomes) for x in labels):
+            raise InvariantViolation("action and outcome labels must be strings")
         for i, acts in enumerate(self.actions):
             if not acts:
                 raise InvariantViolation(f"agent {i} has an empty action list")

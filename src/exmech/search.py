@@ -6,13 +6,15 @@ lotteries.  This module owns everything else: the search order, the agents'
 rank tables (`domains.domain_rank_vectors`), condition (i) (equality of the
 mechanism's value at a), the statistics block, the witness ordering and the
 witness check (`check_certificate`), to which each kind supplies only its
-comparisons.  Row k of an agent's `table` ranks its pairs, in
-`env.pairs_for(agent)` order, under its k-th admissible ordering; `index`
-maps each of those pairs to its column.  Each mechanism kind supplies a
-kernel factory, called as `make_kernel(spec, index, table)` once per agent
-with the agent's resolved `DomainSpec`.  A row set is a Python int whose bit
-o stands for row o of the agent's table, and the kernel answers two
-comparisons, both as row sets:
+comparisons.  Row o of an agent's rank table ranks its pairs, in
+`env.pairs_for(agent)` order, under its o-th admissible ordering; a row set
+is a Python int whose bit o stands for row o.  Rank vectors are read here
+only: once to build the row sets `lt[p][q]` (`le[p][q]`) of the rows ranking
+column p strictly (weakly) above column q, shared by every search over the
+same full table, and once to unrank the witness row.  Each kind's kernel
+factory is called as `make_kernel(index, lt, le)` once per agent, `index`
+mapping the agent's pairs to columns, and the kernel answers two
+comparisons from those masks alone, both as row sets:
 
   protest(r, l, value_at_a)
       the rows satisfying condition (ii);
@@ -27,6 +29,8 @@ rival is the witness row.  That choice is made here and nowhere else.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -67,8 +71,14 @@ def search_witness(
     specs = domains.resolve_domains(env, domain_specs)
     # looked up on the module so that a wrapper installed there sees every search
     tables = [domains.domain_rank_vectors(env, i, spec, cap) for i, spec in enumerate(specs)]
-    indexes = [{pair: k for k, pair in enumerate(env.pairs_for(i))} for i in range(env.n)]
-    kernels = [make_kernel(*args) for args in zip(specs, indexes, tables)]
+    kernels = []
+    for agent, (spec, table) in enumerate(zip(specs, tables)):
+        index = {pair: k for k, pair in enumerate(env.pairs_for(agent))}
+        if spec.kind is DomainKind.EXPLICIT:
+            lt, le = _row_sets(table, len(index))
+        else:  # full kinds share one table per pair count, so they share its row sets too
+            lt, le = _shared_row_sets(len(index), spec.kind)
+        kernels.append(make_kernel(index, lt, le))
     subs_by_agent = tuple(tuple(sub_profiles(env, i)) for i in range(env.n))
     stats = {
         "agents": env.n,
@@ -103,6 +113,42 @@ def search_witness(
                             ordering = Ordering.from_ranks(agent, env.pairs_for(agent), rv)
                             return SearchResult(BAWitness(agent, r, l, a, b, ordering), stats)
     return SearchResult(None, stats)
+
+
+def _row_sets(table, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(lt, le) for the rows of a rank table, as described in the module docstring.
+
+    Class-membership masks eq[p][c] come from one pass over the rows; lt[p][q]
+    is the union over classes c of eq[p][c] with the rows placing q after c,
+    and le[p][q] is the complement of lt[q][p].
+    """
+    size = (len(table) + 7) // 8
+    eq_bytes = [[bytearray(size) for _ in range(n)] for _ in range(n)]
+    for o, rv in enumerate(table):
+        byte, bit = o >> 3, 1 << (o & 7)
+        for by_class, c in zip(eq_bytes, rv):
+            by_class[c][byte] |= bit
+    eq = [[int.from_bytes(b, "little") for b in by_class] for by_class in eq_bytes]
+    below = []  # below[q][c]: rows ranking q in a class after c
+    for by_class in eq:
+        suffix, acc = [0] * n, 0
+        for c in reversed(range(n)):
+            suffix[c] = acc
+            acc |= by_class[c]
+        below.append(suffix)
+    lt = [
+        [functools.reduce(operator.or_, map(operator.and_, eq_p, below_q)) for below_q in below]
+        for eq_p in eq
+    ]
+    everything = (1 << len(table)) - 1
+    le = [[everything ^ lt[q][p] for q in range(n)] for p in range(n)]
+    return lt, le
+
+
+@functools.cache
+def _shared_row_sets(n: int, kind: DomainKind) -> tuple[list[list[int]], list[list[int]]]:
+    """Row sets of the shared full-domain table, built once per pair count and kind."""
+    return _row_sets(domains.rank_table(n, kind), n)
 
 
 def check_certificate(

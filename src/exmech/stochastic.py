@@ -8,10 +8,10 @@ target pair must be at least as large everywhere and strictly larger
 somewhere.
 
 `phi` and `fsd` are the reference definition in `Fraction` arithmetic; every
-witness is re-checked with them.  The anomaly search does not call them: it
-compares integer class masses over the rows of the agent's rank table, which
-gives the same verdicts because `phi` depends on its target only through the
-target's indifference class.
+witness is re-checked with them.  The anomaly search reads neither them nor
+rank vectors: `_FSDKernel` sums integer masses by pair column and partitions
+all rows at once with the shared pairwise row sets, in O(k^2 * min(rows,
+distinct sums)) big-int operations for k mass-carrying columns.
 """
 
 from __future__ import annotations
@@ -222,68 +222,65 @@ def _fsd_pairs(ordering: Ordering, lhs: tuple, rhs: tuple) -> bool:
 
 
 def _class_terms(index: Mapping[Pair, int], lhs, rhs) -> list[tuple[int, int]]:
-    """`lhs` minus `rhs` as (pair position, signed integer mass) terms.
+    """`lhs` minus `rhs`, (action, distribution) lotteries, as (column, mass) terms.
 
-    `lhs` and `rhs` are (action, distribution) lotteries.  Masses are scaled
-    by the least common denominator of both distributions, and
-    zero-probability outcomes are dropped.
+    Masses are integers scaled by the least common denominator of both
+    distributions, summed by column (same-action lotteries share columns),
+    with zero sums dropped.
     """
     scale = math.lcm(*(p.denominator for _, dist in (lhs, rhs) for p in dist.probs.values()))
-    return [
-        (index[(action, z)], sign * p.numerator * (scale // p.denominator))
-        for (action, dist), sign in ((lhs, 1), (rhs, -1))
-        for z, p in dist.probs.items()
-        if p
-    ]
-
-
-def _dominates(rv: Sequence[int], terms: list[tuple[int, int]]) -> bool:
-    """`fsd` under the ordering with rank vector `rv`, for the lotteries behind `terms`.
-
-    `phi` depends on its target only through the target's class, so the
-    upper-contour differences are the prefix sums of the class masses, best
-    class first: all must be non-negative and one positive.
-    """
-    mass = [0] * len(rv)
-    for position, m in terms:
-        mass[rv[position]] += m
-    strict = False
-    total = 0
-    for m in mass:
-        total += m
-        if total < 0:
-            return False
-        if total:
-            strict = True
-    return strict
+    mass: dict[int, int] = {}
+    for (action, dist), sign in ((lhs, 1), (rhs, -1)):
+        for z, p in dist.probs.items():
+            k = index[(action, z)]
+            mass[k] = mass.get(k, 0) + sign * p.numerator * (scale // p.denominator)
+    return [(k, m) for k, m in mass.items() if m]
 
 
 class _FSDKernel:
-    """Lottery comparisons for one agent as row sets over its rank table.
+    """Lottery comparisons for one agent as row sets, from its `lt`/`le` masks.
 
-    A row set is a Python int whose bit o stands for row o of the table.
-    Each comparison becomes integer class-mass terms once (`_class_terms`)
-    and is then decided row by row (`_dominates`, as dominance is no pairwise
-    rank predicate) without building orderings or fractions; `phi` and `fsd`
-    stay the reference that witnesses are validated against.  `protest` is
-    `beats` of the protest lottery over the tie, on every row.
+    `phi` depends on its target only through the target's class, so under a
+    row the upper-contour differences are the sums S(t), over mass-carrying
+    columns t, of the mass on columns weakly above t (or 0), and dominance
+    holds iff no S(t) is negative and some S(t) is positive.  For each t,
+    `beats` partitions the rows by the partial sum: column p's mass is added
+    on `rows & le[p][t]` and not on `rows & lt[t][p]`, two masks that
+    partition the rows, so the map from sum to row set stays a partition and
+    its size at most min(rows, distinct sums).  `protest` is `beats` of the
+    protest lottery over the tie on every row (`le[p][p]`).
     """
 
-    def __init__(self, index: Mapping[Pair, int], table):
-        self._vectors = table
-        self._index = index
+    def __init__(self, index: Mapping[Pair, int], lt, le):
+        self._index, self._lt, self._le = index, lt, le
 
     def protest(self, r: str, l: str, ga: Distribution) -> int:
-        return self.beats((l, ga), (r, ga), (1 << len(self._vectors)) - 1)
+        return self.beats((l, ga), (r, ga), self._le[0][0])
 
     def beats(self, anchor, rival, rows: int) -> int:
         terms = _class_terms(self._index, anchor, rival)
-        # character o of the reversed binary string is bit o: one linear scan
-        kept = "".join(
-            "1" if bit == "1" and _dominates(rv, terms) else "0"
-            for bit, rv in zip(bin(rows)[:1:-1], self._vectors)
-        )
-        return int(kept[::-1] or "0", 2)
+        lt, le = self._lt, self._le
+        positive = 0
+        for t, _ in terms:
+            sums = {0: rows}
+            for p, m in terms:  # le[t][t] is every row, so t's own mass is always added
+                above, below = le[p][t], lt[t][p]
+                split: dict[int, int] = {}
+                for s, group in sums.items():
+                    hi, lo = group & above, group & below
+                    if hi:
+                        split[s + m] = split.get(s + m, 0) | hi
+                    if lo:
+                        split[s] = split.get(s, 0) | lo
+                sums = split
+            for s, group in sums.items():
+                if s < 0:
+                    rows &= ~group
+                elif s > 0:
+                    positive |= group
+            if not rows:
+                return 0
+        return rows & positive
 
 
 def search_prob_ba_witness(
@@ -298,9 +295,7 @@ def search_prob_ba_witness(
     first-order stochastic dominance.  The search order is that of
     `search.search_witness`.
     """
-    return search_witness(
-        mech.env, mech.dist_at, domains, lambda _spec, index, table: _FSDKernel(index, table), cap
-    )
+    return search_witness(mech.env, mech.dist_at, domains, _FSDKernel, cap)
 
 
 def find_prob_ba_witness(

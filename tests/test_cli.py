@@ -4,7 +4,7 @@ import pytest
 
 from exmech.cli import main
 from exmech.deterministic import build_majority_referendum, validate_witness
-from exmech.model import witness_from_json
+from exmech.model import enumerate_profiles, witness_from_json
 from exmech.stochastic import build_mixed_counterexample, validate_prob_witness
 from exmech.verify import (
     claim_mixed_counterexample_reproduced,
@@ -12,7 +12,7 @@ from exmech.verify import (
     claim_strict_dichotomy_blocks_dominance,
     run_all,
 )
-from exmech import stochastic
+from exmech import stochastic, verify
 
 
 def run(capsys, *argv):
@@ -383,6 +383,17 @@ def test_sweep_claims_fail_when_they_check_nothing():
     assert not claim_strict_dichotomy_blocks_dominance(samples=0).passed
     assert claim_mixed_mechanisms_avoid_anomaly(count=3).passed
     assert claim_strict_dichotomy_blocks_dominance(samples=3).passed
+
+
+def test_mixed_claim_fails_on_mechanisms_that_are_not_completely_mixed(monkeypatch):
+    def point_masses(env, rng):
+        dist = stochastic.Distribution.point_mass(env.outcomes[0], env.outcomes)
+        return stochastic.ProbMechanism(env, {p: dist for p in enumerate_profiles(env)})
+
+    monkeypatch.setattr(verify, "random_completely_mixed_mechanism", point_masses)
+    result = claim_mixed_mechanisms_avoid_anomaly(count=3)
+    assert not result.passed
+    assert "3 not completely mixed" in result.detail
 
 
 def test_verify_seed_does_not_change_verdicts():

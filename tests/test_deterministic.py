@@ -8,8 +8,6 @@ import pytest
 from exmech.deterministic import (
     DetMechanism,
     _RankKernel,
-    _row_sets,
-    _shared_row_sets,
     build_groves_queueing,
     build_majority_referendum,
     build_plurality,
@@ -36,6 +34,7 @@ from exmech.errors import (
 )
 from exmech.model import DomainKind, DomainSpec, Environment, enumerate_profiles
 from exmech.queueing import QueueingParams, clinic_revenue, QueueingOutcome
+from exmech.search import _row_sets, _shared_row_sets
 
 FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 
@@ -67,6 +66,12 @@ def test_mechanism_values_are_not_coerced_to_labels():
     env = Environment.create([("0", "1")], ("0", "1"))
     with pytest.raises(InvariantViolation, match="is not an outcome"):
         DetMechanism(env, {("0",): 0, ("1",): 1})
+
+
+def test_unhashable_mechanism_value_is_not_an_outcome():
+    env = Environment.create([("a0", "a1")], ("z",))
+    with pytest.raises(InvariantViolation, match="is not an outcome"):
+        DetMechanism(env, {p: ["z"] for p in enumerate_profiles(env)})
 
 
 def test_condition1_holds_for_constant():
@@ -192,7 +197,7 @@ def beating_rows(table, anchor, rival, rows, strict_iii):
 def rank_kernel(env, row_sets, strict_iii):
     """Agent 0's kernel over `row_sets`, indexed by its pairs in canonical order."""
     index = {pair: k for k, pair in enumerate(env.pairs_for(0))}
-    return _RankKernel(index, row_sets, strict_iii)
+    return _RankKernel(index, *row_sets, strict_iii)
 
 
 def assert_kernel_matches_rows(table, n, row_sets):

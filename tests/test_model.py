@@ -55,6 +55,21 @@ def test_ordering_rejects_empty_class_and_duplicates():
         Ordering(0, (frozenset({("a", "z")}), frozenset({("a", "z")})))
 
 
+@pytest.mark.parametrize(
+    "actions, outcomes",
+    (
+        ([(0, 1)], ("z",)),
+        ([("a", 1)], ("z",)),
+        ([("a",), (None,)], ("z",)),
+        ([("a", "b")], (0, 1)),
+        ([("a",)], ("z", ["y"])),
+    ),
+)
+def test_environment_rejects_labels_that_are_not_strings(actions, outcomes):
+    with pytest.raises(InvariantViolation, match="string"):
+        Environment.create(actions, outcomes)
+
+
 def test_is_strict():
     assert ordering_of(0, {("a", "z0")}, {("a", "z1")}).is_strict
     assert not ordering_of(0, {("a", "z0"), ("a", "z1")}).is_strict

@@ -20,6 +20,7 @@ from exmech.errors import (
     ParseError,
 )
 from exmech.model import DomainKind, DomainSpec, Environment, Ordering, enumerate_profiles
+from exmech.search import _row_sets
 from exmech.stochastic import (
     Distribution,
     DominanceBlock,
@@ -140,24 +141,29 @@ def row_set(rows):
     return sum(1 << o for o in rows)
 
 
-def assert_kernel_matches_fsd(env, agent, table, orderings):
+def assert_kernel_matches_fsd(env, agent, table, orderings, dists=None):
     """The kernel's verdict on every row equals `fsd` on that row's ordering.
 
-    Every ordered pair of palette lotteries is compared, equal ones and
-    same-action ones included, through both kernel entry points; `beats`
-    gets each row alone and all rows at once, and never returns a row
-    outside the rows it is given.
+    Every ordered pair of lotteries over `dists` (by default the palette of
+    the outcome count) is compared, equal ones and same-action ones
+    included, through both kernel entry points; `beats` gets each row alone
+    and all rows at once, and never returns a row outside the rows it is
+    given.  Returns the set of verdicts seen.
     """
-    kernel = _FSDKernel({pair: k for k, pair in enumerate(env.pairs_for(agent))}, table)
+    index = {pair: k for k, pair in enumerate(env.pairs_for(agent))}
+    kernel = _FSDKernel(index, *_row_sets(table, len(index)))
     actions, outcomes = env.actions[agent], env.outcomes
-    dists = [
-        Distribution({z: Fraction(p) for z, p in zip(outcomes, row)})
-        for row in PALETTES[len(outcomes)]
-    ]
+    if dists is None:
+        dists = [
+            Distribution({z: Fraction(p) for z, p in zip(outcomes, row)})
+            for row in PALETTES[len(outcomes)]
+        ]
     every_row = (1 << len(table)) - 1
     lotteries = [(x, d) for x in actions for d in dists]
+    verdicts = set()
     for lhs, rhs in itertools.product(lotteries, repeat=2):
         expected = [fsd(o, Lottery(*lhs), Lottery(*rhs)) for o in orderings]
+        verdicts.update(expected)
         single = [kernel.beats(lhs, rhs, 1 << k) for k in range(len(table))]
         assert all(got & ~(1 << k) == 0 for k, got in enumerate(single))
         assert [got == 1 << k for k, got in enumerate(single)] == expected
@@ -168,6 +174,7 @@ def assert_kernel_matches_fsd(env, agent, table, orderings):
     for (r, l), d in itertools.product(itertools.permutations(actions, 2), dists):
         expected = [k for k, o in enumerate(orderings) if fsd(o, Lottery(l, d), Lottery(r, d))]
         assert kernel.protest(r, l, d) == row_set(expected)
+    return verdicts
 
 
 @pytest.mark.parametrize("kind", (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY))
@@ -198,6 +205,53 @@ def test_fsd_kernel_matches_reference_on_explicit_rows():
     ]
     table = domain_rank_vectors(env, 0, DomainSpec.explicit(orderings))
     assert_kernel_matches_fsd(env, 0, table, orderings)
+
+
+def mixed_agent(n_outcomes):
+    return Environment.create(
+        (("a0", "a1"), ("b0",)), tuple(f"z{j}" for j in range(n_outcomes))
+    )
+
+
+@pytest.mark.parametrize("kind, rows", ((DomainKind.STRICT, None), (DomainKind.UNRESTRICTED, 300)))
+def test_fsd_kernel_matches_reference_on_six_pair_support(kind, rows):
+    env = mixed_agent(3)
+    rng = random.Random(6)
+    table = rank_table(6, kind)
+    if rows is not None:
+        table = tuple(rng.sample(table, rows))
+    orderings = [Ordering.from_ranks(0, env.pairs_for(0), rv) for rv in table]
+    dists = [random_totally_mixed(env.outcomes, rng) for _ in range(2)]
+    assert assert_kernel_matches_fsd(env, 0, table, orderings, dists) == {False, True}
+
+
+def test_fsd_kernel_matches_reference_on_twenty_four_pair_support():
+    # 24 mass-carrying pairs: enumerating subsets of the support would not finish
+    env = mixed_agent(12)
+    rng = random.Random(24)
+    pairs = env.pairs_for(0)
+    dists = [random_totally_mixed(env.outcomes, rng) for _ in range(3)]
+    a0, a1 = ([p for p in pairs if p[0] == x] for x in env.actions[0])
+    # a0 pairs by decreasing likelihood ratio of dists[0] over dists[1], so
+    # that ("a0", dists[0]) dominates ("a0", dists[1]) within one action
+    def ratio(pair):
+        return dists[1][pair[1]] / dists[0][pair[1]]
+
+    by_ratio = [frozenset(g) for _, g in itertools.groupby(sorted(a0, key=ratio), key=ratio)]
+    orderings = [
+        Ordering(0, (frozenset(a0), frozenset(a1))),
+        Ordering(0, (frozenset(a1), frozenset(a0))),
+        Ordering(0, (*by_ratio, frozenset(a1))),
+        indifferent_ordering(0, env.actions[0], env.outcomes),
+    ]
+    for _ in range(3):
+        shuffled = rng.sample(pairs, len(pairs))
+        cuts = sorted(rng.sample(range(1, len(pairs)), rng.randint(1, len(pairs) - 1)))
+        bounds = zip([0] + cuts, cuts + [len(pairs)])
+        orderings.append(Ordering(0, tuple(frozenset(shuffled[i:j]) for i, j in bounds)))
+    assert fsd(orderings[2], Lottery("a0", dists[0]), Lottery("a0", dists[1]))
+    table = domain_rank_vectors(env, 0, DomainSpec.explicit(orderings))
+    assert assert_kernel_matches_fsd(env, 0, table, orderings, dists) == {False, True}
 
 
 def test_completely_mixed_mechanism_predicate():
