@@ -175,6 +175,8 @@ def _read_json(path: str) -> object:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def _mechanism_from_json(env: Environment, data: object) -> DetMechanism | ProbMechanism:

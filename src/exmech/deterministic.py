@@ -18,6 +18,7 @@ weak-only domains.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
@@ -189,23 +190,20 @@ def validate_witness(
 # --- exhaustive witness search ------------------------------------------------
 
 
-class _RankKernel:
-    """Pair comparisons for one agent as row sets over its rank table.
+def _rank_relations(index: Mapping[Pair, int], le, strict_iii: bool = False):
+    """(beats_ii, beats_iii) as row sets: strict preference, then weak unless `strict_iii`.
 
-    A row set is a Python int whose bit o stands for row o of the table.
-    Condition (ii) is one `lt` lookup; `beats` ANDs the given rows with the
-    anchor's `le` mask (`lt` under `strict_iii`) against the rival.
+    The same choice `validate_witness` makes between `Ordering.strictly_prefers`
+    and `Ordering.weakly_prefers`.
     """
 
-    def __init__(self, index: Mapping[Pair, int], lt, le, strict_iii: bool):
-        self._index, self._lt = index, lt
-        self._beats = lt if strict_iii else le
+    def strictly(lhs: Pair, rhs: Pair, rows: int) -> int:
+        return rows & ~le[index[rhs]][index[lhs]]
 
-    def protest(self, r: str, l: str, za: str) -> int:
-        return self._lt[self._index[(l, za)]][self._index[(r, za)]]
+    def weakly(lhs: Pair, rhs: Pair, rows: int) -> int:
+        return rows & le[index[lhs]][index[rhs]]
 
-    def beats(self, anchor: Pair, rival: Pair, rows: int) -> int:
-        return rows & self._beats[self._index[anchor]][self._index[rival]]
+    return strictly, strictly if strict_iii else weakly
 
 
 def search_ba_witness(
@@ -220,11 +218,8 @@ def search_ba_witness(
     The search order is that of `search.search_witness`.  Raises CapExceeded
     if a full domain kind is too large to enumerate.
     """
-
-    def kernel(index: Mapping[Pair, int], lt, le) -> _RankKernel:
-        return _RankKernel(index, lt, le, strict_iii)
-
-    return search_witness(mech.env, mech.outcome_at, domains, kernel, cap)
+    relations = functools.partial(_rank_relations, strict_iii=strict_iii)
+    return search_witness(mech.env, mech.outcome_at, domains, relations, cap)
 
 
 def find_ba_witness(

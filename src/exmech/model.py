@@ -44,7 +44,7 @@ class Ordering:
     classes: tuple[frozenset[Pair], ...]
 
     def __post_init__(self) -> None:
-        normalized = tuple(frozenset(tuple(p) for p in cls) for cls in self.classes)
+        normalized = tuple(frozenset(map(_pair, cls)) for cls in self.classes)
         object.__setattr__(self, "classes", normalized)
         if not normalized:
             raise InvariantViolation("ordering has no classes")
@@ -99,6 +99,22 @@ class Ordering:
     @property
     def is_strict(self) -> bool:
         return all(len(cls) == 1 for cls in self.classes)
+
+
+def _pair(pair: object) -> Pair:
+    """`pair` as an (action, outcome) tuple; it must hold exactly two strings."""
+    if isinstance(pair, (tuple, list)) and len(pair) == 2:
+        action, outcome = pair
+        if isinstance(action, str) and isinstance(outcome, str):
+            return action, outcome
+    raise InvariantViolation(f"ordering pair {pair!r} is not two string labels")
+
+
+def _labels(values: object, what: str) -> tuple:
+    """`values` as a tuple; a string or a non-iterable is not a sequence of labels."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise InvariantViolation(f"{what} must be a sequence, not {values!r}")
+    return tuple(values)
 
 
 class DomainKind(Enum):
@@ -156,8 +172,9 @@ class Environment:
     domains: tuple[DomainSpec, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "actions", tuple(tuple(a) for a in self.actions))
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
+        actions = tuple(_labels(a, "an agent's actions") for a in _labels(self.actions, "actions"))
+        object.__setattr__(self, "actions", actions)
+        object.__setattr__(self, "outcomes", _labels(self.outcomes, "outcomes"))
         object.__setattr__(self, "domains", tuple(self.domains))
         if not self.actions:
             raise InvariantViolation("environment needs at least one agent")
@@ -185,10 +202,10 @@ class Environment:
         outcomes: Iterable[str],
         domains: Sequence[DomainSpec] | None = None,
     ) -> "Environment":
-        acts = tuple(tuple(a) for a in actions)
+        acts = _labels(actions, "actions")
         if domains is None:
             domains = tuple(DomainSpec.unrestricted() for _ in acts)
-        return cls(acts, tuple(outcomes), tuple(domains))
+        return cls(acts, outcomes, tuple(domains))
 
     @property
     def n(self) -> int:

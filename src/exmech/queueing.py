@@ -9,6 +9,8 @@ these outcomes turns on equality tests that floats would corrupt.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,8 +22,17 @@ ONE = Fraction(1)
 
 
 def parse_fraction(text: str) -> Fraction:
+    """The exact rational a literal such as "1/3", "0.25" or "5e-2" spells.
+
+    Fraction would build 10**exponent, so an exponent beyond the digit limit
+    Python puts on int() literals is rejected like a longer literal.
+    """
+    literal = str(text)
+    exponent = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", literal)
     try:
-        return Fraction(str(text))
+        if exponent and abs(int(exponent[1])) > sys.int_info.default_max_str_digits:
+            raise ParseError(f"exponent out of range in {text!r}")
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"not a rational number: {text!r}") from None
 
@@ -78,8 +89,8 @@ class QueueingOutcome:
             w_part, t_part = label.split("|")
             w1, w2 = w_part.removeprefix("w=").split(",")
             t1, t2 = t_part.removeprefix("t=").split(",")
-            return cls((int(w1), int(w2)), (Fraction(t1), Fraction(t2)))
-        except (ValueError, InvariantViolation):
+            return cls((int(w1), int(w2)), (parse_fraction(t1), parse_fraction(t2)))
+        except (ValueError, InvariantViolation, ParseError):
             raise ParseError(f"not a queueing outcome label: {label!r}") from None
 
 
@@ -105,8 +116,8 @@ def queueing_outcomes_of(env: Environment) -> dict[str, QueueingOutcome]:
     if env.n != 2 or env.actions[0] != env.actions[1]:
         raise NotQueueingEnvironment("expected two patients with identical report grids")
     try:
-        reports = [Fraction(a) for a in env.actions[0]]
-    except (ValueError, ZeroDivisionError):
+        reports = [parse_fraction(a) for a in env.actions[0]]
+    except ParseError:
         raise NotQueueingEnvironment("action labels are not rational reports") from None
     if any(a >= b for a, b in zip(reports, reports[1:])):
         raise NotQueueingEnvironment("report grid is not strictly ascending")

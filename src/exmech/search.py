@@ -9,22 +9,22 @@ witness check (`check_certificate`), to which each kind supplies only its
 comparisons.  Row o of an agent's rank table ranks its pairs, in
 `env.pairs_for(agent)` order, under its o-th admissible ordering; a row set
 is a Python int whose bit o stands for row o.  Rank vectors are read here
-only: once to build the row sets `lt[p][q]` (`le[p][q]`) of the rows ranking
-column p strictly (weakly) above column q, shared by every search over the
-same full table, and once to unrank the witness row.  Each kind's kernel
-factory is called as `make_kernel(index, lt, le)` once per agent, `index`
-mapping the agent's pairs to columns, and the kernel answers two
-comparisons from those masks alone, both as row sets:
+only: once to build the one row-set matrix `le`, where `le[p][q]` holds the
+rows ranking column p weakly above column q (so the rows ranking p strictly
+above q are `rows & ~le[q][p]`), shared by every search over the same full
+table, and once to unrank the witness row.
 
-  protest(r, l, value_at_a)
-      the rows satisfying condition (ii);
-  beats(anchor, rival, rows)
-      the subset of `rows` under which `anchor`, (r, value at b), beats
-      `rival`, (x, value at b), as condition (iii) requires against x.
-
-The driver narrows the protest rows rival by rival, in action order, and
-stops as soon as none remain; the lowest set bit of what survives every
-rival is the witness row.  That choice is made here and nowhere else.
+The certificate needs two relations, and each kind hands the search the
+row-set form of the same two it hands `check_certificate`.  The search calls
+`relations(index, le)` as it reaches each agent, `index` mapping the agent's
+pairs to columns; the call returns `(beats_ii, beats_iii)`, each called as
+`beats(lhs, rhs, rows)` and returning the subset of `rows` under which `lhs`,
+an (action, value) pair, beats `rhs`.  Condition (ii) is
+`beats_ii((l, value), (r, value), every)` over every row of the table; (iii)
+narrows those rows with `beats_iii((r, value at b), (x, value at b), rows)`
+rival by rival, in action order, and stops as soon as none remain.  The
+lowest set bit of what survives every rival is the witness row.  That choice
+is made here and nowhere else.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ def search_witness(
     env: Environment,
     value_at: Callable[[int, str, SubProfile], object],
     domain_specs,
-    make_kernel: Callable,
+    relations: Callable,
     cap: int | None = None,
 ) -> SearchResult:
     """Canonically first witness over the admissible orderings `domain_specs` resolve to.
@@ -71,14 +71,6 @@ def search_witness(
     specs = domains.resolve_domains(env, domain_specs)
     # looked up on the module so that a wrapper installed there sees every search
     tables = [domains.domain_rank_vectors(env, i, spec, cap) for i, spec in enumerate(specs)]
-    kernels = []
-    for agent, (spec, table) in enumerate(zip(specs, tables)):
-        index = {pair: k for k, pair in enumerate(env.pairs_for(agent))}
-        if spec.kind is DomainKind.EXPLICIT:
-            lt, le = _row_sets(table, len(index))
-        else:  # full kinds share one table per pair count, so they share its row sets too
-            lt, le = _shared_row_sets(len(index), spec.kind)
-        kernels.append(make_kernel(index, lt, le))
     subs_by_agent = tuple(tuple(sub_profiles(env, i)) for i in range(env.n))
     stats = {
         "agents": env.n,
@@ -86,7 +78,16 @@ def search_witness(
         "sub_profiles": [len(s) for s in subs_by_agent],
         "orderings_per_agent": [len(table) for table in tables],
     }
-    for agent, (acts, subs, kernel) in enumerate(zip(env.actions, subs_by_agent, kernels)):
+    for agent, (spec, acts, subs, table) in enumerate(
+        zip(specs, env.actions, subs_by_agent, tables)
+    ):
+        index = {pair: k for k, pair in enumerate(env.pairs_for(agent))}
+        if spec.kind is DomainKind.EXPLICIT:
+            le = _row_sets(table, len(index))
+        else:  # full kinds share one table per pair count, so they share its row sets too
+            le = _shared_row_sets(len(index), spec.kind)
+        beats_ii, beats_iii = relations(index, le)
+        every = (1 << len(table)) - 1
         for r in acts:
             for l in acts:
                 if r == l:
@@ -95,7 +96,7 @@ def search_witness(
                     value = value_at(agent, r, a)
                     if value != value_at(agent, l, a):
                         continue
-                    candidates = kernel.protest(r, l, value)
+                    candidates = beats_ii((l, value), (r, value), every)
                     if not candidates:
                         continue
                     for b in subs:
@@ -105,22 +106,22 @@ def search_witness(
                         rows = candidates
                         for x in acts:
                             if x != r:
-                                rows = kernel.beats(anchor, (x, value_at(agent, x, b)), rows)
+                                rows = beats_iii(anchor, (x, value_at(agent, x, b)), rows)
                                 if not rows:
                                     break
                         if rows:  # the lowest set bit is the canonically first row
-                            rv = tables[agent][(rows & -rows).bit_length() - 1]
+                            rv = table[(rows & -rows).bit_length() - 1]
                             ordering = Ordering.from_ranks(agent, env.pairs_for(agent), rv)
                             return SearchResult(BAWitness(agent, r, l, a, b, ordering), stats)
     return SearchResult(None, stats)
 
 
-def _row_sets(table, n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """(lt, le) for the rows of a rank table, as described in the module docstring.
+def _row_sets(table, n: int) -> list[list[int]]:
+    """`le` for the rows of a rank table, as described in the module docstring.
 
-    Class-membership masks eq[p][c] come from one pass over the rows; lt[p][q]
-    is the union over classes c of eq[p][c] with the rows placing q after c,
-    and le[p][q] is the complement of lt[q][p].
+    Class-membership masks eq[p][c] come from one pass over the rows; le[p][q]
+    is the union over classes c of eq[p][c] with the rows placing q in c or a
+    later class.
     """
     size = (len(table) + 7) // 8
     eq_bytes = [[bytearray(size) for _ in range(n)] for _ in range(n)]
@@ -129,25 +130,22 @@ def _row_sets(table, n: int) -> tuple[list[list[int]], list[list[int]]]:
         for by_class, c in zip(eq_bytes, rv):
             by_class[c][byte] |= bit
     eq = [[int.from_bytes(b, "little") for b in by_class] for by_class in eq_bytes]
-    below = []  # below[q][c]: rows ranking q in a class after c
+    below = []  # below[q][c]: rows ranking q in class c or a later one
     for by_class in eq:
         suffix, acc = [0] * n, 0
         for c in reversed(range(n)):
-            suffix[c] = acc
             acc |= by_class[c]
+            suffix[c] = acc
         below.append(suffix)
-    lt = [
+    return [
         [functools.reduce(operator.or_, map(operator.and_, eq_p, below_q)) for below_q in below]
         for eq_p in eq
     ]
-    everything = (1 << len(table)) - 1
-    le = [[everything ^ lt[q][p] for q in range(n)] for p in range(n)]
-    return lt, le
 
 
 @functools.cache
-def _shared_row_sets(n: int, kind: DomainKind) -> tuple[list[list[int]], list[list[int]]]:
-    """Row sets of the shared full-domain table, built once per pair count and kind."""
+def _shared_row_sets(n: int, kind: DomainKind) -> list[list[int]]:
+    """`le` of the shared full-domain table, built once per pair count and kind."""
     return _row_sets(domains.rank_table(n, kind), n)
 
 

@@ -9,9 +9,9 @@ somewhere.
 
 `phi` and `fsd` are the reference definition in `Fraction` arithmetic; every
 witness is re-checked with them.  The anomaly search reads neither them nor
-rank vectors: `_FSDKernel` sums integer masses by pair column and partitions
-all rows at once with the shared pairwise row sets, in O(k^2 * min(rows,
-distinct sums)) big-int operations for k mass-carrying columns.
+rank vectors: `_fsd_relations` sums integer masses by pair column and
+partitions all rows at once with the shared `le` row sets, in O(k^2 *
+min(rows, distinct sums)) big-int operations for k mass-carrying columns.
 """
 
 from __future__ import annotations
@@ -237,37 +237,30 @@ def _class_terms(index: Mapping[Pair, int], lhs, rhs) -> list[tuple[int, int]]:
     return [(k, m) for k, m in mass.items() if m]
 
 
-class _FSDKernel:
-    """Lottery comparisons for one agent as row sets, from its `lt`/`le` masks.
+def _fsd_relations(index: Mapping[Pair, int], le):
+    """`fsd` on (action, distribution) lotteries as a row-set relation, for (ii) and (iii).
 
     `phi` depends on its target only through the target's class, so under a
     row the upper-contour differences are the sums S(t), over mass-carrying
     columns t, of the mass on columns weakly above t (or 0), and dominance
     holds iff no S(t) is negative and some S(t) is positive.  For each t,
     `beats` partitions the rows by the partial sum: column p's mass is added
-    on `rows & le[p][t]` and not on `rows & lt[t][p]`, two masks that
-    partition the rows, so the map from sum to row set stays a partition and
-    its size at most min(rows, distinct sums).  `protest` is `beats` of the
-    protest lottery over the tie on every row (`le[p][p]`).
+    on `hi = group & le[p][t]` and not on `lo = group ^ hi`, the rest of the
+    group, so the map from sum to row set stays a partition and its size at
+    most min(rows, distinct sums).
     """
 
-    def __init__(self, index: Mapping[Pair, int], lt, le):
-        self._index, self._lt, self._le = index, lt, le
-
-    def protest(self, r: str, l: str, ga: Distribution) -> int:
-        return self.beats((l, ga), (r, ga), self._le[0][0])
-
-    def beats(self, anchor, rival, rows: int) -> int:
-        terms = _class_terms(self._index, anchor, rival)
-        lt, le = self._lt, self._le
+    def beats(lhs, rhs, rows: int) -> int:
+        terms = _class_terms(index, lhs, rhs)
         positive = 0
         for t, _ in terms:
             sums = {0: rows}
             for p, m in terms:  # le[t][t] is every row, so t's own mass is always added
-                above, below = le[p][t], lt[t][p]
+                above = le[p][t]
                 split: dict[int, int] = {}
                 for s, group in sums.items():
-                    hi, lo = group & above, group & below
+                    hi = group & above
+                    lo = group ^ hi
                     if hi:
                         split[s + m] = split.get(s + m, 0) | hi
                     if lo:
@@ -282,6 +275,8 @@ class _FSDKernel:
                 return 0
         return rows & positive
 
+    return beats, beats
+
 
 def search_prob_ba_witness(
     mech: ProbMechanism,
@@ -295,7 +290,7 @@ def search_prob_ba_witness(
     first-order stochastic dominance.  The search order is that of
     `search.search_witness`.
     """
-    return search_witness(mech.env, mech.dist_at, domains, _FSDKernel, cap)
+    return search_witness(mech.env, mech.dist_at, domains, _fsd_relations, cap)
 
 
 def find_prob_ba_witness(

@@ -1,10 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from exmech.cli import main
 from exmech.deterministic import build_majority_referendum, validate_witness
+from exmech.errors import ParseError
 from exmech.model import enumerate_profiles, witness_from_json
+from exmech.queueing import parse_fraction
 from exmech.stochastic import build_mixed_counterexample, validate_prob_witness
 from exmech.verify import (
     claim_mixed_counterexample_reproduced,
@@ -298,6 +301,72 @@ def test_analyze_malformed_domain_file(tmp_path, capsys, content):
         "analyze", "--builder", "referendum", "--m", "1", "--domains", f"file:{path}",
     )
     assert code == 2 and err.startswith("invalid: invalid JSON")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("validate", "{path}"),
+        ("analyze", "--mech", "{path}"),
+        ("analyze", "--builder", "referendum", "--m", "1", "--domains", "file:{path}"),
+    ),
+    ids=("validate", "mech", "domains"),
+)
+def test_deeply_nested_json_is_invalid_input(tmp_path, capsys, argv):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2 and out == ""
+    assert err == "invalid: invalid JSON: nested too deeply\n"
+
+
+@pytest.mark.parametrize("literal", ("1e99999999", "1E-99999999", "2.5e+4301", "1e" + "9" * 5000))
+def test_parse_fraction_rejects_exponents_beyond_the_int_digit_limit(literal):
+    with pytest.raises(ParseError, match="rational number|exponent out of range"):
+        parse_fraction(literal)
+    assert parse_fraction("1e-4300") == Fraction(1, 10**4300)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("--theta1", "1e99999999"),
+        ("--grid", "0,1e99999999"),
+    ),
+    ids=("theta1", "grid"),
+)
+def test_analyze_rejects_huge_exponent_flags(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--builder", "groves", "--grid", "0,1/2", *argv])
+    assert exc.value.code == 1
+    assert "exponent out of range" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_huge_exponent_probability(tmp_path, capsys):
+    bundle = json.loads(_build_bundle(capsys, "mixed-counterexample"))
+    bundle["mechanism"]["distributions"][0] = ["1e99999999", "0"]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(bundle))
+    for argv in (("validate", str(path)), ("analyze", "--mech", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "invalid: exponent out of range in '1e99999999'\n"
+
+
+@pytest.mark.parametrize(
+    "label, huge, error",
+    (
+        ('"1/2"', '"5e-99999999"', "action labels are not rational reports"),
+        ("t=0,1/2", "t=0,5e-99999999", "outcome labels are not queueing outcomes"),
+    ),
+    ids=("report", "transfer"),
+)
+def test_analyze_rejects_huge_exponent_queueing_labels(tmp_path, capsys, label, huge, error):
+    path = tmp_path / "groves.json"
+    path.write_text(_build_bundle(capsys, "groves", "--grid", "0,1/2").replace(label, huge))
+    code, out, err = run(capsys, "analyze", "--mech", str(path), "--domains", "explicit:queueing")
+    assert code == 2 and out == ""
+    assert err == f"error: {error}\n"
 
 
 def test_analyze_mech_file_with_domain_file(tmp_path, capsys):

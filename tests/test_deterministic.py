@@ -1,5 +1,5 @@
+import functools
 import itertools
-import operator
 import random
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ import pytest
 
 from exmech.deterministic import (
     DetMechanism,
-    _RankKernel,
+    _rank_relations,
     build_groves_queueing,
     build_majority_referendum,
     build_plurality,
@@ -32,9 +32,11 @@ from exmech.errors import (
     InvariantViolation,
     NotVotingEnvironment,
 )
-from exmech.model import DomainKind, DomainSpec, Environment, enumerate_profiles
+from exmech.model import DomainKind, DomainSpec, Environment, Ordering, enumerate_profiles
 from exmech.queueing import QueueingParams, clinic_revenue, QueueingOutcome
 from exmech.search import _row_sets, _shared_row_sets
+
+from test_search import assert_relations_match
 
 FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 
@@ -180,53 +182,26 @@ def test_search_stats_and_strict_iii():
     assert result.stats["orderings_per_agent"] == [4683, 4683, 4683]
 
 
-# --- bit-parallel kernel against a row-wise reference ---------------------------
+# --- row-set relations against the pair-rank comparisons ----------------------
 
 
-def row_set(rows):
-    return sum(1 << o for o in rows)
+def assert_rank_relations_match(table, n, le):
+    """Both row-set relations match the pair-rank comparisons `validate_witness`
+    passes to `check_certificate`, strict_iii off and on, on every ordered
+    pair of pairs.
 
-
-def beating_rows(table, anchor, rival, rows, strict_iii):
-    """Row-wise reference: the rows among `rows` whose anchor rank beats the
-    rival's (strictly under `strict_iii`)."""
-    beats = operator.lt if strict_iii else operator.le
-    return row_set(o for o in rows if beats(table[o][anchor], table[o][rival]))
-
-
-def rank_kernel(env, row_sets, strict_iii):
-    """Agent 0's kernel over `row_sets`, indexed by its pairs in canonical order."""
-    index = {pair: k for k, pair in enumerate(env.pairs_for(0))}
-    return _RankKernel(index, *row_sets, strict_iii)
-
-
-def assert_kernel_matches_rows(table, n, row_sets):
-    """`protest` on every position pair, and `beats` on every protest set and
-    on every single row, match the row-wise reference, strict_iii off and on;
-    `beats` never returns a row outside the rows it is given.
-
-    The agent has n actions and one outcome, so position k is pair (xk, z).
+    The agent has n actions and one outcome, so column k is pair (xk, z).
     """
     env = Environment.create([tuple(f"x{k}" for k in range(n))], ("z",))
-    pair = [(f"x{k}", "z") for k in range(n)]
-    rivalries = [(anchor, x) for anchor, x in itertools.product(range(n), repeat=2) if anchor != x]
+    pairs = env.pairs_for(0)
+    index = {pair: k for k, pair in enumerate(pairs)}
+    orderings = [Ordering.from_ranks(0, pairs, rv) for rv in table]
+    comparisons = list(itertools.product(pairs, repeat=2))
     for strict_iii in (False, True):
-        kernel = rank_kernel(env, row_sets, strict_iii)
-        for r, l in itertools.product(range(n), repeat=2):
-            if r == l:
-                continue
-            protest = [o for o, rv in enumerate(table) if rv[l] < rv[r]]
-            candidates = kernel.protest(f"x{r}", f"x{l}", "z")
-            assert candidates == row_set(protest)
-            for anchor, x in rivalries:
-                got = kernel.beats(pair[anchor], pair[x], candidates)
-                assert got & ~candidates == 0
-                assert got == beating_rows(table, anchor, x, protest, strict_iii)
-        for anchor, x in rivalries:
-            assert kernel.beats(pair[anchor], pair[x], 0) == 0
-            for o in range(len(table)):
-                got = kernel.beats(pair[anchor], pair[x], 1 << o)
-                assert got == beating_rows(table, anchor, x, [o], strict_iii)
+        weak = Ordering.strictly_prefers if strict_iii else Ordering.weakly_prefers
+        relations = functools.partial(_rank_relations, strict_iii=strict_iii)
+        reference = (Ordering.strictly_prefers, weak)
+        assert_relations_match(relations, reference, index, le, orderings, comparisons)
 
 
 FULL_TABLE_SIZES = [(n, kind) for kind in FULL_KINDS for n in range(1, 6)]
@@ -237,7 +212,7 @@ FULL_TABLE_SIZES.append((6, DomainKind.STRICT))
     "n, kind", FULL_TABLE_SIZES, ids=lambda v: v.value if isinstance(v, DomainKind) else str(v)
 )
 def test_rank_kernel_matches_row_wise_reference_on_full_tables(n, kind):
-    assert_kernel_matches_rows(rank_table(n, kind), n, _shared_row_sets(n, kind))
+    assert_rank_relations_match(rank_table(n, kind), n, _shared_row_sets(n, kind))
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -246,26 +221,28 @@ def test_rank_kernel_matches_row_wise_reference_on_explicit_tables(n):
     full = rank_table(n, DomainKind.UNRESTRICTED)
     for size in (1, 2, 7, 30):
         table = tuple(rng.sample(full, min(size, len(full))))
-        assert_kernel_matches_rows(table, n, _row_sets(table, n))
+        assert_rank_relations_match(table, n, _row_sets(table, n))
 
 
 def test_rank_kernel_single_row_table():
     # one ordering x0 > x1 > x2
     env = Environment.create([("x0", "x1", "x2")], ("z",))
     x0, x1, x2 = env.pairs_for(0)
+    index = {x0: 0, x1: 1, x2: 2}
     for strict_iii in (False, True):
-        kernel = rank_kernel(env, _row_sets(((0, 1, 2),), 3), strict_iii)
-        assert kernel.protest("x1", "x0", "z") == 1
-        assert kernel.protest("x0", "x1", "z") == 0
-        assert kernel.beats(x0, x1, 1) == kernel.beats(x0, x2, 1) == 1
-        assert kernel.beats(x1, x2, 1) == 1
-        assert kernel.beats(x1, x0, 1) == 0
-        assert kernel.beats(x0, x1, 0) == 0
-    # x0 ~ x1 > x2: a tie answers (iii) only when it is weak
+        beats_ii, beats_iii = _rank_relations(index, _row_sets(((0, 1, 2),), 3), strict_iii)
+        assert beats_ii(x0, x1, 1) == 1
+        assert beats_ii(x1, x0, 1) == 0
+        assert beats_iii(x0, x1, 1) == beats_iii(x0, x2, 1) == 1
+        assert beats_iii(x1, x2, 1) == 1
+        assert beats_iii(x1, x0, 1) == 0
+        assert beats_iii(x0, x1, 0) == 0
+    # x0 ~ x1 > x2: a tie answers (ii) never, and (iii) only when it is weak
     tied = _row_sets(((0, 0, 1),), 3)
-    assert rank_kernel(env, tied, False).beats(x0, x1, 1) == 1
-    assert rank_kernel(env, tied, True).beats(x0, x1, 1) == 0
-    assert rank_kernel(env, tied, True).beats(x0, x2, 1) == 1
+    assert _rank_relations(index, tied, False)[0](x0, x1, 1) == 0
+    assert _rank_relations(index, tied, False)[1](x0, x1, 1) == 1
+    assert _rank_relations(index, tied, True)[1](x0, x1, 1) == 0
+    assert _rank_relations(index, tied, True)[1](x0, x2, 1) == 1
 
 
 def test_full_row_sets_are_shared():

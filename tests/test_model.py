@@ -70,6 +70,31 @@ def test_environment_rejects_labels_that_are_not_strings(actions, outcomes):
         Environment.create(actions, outcomes)
 
 
+@pytest.mark.parametrize(
+    "actions, outcomes",
+    (
+        (["yes"], ("z",)),
+        ([("a",)], "xy"),
+        ("ab", ("z",)),
+        ([0], ("z",)),
+        ([("a",)], 5),
+        (7, ("z",)),
+    ),
+)
+def test_environment_rejects_label_sequences_that_are_strings_or_not_iterable(actions, outcomes):
+    with pytest.raises(InvariantViolation, match="must be a sequence, not"):
+        Environment.create(actions, outcomes)
+    with pytest.raises(InvariantViolation, match="must be a sequence, not"):
+        Environment(actions, outcomes, (DomainSpec.unrestricted(),))
+
+
+@pytest.mark.parametrize("pair", ("az", ("a", "z", "q"), ("a",), ("a", 1), (0, "z"), 5, None))
+def test_ordering_rejects_pairs_that_are_not_two_strings(pair):
+    with pytest.raises(InvariantViolation, match="not two string labels"):
+        Ordering(0, (frozenset({pair}),))
+    assert Ordering(0, ([["a", "z"]],)).classes == (frozenset({("a", "z")}),)
+
+
 def test_is_strict():
     assert ordering_of(0, {("a", "z0")}, {("a", "z1")}).is_strict
     assert not ordering_of(0, {("a", "z0"), ("a", "z1")}).is_strict

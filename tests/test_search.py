@@ -1,15 +1,36 @@
-"""The search returns the canonically first witness, checked against a brute-force oracle."""
+"""The search returns the canonically first witness, checked against a brute-force oracle.
+
+Each kind's row-set relations are checked here too, against the reference
+relations its validator passes to `check_certificate` (`assert_relations_match`).
+"""
 
 import functools
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exmech.deterministic import DetMechanism, find_ba_witness, validate_witness
+from exmech.deterministic import (
+    DetMechanism,
+    find_ba_witness,
+    satisfies_condition1,
+    validate_witness,
+)
 from exmech.domains import domain_orderings, indifferent_ordering, resolve_domains
 from exmech.errors import InvariantViolation
-from exmech.model import BAWitness, DomainKind, DomainSpec, Environment, enumerate_profiles, sub_profiles
+from exmech.model import (
+    BAWitness,
+    DomainKind,
+    DomainSpec,
+    Environment,
+    Ordering,
+    enumerate_profiles,
+    sub_profiles,
+)
 from exmech.stochastic import (
     Distribution,
     ProbMechanism,
@@ -25,6 +46,37 @@ FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 
 def small_env():
     return Environment.create((("a0", "a1"), ("b0", "b1")), ("z0", "z1"))
+
+
+def row_set(rows):
+    return sum(1 << o for o in rows)
+
+
+def assert_relations_match(relations, reference, index, le, orderings, comparisons):
+    """Each row-set relation equals the reference relation it stands for.
+
+    `relations(index, le)` gives (beats_ii, beats_iii) over a table whose row
+    o is `orderings[o]`; `reference` gives the (beats_ii, beats_iii) the
+    kind's validator passes to `check_certificate`.  For every (lhs, rhs) in
+    `comparisons`, each relation is given every row alone, all rows at once,
+    every other row and no row, and must return exactly the given rows under
+    which its reference holds.  Returns the set of reference verdicts seen.
+    """
+    every = row_set(range(len(orderings)))
+    alternate = row_set(range(0, len(orderings), 2))
+    verdicts = set()
+    # a kind that compares with one relation in both conditions is checked once
+    for fast, slow in set(zip(relations(index, le), reference)):
+        for lhs, rhs in comparisons:
+            expected = [slow(o, lhs, rhs) for o in orderings]
+            verdicts.update(expected)
+            holds = row_set(k for k, e in enumerate(expected) if e)
+            single = [fast(lhs, rhs, 1 << k) for k in range(len(orderings))]
+            assert single == [holds & (1 << k) for k in range(len(orderings))]
+            assert fast(lhs, rhs, every) == holds
+            assert fast(lhs, rhs, alternate) == holds & alternate
+            assert fast(lhs, rhs, 0) == 0
+    return verdicts
 
 
 def first_valid_witness(mech, domains, validate):
@@ -107,3 +159,82 @@ def test_probabilistic_search_returns_oracle_witness_on_counterexample():
     expected = first_valid_witness(mech, domains, validate_prob_witness)
     assert expected is not None
     assert find_prob_ba_witness(mech, domains) == expected
+
+
+# --- random mechanisms and domains against the oracle ----------------------------
+
+
+@st.composite
+def environments(draw, max_pairs):
+    """Two or three agents with at most `max_pairs` (action, outcome) pairs
+    each and at most twelve action profiles."""
+    n_outcomes = draw(st.integers(1, 3 if max_pairs >= 6 else 2))
+    actions = st.integers(1, min(3, max_pairs // n_outcomes))
+    sizes = draw(st.lists(actions, min_size=2, max_size=3).filter(lambda s: math.prod(s) <= 12))
+    return Environment.create(
+        [tuple(f"{chr(97 + i)}{k}" for k in range(size)) for i, size in enumerate(sizes)],
+        tuple(f"z{j}" for j in range(n_outcomes)),
+    )
+
+
+@st.composite
+def explicit_domains(draw, env):
+    """Per agent, one to eight orderings of its pairs, each from random class indices."""
+    specs = []
+    for agent in range(env.n):
+        pairs = env.pairs_for(agent)
+        orderings = []
+        for _ in range(draw(st.integers(1, 8))):
+            classes = st.integers(0, len(pairs) - 1)
+            labels = draw(st.lists(classes, min_size=len(pairs), max_size=len(pairs)))
+            rank = {c: k for k, c in enumerate(sorted(set(labels)))}
+            orderings.append(Ordering.from_ranks(agent, pairs, [rank[c] for c in labels]))
+        specs.append(DomainSpec.explicit(orderings))
+    return tuple(specs)
+
+
+@st.composite
+def det_cases(draw, explicit):
+    env = draw(environments(6 if explicit else 4))
+    values = st.sampled_from(env.outcomes)
+    mech = DetMechanism(env, {p: draw(values) for p in enumerate_profiles(env)})
+    domains = draw(explicit_domains(env)) if explicit else draw(st.sampled_from(FULL_KINDS))
+    return mech, domains
+
+
+@st.composite
+def prob_cases(draw, explicit):
+    """Each profile draws from a palette of at most three distributions, so
+    condition (i) ties are common."""
+    env = draw(environments(6 if explicit else 4))
+    weights = st.lists(st.integers(0, 3), min_size=len(env.outcomes), max_size=len(env.outcomes))
+    palette = []
+    for ks in draw(st.lists(weights.filter(any), min_size=1, max_size=3)):
+        palette.append(Distribution({z: Fraction(k, sum(ks)) for z, k in zip(env.outcomes, ks)}))
+    choice = st.sampled_from(palette)
+    mech = ProbMechanism(env, {p: draw(choice) for p in enumerate_profiles(env)})
+    domains = draw(explicit_domains(env)) if explicit else draw(st.sampled_from(FULL_KINDS))
+    return mech, domains
+
+
+@pytest.mark.parametrize("explicit", (False, True), ids=("full", "explicit"))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_deterministic_search_equals_oracle_on_random_mechanisms(explicit, data):
+    mech, domains = data.draw(det_cases(explicit))
+    for strict_iii in (False, True):
+        validate = functools.partial(validate_witness, strict_iii=strict_iii)
+        witness = find_ba_witness(mech, domains, strict_iii=strict_iii)
+        assert witness == first_valid_witness(mech, domains, validate)
+        if not explicit and not strict_iii:
+            assert (witness is None) == satisfies_condition1(mech)
+
+
+@pytest.mark.parametrize("explicit", (False, True), ids=("full", "explicit"))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_probabilistic_search_equals_oracle_on_random_mechanisms(explicit, data):
+    mech, domains = data.draw(prob_cases(explicit))
+    assert find_prob_ba_witness(mech, domains) == first_valid_witness(
+        mech, domains, validate_prob_witness
+    )

@@ -26,7 +26,8 @@ from exmech.stochastic import (
     DominanceBlock,
     Lottery,
     ProbMechanism,
-    _FSDKernel,
+    _fsd_pairs,
+    _fsd_relations,
     best_outcome,
     build_mixed_counterexample,
     build_relative_frequency,
@@ -43,6 +44,8 @@ from exmech.stochastic import (
     random_totally_mixed,
     validate_prob_witness,
 )
+
+from test_search import assert_relations_match
 
 Z2 = ("z0", "z1")
 
@@ -137,44 +140,25 @@ PALETTES = {
 }
 
 
-def row_set(rows):
-    return sum(1 << o for o in rows)
-
-
-def assert_kernel_matches_fsd(env, agent, table, orderings, dists=None):
-    """The kernel's verdict on every row equals `fsd` on that row's ordering.
+def assert_fsd_relations_match(env, agent, table, orderings, dists=None):
+    """The FSD row-set relation equals `fsd`, the relation `validate_prob_witness`
+    passes to `check_certificate` for (ii) and (iii), on every row.
 
     Every ordered pair of lotteries over `dists` (by default the palette of
     the outcome count) is compared, equal ones and same-action ones
-    included, through both kernel entry points; `beats` gets each row alone
-    and all rows at once, and never returns a row outside the rows it is
-    given.  Returns the set of verdicts seen.
+    included.  Returns the set of verdicts seen.
     """
     index = {pair: k for k, pair in enumerate(env.pairs_for(agent))}
-    kernel = _FSDKernel(index, *_row_sets(table, len(index)))
-    actions, outcomes = env.actions[agent], env.outcomes
     if dists is None:
         dists = [
-            Distribution({z: Fraction(p) for z, p in zip(outcomes, row)})
-            for row in PALETTES[len(outcomes)]
+            Distribution({z: Fraction(p) for z, p in zip(env.outcomes, row)})
+            for row in PALETTES[len(env.outcomes)]
         ]
-    every_row = (1 << len(table)) - 1
-    lotteries = [(x, d) for x in actions for d in dists]
-    verdicts = set()
-    for lhs, rhs in itertools.product(lotteries, repeat=2):
-        expected = [fsd(o, Lottery(*lhs), Lottery(*rhs)) for o in orderings]
-        verdicts.update(expected)
-        single = [kernel.beats(lhs, rhs, 1 << k) for k in range(len(table))]
-        assert all(got & ~(1 << k) == 0 for k, got in enumerate(single))
-        assert [got == 1 << k for k, got in enumerate(single)] == expected
-        assert kernel.beats(lhs, rhs, every_row) == row_set(k for k, e in enumerate(expected) if e)
-        assert kernel.beats(lhs, rhs, 0) == 0
-        if lhs == rhs:
-            assert not any(expected)
-    for (r, l), d in itertools.product(itertools.permutations(actions, 2), dists):
-        expected = [k for k, o in enumerate(orderings) if fsd(o, Lottery(l, d), Lottery(r, d))]
-        assert kernel.protest(r, l, d) == row_set(expected)
-    return verdicts
+    lotteries = [(x, d) for x in env.actions[agent] for d in dists]
+    comparisons = list(itertools.product(lotteries, repeat=2))
+    le = _row_sets(table, len(index))
+    reference = (_fsd_pairs, _fsd_pairs)
+    return assert_relations_match(_fsd_relations, reference, index, le, orderings, comparisons)
 
 
 @pytest.mark.parametrize("kind", (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY))
@@ -192,7 +176,7 @@ def test_fsd_kernel_matches_reference_on_rank_tables(kind, shape):
     pairs = env.pairs_for(0)
     table = rank_table(len(pairs), kind)
     orderings = [Ordering.from_ranks(0, pairs, rv) for rv in table]
-    assert_kernel_matches_fsd(env, 0, table, orderings)
+    assert_fsd_relations_match(env, 0, table, orderings)
 
 
 def test_fsd_kernel_matches_reference_on_explicit_rows():
@@ -204,7 +188,7 @@ def test_fsd_kernel_matches_reference_on_explicit_rows():
         Ordering(0, (frozenset({("a1", "z1")}), frozenset(pairs) - {("a1", "z1")})),
     ]
     table = domain_rank_vectors(env, 0, DomainSpec.explicit(orderings))
-    assert_kernel_matches_fsd(env, 0, table, orderings)
+    assert_fsd_relations_match(env, 0, table, orderings)
 
 
 def mixed_agent(n_outcomes):
@@ -222,7 +206,7 @@ def test_fsd_kernel_matches_reference_on_six_pair_support(kind, rows):
         table = tuple(rng.sample(table, rows))
     orderings = [Ordering.from_ranks(0, env.pairs_for(0), rv) for rv in table]
     dists = [random_totally_mixed(env.outcomes, rng) for _ in range(2)]
-    assert assert_kernel_matches_fsd(env, 0, table, orderings, dists) == {False, True}
+    assert assert_fsd_relations_match(env, 0, table, orderings, dists) == {False, True}
 
 
 def test_fsd_kernel_matches_reference_on_twenty_four_pair_support():
@@ -251,7 +235,7 @@ def test_fsd_kernel_matches_reference_on_twenty_four_pair_support():
         orderings.append(Ordering(0, tuple(frozenset(shuffled[i:j]) for i, j in bounds)))
     assert fsd(orderings[2], Lottery("a0", dists[0]), Lottery("a0", dists[1]))
     table = domain_rank_vectors(env, 0, DomainSpec.explicit(orderings))
-    assert assert_kernel_matches_fsd(env, 0, table, orderings, dists) == {False, True}
+    assert assert_fsd_relations_match(env, 0, table, orderings, dists) == {False, True}
 
 
 def test_completely_mixed_mechanism_predicate():
