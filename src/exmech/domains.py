@@ -1,17 +1,25 @@
 """Preference-domain generators and structural predicates.
 
-Enumerates weak orders (ranked partitions), strict orders and weak-only
-orders as rank tables over pair positions, one per pair count and kind, so
-every agent with as many action-outcome pairs shares one table.  Also
-classifies orderings as classical or separable and builds the lexicographic
-queueing preferences.  Enumeration is capped because the number of weak
-orders grows like the ordered Bell numbers (4683 already at six pairs).
+The canonical order of each full domain kind is stated once, by `heads`:
+an ordering is a first class (the head) followed by an ordering of the
+remaining pairs, and the kinds differ only in which heads they take and in
+the kind of the tail.  `unrestricted` (weak orders, i.e. ranked partitions)
+takes heads of any size, `strict` takes single pairs only, and `weak_only`
+keeps a weak-only tail after a single pair and an unrestricted tail after a
+larger head.  `rank_table` materializes that order as rank vectors over
+pair positions, one table per pair count and kind, so every agent with as
+many action-outcome pairs shares one table; `unrank` finds one row of it
+without making the table.  Also classifies orderings as classical or
+separable and builds the lexicographic queueing preferences.  Enumeration
+is capped because the number of weak orders grows like the ordered Bell
+numbers (4683 already at six pairs).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -23,6 +31,7 @@ from .model import (
     Environment,
     Ordering,
     Pair,
+    as_domain_specs,
     validate_explicit_domain,
 )
 from .queueing import QueueingParams, clinic_revenue, material_payoff, queueing_outcomes_of
@@ -32,34 +41,92 @@ DEFAULT_STRICT_CAP = 8
 
 
 @functools.cache
+def _head_groups(k: int, kind: DomainKind) -> tuple[tuple[int, DomainKind, int], ...]:
+    """(head size, tail kind, rows per head) for each size of first class, in canonical order.
+
+    The kind's head rule (see the module docstring) gives the sizes, in
+    increasing order, and the kind of the tail after each.  Every head of
+    one size leads a block of as many rows as that tail kind has over the
+    remaining k - size positions.
+    """
+    groups = []
+    for size in range(1, (min(k, 1) if kind is DomainKind.STRICT else k) + 1):
+        tail = DomainKind.UNRESTRICTED if kind is DomainKind.WEAK_ONLY and size > 1 else kind
+        groups.append((size, tail, row_count(k - size, tail)))
+    return tuple(groups)
+
+
+def heads(k: int, kind: DomainKind) -> Iterator[tuple[tuple[int, ...], DomainKind, int]]:
+    """(head, tail kind, rows per head) for each first class of a k-position full domain.
+
+    Heads are tuples of positions 0..k-1, by increasing size
+    (`_head_groups`), then lexicographically.  This is the one statement of
+    the canonical order: the rows whose first class is a head form one
+    contiguous block, blocks follow the heads' order, and inside a block the
+    tail's rows follow the tail kind's order over the remaining positions.
+    """
+    for size, tail, block in _head_groups(k, kind):
+        for head in itertools.combinations(range(k), size):
+            yield head, tail, block
+
+
+@functools.cache
+def row_count(n: int, kind: DomainKind) -> int:
+    """Number of orderings in the full domain of `kind` over n pair positions."""
+    if n == 0:  # one empty ordering, which has no indifference
+        return 0 if kind is DomainKind.WEAK_ONLY else 1
+    return sum(math.comb(n, size) * block for size, _, block in _head_groups(n, kind))
+
+
+@functools.cache
 def rank_table(n: int, kind: DomainKind) -> tuple[tuple[int, ...], ...]:
     """Rank vectors of every ordering in a full domain over pair positions 0..n-1.
 
     Row k gives each position's class index (0 is best) under the k-th
-    ordering.  Weak orders are ordered set partitions, first class varying
-    slowest: it runs over non-empty subsets by increasing size, then
-    lexicographically by position, and the tail recurses the same way.
-    Strict orders follow `itertools.permutations`; weak-only orders are the
-    weak rows that are not all singletons.  Only the pair count matters, so
-    every agent and environment with n pairs shares one table.
+    ordering, in the order `heads` states: the first class varies slowest
+    and the tail recurses the same way.  The head rule is one per kind:
+    `unrestricted` takes heads of any size, `strict` single positions only,
+    and `weak_only` heads of any size, with a weak-only tail after a single
+    position.  Only the pair count matters, so every agent and environment
+    with n pairs shares one table.
     """
-    if kind is DomainKind.STRICT:
-        return tuple(tuple(map(perm.index, range(n))) for perm in itertools.permutations(range(n)))
-    if kind is DomainKind.WEAK_ONLY:
-        return tuple(rv for rv in rank_table(n, DomainKind.UNRESTRICTED) if max(rv) < n - 1)
+    if n == 0:
+        return ((),) * row_count(0, kind)
+    rows = []
+    for head, tail, _ in heads(n, kind):
+        rest = [p for p in range(n) if p not in head]
+        for tail_row in rank_table(len(rest), tail):
+            ranks = [0] * n
+            for p, c in zip(rest, tail_row):
+                ranks[p] = c + 1
+            rows.append(tuple(ranks))
+    return tuple(rows)
+
+
+def unrank(n: int, kind: DomainKind, o: int) -> tuple[int, ...]:
+    """Row o of `rank_table(n, kind)`, found by walking the heads without making the table.
+
+    Each depth skips whole head sizes, then takes the head at o's block
+    index among that size's heads, in `heads` order.
+    """
+    if not 0 <= o < row_count(n, kind):
+        raise IndexError(f"row {o} outside the {kind.value} domain over {n} positions")
     ranks = [0] * n
-
-    def partitions(rest: tuple[int, ...], depth: int) -> Iterator[tuple[int, ...]]:
-        if not rest:
-            yield tuple(ranks)
-            return
-        for size in range(1, len(rest) + 1):
-            for head in itertools.combinations(rest, size):
-                for position in head:
-                    ranks[position] = depth
-                yield from partitions(tuple(p for p in rest if p not in head), depth + 1)
-
-    return tuple(partitions(tuple(range(n)), 0))
+    positions = list(range(n))
+    depth = 0
+    while positions:
+        for size, tail, block in _head_groups(len(positions), kind):
+            rows = math.comb(len(positions), size) * block
+            if o < rows:
+                break
+            o -= rows
+        index, o = divmod(o, block)
+        head = next(itertools.islice(itertools.combinations(positions, size), index, None))
+        for p in head:
+            ranks[p] = depth
+        positions = [p for p in positions if p not in head]
+        kind, depth = tail, depth + 1
+    return tuple(ranks)
 
 
 def table_orderings(agent: int, pairs: Sequence[Pair], table: Iterable) -> Iterator[Ordering]:
@@ -67,8 +134,15 @@ def table_orderings(agent: int, pairs: Sequence[Pair], table: Iterable) -> Itera
     return (Ordering.from_ranks(agent, pairs, ranks) for ranks in table)
 
 
-def _full_table(kind: DomainKind, pairs: Iterable[Pair], cap: int | None) -> tuple:
-    """(pairs, rank table) for a full domain kind, after the size checks."""
+def check_full_domain(
+    kind: DomainKind, pairs: Iterable[Pair], cap: int | None
+) -> tuple[Pair, ...]:
+    """The pairs as a tuple, after checking a full domain of `kind` over them can be enumerated.
+
+    Raises InvariantViolation for no pairs or a duplicate pair and
+    CapExceeded for more pairs than `cap` (by default the strict or the weak
+    cap, by kind).
+    """
     pairs = tuple(tuple(p) for p in pairs)
     if not pairs:
         raise InvariantViolation("need at least one pair to enumerate orderings")
@@ -80,6 +154,12 @@ def _full_table(kind: DomainKind, pairs: Iterable[Pair], cap: int | None) -> tup
     if len(pairs) > cap:
         what = "strict-order" if strict else "weak-order"
         raise CapExceeded(f"{len(pairs)} pairs exceed the {what} enumeration cap of {cap}")
+    return pairs
+
+
+def _full_table(kind: DomainKind, pairs: Iterable[Pair], cap: int | None) -> tuple:
+    """(pairs, rank table) for a full domain kind, after the size checks."""
+    pairs = check_full_domain(kind, pairs, cap)
     return pairs, rank_table(len(pairs), kind)
 
 
@@ -140,7 +220,10 @@ def resolve_domains(
     if domains is None:
         return env.domains
     if isinstance(domains, str):
-        domains = DomainKind(domains)
+        try:
+            domains = DomainKind(domains)
+        except ValueError:
+            raise InvariantViolation(f"unknown domain kind {domains!r}") from None
     if isinstance(domains, DomainKind):
         if domains is DomainKind.EXPLICIT:
             raise InvariantViolation("explicit domains need per-agent orderings")
@@ -149,7 +232,7 @@ def resolve_domains(
         if domains.kind is DomainKind.EXPLICIT:
             raise InvariantViolation("explicit domains must be given per agent")
         return tuple(domains for _ in range(env.n))
-    specs = tuple(domains)
+    specs = as_domain_specs(domains)
     if len(specs) != env.n:
         raise InvariantViolation(f"expected {env.n} domain specs, got {len(specs)}")
     for i, spec in enumerate(specs):

@@ -137,6 +137,8 @@ class DomainSpec:
     orderings: tuple[Ordering, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, DomainKind):
+            raise InvariantViolation(f"domain kind {self.kind!r} is not a DomainKind")
         object.__setattr__(self, "orderings", tuple(self.orderings))
         if self.kind is DomainKind.EXPLICIT:
             if not self.orderings:
@@ -163,6 +165,15 @@ class DomainSpec:
         return cls(DomainKind.EXPLICIT, tuple(orderings))
 
 
+def as_domain_specs(domains: object) -> tuple[DomainSpec, ...]:
+    """`domains` as a tuple; it must be a sequence of DomainSpec objects."""
+    specs = _labels(domains, "domains")
+    for spec in specs:
+        if not isinstance(spec, DomainSpec):
+            raise InvariantViolation(f"domain {spec!r} is not a DomainSpec")
+    return specs
+
+
 @dataclass(frozen=True)
 class Environment:
     """Agents, their finite action sets, the finite outcome set, and domains."""
@@ -175,7 +186,7 @@ class Environment:
         actions = tuple(_labels(a, "an agent's actions") for a in _labels(self.actions, "actions"))
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "outcomes", _labels(self.outcomes, "outcomes"))
-        object.__setattr__(self, "domains", tuple(self.domains))
+        object.__setattr__(self, "domains", as_domain_specs(self.domains))
         if not self.actions:
             raise InvariantViolation("environment needs at least one agent")
         if not all(isinstance(x, str) for labels in (*self.actions, self.outcomes) for x in labels):
@@ -205,7 +216,7 @@ class Environment:
         acts = _labels(actions, "actions")
         if domains is None:
             domains = tuple(DomainSpec.unrestricted() for _ in acts)
-        return cls(acts, outcomes, tuple(domains))
+        return cls(acts, outcomes, domains)
 
     @property
     def n(self) -> int:

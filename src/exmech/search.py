@@ -2,17 +2,21 @@
 
 A deterministic outcome is a point-mass lottery, so the deterministic and the
 probabilistic certificates differ only in how an ordering compares pairs or
-lotteries.  This module owns everything else: the search order, the agents'
-rank tables (`domains.domain_rank_vectors`), condition (i) (equality of the
-mechanism's value at a), the statistics block, the witness ordering and the
-witness check (`check_certificate`), to which each kind supplies only its
-comparisons.  Row o of an agent's rank table ranks its pairs, in
-`env.pairs_for(agent)` order, under its o-th admissible ordering; a row set
-is a Python int whose bit o stands for row o.  Rank vectors are read here
-only: once to build the one row-set matrix `le`, where `le[p][q]` holds the
-rows ranking column p weakly above column q (so the rows ranking p strictly
-above q are `rows & ~le[q][p]`), shared by every search over the same full
-table, and once to unrank the witness row.
+lotteries.  This module owns everything else: the search order, each agent's
+row-set matrix, condition (i) (equality of the mechanism's value at a), the
+statistics block, the witness ordering and the witness check
+(`check_certificate`), to which each kind supplies only its comparisons.
+Row o of an agent's domain ranks its pairs, in `env.pairs_for(agent)` order,
+under its o-th admissible ordering; a row set is a Python int whose bit o
+stands for row o.  The search reads all of a domain through one matrix `le`,
+where `le[p][q]` holds the rows ranking column p weakly above column q (so
+the rows ranking p strictly above q are `rows & ~le[q][p]`).  A full domain
+kind's `le` is built straight from the recursion that defines its canonical
+order (`domains.heads`), shared by every search over the same pair count and
+kind, and its witness row is found by `domains.unrank`; no row of it is made.
+Rank vectors are read only for explicit domains
+(`domains.domain_rank_vectors`): once to build `le` and once to look up the
+witness row.
 
 The certificate needs two relations, and each kind hands the search the
 row-set form of the same two it hands `check_certificate`.  The search calls
@@ -20,7 +24,7 @@ row-set form of the same two it hands `check_certificate`.  The search calls
 pairs to columns; the call returns `(beats_ii, beats_iii)`, each called as
 `beats(lhs, rhs, rows)` and returning the subset of `rows` under which `lhs`,
 an (action, value) pair, beats `rhs`.  Condition (ii) is
-`beats_ii((l, value), (r, value), every)` over every row of the table; (iii)
+`beats_ii((l, value), (r, value), every)` over every row of the domain; (iii)
 narrows those rows with `beats_iii((r, value at b), (x, value at b), rows)`
 rival by rival, in action order, and stops as soon as none remain.  The
 lowest set bit of what survives every rival is the witness row.  That choice
@@ -64,30 +68,31 @@ def search_witness(
 
     The search space is ordered by agent, then ordered action pairs (r, l),
     then ordered pairs of distinct sub-profiles (a, b), then orderings in
-    rank-table order.  Condition (ii) does not depend on b, so it is
+    domain row order.  Condition (ii) does not depend on b, so it is
     evaluated once per a.  Raises CapExceeded if a full domain kind is too
     large to enumerate.
     """
     specs = domains.resolve_domains(env, domain_specs)
-    # looked up on the module so that a wrapper installed there sees every search
-    tables = [domains.domain_rank_vectors(env, i, spec, cap) for i, spec in enumerate(specs)]
+    admissible = [_admissible(env, i, spec, cap) for i, spec in enumerate(specs)]
     subs_by_agent = tuple(tuple(sub_profiles(env, i)) for i in range(env.n))
     stats = {
         "agents": env.n,
         "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
         "sub_profiles": [len(s) for s in subs_by_agent],
-        "orderings_per_agent": [len(table) for table in tables],
+        "orderings_per_agent": [count for count, _ in admissible],
     }
-    for agent, (spec, acts, subs, table) in enumerate(
-        zip(specs, env.actions, subs_by_agent, tables)
+    for agent, (spec, acts, subs, (count, table)) in enumerate(
+        zip(specs, env.actions, subs_by_agent, admissible)
     ):
-        index = {pair: k for k, pair in enumerate(env.pairs_for(agent))}
-        if spec.kind is DomainKind.EXPLICIT:
-            le = _row_sets(table, len(index))
-        else:  # full kinds share one table per pair count, so they share its row sets too
-            le = _shared_row_sets(len(index), spec.kind)
+        pairs = env.pairs_for(agent)
+        index = {pair: k for k, pair in enumerate(pairs)}
+        if table is None:  # full kinds share one matrix per pair count, and make no rows
+            le = _shared_row_sets(len(pairs), spec.kind)
+            row = functools.partial(domains.unrank, len(pairs), spec.kind)
+        else:
+            le, row = _row_sets(table, len(pairs)), table.__getitem__
         beats_ii, beats_iii = relations(index, le)
-        every = (1 << len(table)) - 1
+        every = (1 << count) - 1
         for r in acts:
             for l in acts:
                 if r == l:
@@ -110,14 +115,24 @@ def search_witness(
                                 if not rows:
                                     break
                         if rows:  # the lowest set bit is the canonically first row
-                            rv = table[(rows & -rows).bit_length() - 1]
-                            ordering = Ordering.from_ranks(agent, env.pairs_for(agent), rv)
+                            rv = row((rows & -rows).bit_length() - 1)
+                            ordering = Ordering.from_ranks(agent, pairs, rv)
                             return SearchResult(BAWitness(agent, r, l, a, b, ordering), stats)
     return SearchResult(None, stats)
 
 
+def _admissible(env: Environment, agent: int, spec: DomainSpec, cap: int | None) -> tuple:
+    """(row count, rank table) of the agent's admissible orderings; no table for a full kind."""
+    if spec.kind is DomainKind.EXPLICIT:
+        # looked up on the module so that a wrapper installed there sees every explicit table
+        table = domains.domain_rank_vectors(env, agent, spec, cap)
+        return len(table), table
+    n = len(domains.check_full_domain(spec.kind, env.pairs_for(agent), cap))
+    return domains.row_count(n, spec.kind), None
+
+
 def _row_sets(table, n: int) -> list[list[int]]:
-    """`le` for the rows of a rank table, as described in the module docstring.
+    """`le` for the rows of an explicit rank table, as described in the module docstring.
 
     Class-membership masks eq[p][c] come from one pass over the rows; le[p][q]
     is the union over classes c of eq[p][c] with the rows placing q in c or a
@@ -145,8 +160,26 @@ def _row_sets(table, n: int) -> list[list[int]]:
 
 @functools.cache
 def _shared_row_sets(n: int, kind: DomainKind) -> list[list[int]]:
-    """`le` of the shared full-domain table, built once per pair count and kind."""
-    return _row_sets(domains.rank_table(n, kind), n)
+    """`le` of the full domain of `kind` over n positions, built block by block from its heads.
+
+    The rows whose first class is a head H form one contiguous block: for p
+    in H, le[p][q] holds the whole block; for q in H and p outside it,
+    none of it; for p and q both outside H, the tail's own `le`, shifted to
+    the block's offset.  Tails are memoized here too, so no row is made.
+    """
+    le = [[0] * n for _ in range(n)]
+    offset = 0
+    for head, tail, count in domains.heads(n, kind):
+        block = ((1 << count) - 1) << offset
+        for p in head:
+            le[p] = [mask | block for mask in le[p]]
+        rest = [p for p in range(n) if p not in head]
+        for tail_p, p in zip(_shared_row_sets(len(rest), tail), rest):
+            row = le[p]
+            for tail_pq, q in zip(tail_p, rest):
+                row[q] |= tail_pq << offset
+        offset += count
+    return le
 
 
 def check_certificate(

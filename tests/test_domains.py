@@ -17,7 +17,10 @@ from exmech.domains import (
     indifferent_ordering,
     is_classical,
     is_separable,
+    rank_table,
+    row_count,
     separability_violation,
+    unrank,
 )
 from exmech.errors import CapExceeded, NotQueueingEnvironment
 from exmech.model import DomainKind, DomainSpec, Environment, Ordering
@@ -271,3 +274,49 @@ def test_equal_pair_counts_share_one_rank_table(kind):
     assert domain_rank_vectors(other, 0, spec) is table
     assert domain_rank_vectors(other, 1, spec) is not table
     assert len(table) == {"unrestricted": 4683, "strict": 720, "weak_only": 4683 - 720}[kind]
+
+
+def frozen_rank_table(n, kind):
+    """The rank-table generator as it stood before the canonical order was stated by `heads`.
+
+    Strict rows follow `itertools.permutations`, and weak-only rows are the
+    weak rows that are not all singletons; kept here as the oracle for the
+    order every pinned witness depends on.
+    """
+    if kind is DomainKind.STRICT:
+        return tuple(tuple(map(perm.index, range(n))) for perm in itertools.permutations(range(n)))
+    if kind is DomainKind.WEAK_ONLY:
+        return tuple(rv for rv in frozen_rank_table(n, DomainKind.UNRESTRICTED) if max(rv) < n - 1)
+    ranks = [0] * n
+
+    def partitions(rest, depth):
+        if not rest:
+            yield tuple(ranks)
+            return
+        for size in range(1, len(rest) + 1):
+            for head in itertools.combinations(rest, size):
+                for position in head:
+                    ranks[position] = depth
+                yield from partitions(tuple(p for p in rest if p not in head), depth + 1)
+
+    return tuple(partitions(tuple(range(n)), 0))
+
+
+FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
+
+
+@pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_rank_table_matches_the_frozen_generator(n, kind):
+    assert rank_table(n, kind) == frozen_rank_table(n, kind)
+
+
+@pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_unrank_finds_every_row_of_the_rank_table(n, kind):
+    table = rank_table(n, kind)
+    assert row_count(n, kind) == len(table)
+    assert [unrank(n, kind, o) for o in range(len(table))] == list(table)
+    for o in (-1, len(table)):
+        with pytest.raises(IndexError):
+            unrank(n, kind, o)

@@ -88,6 +88,17 @@ def test_environment_rejects_label_sequences_that_are_strings_or_not_iterable(ac
         Environment(actions, outcomes, (DomainSpec.unrestricted(),))
 
 
+@pytest.mark.parametrize("domains", ("u", [None], ["unrestricted"], 5), ids=repr)
+def test_environment_rejects_domains_that_are_not_domain_specs(domains):
+    with pytest.raises(InvariantViolation):
+        Environment.create([("a", "b")], ("z",), domains)
+
+
+def test_domain_spec_rejects_a_kind_that_is_not_a_domain_kind():
+    with pytest.raises(InvariantViolation, match="not a DomainKind"):
+        DomainSpec("strict")
+
+
 @pytest.mark.parametrize("pair", ("az", ("a", "z", "q"), ("a",), ("a", 1), (0, "z"), 5, None))
 def test_ordering_rejects_pairs_that_are_not_two_strings(pair):
     with pytest.raises(InvariantViolation, match="not two string labels"):

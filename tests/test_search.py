@@ -14,14 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exmech import domains, search
 from exmech.deterministic import (
     DetMechanism,
+    build_majority_referendum,
     find_ba_witness,
     satisfies_condition1,
+    search_ba_witness,
     validate_witness,
 )
-from exmech.domains import domain_orderings, indifferent_ordering, resolve_domains
-from exmech.errors import InvariantViolation
+from exmech.domains import domain_orderings, indifferent_ordering, rank_table, resolve_domains
+from exmech.errors import CapExceeded, InvariantViolation
 from exmech.model import (
     BAWitness,
     DomainKind,
@@ -238,3 +241,48 @@ def test_probabilistic_search_equals_oracle_on_random_mechanisms(explicit, data)
     assert find_prob_ba_witness(mech, domains) == first_valid_witness(
         mech, domains, validate_prob_witness
     )
+
+
+# --- full-domain row sets -----------------------------------------------------------
+
+ROW_SET_SIZES = [(n, kind) for kind in FULL_KINDS for n in range(1, 7)]
+ROW_SET_SIZES.append((7, DomainKind.STRICT))
+
+
+@pytest.mark.parametrize(
+    "n, kind", ROW_SET_SIZES, ids=lambda v: v.value if isinstance(v, DomainKind) else str(v)
+)
+def test_full_row_sets_equal_those_of_the_rank_table(n, kind):
+    assert search._shared_row_sets(n, kind) == search._row_sets(rank_table(n, kind), n)
+
+
+def test_search_never_builds_a_rank_table(monkeypatch):
+    env = Environment.create((("a0", "a1", "a2"), ("b0", "b1", "b2")), ("z0", "z1"))
+    constant = DetMechanism(env, {p: "z0" for p in enumerate_profiles(env)})
+    _, referendum = build_majority_referendum(1)
+    expected = {k: first_valid_witness(referendum, k, validate_witness) for k in FULL_KINDS}
+    wide = Environment.create((tuple(f"x{k}" for k in range(7)), ("b0",)), ("z",))
+    wide_constant = DetMechanism(wide, {p: "z" for p in enumerate_profiles(wide)})
+    search._shared_row_sets.cache_clear()  # a warm cache would hide a rank-table build
+
+    def no_rank_table(n, kind):
+        raise AssertionError(f"rank_table({n}, {kind}) built during a search")
+
+    monkeypatch.setattr(domains, "rank_table", no_rank_table)
+    for kind in FULL_KINDS:
+        nba = search_ba_witness(constant, kind)
+        assert nba.witness is None
+        assert nba.stats["orderings_per_agent"] == [domains.row_count(6, kind)] * 2
+        assert expected[kind] is not None
+        assert find_ba_witness(referendum, kind) == expected[kind]
+    for kind in (DomainKind.UNRESTRICTED, DomainKind.WEAK_ONLY):
+        message = "^7 pairs exceed the weak-order enumeration cap of 6$"
+        with pytest.raises(CapExceeded, match=message):
+            find_ba_witness(wide_constant, kind)
+
+
+@pytest.mark.parametrize("domains_arg", (["strict"] * 3, "bogus", [None] * 3, 3), ids=repr)
+def test_search_rejects_domains_of_the_wrong_type(domains_arg):
+    _, referendum = build_majority_referendum(1)
+    with pytest.raises(InvariantViolation):
+        find_ba_witness(referendum, domains_arg)
