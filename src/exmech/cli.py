@@ -23,13 +23,13 @@ from .model import (
     witness_to_json,
 )
 from .domains import (
+    FULL_KINDS,
     build_queueing_pref_1,
     build_queueing_pref_2,
     indifferent_ordering,
     resolve_domains,
 )
 from .deterministic import (
-    CHARACTERIZATION_KINDS,
     DetMechanism,
     build_groves_queueing,
     build_majority_referendum,
@@ -299,20 +299,6 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _characterization_kind(mech, specs, strict_iii: bool) -> DomainKind | None:
-    """The domain kind under which the tie-propagation characterization may
-    stand in for a search that blew the cap, or None.
-
-    It decides deterministic mechanisms without --strict-iii when every agent
-    has the same one of the three full domain kinds.
-    """
-    kinds = {spec.kind for spec in specs}
-    if isinstance(mech, ProbMechanism) or strict_iii or len(kinds) != 1:
-        return None
-    (kind,) = kinds
-    return kind if kind in CHARACTERIZATION_KINDS else None
-
-
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
     if args.mech:
@@ -341,10 +327,9 @@ def cmd_analyze(args) -> int:
             result = search_ba_witness(mech, specs, cap=args.cap, strict_iii=args.strict_iii)
         witness, stats, method = result.witness, result.stats, "exhaustive-search"
     except CapExceeded as exc:
-        kind = _characterization_kind(mech, specs, args.strict_iii)
-        if kind is None:
-            # name the characterization only where --domains alone would enable it
-            if _characterization_kind(mech, (DomainSpec.unrestricted(),), args.strict_iii) is None:
+        # tie propagation decides a deterministic mechanism whose agents all have full kinds
+        if prob or any(spec.kind not in FULL_KINDS for spec in specs):
+            if prob:
                 hint = "raise --cap"
             else:
                 hint = (
@@ -354,7 +339,10 @@ def cmd_analyze(args) -> int:
             print(f"cap exceeded: {exc}\nhint: {hint}", file=sys.stderr)
             return EXIT_CAP
         cex = condition1_counterexample(mech)
-        witness = None if cex is None else witness_from_counterexample(mech, cex, kind)
+        if cex is None:
+            witness = None
+        else:
+            witness = witness_from_counterexample(mech, cex, specs[cex.agent].kind)
         stats, method = {"agents": env.n, "mode": "tie-propagation"}, "characterization"
     if witness is not None:
         domain = specs[witness.agent]

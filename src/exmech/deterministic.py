@@ -44,11 +44,9 @@ from .model import (
     string_labels,
     sub_profiles,
 )
-from .domains import build_queueing_pref_1
+from .domains import build_queueing_pref_1, full_kind
 from .queueing import QueueingOutcome, QueueingParams, grid_labels
 from .search import SearchResult, check_certificate, search_witness
-
-CHARACTERIZATION_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 
 
 @dataclass(frozen=True)
@@ -124,29 +122,27 @@ def satisfies_condition1(mech: DetMechanism) -> bool:
 
 def nba_by_characterization(mech: DetMechanism, kind: DomainKind | str) -> bool:
     """Anomaly-freeness via tie propagation; valid for the three full domain kinds."""
-    if isinstance(kind, str):
-        kind = DomainKind(kind)
-    if kind not in CHARACTERIZATION_KINDS:
-        raise InvariantViolation(
-            "characterization applies to unrestricted, strict and weak-only domains"
-        )
+    full_kind(kind)
     return satisfies_condition1(mech)
 
 
 def witness_from_counterexample(
     mech: DetMechanism,
     cex: Condition1Violation,
-    kind: DomainKind = DomainKind.UNRESTRICTED,
+    kind: DomainKind | str = DomainKind.UNRESTRICTED,
 ) -> BAWitness:
     """Turn a tie-propagation failure into a validated anomaly witness.
 
-    Builds an ordering that puts the agent's best-response pair at `b_minus`
-    on top while ranking the protest pair (l, z) strictly above (r, z); for
-    the weak-only kind two unconstrained pairs are merged to create an
-    indifference.
+    Builds an ordering that ranks the protest pair (l, z) strictly above
+    (r, z) and puts the best-response pair (r, o(r, b)) alone above every
+    other action's pair at `b_minus` (just below (l, z) if it is (r, z), as
+    then o(l, b) is not z); for the weak-only kind two unconstrained pairs
+    are merged to create an indifference.  So it also meets strict (iii),
+    and tie propagation decides that form too: its constraints, (l, z) above
+    (r, z) and (r, o(r, b)) above each distinct (x, o(x, b)), form a cycle
+    only when o(r, b) = o(l, b) = z, that is, when the tie propagates to b.
     """
-    if kind not in CHARACTERIZATION_KINDS:
-        raise InvariantViolation("witness construction needs one of the three full domain kinds")
+    kind = full_kind(kind)
     env = mech.env
     agent, r, l, z = cex.agent, cex.r, cex.l, cex.z
     top = (r, mech.outcome_at(agent, r, cex.b_minus))
@@ -215,8 +211,8 @@ def search_ba_witness(
 ) -> SearchResult:
     """Exhaustive anomaly search; returns the canonically first witness.
 
-    The search order is that of `search.search_witness`.  Raises CapExceeded
-    if a full domain kind is too large to enumerate.
+    The search order and the cases that raise CapExceeded are those of
+    `search.search_witness`.
     """
     relations = functools.partial(_rank_relations, strict_iii=strict_iii)
     return search_witness(mech.env, mech.outcome_at, domains, relations, cap)

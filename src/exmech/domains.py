@@ -39,6 +39,20 @@ from .queueing import QueueingParams, clinic_revenue, material_payoff, queueing_
 DEFAULT_WEAK_CAP = 6
 DEFAULT_STRICT_CAP = 8
 
+# the kinds `heads` orders, and under which tie propagation decides the anomaly
+FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
+
+
+def full_kind(kind: DomainKind | str) -> DomainKind:
+    """`kind`, or the kind a string names, after checking it is one of `FULL_KINDS`."""
+    try:
+        kind = DomainKind(kind)
+    except ValueError:
+        raise InvariantViolation(f"unknown domain kind {kind!r}") from None
+    if kind not in FULL_KINDS:
+        raise InvariantViolation("explicit domains need per-agent orderings")
+    return kind
+
 
 @functools.cache
 def _head_groups(k: int, kind: DomainKind) -> tuple[tuple[int, DomainKind, int], ...]:
@@ -219,15 +233,8 @@ def resolve_domains(
     """
     if domains is None:
         return env.domains
-    if isinstance(domains, str):
-        try:
-            domains = DomainKind(domains)
-        except ValueError:
-            raise InvariantViolation(f"unknown domain kind {domains!r}") from None
-    if isinstance(domains, DomainKind):
-        if domains is DomainKind.EXPLICIT:
-            raise InvariantViolation("explicit domains need per-agent orderings")
-        domains = DomainSpec(domains)
+    if isinstance(domains, (str, DomainKind)):
+        domains = DomainSpec(full_kind(domains))
     if isinstance(domains, DomainSpec):
         if domains.kind is DomainKind.EXPLICIT:
             raise InvariantViolation("explicit domains must be given per agent")

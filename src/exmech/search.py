@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import domains
-from .errors import InvariantViolation
+from .errors import CapExceeded, InvariantViolation
 from .model import (
     BAWitness,
     DomainKind,
@@ -69,8 +69,8 @@ def search_witness(
     The search space is ordered by agent, then ordered action pairs (r, l),
     then ordered pairs of distinct sub-profiles (a, b), then orderings in
     domain row order.  Condition (ii) does not depend on b, so it is
-    evaluated once per a.  Raises CapExceeded if a full domain kind is too
-    large to enumerate.
+    evaluated once per a.  An agent past the cap gets no rows and a `None`
+    count; CapExceeded is raised only at its first tuple passing (i).
     """
     specs = domains.resolve_domains(env, domain_specs)
     admissible = [_admissible(env, i, spec, cap) for i, spec in enumerate(specs)]
@@ -85,14 +85,15 @@ def search_witness(
         zip(specs, env.actions, subs_by_agent, admissible)
     ):
         pairs = env.pairs_for(agent)
-        index = {pair: k for k, pair in enumerate(pairs)}
-        if table is None:  # full kinds share one matrix per pair count, and make no rows
-            le = _shared_row_sets(len(pairs), spec.kind)
-            row = functools.partial(domains.unrank, len(pairs), spec.kind)
-        else:
-            le, row = _row_sets(table, len(pairs)), table.__getitem__
-        beats_ii, beats_iii = relations(index, le)
-        every = (1 << count) - 1
+        if count is not None:  # past the cap, an agent gets no rows
+            index = {pair: k for k, pair in enumerate(pairs)}
+            if table is None:  # full kinds share one matrix per pair count, and make no rows
+                le = _shared_row_sets(len(pairs), spec.kind)
+                row = functools.partial(domains.unrank, len(pairs), spec.kind)
+            else:
+                le, row = _row_sets(table, len(pairs)), table.__getitem__
+            beats_ii, beats_iii = relations(index, le)
+            every = (1 << count) - 1
         for r in acts:
             for l in acts:
                 if r == l:
@@ -101,6 +102,8 @@ def search_witness(
                     value = value_at(agent, r, a)
                     if value != value_at(agent, l, a):
                         continue
+                    if count is None:  # past the cap, so this raises CapExceeded
+                        domains.check_full_domain(spec.kind, pairs, cap)
                     candidates = beats_ii((l, value), (r, value), every)
                     if not candidates:
                         continue
@@ -127,7 +130,10 @@ def _admissible(env: Environment, agent: int, spec: DomainSpec, cap: int | None)
         # looked up on the module so that a wrapper installed there sees every explicit table
         table = domains.domain_rank_vectors(env, agent, spec, cap)
         return len(table), table
-    n = len(domains.check_full_domain(spec.kind, env.pairs_for(agent), cap))
+    try:
+        n = len(domains.check_full_domain(spec.kind, env.pairs_for(agent), cap))
+    except CapExceeded:
+        return None, None  # nor a count past the cap
     return domains.row_count(n, spec.kind), None
 
 

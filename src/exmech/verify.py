@@ -27,6 +27,7 @@ from .deterministic import (
     construct_queueing_witness,
 )
 from .domains import (
+    FULL_KINDS,
     build_queueing_pref_1,
     build_queueing_pref_2,
     classical_orderings,
@@ -53,7 +54,6 @@ from .stochastic import (
 )
 
 DEFAULT_SEED = 0
-FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 
 THETA_SWEEP = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 GRID_SWEEP = (

@@ -4,10 +4,21 @@ from fractions import Fraction
 import pytest
 
 from exmech.cli import main
-from exmech.deterministic import build_majority_referendum, validate_witness
+from exmech.deterministic import (
+    build_groves_queueing,
+    build_majority_referendum,
+    det_mech_from_json,
+    validate_witness,
+)
 from exmech.errors import ParseError
-from exmech.model import enumerate_profiles, witness_from_json
-from exmech.queueing import parse_fraction
+from exmech.model import (
+    DomainKind,
+    DomainSpec,
+    env_from_json,
+    enumerate_profiles,
+    witness_from_json,
+)
+from exmech.queueing import QueueingParams, parse_fraction
 from exmech.stochastic import build_mixed_counterexample, validate_prob_witness
 from exmech.verify import (
     claim_mixed_counterexample_reproduced,
@@ -240,36 +251,94 @@ def test_analyze_mixed_counterexample_via_cli(capsys):
 
 
 def test_analyze_prob_cap_exceeded(capsys):
+    # past the cap, a search that never needs rows still answers
+    for domains in ("strict", "unrestricted"):
+        code, out, _ = run(
+            capsys,
+            "analyze", "--prob", "--builder", "relfreq", "--n", "2", "--m", "3",
+            "--domains", domains,
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert (report["verdict"], report["method"]) == ("NBA", "exhaustive-search")
+        assert report["search"]["orderings_per_agent"] == [None, None]
     code, _, err = run(
         capsys,
-        "analyze", "--prob", "--builder", "relfreq", "--n", "2", "--m", "3",
-        "--domains", "unrestricted",
+        "analyze", "--prob", "--builder", "mixed-counterexample",
+        "--domains", "unrestricted", "--cap", "3",
     )
     assert code == 3 and "cap exceeded" in err
     assert "--cap" in err and "characterization" not in err
 
 
-def test_analyze_strict_iii_cap_exceeded_suggests_only_cap(capsys):
-    code, _, err = run(
+def test_analyze_strict_iii_past_the_cap_uses_characterization(capsys):
+    code, out, _ = run(
         capsys,
         "analyze", "--builder", "groves", "--grid", "0,1/4,1/2,3/4",
         "--domains", "unrestricted", "--strict-iii",
     )
-    assert code == 3 and "cap exceeded" in err
-    assert "--cap" in err and "characterization" not in err
+    assert code == 0
+    report = json.loads(out)
+    assert (report["verdict"], report["method"]) == ("BA", "characterization")
+    grid = tuple(Fraction(k, 4) for k in range(4))
+    params = QueueingParams(Fraction(1, 2), Fraction(1, 2), grid, Fraction(2))
+    _, mech = build_groves_queueing(params)
+    validate_witness(
+        mech, witness_from_json(report["witness"]), strict_iii=True,
+        domain=DomainSpec.unrestricted(),
+    )
+
+
+@pytest.mark.parametrize("strict_iii", ((), ("--strict-iii",)), ids=("weak_iii", "strict_iii"))
+def test_analyze_groves_grid_far_past_the_cap(capsys, strict_iii):
+    grid = ",".join(f"{k}/18" for k in range(19))
+    code, out, err = run(
+        capsys,
+        "analyze", "--builder", "groves", "--grid", grid, "--domains", "unrestricted", *strict_iii,
+    )
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert (report["verdict"], report["method"]) == ("BA", "characterization")
+
+
+def _write_domains(tmp_path, env, specs):
+    env["domains"] = specs
+    path = tmp_path / "domains.json"
+    path.write_text(json.dumps(env))
+    return f"file:{path}"
 
 
 def test_analyze_mixed_kinds_cap_exceeded_suggests_characterization(tmp_path, capsys):
-    # one domain kind for every agent would let the search fall back
+    # past the cap, each agent's lift lies in that agent's own kind; agent 0
+    # dictates the second mechanism, so only agent 1 has a counterexample
+    groves = json.loads(_build_bundle(capsys, "groves", "--grid", "0,1/4,1/2,3/4"))
+    profiles = [[a, b] for a in ("a0", "a1") for b in ("b0", "b1", "b2")]
+    dictator = {
+        "environment": {"agents": [["a0", "a1"], ["b0", "b1", "b2"]], "outcomes": ["z0", "z1"]},
+        "mechanism": {"profiles": profiles, "outcomes": ["z" + a[1] for a, _ in profiles]},
+    }
+    for bundle, cap, agent in ((groves, (), 0), (dictator, ("--cap", "5"), 1)):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(bundle))
+        kinds = [{"kind": "strict"}, {"kind": "weak_only"}]
+        domains = _write_domains(tmp_path, bundle["environment"], kinds)
+        code, out, _ = run(capsys, "analyze", "--mech", str(path), "--domains", domains, *cap)
+        assert code == 0
+        report = json.loads(out)
+        assert (report["verdict"], report["method"]) == ("BA", "characterization")
+        witness = witness_from_json(report["witness"])
+        assert witness.agent == agent and witness.ordering.is_strict == (agent == 0)
+        mech = det_mech_from_json(env_from_json(bundle["environment"]), bundle["mechanism"])
+        kind = (DomainKind.STRICT, DomainKind.WEAK_ONLY)[agent]
+        validate_witness(mech, witness, domain=DomainSpec(kind))
+    # an explicit agent leaves the characterization to a change of --domains
     bundle = json.loads(_build_bundle(capsys, "referendum", "--m", "1"))
     env = bundle["environment"]
-    env["domains"] = [{"kind": kind} for kind in ("unrestricted", "strict", "unrestricted")]
-    path = tmp_path / "domains.json"
-    path.write_text(json.dumps(env))
+    everything = [[action, z] for action in env["agents"][2] for z in env["outcomes"]]
+    specs = [{"kind": "unrestricted"}] * 2 + [{"kind": "explicit", "orderings": [[everything]]}]
+    domains = _write_domains(tmp_path, env, specs)
     code, _, err = run(
-        capsys,
-        "analyze", "--builder", "referendum", "--m", "1",
-        "--domains", f"file:{path}", "--cap", "5",
+        capsys, "analyze", "--builder", "referendum", "--m", "1", "--domains", domains, "--cap", "5"
     )
     assert code == 3 and "cap exceeded" in err
     assert "tie-propagation characterization" in err and "--cap" in err

@@ -116,8 +116,17 @@ def test_nba_by_characterization_kinds():
         assert nba_by_characterization(mech, kind)
     _, referendum = build_majority_referendum(1)
     assert not nba_by_characterization(referendum, "unrestricted")
+    cex = condition1_counterexample(referendum)
+    assert witness_from_counterexample(referendum, cex, "strict").ordering.is_strict
+
+
+@pytest.mark.parametrize("kind", ("bogus", 5, None, DomainKind.EXPLICIT), ids=repr)
+def test_characterization_rejects_kinds_that_are_not_full(kind):
+    _, referendum = build_majority_referendum(1)
     with pytest.raises(InvariantViolation):
-        nba_by_characterization(mech, DomainKind.EXPLICIT)
+        nba_by_characterization(referendum, kind)
+    with pytest.raises(InvariantViolation):
+        witness_from_counterexample(referendum, condition1_counterexample(referendum), kind)
 
 
 def test_find_ba_witness_constant_none():
@@ -152,11 +161,11 @@ def test_characterization_agrees_with_search_wider_universe():
         )
         for mech in all_tables(env):
             holds = satisfies_condition1(mech)
-            for kind in FULL_KINDS:
-                witness = find_ba_witness(mech, kind)
+            for kind, strict_iii in itertools.product(FULL_KINDS, (False, True)):
+                witness = find_ba_witness(mech, kind, strict_iii=strict_iii)
                 assert (witness is None) == holds
                 if witness is not None:
-                    validate_witness(mech, witness)
+                    validate_witness(mech, witness, strict_iii)
 
 
 def test_witness_from_counterexample_all_kinds():
@@ -167,7 +176,7 @@ def test_witness_from_counterexample_all_kinds():
             continue
         for kind in FULL_KINDS:
             witness = witness_from_counterexample(mech, cex, kind)
-            validate_witness(mech, witness, domain=DomainSpec(kind))
+            validate_witness(mech, witness, strict_iii=True, domain=DomainSpec(kind))
             if kind is DomainKind.STRICT:
                 assert witness.ordering.is_strict
             if kind is DomainKind.WEAK_ONLY:

@@ -18,10 +18,12 @@ from exmech import domains, search
 from exmech.deterministic import (
     DetMechanism,
     build_majority_referendum,
+    condition1_counterexample,
     find_ba_witness,
     satisfies_condition1,
     search_ba_witness,
     validate_witness,
+    witness_from_counterexample,
 )
 from exmech.domains import domain_orderings, indifferent_ordering, rank_table, resolve_domains
 from exmech.errors import CapExceeded, InvariantViolation
@@ -229,8 +231,11 @@ def test_deterministic_search_equals_oracle_on_random_mechanisms(explicit, data)
         validate = functools.partial(validate_witness, strict_iii=strict_iii)
         witness = find_ba_witness(mech, domains, strict_iii=strict_iii)
         assert witness == first_valid_witness(mech, domains, validate)
-        if not explicit and not strict_iii:
+        if not explicit:  # tie propagation decides both forms of (iii) on the full kinds
             assert (witness is None) == satisfies_condition1(mech)
+    if not explicit and (cex := condition1_counterexample(mech)) is not None:
+        lift = witness_from_counterexample(mech, cex, domains)
+        validate_witness(mech, lift, strict_iii=True, domain=DomainSpec(domains))
 
 
 @pytest.mark.parametrize("explicit", (False, True), ids=("full", "explicit"))
@@ -279,6 +284,41 @@ def test_search_never_builds_a_rank_table(monkeypatch):
         message = "^7 pairs exceed the weak-order enumeration cap of 6$"
         with pytest.raises(CapExceeded, match=message):
             find_ba_witness(wide_constant, kind)
+
+
+@pytest.mark.parametrize("strict_iii", (False, True))
+@pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
+def test_past_cap_agent_after_a_witness_is_never_read(kind, strict_iii):
+    # agent 1 has 6 pairs, past a cap of 5 and within the default cap of 6 or 8
+    env = Environment.create((("a0", "a1"), ("b0", "b1", "b2")), ("z0", "z1"))
+    profiles = list(enumerate_profiles(env))
+    rng = random.Random(5)
+    found = 0
+    for _ in range(20):
+        mech = DetMechanism(env, {p: rng.choice(env.outcomes) for p in profiles})
+        uncapped = search_ba_witness(mech, kind, strict_iii=strict_iii)
+        if uncapped.witness is None or uncapped.witness.agent == 1:
+            with pytest.raises(CapExceeded, match="^6 pairs exceed the .* enumeration cap of 5$"):
+                search_ba_witness(mech, kind, cap=5, strict_iii=strict_iii)
+            continue
+        capped = search_ba_witness(mech, kind, cap=5, strict_iii=strict_iii)
+        assert capped.witness == uncapped.witness
+        counts = uncapped.stats["orderings_per_agent"]
+        assert capped.stats == {**uncapped.stats, "orderings_per_agent": [counts[0], None]}
+        found += 1
+    assert 0 < found < 20
+
+
+def test_past_cap_agent_raises_at_its_first_tie():
+    # agent 0 dictates, so it never ties and needs no rows; agent 1 ties at once
+    env = Environment.create(
+        (("a0", "a1", "a2"), ("b0", "b1", "b2", "b3")), ("z0", "z1", "z2")
+    )
+    dictator = DetMechanism(env, {p: "z" + p[0][1] for p in enumerate_profiles(env)})
+    for kind in FULL_KINDS:
+        what = "strict" if kind is DomainKind.STRICT else "weak"
+        with pytest.raises(CapExceeded, match=f"^12 pairs exceed the {what}-order enumeration cap of 8$"):
+            find_ba_witness(dictator, kind, cap=8)
 
 
 @pytest.mark.parametrize("domains_arg", (["strict"] * 3, "bogus", [None] * 3, 3), ids=repr)
