@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -153,10 +154,14 @@ def check_full_domain(
 ) -> tuple[Pair, ...]:
     """The pairs as a tuple, after checking a full domain of `kind` over them can be enumerated.
 
-    Raises InvariantViolation for no pairs or a duplicate pair and
-    CapExceeded for more pairs than `cap` (by default the strict or the weak
-    cap, by kind).
+    Raises InvariantViolation for a `cap` that is neither None nor an int >= 0,
+    no pairs or a duplicate pair.  Raises CapExceeded for more pairs than
+    `cap` (by default the strict or the weak cap, by kind), and, whatever
+    `cap` says, for more orderings than `sys.maxsize`: a row set has a bit per
+    row, and Python shifts an int by at most that many bits.
     """
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
+        raise InvariantViolation(f"cap must be None or an int >= 0, got {cap!r}")
     pairs = tuple(tuple(p) for p in pairs)
     if not pairs:
         raise InvariantViolation("need at least one pair to enumerate orderings")
@@ -168,6 +173,12 @@ def check_full_domain(
     if len(pairs) > cap:
         what = "strict-order" if strict else "weak-order"
         raise CapExceeded(f"{len(pairs)} pairs exceed the {what} enumeration cap of {cap}")
+    # 21! > 2**63: past 20 pairs every kind is over the bound, and row_count is not asked
+    if len(pairs) > 20 or row_count(len(pairs), kind) > sys.maxsize:
+        raise CapExceeded(
+            f"{len(pairs)} pairs give the {kind.value} domain more orderings than "
+            f"sys.maxsize ({sys.maxsize}), the most a search can index"
+        )
     return pairs
 
 

@@ -14,9 +14,9 @@ the rows ranking p strictly above q are `rows & ~le[q][p]`).  A full domain
 kind's `le` is built straight from the recursion that defines its canonical
 order (`domains.heads`), shared by every search over the same pair count and
 kind, and its witness row is found by `domains.unrank`; no row of it is made.
-Rank vectors are read only for explicit domains
-(`domains.domain_rank_vectors`): once to build `le` and once to look up the
-witness row.
+An explicit domain's rank vectors are read once
+(`domains.domain_rank_vectors`), and `le` is its definition over them; its
+witness is the listed ordering itself.
 
 The certificate needs two relations, and each kind hands the search the
 row-set form of the same two it hands `check_certificate`.  The search calls
@@ -34,7 +34,6 @@ is made here and nowhere else.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -79,20 +78,14 @@ def search_witness(
         "agents": env.n,
         "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
         "sub_profiles": [len(s) for s in subs_by_agent],
-        "orderings_per_agent": [count for count, _ in admissible],
+        "orderings_per_agent": [count for count, _, _ in admissible],
     }
-    for agent, (spec, acts, subs, (count, table)) in enumerate(
+    for agent, (spec, acts, subs, (count, le, ordering_at)) in enumerate(
         zip(specs, env.actions, subs_by_agent, admissible)
     ):
         pairs = env.pairs_for(agent)
         if count is not None:  # past the cap, an agent gets no rows
-            index = {pair: k for k, pair in enumerate(pairs)}
-            if table is None:  # full kinds share one matrix per pair count, and make no rows
-                le = _shared_row_sets(len(pairs), spec.kind)
-                row = functools.partial(domains.unrank, len(pairs), spec.kind)
-            else:
-                le, row = _row_sets(table, len(pairs)), table.__getitem__
-            beats_ii, beats_iii = relations(index, le)
+            beats_ii, beats_iii = relations({pair: k for k, pair in enumerate(pairs)}, le)
             every = (1 << count) - 1
         for r in acts:
             for l in acts:
@@ -118,49 +111,44 @@ def search_witness(
                                 if not rows:
                                     break
                         if rows:  # the lowest set bit is the canonically first row
-                            rv = row((rows & -rows).bit_length() - 1)
-                            ordering = Ordering.from_ranks(agent, pairs, rv)
+                            ordering = ordering_at((rows & -rows).bit_length() - 1)
                             return SearchResult(BAWitness(agent, r, l, a, b, ordering), stats)
     return SearchResult(None, stats)
 
 
 def _admissible(env: Environment, agent: int, spec: DomainSpec, cap: int | None) -> tuple:
-    """(row count, rank table) of the agent's admissible orderings; no table for a full kind."""
+    """(row count, `le`, ordering of row o) over the agent's admissible orderings.
+
+    An explicit domain's rows are its listed orderings, so row o's ordering is
+    the o-th one listed; a full kind's is rebuilt from `domains.unrank`.  Past
+    the cap all three are None: no rows, nor a count.
+    """
+    pairs = env.pairs_for(agent)
     if spec.kind is DomainKind.EXPLICIT:
         # looked up on the module so that a wrapper installed there sees every explicit table
         table = domains.domain_rank_vectors(env, agent, spec, cap)
-        return len(table), table
+        return len(table), _row_sets(table, len(pairs)), spec.orderings.__getitem__
     try:
-        n = len(domains.check_full_domain(spec.kind, env.pairs_for(agent), cap))
+        n = len(domains.check_full_domain(spec.kind, pairs, cap))
     except CapExceeded:
-        return None, None  # nor a count past the cap
-    return domains.row_count(n, spec.kind), None
+        return None, None, None
+
+    def ordering_at(o: int) -> Ordering:
+        return Ordering.from_ranks(agent, pairs, domains.unrank(n, spec.kind, o))
+
+    return domains.row_count(n, spec.kind), _shared_row_sets(n, spec.kind), ordering_at
 
 
 def _row_sets(table, n: int) -> list[list[int]]:
-    """`le` for the rows of an explicit rank table, as described in the module docstring.
+    """`le` for the rows of a rank table: bit o of le[p][q] is set iff row o ranks p at or above q.
 
-    Class-membership masks eq[p][c] come from one pass over the rows; le[p][q]
-    is the union over classes c of eq[p][c] with the rows placing q in c or a
-    later class.
+    Each entry is read from one bit string, row o being its o-th digit from
+    the right; the leading "0" makes an empty table's string a number.
     """
-    size = (len(table) + 7) // 8
-    eq_bytes = [[bytearray(size) for _ in range(n)] for _ in range(n)]
-    for o, rv in enumerate(table):
-        byte, bit = o >> 3, 1 << (o & 7)
-        for by_class, c in zip(eq_bytes, rv):
-            by_class[c][byte] |= bit
-    eq = [[int.from_bytes(b, "little") for b in by_class] for by_class in eq_bytes]
-    below = []  # below[q][c]: rows ranking q in class c or a later one
-    for by_class in eq:
-        suffix, acc = [0] * n, 0
-        for c in reversed(range(n)):
-            acc |= by_class[c]
-            suffix[c] = acc
-        below.append(suffix)
+    rows = table[::-1]
     return [
-        [functools.reduce(operator.or_, map(operator.and_, eq_p, below_q)) for below_q in below]
-        for eq_p in eq
+        [int("0" + "".join("1" if rv[p] <= rv[q] else "0" for rv in rows), 2) for q in range(n)]
+        for p in range(n)
     ]
 
 

@@ -301,6 +301,25 @@ def test_analyze_groves_grid_far_past_the_cap(capsys, strict_iii):
     assert (report["verdict"], report["method"]) == ("BA", "characterization")
 
 
+@pytest.mark.parametrize(
+    "grid, kind, cap",
+    (
+        ("0,1/4,1/2,3/4", "unrestricted", "28"),
+        ("0,1/4,1/2,3/4", "strict", "28"),
+        (",".join(f"{k}/18" for k in range(19)), "unrestricted", "1000"),
+    ),
+    ids=("28-pairs-unrestricted", "28-pairs-strict", "19-point-grid"),
+)
+def test_analyze_groves_cap_past_the_row_bound(capsys, grid, kind, cap):
+    # the cap covers every pair, but the full domain has more orderings than
+    # sys.maxsize, so the characterization answers as it does under the default cap
+    argv = ("analyze", "--builder", "groves", "--grid", grid, "--domains", kind)
+    code, out, err = run(capsys, *argv, "--cap", cap)
+    assert code == 0 and err == ""
+    assert json.loads(out)["method"] == "characterization"
+    assert run(capsys, *argv) == (0, out, "")
+
+
 def _write_domains(tmp_path, env, specs):
     env["domains"] = specs
     path = tmp_path / "domains.json"

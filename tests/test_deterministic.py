@@ -26,7 +26,7 @@ from exmech.deterministic import (
     validate_witness,
     witness_from_counterexample,
 )
-from exmech.domains import classical_orderings, rank_table
+from exmech.domains import build_queueing_pref_1, classical_orderings, rank_table
 from exmech.errors import (
     GridDoesNotSupportWitness,
     InvariantViolation,
@@ -224,12 +224,19 @@ def test_rank_kernel_matches_row_wise_reference_on_full_tables(n, kind):
     assert_rank_relations_match(rank_table(n, kind), n, _shared_row_sets(n, kind))
 
 
-@pytest.mark.parametrize("n", (2, 3, 4, 5))
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 28))
 def test_rank_kernel_matches_row_wise_reference_on_explicit_tables(n):
-    rng = random.Random(n)
-    full = rank_table(n, DomainKind.UNRESTRICTED)
-    for size in (1, 2, 7, 30):
-        table = tuple(rng.sample(full, min(size, len(full))))
+    if n == 28:  # the one row of patient 1's queueing preference on the 4-point grid
+        params = QueueingParams(Fraction(1, 2), Fraction(1, 4), tuple(Fraction(k, 4) for k in range(4)))
+        env, _ = build_groves_queueing(params)
+        pref = build_queueing_pref_1(params, env)
+        tables = [(tuple(pref.rank(pair) for pair in env.pairs_for(0)),)]
+    else:
+        rng = random.Random(n)
+        full = rank_table(n, DomainKind.UNRESTRICTED)
+        tables = [tuple(rng.sample(full, min(size, len(full)))) for size in (1, 2, 7, 30)]
+    for table in tables:
+        assert len(table[0]) == n
         assert_rank_relations_match(table, n, _row_sets(table, n))
 
 

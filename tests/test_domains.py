@@ -1,13 +1,16 @@
 import itertools
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
+from exmech import domains
 from exmech.deterministic import build_groves_queueing
 from exmech.domains import (
     build_queueing_pref_1,
     build_queueing_pref_2,
+    check_full_domain,
     classical_orderings,
     domain_orderings,
     domain_rank_vectors,
@@ -83,6 +86,24 @@ def test_domain_orderings_cap_zero_is_a_cap(kind):
     env = Environment.create((("a0", "a1"),), ("z0",))
     with pytest.raises(CapExceeded):
         domain_orderings(env, 0, DomainSpec(DomainKind(kind)), cap=0)
+
+
+@pytest.mark.parametrize("kind", ("unrestricted", "strict", "weak_only"))
+def test_full_domain_past_sys_maxsize_orderings_is_a_cap(kind):
+    kind = DomainKind(kind)
+    past = "more orderings than sys.maxsize"
+    for n in range(1, 21):
+        if row_count(n, kind) <= sys.maxsize:
+            assert check_full_domain(kind, pairs(n), 28) == pairs(n)
+        else:
+            with pytest.raises(CapExceeded, match=f"^{n} pairs give the {kind.value} domain {past}"):
+                check_full_domain(kind, pairs(n), 28)
+    # a cold count of 300 pairs would recurse 300 deep
+    domains.row_count.cache_clear()
+    domains._head_groups.cache_clear()
+    for n in (21, 28, 300):
+        with pytest.raises(CapExceeded, match=f"^{n} pairs give the {kind.value} domain {past}"):
+            check_full_domain(kind, pairs(n), n)
 
 
 def queueing_setup(theta1=Fraction(1, 2), theta2=Fraction(1, 4), grid=None):

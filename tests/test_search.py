@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from exmech import domains, search
 from exmech.deterministic import (
     DetMechanism,
+    build_groves_queueing,
     build_majority_referendum,
     condition1_counterexample,
     find_ba_witness,
@@ -25,7 +26,15 @@ from exmech.deterministic import (
     validate_witness,
     witness_from_counterexample,
 )
-from exmech.domains import domain_orderings, indifferent_ordering, rank_table, resolve_domains
+from exmech.domains import (
+    build_queueing_pref_1,
+    build_queueing_pref_2,
+    domain_orderings,
+    enumerate_weak_orderings,
+    indifferent_ordering,
+    rank_table,
+    resolve_domains,
+)
 from exmech.errors import CapExceeded, InvariantViolation
 from exmech.model import (
     BAWitness,
@@ -36,6 +45,7 @@ from exmech.model import (
     enumerate_profiles,
     sub_profiles,
 )
+from exmech.queueing import QueueingParams
 from exmech.stochastic import (
     Distribution,
     ProbMechanism,
@@ -326,3 +336,42 @@ def test_search_rejects_domains_of_the_wrong_type(domains_arg):
     _, referendum = build_majority_referendum(1)
     with pytest.raises(InvariantViolation):
         find_ba_witness(referendum, domains_arg)
+
+
+def test_explicit_witness_is_the_listed_ordering(monkeypatch):
+    params = QueueingParams(Fraction(1, 2), Fraction(1, 4), tuple(Fraction(k, 4) for k in range(4)))
+    env, groves = build_groves_queueing(params)
+    queueing = (
+        DomainSpec.explicit((build_queueing_pref_1(params, env),)),
+        DomainSpec.explicit((build_queueing_pref_2(params, env),)),
+    )
+    env, mixed = build_mixed_counterexample()
+    counterexample = (
+        DomainSpec.explicit((counterexample_preference(),)),
+        DomainSpec.explicit((indifferent_ordering(1, env.actions[1], env.outcomes),)),
+    )
+
+    def no_from_ranks(*args):
+        raise AssertionError("an explicit domain's witness ordering was rebuilt from ranks")
+
+    monkeypatch.setattr(Ordering, "from_ranks", no_from_ranks)
+    found = [(find_ba_witness(groves, queueing, strict_iii=s), queueing) for s in (False, True)]
+    found.append((find_prob_ba_witness(mixed, counterexample), counterexample))
+    for witness, specs in found:
+        assert witness is not None
+        assert any(witness.ordering is listed for listed in specs[witness.agent].orderings)
+
+
+@pytest.mark.parametrize("cap", ("5", [6], float("nan"), True, False, 2.5, -1), ids=repr)
+def test_cap_must_be_none_or_a_non_negative_int(cap):
+    _, referendum = build_majority_referendum(1)
+    _, mixed = build_mixed_counterexample()
+    pairs = (("a", "z0"), ("a", "z1"))
+    searches = (
+        lambda: find_ba_witness(referendum, "unrestricted", cap=cap),
+        lambda: find_prob_ba_witness(mixed, "unrestricted", cap=cap),
+        lambda: list(enumerate_weak_orderings(0, pairs, cap=cap)),
+    )
+    for run in searches:
+        with pytest.raises(InvariantViolation, match=r"^cap must be None or an int >= 0, got "):
+            run()
