@@ -8,11 +8,12 @@ takes heads of any size, `strict` takes single pairs only, and `weak_only`
 keeps a weak-only tail after a single pair and an unrestricted tail after a
 larger head.  `rank_table` materializes that order as rank vectors over
 pair positions, one table per pair count and kind, so every agent with as
-many action-outcome pairs shares one table; `unrank` finds one row of it
-without making the table.  Also classifies orderings as classical or
-separable and builds the lexicographic queueing preferences.  Enumeration
-is capped because the number of weak orders grows like the ordered Bell
-numbers (4683 already at six pairs).
+many action-outcome pairs shares one table; a search never makes it, and
+reads its witness row from the row-set matrix `le` instead.  Also
+classifies orderings as classical or separable and builds the
+lexicographic queueing preferences.  Enumeration is capped because the
+number of weak orders grows like the ordered Bell numbers (4683 already at
+six pairs).
 """
 
 from __future__ import annotations
@@ -116,32 +117,6 @@ def rank_table(n: int, kind: DomainKind) -> tuple[tuple[int, ...], ...]:
                 ranks[p] = c + 1
             rows.append(tuple(ranks))
     return tuple(rows)
-
-
-def unrank(n: int, kind: DomainKind, o: int) -> tuple[int, ...]:
-    """Row o of `rank_table(n, kind)`, found by walking the heads without making the table.
-
-    Each depth skips whole head sizes, then takes the head at o's block
-    index among that size's heads, in `heads` order.
-    """
-    if not 0 <= o < row_count(n, kind):
-        raise IndexError(f"row {o} outside the {kind.value} domain over {n} positions")
-    ranks = [0] * n
-    positions = list(range(n))
-    depth = 0
-    while positions:
-        for size, tail, block in _head_groups(len(positions), kind):
-            rows = math.comb(len(positions), size) * block
-            if o < rows:
-                break
-            o -= rows
-        index, o = divmod(o, block)
-        head = next(itertools.islice(itertools.combinations(positions, size), index, None))
-        for p in head:
-            ranks[p] = depth
-        positions = [p for p in positions if p not in head]
-        kind, depth = tail, depth + 1
-    return tuple(ranks)
 
 
 def table_orderings(agent: int, pairs: Sequence[Pair], table: Iterable) -> Iterator[Ordering]:

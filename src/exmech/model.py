@@ -59,6 +59,10 @@ class Ordering:
     @classmethod
     def from_ranks(cls, agent: int, pairs: Sequence[Pair], ranks: Sequence[int]) -> "Ordering":
         """The ordering that puts pairs[k] in class ranks[k]."""
+        if len(ranks) != len(pairs) or not all(
+            isinstance(rank, int) and not isinstance(rank, bool) and rank >= 0 for rank in ranks
+        ):
+            raise InvariantViolation(f"ranks {ranks!r} are not one int >= 0 per pair")
         classes: list[list[Pair]] = [[] for _ in range(max(ranks, default=-1) + 1)]
         for pair, rank in zip(pairs, ranks):
             classes[rank].append(pair)
@@ -223,6 +227,8 @@ class Environment:
         return len(self.actions)
 
     def check_agent(self, agent: int) -> None:
+        if not isinstance(agent, int) or isinstance(agent, bool):
+            raise InvariantViolation(f"agent must be an int, got {agent!r}")
         if not 0 <= agent < self.n:
             raise AgentOutOfRange(f"agent {agent} out of range for {self.n} agents")
 

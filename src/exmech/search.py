@@ -12,11 +12,12 @@ stands for row o.  The search reads all of a domain through one matrix `le`,
 where `le[p][q]` holds the rows ranking column p weakly above column q (so
 the rows ranking p strictly above q are `rows & ~le[q][p]`).  A full domain
 kind's `le` is built straight from the recursion that defines its canonical
-order (`domains.heads`), shared by every search over the same pair count and
-kind, and its witness row is found by `domains.unrank`; no row of it is made.
-An explicit domain's rank vectors are read once
+order (`domains.heads`) and shared by every search over the same pair count
+and kind; no row of it is made, and its witness row is read back from `le`
+(`_row_ranks`).  An explicit domain's rank vectors are read once
 (`domains.domain_rank_vectors`), and `le` is its definition over them; its
-witness is the listed ordering itself.
+witness is the listed ordering itself.  Either way `le[p][p]` holds every
+row, so it also gives the row count.
 
 The certificate needs two relations, and each kind hands the search the
 row-set form of the same two it hands `check_certificate`.  The search calls
@@ -78,15 +79,17 @@ def search_witness(
         "agents": env.n,
         "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
         "sub_profiles": [len(s) for s in subs_by_agent],
-        "orderings_per_agent": [count for count, _, _ in admissible],
+        "orderings_per_agent": [
+            None if le is None else le[0][0].bit_length() for le, _ in admissible
+        ],
     }
-    for agent, (spec, acts, subs, (count, le, ordering_at)) in enumerate(
+    for agent, (spec, acts, subs, (le, ordering_at)) in enumerate(
         zip(specs, env.actions, subs_by_agent, admissible)
     ):
         pairs = env.pairs_for(agent)
-        if count is not None:  # past the cap, an agent gets no rows
+        if le is not None:  # past the cap, an agent gets no rows
             beats_ii, beats_iii = relations({pair: k for k, pair in enumerate(pairs)}, le)
-            every = (1 << count) - 1
+            every = le[0][0]  # every row ranks a column at or above itself
         for r in acts:
             for l in acts:
                 if r == l:
@@ -95,7 +98,7 @@ def search_witness(
                     value = value_at(agent, r, a)
                     if value != value_at(agent, l, a):
                         continue
-                    if count is None:  # past the cap, so this raises CapExceeded
+                    if le is None:  # past the cap, so this raises CapExceeded
                         domains.check_full_domain(spec.kind, pairs, cap)
                     candidates = beats_ii((l, value), (r, value), every)
                     if not candidates:
@@ -117,26 +120,34 @@ def search_witness(
 
 
 def _admissible(env: Environment, agent: int, spec: DomainSpec, cap: int | None) -> tuple:
-    """(row count, `le`, ordering of row o) over the agent's admissible orderings.
+    """(`le`, ordering of row o) over the agent's admissible orderings.
 
     An explicit domain's rows are its listed orderings, so row o's ordering is
-    the o-th one listed; a full kind's is rebuilt from `domains.unrank`.  Past
-    the cap all three are None: no rows, nor a count.
+    the o-th one listed; a full kind's is rebuilt from row o's ranks, read
+    from `le` (`_row_ranks`).  Past the cap both are None: no rows.
     """
     pairs = env.pairs_for(agent)
     if spec.kind is DomainKind.EXPLICIT:
         # looked up on the module so that a wrapper installed there sees every explicit table
         table = domains.domain_rank_vectors(env, agent, spec, cap)
-        return len(table), _row_sets(table, len(pairs)), spec.orderings.__getitem__
+        return _row_sets(table, len(pairs)), spec.orderings.__getitem__
     try:
-        n = len(domains.check_full_domain(spec.kind, pairs, cap))
+        le = _shared_row_sets(len(domains.check_full_domain(spec.kind, pairs, cap)), spec.kind)
     except CapExceeded:
-        return None, None, None
+        return None, None
+    return le, lambda o: Ordering.from_ranks(agent, pairs, _row_ranks(le, o))
 
-    def ordering_at(o: int) -> Ordering:
-        return Ordering.from_ranks(agent, pairs, domains.unrank(n, spec.kind, o))
 
-    return domains.row_count(n, spec.kind), _shared_row_sets(n, spec.kind), ordering_at
+def _row_ranks(le: list[list[int]], o: int) -> list[int]:
+    """Row o's rank vector: column p's class index, read from bit o of `le`.
+
+    The columns at or above p number the pairs in p's class and every better
+    one, so these counts, distinct and sorted, are the classes in order.
+    """
+    bit = 1 << o
+    above = [sum([1 for q_le_p in column if q_le_p & bit]) for column in zip(*le)]
+    classes = {count: k for k, count in enumerate(sorted(set(above)))}
+    return [classes[count] for count in above]
 
 
 def _row_sets(table, n: int) -> list[list[int]]:
@@ -201,7 +212,7 @@ def check_certificate(
         raise InvariantViolation("witness actions not in the agent's action set")
     if witness.r == witness.l:
         raise InvariantViolation("witness actions must be distinct")
-    subs = set(sub_profiles(env, witness.agent))
+    subs = tuple(sub_profiles(env, witness.agent))  # `in` compares, so it hashes no malformed one
     if witness.a_minus not in subs or witness.b_minus not in subs:
         raise InvariantViolation("witness sub-profiles not valid for the environment")
     if witness.a_minus == witness.b_minus:

@@ -23,11 +23,11 @@ from exmech.domains import (
     rank_table,
     row_count,
     separability_violation,
-    unrank,
 )
 from exmech.errors import CapExceeded, NotQueueingEnvironment
 from exmech.model import DomainKind, DomainSpec, Environment, Ordering
 from exmech.queueing import QueueingParams
+from exmech.search import _row_ranks, _shared_row_sets
 
 
 def ordered_bell(n):
@@ -335,9 +335,8 @@ def test_rank_table_matches_the_frozen_generator(n, kind):
 @pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_unrank_finds_every_row_of_the_rank_table(n, kind):
+    # a search reads its witness row back from the shared row sets, not the table
     table = rank_table(n, kind)
-    assert row_count(n, kind) == len(table)
-    assert [unrank(n, kind, o) for o in range(len(table))] == list(table)
-    for o in (-1, len(table)):
-        with pytest.raises(IndexError):
-            unrank(n, kind, o)
+    le = _shared_row_sets(n, kind)
+    assert row_count(n, kind) == len(table) == le[0][0].bit_length()
+    assert [tuple(_row_ranks(le, o)) for o in range(len(table))] == list(table)

@@ -53,6 +53,11 @@ def test_ordering_rejects_empty_class_and_duplicates():
         Ordering(0, (frozenset(),))
     with pytest.raises(InvariantViolation):
         Ordering(0, (frozenset({("a", "z")}), frozenset({("a", "z")})))
+    pairs = (("a", "x"), ("a", "y"))
+    assert Ordering.from_ranks(0, pairs, [1, 0]) == ordering_of(0, {("a", "y")}, {("a", "x")})
+    for ranks in ([0, -1], [0], [0, 1, 2], [0, 1.0], [0, True], [0, "1"]):
+        with pytest.raises(InvariantViolation, match="not one int >= 0 per pair"):
+            Ordering.from_ranks(0, pairs, ranks)
 
 
 @pytest.mark.parametrize(

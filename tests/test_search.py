@@ -4,6 +4,7 @@ Each kind's row-set relations are checked here too, against the reference
 relations its validator passes to `check_certificate` (`assert_relations_match`).
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -35,7 +36,7 @@ from exmech.domains import (
     rank_table,
     resolve_domains,
 )
-from exmech.errors import CapExceeded, InvariantViolation
+from exmech.errors import AgentOutOfRange, CapExceeded, InvariantViolation
 from exmech.model import (
     BAWitness,
     DomainKind,
@@ -375,3 +376,23 @@ def test_cap_must_be_none_or_a_non_negative_int(cap):
     for run in searches:
         with pytest.raises(InvariantViolation, match=r"^cap must be None or an int >= 0, got "):
             run()
+
+
+def test_certificate_check_rejects_malformed_agents_and_sub_profiles():
+    _, referendum = build_majority_referendum(1)
+    _, mixed = build_mixed_counterexample()
+    for mech, validate, find in (
+        (referendum, validate_witness, find_ba_witness),
+        (mixed, validate_prob_witness, find_prob_ba_witness),
+    ):
+        witness = find(mech, DomainKind.UNRESTRICTED)
+        validate(mech, witness)
+        for agent in ("0", 0.0, True, False, None):
+            with pytest.raises(InvariantViolation, match="^agent must be an int, got "):
+                validate(mech, dataclasses.replace(witness, agent=agent))
+        with pytest.raises(AgentOutOfRange):
+            validate(mech, dataclasses.replace(witness, agent=mech.env.n))
+        for field in ("a_minus", "b_minus"):
+            malformed = list(getattr(witness, field))
+            with pytest.raises(InvariantViolation, match="sub-profiles not valid"):
+                validate(mech, dataclasses.replace(witness, **{field: malformed}))
