@@ -92,6 +92,8 @@ def condition1_counterexamples(mech: DetMechanism) -> Iterator[Condition1Violati
 
     Agents ascending, unordered action pairs by index, then the tying
     sub-profile and the sub-profile where the tie breaks, lexicographically.
+    Where a tie breaks depends only on (r, l, z), so the sub-profiles that
+    break a tie at z are found once per tied outcome z.
     """
     env = mech.env
     for agent in range(env.n):
@@ -100,16 +102,19 @@ def condition1_counterexamples(mech: DetMechanism) -> Iterator[Condition1Violati
         for ri in range(len(acts)):
             for li in range(ri + 1, len(acts)):
                 r, l = acts[ri], acts[li]
+                breaking: dict[str, list[SubProfile]] = {}  # z -> every b where the tie breaks
                 for a in subs:
                     z = mech.outcome_at(agent, r, a)
                     if z != mech.outcome_at(agent, l, a):
                         continue
-                    for b in subs:
-                        if (
-                            mech.outcome_at(agent, r, b) != z
-                            or mech.outcome_at(agent, l, b) != z
-                        ):
-                            yield Condition1Violation(agent, r, l, a, b, z)
+                    if z not in breaking:
+                        breaking[z] = [
+                            b
+                            for b in subs
+                            if mech.outcome_at(agent, r, b) != z or mech.outcome_at(agent, l, b) != z
+                        ]
+                    for b in breaking[z]:
+                        yield Condition1Violation(agent, r, l, a, b, z)
 
 
 def condition1_counterexample(mech: DetMechanism) -> Condition1Violation | None:
@@ -171,7 +176,7 @@ def validate_witness(
     mech: DetMechanism,
     witness: BAWitness,
     strict_iii: bool = False,
-    domain: DomainSpec | None = None,
+    domain: DomainSpec | DomainKind | str | None = None,
 ) -> None:
     """Re-check the three certificate conditions; raise on the first failure.
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapExceeded, InvariantViolation
+from .errors import CapExceeded, InvariantViolation, UnknownPair
 from .model import (
     DomainKind,
     DomainSpec,
@@ -276,17 +276,20 @@ def separability_violation(ordering: Ordering) -> SeparabilityViolation | None:
     """
     actions = _ordering_actions(ordering)
     outcomes = _ordering_outcomes(ordering)
-    weakly = ordering.weakly_prefers
-    for x in actions:
-        for x_alt in actions:
-            if x_alt == x:
-                continue
-            for z in outcomes:
-                for z_alt in outcomes:
-                    if weakly((x, z), (x, z_alt)) and not weakly((x_alt, z), (x_alt, z_alt)):
-                        return SeparabilityViolation(1, x, x_alt, z, z_alt)
-                    if weakly((x, z), (x_alt, z)) and not weakly((x, z_alt), (x_alt, z_alt)):
-                        return SeparabilityViolation(2, x, x_alt, z, z_alt)
+    ranks = ordering._ranks
+    try:
+        for x in actions:
+            for x_alt in actions:
+                if x_alt == x:
+                    continue
+                for z in outcomes:
+                    for z_alt in outcomes:
+                        if ranks[x, z] <= ranks[x, z_alt] and ranks[x_alt, z] > ranks[x_alt, z_alt]:
+                            return SeparabilityViolation(1, x, x_alt, z, z_alt)
+                        if ranks[x, z] <= ranks[x_alt, z] and ranks[x, z_alt] > ranks[x_alt, z_alt]:
+                            return SeparabilityViolation(2, x, x_alt, z, z_alt)
+    except KeyError as exc:  # not every (action, outcome) pair is ranked
+        raise UnknownPair(f"pair {exc.args[0]!r} is not in the ordering's partition") from None
     return None
 
 

@@ -30,6 +30,24 @@ narrows those rows with `beats_iii((r, value at b), (x, value at b), rows)`
 rival by rival, in action order, and stops as soon as none remain.  The
 lowest set bit of what survives every rival is the witness row.  That choice
 is made here and nowhere else.
+
+The scan is quotiented by sub-profile signatures.  Each agent's values are
+read lazily, in sub-profile order, and interned to small ints (so values
+must hash consistently with `==`); the signature
+of sub-profile b is the tuple of the codes of every action's value at b.
+For fixed (r, l), condition (ii) depends on a only through the tied value,
+so `beats_ii` runs once per value, and the narrowing for (iii) depends on b
+only through its signature, so it runs at most once per (value, signature).
+For a given a, the witness b is then the smallest index other than a over
+the signatures whose rows survive.  Every signature's smallest such index is
+its first, except that of a itself when a is its first index: there it is
+the second.  So each signature keeps its first two indices.  A walk over
+the signatures in order of their first index stops at the first survivor;
+a's own signature, when first seen at a, is tried last, and only if its
+second index is below that survivor's.  Under both kinds' relations it never
+survives, since (iii) against l at the tied value is the reverse of (ii).
+The search does not rely on that, but trying it last keeps the relation
+calls no more than the pairwise scan's when every signature is distinct.
 """
 
 from __future__ import annotations
@@ -68,9 +86,10 @@ def search_witness(
 
     The search space is ordered by agent, then ordered action pairs (r, l),
     then ordered pairs of distinct sub-profiles (a, b), then orderings in
-    domain row order.  Condition (ii) does not depend on b, so it is
-    evaluated once per a.  An agent past the cap gets no rows and a `None`
-    count; CapExceeded is raised only at its first tuple passing (i).
+    domain row order; it is walked by tied value and signature (see the
+    module docstring), and values are read only as far as the walk reaches.
+    An agent past the cap gets no rows and a `None` count; CapExceeded is
+    raised only at its first tuple passing (i).
     """
     specs = domains.resolve_domains(env, domain_specs)
     admissible = [_admissible(env, i, spec, cap) for i, spec in enumerate(specs)]
@@ -90,32 +109,88 @@ def search_witness(
         if le is not None:  # past the cap, an agent gets no rows
             beats_ii, beats_iii = relations({pair: k for k, pair in enumerate(pairs)}, le)
             every = le[0][0]  # every row ranks a column at or above itself
-        for r in acts:
-            for l in acts:
+        codes: dict = {}  # value -> its code, in order of first reading
+        values: list = []  # code -> value
+        sigs: list[tuple[int, ...]] = []  # the signature of each sub-profile read so far
+        order: list[tuple[int, ...]] = []  # the distinct signatures, by first index
+        indices: dict[tuple[int, ...], list[int]] = {}  # signature -> its first two indices
+
+        def read() -> None:
+            """Read the next sub-profile's signature: the code of each action's value there."""
+            b = subs[len(sigs)]
+            sig = []
+            for x in acts:
+                value = value_at(agent, x, b)
+                code = codes.setdefault(value, len(values))
+                if code == len(values):
+                    values.append(value)
+                sig.append(code)
+            sig = tuple(sig)
+            at = indices.get(sig)
+            if at is None:
+                indices[sig] = [len(sigs)]
+                order.append(sig)
+            elif len(at) == 1:
+                at.append(len(sigs))
+            sigs.append(sig)
+
+        for ri, r in enumerate(acts):
+            for li, l in enumerate(acts):
                 if r == l:
                     continue
-                for a in subs:
-                    value = value_at(agent, r, a)
-                    if value != value_at(agent, l, a):
+                protests: dict[int, int] = {}  # code -> rows passing (ii) at that tied value
+                responses: dict[tuple, int] = {}  # (code, signature) -> rows passing (iii) too
+                for i, a in enumerate(subs):
+                    if i == len(sigs):
+                        read()
+                    sig_a = sigs[i]
+                    code = sig_a[ri]
+                    if code != sig_a[li]:
                         continue
                     if le is None:  # past the cap, so this raises CapExceeded
                         domains.check_full_domain(spec.kind, pairs, cap)
-                    candidates = beats_ii((l, value), (r, value), every)
+                    candidates = protests.get(code)
+                    if candidates is None:
+                        value = values[code]
+                        candidates = protests[code] = beats_ii((l, value), (r, value), every)
                     if not candidates:
                         continue
-                    for b in subs:
-                        if b == a:
+                    # b is the smallest index other than i over the signatures whose rows
+                    # survive; a's own signature, when first seen at a, competes with its
+                    # second index and is tried last
+                    b = rows = own = None
+                    k = 0
+                    while True:
+                        if k < len(order) and (b is None or indices[order[k]][0] < b):
+                            sig = order[k]
+                            k += 1
+                            at = indices[sig]
+                            if at[0] == i:
+                                own = at
+                                continue
+                            index = at[0]
+                        elif b is None and len(sigs) < len(subs):
+                            read()
                             continue
-                        anchor = (r, value_at(agent, r, b))
-                        rows = candidates
-                        for x in acts:
-                            if x != r:
-                                rows = beats_iii(anchor, (x, value_at(agent, x, b)), rows)
-                                if not rows:
-                                    break
-                        if rows:  # the lowest set bit is the canonically first row
-                            ordering = ordering_at((rows & -rows).bit_length() - 1)
-                            return SearchResult(BAWitness(agent, r, l, a, b, ordering), stats)
+                        elif own is not None and len(own) > 1 and (b is None or own[1] < b):
+                            sig, index, own = sig_a, own[1], None
+                        else:
+                            break
+                        survivors = responses.get((code, sig))
+                        if survivors is None:
+                            anchor = (r, values[sig[ri]])
+                            survivors = candidates
+                            for xi, x in enumerate(acts):
+                                if xi != ri:
+                                    survivors = beats_iii(anchor, (x, values[sig[xi]]), survivors)
+                                    if not survivors:
+                                        break
+                            responses[(code, sig)] = survivors
+                        if survivors:
+                            b, rows = index, survivors
+                    if b is not None:  # the lowest set bit is the canonically first row
+                        ordering = ordering_at((rows & -rows).bit_length() - 1)
+                        return SearchResult(BAWitness(agent, r, l, a, subs[b], ordering), stats)
     return SearchResult(None, stats)
 
 
@@ -193,12 +268,13 @@ def check_certificate(
     value_at: Callable[[int, str, SubProfile], object],
     beats_ii: Callable[[Ordering, tuple, tuple], bool],
     beats_iii: Callable[[Ordering, tuple, tuple], bool],
-    domain: DomainSpec | None = None,
+    domain: DomainSpec | DomainKind | str | None = None,
 ) -> None:
     """Re-check a witness against the mechanism `value_at` reads; raise on the first failure.
 
     The witness must name valid, distinct actions and sub-profiles and a
-    full ordering of the agent's pairs.  With a `domain`, the ordering must
+    full ordering of the agent's pairs.  With a `domain` (a spec, or a full
+    kind or its name, as the searches take), the ordering must
     also belong to it: all classes singletons under `strict`, some class of
     two or more pairs under `weak_only`, one of the listed orderings under
     `explicit`.  Then (i) r and l must give equal values at a; (ii)
@@ -218,10 +294,16 @@ def check_certificate(
     if witness.a_minus == witness.b_minus:
         raise InvariantViolation("witness sub-profiles must be distinct")
     ordering = witness.ordering
+    if not isinstance(ordering, Ordering):
+        raise InvariantViolation(f"witness ordering {ordering!r} is not an Ordering")
     if ordering.agent != witness.agent:
         raise InvariantViolation("witness ordering tagged for a different agent")
     if ordering.pairs != frozenset(env.pairs_for(witness.agent)):
         raise InvariantViolation("witness ordering does not partition the agent's pairs")
+    if isinstance(domain, (str, DomainKind)):
+        domain = DomainSpec(domains.full_kind(domain))
+    elif domain is not None and not isinstance(domain, DomainSpec):
+        raise InvariantViolation(f"domain must be a DomainSpec or a domain kind, not {domain!r}")
     kind = domain.kind if domain is not None else DomainKind.UNRESTRICTED
     if kind is DomainKind.STRICT and not ordering.is_strict:
         raise InvariantViolation("witness ordering has an indifference, outside the strict domain")

@@ -7,11 +7,16 @@ through upper-contour probabilities: the chance of landing weakly above a
 target pair must be at least as large everywhere and strictly larger
 somewhere.
 
-`phi` and `fsd` are the reference definition in `Fraction` arithmetic; every
-witness is re-checked with them.  The anomaly search reads neither them nor
+`phi` is the reference definition in `Fraction` arithmetic; `fsd` compares
+its differences as integer prefix sums over the ordering's classes, and every
+witness is re-checked with it.  The anomaly search reads neither them nor
 rank vectors: `_fsd_relations` sums integer masses by pair column and
 partitions all rows at once with the shared `le` row sets, in O(k^2 *
 min(rows, distinct sums)) big-int operations for k mass-carrying columns.
+A `Distribution` hashes consistently with equality, so the search interns
+each agent's distributions and calls those relations once per tied
+distribution for (ii), and for (iii) at most once per tied distribution and
+signature (the distributions of every action at a sub-profile).
 """
 
 from __future__ import annotations
@@ -54,20 +59,28 @@ class Distribution:
     """Exact probability vector over outcome labels; must sum to one.
 
     Keys should cover the full outcome set explicitly (zeros included) so
-    that equality of distributions is plain dict equality.
+    that equality of distributions is plain dict equality.  The hash agrees
+    with it: a `Fraction` is kept in lowest terms, so equal distributions
+    have equal (outcome, numerator, denominator) sets, and hashing those int
+    triples avoids `Fraction.__hash__`, which runs in Python.  That lets the
+    search intern each agent's distributions to small ints.
     """
 
     probs: dict[str, Fraction]
 
     def __post_init__(self) -> None:
-        probs = {z: Fraction(p) for z, p in self.probs.items()}
+        probs = {z: p if type(p) is Fraction else Fraction(p) for z, p in self.probs.items()}
         object.__setattr__(self, "probs", probs)
         if not all(isinstance(z, str) for z in probs):
             raise InvariantViolation("distribution keys must be outcome labels (strings)")
         if any(p < 0 for p in probs.values()):
             raise InvariantViolation("negative probability")
-        if sum(probs.values()) != 1:
+        scale = math.lcm(*(p.denominator for p in probs.values()))
+        if sum(p.numerator * (scale // p.denominator) for p in probs.values()) != scale:
             raise InvariantViolation("probabilities must sum to 1")
+
+    def __hash__(self) -> int:
+        return hash(frozenset((z, p.numerator, p.denominator) for z, p in self.probs.items()))
 
     def __getitem__(self, outcome: str) -> Fraction:
         return self.probs.get(outcome, Fraction(0))
@@ -153,17 +166,24 @@ def fsd(ordering: Ordering, lhs: Lottery, rhs: Lottery) -> bool:
 
     The upper-contour probability of `lhs` must weakly exceed that of `rhs`
     at every target pair, strictly at one; irreflexive and asymmetric by
-    construction.
+    construction.  `phi` at a target sums the mass on its class and every
+    better one, so the differences are the prefix sums, best class first, of
+    the mass `lhs` puts on each class minus the mass `rhs` puts there
+    (`_class_terms` with classes for columns).  They change only at classes
+    of nonzero net mass, so dominance holds iff some class has nonzero net
+    mass and no prefix sum is negative: the first such sum is then positive.
+    Zero-probability pairs are skipped, as `phi` skips them.
     """
-    strict = False
-    for target in ordering._ranks:
-        pl = phi(ordering, lhs, target)
-        pr = phi(ordering, rhs, target)
-        if pl < pr:
+    try:
+        terms = _class_terms(ordering._ranks, (lhs.action, lhs.dist), (rhs.action, rhs.dist))
+    except KeyError as exc:
+        raise AgentMismatch(f"pair {exc.args[0]!r} is not in the ordering's partition") from None
+    difference = 0
+    for _, mass in sorted(terms):
+        difference += mass
+        if difference < 0:
             return False
-        if pl > pr:
-            strict = True
-    return strict
+    return bool(terms)
 
 
 class DominanceBlock(Enum):
@@ -207,7 +227,9 @@ def dominance_dichotomy(ordering: Ordering, r: str, l: str) -> DominanceBlock:
 
 
 def validate_prob_witness(
-    mech: ProbMechanism, witness: BAWitness, domain: DomainSpec | None = None
+    mech: ProbMechanism,
+    witness: BAWitness,
+    domain: DomainSpec | DomainKind | str | None = None,
 ) -> None:
     """Re-check the probabilistic certificate conditions; raise on failure.
 
@@ -226,14 +248,15 @@ def _class_terms(index: Mapping[Pair, int], lhs, rhs) -> list[tuple[int, int]]:
 
     Masses are integers scaled by the least common denominator of both
     distributions, summed by column (same-action lotteries share columns),
-    with zero sums dropped.
+    with zero-probability pairs skipped and zero sums dropped.
     """
     scale = math.lcm(*(p.denominator for _, dist in (lhs, rhs) for p in dist.probs.values()))
     mass: dict[int, int] = {}
     for (action, dist), sign in ((lhs, 1), (rhs, -1)):
         for z, p in dist.probs.items():
-            k = index[(action, z)]
-            mass[k] = mass.get(k, 0) + sign * p.numerator * (scale // p.denominator)
+            if p:
+                k = index[(action, z)]
+                mass[k] = mass.get(k, 0) + sign * p.numerator * (scale // p.denominator)
     return [(k, m) for k, m in mass.items() if m]
 
 

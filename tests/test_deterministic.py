@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from exmech.deterministic import (
+    Condition1Violation,
     DetMechanism,
     _rank_relations,
     build_groves_queueing,
@@ -32,7 +33,14 @@ from exmech.errors import (
     InvariantViolation,
     NotVotingEnvironment,
 )
-from exmech.model import DomainKind, DomainSpec, Environment, Ordering, enumerate_profiles
+from exmech.model import (
+    DomainKind,
+    DomainSpec,
+    Environment,
+    Ordering,
+    enumerate_profiles,
+    sub_profiles,
+)
 from exmech.queueing import QueueingParams, clinic_revenue, QueueingOutcome
 from exmech.search import _row_sets, _shared_row_sets
 
@@ -108,6 +116,46 @@ def test_condition1_groves_counterexamples():
         and Fraction(c.a_minus[0]) < Fraction(c.r) < Fraction(c.l) < Fraction(c.b_minus[0])
     ]
     assert shaped, "expected a counterexample with a2 < r1 < l1 < b2"
+
+
+def pairwise_condition1_counterexamples(mech):
+    """Every tie-propagation failure, scanning every b for every tying a."""
+    env = mech.env
+    for agent in range(env.n):
+        acts = env.actions[agent]
+        subs = tuple(sub_profiles(env, agent))
+        for r, l in itertools.combinations(acts, 2):
+            for a in subs:
+                z = mech.outcome_at(agent, r, a)
+                if z != mech.outcome_at(agent, l, a):
+                    continue
+                for b in subs:
+                    if mech.outcome_at(agent, r, b) != z or mech.outcome_at(agent, l, b) != z:
+                        yield Condition1Violation(agent, r, l, a, b, z)
+
+
+def test_condition1_counterexamples_equal_the_pairwise_scan():
+    rng = random.Random(6)
+    mechs = list(all_tables(small_env()))
+    for sizes, m in (((3, 3), 2), ((2, 2, 2), 2), ((3, 2, 2), 3), ((2, 3), 3)):
+        env = Environment.create(
+            [tuple(f"{chr(97 + i)}{k}" for k in range(size)) for i, size in enumerate(sizes)],
+            tuple(f"z{j}" for j in range(m)),
+        )
+        profiles = list(enumerate_profiles(env))
+        for _ in range(20):
+            outcomes = env.outcomes[: rng.randint(1, m)]
+            mechs.append(DetMechanism(env, {p: rng.choice(outcomes) for p in profiles}))
+    _, groves = build_groves_queueing(
+        QueueingParams(Fraction(1, 2), Fraction(1, 4), tuple(Fraction(k, 4) for k in range(4)))
+    )
+    mechs += [groves, build_majority_referendum(1)[1], build_plurality(3, 2)[1]]
+    found = 0
+    for mech in mechs:
+        expected = list(pairwise_condition1_counterexamples(mech))
+        assert list(condition1_counterexamples(mech)) == expected
+        found += bool(expected)
+    assert 0 < found < len(mechs)
 
 
 def test_nba_by_characterization_kinds():

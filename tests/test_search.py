@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from exmech import domains, search
 from exmech.deterministic import (
     DetMechanism,
+    _rank_relations,
     build_groves_queueing,
     build_majority_referendum,
     condition1_counterexample,
@@ -50,6 +51,7 @@ from exmech.queueing import QueueingParams
 from exmech.stochastic import (
     Distribution,
     ProbMechanism,
+    _fsd_relations,
     build_mixed_counterexample,
     counterexample_preference,
     find_prob_ba_witness,
@@ -396,3 +398,243 @@ def test_certificate_check_rejects_malformed_agents_and_sub_profiles():
             malformed = list(getattr(witness, field))
             with pytest.raises(InvariantViolation, match="sub-profiles not valid"):
                 validate(mech, dataclasses.replace(witness, **{field: malformed}))
+
+
+@pytest.mark.parametrize("ordering", (None, [], "a0 z0", ((("a0", "z0"),),)), ids=repr)
+def test_certificate_check_rejects_an_ordering_that_is_not_one(ordering):
+    _, referendum = build_majority_referendum(1)
+    _, mixed = build_mixed_counterexample()
+    for mech, validate, find in (
+        (referendum, validate_witness, find_ba_witness),
+        (mixed, validate_prob_witness, find_prob_ba_witness),
+    ):
+        witness = dataclasses.replace(find(mech, DomainKind.UNRESTRICTED), ordering=ordering)
+        with pytest.raises(InvariantViolation, match="^witness ordering .* is not an Ordering$"):
+            validate(mech, witness)
+
+
+def test_certificate_check_takes_a_domain_kind_as_the_searches_do():
+    _, referendum = build_majority_referendum(1)
+    for kind in FULL_KINDS:
+        witness = find_ba_witness(referendum, kind)
+        for domain in (kind, kind.value, DomainSpec(kind)):
+            validate_witness(referendum, witness, domain=domain)
+    weak = find_ba_witness(referendum, DomainKind.WEAK_ONLY)
+    with pytest.raises(InvariantViolation, match="outside the strict domain"):
+        validate_witness(referendum, weak, domain="strict")
+    for domain in ("bogus", "explicit", DomainKind.EXPLICIT, ["strict"], 3):
+        with pytest.raises(InvariantViolation):
+            validate_witness(referendum, weak, domain=domain)
+
+
+# --- the signature quotient against the pairwise scan ------------------------------
+
+
+def pairwise_search_witness(env, value_at, domain_specs, relations, cap=None):
+    """The search as a scan over every (a, b) pair, each b narrowed rival by rival.
+
+    The same canonical order, rows and statistics as `search.search_witness`,
+    with no interning and no signatures; kept as the oracle for the quotient.
+    """
+    specs = domains.resolve_domains(env, domain_specs)
+    admissible = [search._admissible(env, i, spec, cap) for i, spec in enumerate(specs)]
+    subs_by_agent = tuple(tuple(sub_profiles(env, i)) for i in range(env.n))
+    stats = {
+        "agents": env.n,
+        "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
+        "sub_profiles": [len(s) for s in subs_by_agent],
+        "orderings_per_agent": [
+            None if le is None else le[0][0].bit_length() for le, _ in admissible
+        ],
+    }
+    for agent, (spec, acts, subs, (le, ordering_at)) in enumerate(
+        zip(specs, env.actions, subs_by_agent, admissible)
+    ):
+        pairs = env.pairs_for(agent)
+        if le is not None:
+            beats_ii, beats_iii = relations({pair: k for k, pair in enumerate(pairs)}, le)
+            every = le[0][0]
+        for r in acts:
+            for l in acts:
+                if r == l:
+                    continue
+                for a in subs:
+                    value = value_at(agent, r, a)
+                    if value != value_at(agent, l, a):
+                        continue
+                    if le is None:
+                        domains.check_full_domain(spec.kind, pairs, cap)
+                    candidates = beats_ii((l, value), (r, value), every)
+                    if not candidates:
+                        continue
+                    for b in subs:
+                        if b == a:
+                            continue
+                        anchor = (r, value_at(agent, r, b))
+                        rows = candidates
+                        for x in acts:
+                            if x != r:
+                                rows = beats_iii(anchor, (x, value_at(agent, x, b)), rows)
+                                if not rows:
+                                    break
+                        if rows:
+                            ordering = ordering_at((rows & -rows).bit_length() - 1)
+                            witness = BAWitness(agent, r, l, a, b, ordering)
+                            return search.SearchResult(witness, stats)
+    return search.SearchResult(None, stats)
+
+
+def outcome_or_cap(run):
+    try:
+        return run()
+    except CapExceeded as exc:
+        return str(exc)
+
+
+@st.composite
+def few_signature_cases(draw, prob):
+    """Three or four agents and two outcomes; each value depends only on the
+    actions of a random subset of the agents and comes from a palette of one
+    or two values, so that sub-profiles share few signatures.  Full or
+    explicit domains, and maybe a cap."""
+    sizes = draw(
+        st.lists(st.integers(1, 3), min_size=3, max_size=4).filter(lambda s: math.prod(s) <= 36)
+    )
+    env = Environment.create(
+        [tuple(f"{chr(97 + i)}{k}" for k in range(size)) for i, size in enumerate(sizes)],
+        ("z0", "z1"),
+    )
+    if prob:
+        weights = st.lists(st.integers(0, 2), min_size=2, max_size=2)
+        palette = [
+            Distribution({z: Fraction(k, sum(ks)) for z, k in zip(env.outcomes, ks)})
+            for ks in draw(st.lists(weights.filter(any), min_size=1, max_size=2, unique_by=tuple))
+        ]
+    else:
+        palette = draw(st.lists(st.sampled_from(env.outcomes), min_size=1, max_size=2, unique=True))
+    readers = draw(st.lists(st.booleans(), min_size=env.n, max_size=env.n))
+    keyed: dict = {}
+    table = {}
+    for profile in enumerate_profiles(env):
+        key = tuple(action for action, read in zip(profile, readers) if read)
+        if key not in keyed:
+            keyed[key] = draw(st.sampled_from(palette))
+        table[profile] = keyed[key]
+    mech = ProbMechanism(env, table) if prob else DetMechanism(env, table)
+    if draw(st.booleans()):
+        specs = draw(explicit_domains(env))
+    else:
+        specs = draw(st.sampled_from(FULL_KINDS))
+    cap = draw(st.sampled_from((None, None, 2, 4)))
+    return mech, specs, cap
+
+
+def reflexive_relations(index, le):
+    """Every row passes (ii), and (iii) is weak preference.
+
+    Both kinds' relations make (ii) and (iii) against l exclusive at one
+    value, so no b sharing a's signature ever survives; these do not, so
+    the search's fallback to a signature's second index is reached.
+    """
+
+    def every(lhs, rhs, rows):
+        return rows
+
+    return every, _rank_relations(index, le)[1]
+
+
+@pytest.mark.parametrize("prob", (False, True), ids=("det", "prob"))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_signature_search_equals_the_pairwise_scan(prob, data):
+    mech, specs, cap = data.draw(few_signature_cases(prob))
+    if prob:
+        cases = [(mech.dist_at, _fsd_relations)]
+    else:
+        cases = [
+            (mech.outcome_at, functools.partial(_rank_relations, strict_iii=strict_iii))
+            for strict_iii in (False, True)
+        ]
+        cases.append((mech.outcome_at, reflexive_relations))
+    for value_at, relations in cases:
+        expected = outcome_or_cap(
+            lambda: pairwise_search_witness(mech.env, value_at, specs, relations, cap)
+        )
+        assert outcome_or_cap(
+            lambda: search.search_witness(mech.env, value_at, specs, relations, cap)
+        ) == expected
+
+
+def test_search_reads_only_the_sub_profiles_it_reaches():
+    # the first tie is at the first sub-profile and its witness b is the third,
+    # so of 81 sub-profiles per agent only the first three are read
+    env, referendum = build_majority_referendum(2)
+    subs = list(sub_profiles(env, 0))
+    read = []
+
+    def value_at(agent, action, sub):
+        read.append((agent, sub))
+        return referendum.outcome_at(agent, action, sub)
+
+    for kind in FULL_KINDS:
+        read.clear()
+        result = search.search_witness(env, value_at, kind, _rank_relations)
+        assert result.witness == find_ba_witness(referendum, kind)
+        assert {agent for agent, _ in read} == {0}
+        assert sorted({subs.index(sub) for _, sub in read}) == [0, 1, 2]
+        assert result.witness.b_minus == subs[2]
+
+
+def test_a_tied_signature_falls_back_to_its_second_index_before_later_ones():
+    # At a = b1 the pair (x1, x0) ties at t, and b1's signature survives, so b
+    # is its second index, b2, though b3's signature, already read by the
+    # pair (x0, x1), survives too.
+    env = Environment.create((("x0", "x1"), ("b0", "b1", "b2", "b3")), ("z0",))
+    values = {"b0": ("p", "q"), "b1": ("t", "t"), "b2": ("t", "t"), "b3": ("w", "u")}
+
+    def value_at(agent, action, sub):
+        return values[sub[0]][env.actions[0].index(action)] if agent == 0 else "p"
+
+    def relations(index, le):
+        def every(lhs, rhs, rows):
+            return rows
+
+        def anchored(anchor, rival, rows):
+            return rows if anchor[0] == "x1" and anchor[1] in ("t", "u") else 0
+
+        return every, anchored
+
+    result = search.search_witness(env, value_at, "unrestricted", relations)
+    witness = result.witness
+    assert (witness.r, witness.a_minus, witness.b_minus) == ("x1", ("b1",), ("b2",))
+    assert result == pairwise_search_witness(env, value_at, "unrestricted", relations)
+
+
+def test_a_signature_is_narrowed_again_for_another_tied_value():
+    # For (x0, x1), a = b0 ties at z0 and a = b2 at z1.  Row A alone passes
+    # (ii) at z0 and row B alone at z1; the signatures of b1 and b3 survive
+    # under B only, so the witness is (a, b) = (b2, b1) under B, after b1
+    # and b3 failed for z0.
+    env = Environment.create((("x0", "x1", "x2"), ("b0", "b1", "b2", "b3")), ("z0", "z1"))
+    at_agent_0 = {
+        "b0": ("z0", "z0", "z0"),
+        "b1": ("z1", "z0", "z0"),
+        "b2": ("z1", "z1", "z1"),
+        "b3": ("z1", "z0", "z1"),
+    }
+    table = {(x, b): at_agent_0[b][int(x[1])] for x, b in enumerate_profiles(env)}
+    mech = DetMechanism(env, table)
+
+    def strict(*pairs):
+        return Ordering(0, tuple(frozenset({(x, z)}) for x, z in pairs))
+
+    row_a = strict(
+        ("x2", "z0"), ("x2", "z1"), ("x1", "z0"), ("x0", "z1"), ("x1", "z1"), ("x0", "z0")
+    )
+    row_b = strict(
+        ("x1", "z1"), ("x0", "z1"), ("x2", "z0"), ("x0", "z0"), ("x1", "z0"), ("x2", "z1")
+    )
+    specs = (DomainSpec.explicit((row_a, row_b)), DomainSpec(DomainKind.UNRESTRICTED))
+    witness = find_ba_witness(mech, specs)
+    assert witness == BAWitness(0, "x0", "x1", ("b2",), ("b1",), row_b)
+    assert witness == pairwise_search_witness(env, mech.outcome_at, specs, _rank_relations).witness

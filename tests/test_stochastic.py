@@ -66,6 +66,88 @@ def test_distribution_keys_are_not_coerced_to_labels():
         Distribution({0: Fraction(1), 1: Fraction(0)})
 
 
+def test_distribution_hash_agrees_with_equality():
+    half = Distribution({"z0": "1/2", "z1": "1/2"})
+    same = [
+        Distribution({"z1": Fraction(2, 4), "z0": Fraction(1, 2)}),
+        Distribution({"z0": Fraction(2, 4), "z1": 0.5}),
+        Distribution.uniform(Z2),
+    ]
+    for other in same:
+        assert other == half and hash(other) == hash(half)
+    assert len({half, *same}) == 1
+    different = [
+        Distribution({"z0": Fraction(1, 3), "z1": Fraction(2, 3)}),
+        Distribution({"z0": Fraction(1, 2), "z2": Fraction(1, 2)}),
+        Distribution({"z0": Fraction(1, 2), "z1": Fraction(1, 2), "z2": Fraction(0)}),
+    ]
+    for other in different:
+        assert other != half
+    assert len({half, *different}) == 4
+    # equal distributions from differently built fractions share one dict slot
+    codes = {half: 0}
+    assert all(codes[other] == 0 for other in same)
+
+
+def test_distribution_sum_check_is_exact():
+    Distribution({"z0": Fraction(1, 3), "z1": Fraction(1, 6), "z2": "1/2"})
+    Distribution({"z0": 1, "z1": 0})
+    for probs in (
+        {"z0": Fraction(1, 3), "z1": Fraction(1, 3), "z2": Fraction(1, 3) + Fraction(1, 10**30)},
+        {"z0": Fraction(1, 2)},
+        {"z0": 0, "z1": 0},
+    ):
+        with pytest.raises(InvariantViolation, match="must sum to 1"):
+            Distribution(probs)
+
+
+def per_target_fsd(ordering, lhs, rhs):
+    """`fsd` as the loop over target pairs, one `phi` per lottery per target."""
+    strict = False
+    for target in ordering._ranks:
+        pl = phi(ordering, lhs, target)
+        pr = phi(ordering, rhs, target)
+        if pl < pr:
+            return False
+        if pl > pr:
+            strict = True
+    return strict
+
+
+def test_fsd_equals_the_per_target_phi_loop():
+    rng = random.Random(4)
+    outcomes = ("z0", "z1", "z2")
+    pairs = tuple((a, z) for a in ("a0", "a1") for z in outcomes)
+    dists = [Distribution.point_mass(z, outcomes) for z in outcomes]
+    dists.append(Distribution.uniform(outcomes))
+    for _ in range(10):
+        ks = [rng.randint(0, 3) for _ in outcomes]
+        if any(ks):
+            dists.append(Distribution({z: Fraction(k, sum(ks)) for z, k in zip(outcomes, ks)}))
+    lotteries = [Lottery(a, d) for a in ("a0", "a1") for d in dists]
+    orderings = list(enumerate_weak_orderings(0, pairs))
+    verdicts = set()
+    for ordering in rng.sample(orderings, 40):
+        for lhs, rhs in itertools.product(lotteries, repeat=2):
+            verdict = fsd(ordering, lhs, rhs)
+            assert verdict == per_target_fsd(ordering, lhs, rhs)
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+def test_fsd_agent_mismatch_only_for_pairs_with_mass():
+    pref = counterexample_preference()
+    known = Lottery("a0", dist(Fraction(1, 2), Fraction(1, 2)))
+    for lhs, rhs in ((Lottery("c0", dist(1, 0)), known), (known, Lottery("c0", dist(0, 1)))):
+        with pytest.raises(AgentMismatch, match="^pair \\('c0', 'z[01]'\\) is not in the"):
+            fsd(pref, lhs, rhs)
+        with pytest.raises(AgentMismatch):
+            per_target_fsd(pref, lhs, rhs)
+    # a zero-probability pair is never ranked, as in `phi`
+    outside = Lottery("a0", Distribution({"z0": 1, "z1": 0, "z9": 0}))
+    assert fsd(pref, outside, known) == per_target_fsd(pref, outside, known)
+
+
 def test_totally_mixed():
     assert is_totally_mixed(Distribution.uniform(Z2))
     assert not is_totally_mixed(Distribution.point_mass("z0", Z2))
