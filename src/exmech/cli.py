@@ -12,6 +12,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import CapExceeded, ExmechError, InvariantViolation, ParseError
 from .model import (
@@ -29,30 +30,15 @@ from .domains import (
     indifferent_ordering,
     resolve_domains,
 )
-from .deterministic import (
-    DetMechanism,
-    build_groves_queueing,
-    build_majority_referendum,
-    build_plurality,
-    condition1_counterexample,
-    det_mech_from_json,
-    det_mech_to_json,
-    search_ba_witness,
-    validate_witness,
-    witness_from_counterexample,
-)
 from .queueing import QueueingParams, parse_fraction, queueing_grid_of
-from .stochastic import (
-    ProbMechanism,
-    build_mixed_counterexample,
-    build_relative_frequency,
-    counterexample_preference,
-    prob_mech_from_json,
-    prob_mech_to_json,
-    search_prob_ba_witness,
-    validate_prob_witness,
-)
-from . import verify as verify_mod
+
+if TYPE_CHECKING:
+    from .deterministic import DetMechanism
+    from .stochastic import ProbMechanism
+
+# Each command imports `deterministic`, `stochastic` or `verify` where it
+# uses them, so a command loads only the modules it runs.
+PROB_BUILDERS = ("relfreq", "mixed-counterexample")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,7 +101,7 @@ def build_parser() -> _Parser:
     p_analyze.add_argument("--report", choices=("json", "text"), default="json")
 
     p_verify = sub.add_parser("verify", help="run the built-in claim suite")
-    p_verify.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--mixed-count", type=_positive_int_arg, default=200)
     p_verify.add_argument("--samples", type=_positive_int_arg, default=100)
     return parser
@@ -147,8 +133,16 @@ def _queueing_params(args, grid) -> QueueingParams:
 
 
 def _run_builder(args) -> tuple[str, Environment, DetMechanism | ProbMechanism]:
-    """Returns (identity, env, mechanism)."""
+    """Returns (identity, env, mechanism), probabilistic iff PROB_BUILDERS has the builder."""
     name = args.builder
+    if name in PROB_BUILDERS:
+        from .stochastic import build_mixed_counterexample, build_relative_frequency
+        if name == "relfreq":
+            n = args.n if args.n is not None else 2
+            m = args.m if args.m is not None else 2
+            return (f"relfreq(n={n},m={m})", *build_relative_frequency(n, m))
+        return ("mixed-counterexample", *build_mixed_counterexample())
+    from .deterministic import build_groves_queueing, build_majority_referendum, build_plurality
     if name == "referendum":
         m = args.m if args.m is not None else 1
         return (f"referendum(m={m})", *build_majority_referendum(m))
@@ -157,16 +151,10 @@ def _run_builder(args) -> tuple[str, Environment, DetMechanism | ProbMechanism]:
         m = args.m if args.m is not None else 2
         tiebreak = args.tiebreak.split(",") if args.tiebreak else None
         return (f"plurality(n={n},m={m})", *build_plurality(n, m, tiebreak))
-    if name == "groves":
-        if args.grid is None:
-            raise InvariantViolation("groves builder needs --grid")
-        grid = ",".join(str(g) for g in args.grid)
-        return (f"groves(grid={grid})", *build_groves_queueing(_queueing_params(args, args.grid)))
-    if name == "relfreq":
-        n = args.n if args.n is not None else 2
-        m = args.m if args.m is not None else 2
-        return (f"relfreq(n={n},m={m})", *build_relative_frequency(n, m))
-    return ("mixed-counterexample", *build_mixed_counterexample())
+    if args.grid is None:
+        raise InvariantViolation("groves builder needs --grid")
+    grid = ",".join(str(g) for g in args.grid)
+    return (f"groves(grid={grid})", *build_groves_queueing(_queueing_params(args, args.grid)))
 
 
 def _read_json(path: str) -> object:
@@ -179,19 +167,23 @@ def _read_json(path: str) -> object:
             raise ParseError("invalid JSON: nested too deeply") from None
 
 
-def _mechanism_from_json(env: Environment, data: object) -> DetMechanism | ProbMechanism:
-    """A mechanism document holding "distributions" is probabilistic, any other deterministic."""
+def _mechanism_from_json(
+    env: Environment, data: object
+) -> tuple[DetMechanism | ProbMechanism, bool]:
+    """(mechanism, probabilistic): a document holding "distributions" is probabilistic."""
     if isinstance(data, dict) and "distributions" in data:
-        return prob_mech_from_json(env, data)
-    return det_mech_from_json(env, data)
+        from .stochastic import prob_mech_from_json
+        return prob_mech_from_json(env, data), True
+    from .deterministic import det_mech_from_json
+    return det_mech_from_json(env, data), False
 
 
-def _load_bundle(path: str) -> tuple[Environment, DetMechanism | ProbMechanism]:
+def _load_bundle(path: str) -> tuple[Environment, DetMechanism | ProbMechanism, bool]:
     data = _read_json(path)
     if not isinstance(data, dict) or "environment" not in data or "mechanism" not in data:
         raise ParseError("bundle must have 'environment' and 'mechanism' keys")
     env = env_from_json(data["environment"])
-    return env, _mechanism_from_json(env, data["mechanism"])
+    return (env, *_mechanism_from_json(env, data["mechanism"]))
 
 
 def _domains_from_flag(flag: str, env: Environment, args) -> object:
@@ -206,6 +198,7 @@ def _domains_from_flag(flag: str, env: Environment, args) -> object:
                 DomainSpec.explicit((build_queueing_pref_2(params, env),)),
             )
         if name == "counterexample":
+            from .stochastic import counterexample_preference
             return (
                 DomainSpec.explicit((counterexample_preference(),)),
                 DomainSpec.explicit(
@@ -275,7 +268,7 @@ def cmd_validate(args) -> int:
         env = env_from_json(data["environment"])
         if "mechanism" not in data:
             kind = "environment"
-        elif isinstance(_mechanism_from_json(env, data["mechanism"]), ProbMechanism):
+        elif _mechanism_from_json(env, data["mechanism"])[1]:
             kind = "probabilistic mechanism"
         else:
             kind = "deterministic mechanism"
@@ -288,7 +281,10 @@ def cmd_validate(args) -> int:
 
 def cmd_build(args) -> int:
     _, env, mech = _run_builder(args)
-    to_json = prob_mech_to_json if isinstance(mech, ProbMechanism) else det_mech_to_json
+    if args.builder in PROB_BUILDERS:
+        from .stochastic import prob_mech_to_json as to_json
+    else:
+        from .deterministic import det_mech_to_json as to_json
     bundle = {"environment": env_to_json(env), "mechanism": to_json(mech)}
     text = json.dumps(bundle, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -303,10 +299,10 @@ def cmd_analyze(args) -> int:
     started = time.perf_counter()
     if args.mech:
         identity = args.mech
-        env, mech = _load_bundle(args.mech)
+        env, mech, prob = _load_bundle(args.mech)
     else:
         identity, env, mech = _run_builder(args)
-    prob = isinstance(mech, ProbMechanism)
+        prob = args.builder in PROB_BUILDERS
     if args.prob and not prob:
         if args.mech:
             raise ParseError("--prob given but the file holds a deterministic mechanism")
@@ -322,8 +318,10 @@ def cmd_analyze(args) -> int:
     specs = resolve_domains(env, domains)
     try:
         if prob:
+            from .stochastic import search_prob_ba_witness
             result = search_prob_ba_witness(mech, specs, cap=args.cap)
         else:
+            from .deterministic import search_ba_witness
             result = search_ba_witness(mech, specs, cap=args.cap, strict_iii=args.strict_iii)
         witness, stats, method = result.witness, result.stats, "exhaustive-search"
     except CapExceeded as exc:
@@ -338,6 +336,7 @@ def cmd_analyze(args) -> int:
                 )
             print(f"cap exceeded: {exc}\nhint: {hint}", file=sys.stderr)
             return EXIT_CAP
+        from .deterministic import condition1_counterexample, witness_from_counterexample
         cex = condition1_counterexample(mech)
         if cex is None:
             witness = None
@@ -347,8 +346,10 @@ def cmd_analyze(args) -> int:
     if witness is not None:
         domain = specs[witness.agent]
         if prob:
+            from .stochastic import validate_prob_witness
             validate_prob_witness(mech, witness, domain)
         else:
+            from .deterministic import validate_witness
             validate_witness(mech, witness, args.strict_iii, domain)
     report = AnalysisReport(
         mechanism=identity,
@@ -365,9 +366,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_all(
-        seed=args.seed, mixed_count=args.mixed_count, samples=args.samples
-    )
+    from . import verify
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    results = verify.run_all(seed=seed, mixed_count=args.mixed_count, samples=args.samples)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{status} {result.name}: {result.detail}")

@@ -122,6 +122,10 @@ def _labels(values: object, what: str) -> tuple:
 
 
 class DomainKind(Enum):
+    # members are singletons and compare by identity, so the C identity hash
+    # agrees with ==; Enum's own __hash__ runs in Python on every cache lookup
+    __hash__ = object.__hash__
+
     UNRESTRICTED = "unrestricted"
     STRICT = "strict"
     WEAK_ONLY = "weak_only"

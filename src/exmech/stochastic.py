@@ -21,11 +21,13 @@ signature (the distributions of every action at a sub-profile).
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -59,28 +61,39 @@ class Distribution:
     """Exact probability vector over outcome labels; must sum to one.
 
     Keys should cover the full outcome set explicitly (zeros included) so
-    that equality of distributions is plain dict equality.  The hash agrees
-    with it: a `Fraction` is kept in lowest terms, so equal distributions
-    have equal (outcome, numerator, denominator) sets, and hashing those int
-    triples avoids `Fraction.__hash__`, which runs in Python.  That lets the
-    search intern each agent's distributions to small ints.
+    that equality of distributions is plain mapping equality.  `probs` is a
+    read-only view, so a distribution shared between mechanisms cannot
+    change.  Validation reads each probability's numerator and denominator
+    once and keeps `scale`, the least common denominator, and `weights`, the
+    (outcome, probability * scale) pairs of nonzero mass, so the sign and
+    sum checks and `fsd` run on ints.  A `Fraction` is kept in lowest terms,
+    so equal distributions have equal scales and weights, and hashing those
+    avoids `Fraction.__hash__`, which runs in Python.  That lets the search
+    intern each agent's distributions to small ints.
     """
 
-    probs: dict[str, Fraction]
+    probs: Mapping[str, Fraction]
 
     def __post_init__(self) -> None:
         probs = {z: p if type(p) is Fraction else Fraction(p) for z, p in self.probs.items()}
-        object.__setattr__(self, "probs", probs)
         if not all(isinstance(z, str) for z in probs):
             raise InvariantViolation("distribution keys must be outcome labels (strings)")
-        if any(p < 0 for p in probs.values()):
+        ratios = [(z, *p.as_integer_ratio()) for z, p in probs.items()]
+        if any(n < 0 for _, n, _ in ratios):
             raise InvariantViolation("negative probability")
-        scale = math.lcm(*(p.denominator for p in probs.values()))
-        if sum(p.numerator * (scale // p.denominator) for p in probs.values()) != scale:
+        scale = math.lcm(*(d for _, _, d in ratios))
+        weights = tuple((z, n * (scale // d)) for z, n, d in ratios if n)
+        if sum(w for _, w in weights) != scale:
             raise InvariantViolation("probabilities must sum to 1")
+        object.__setattr__(self, "probs", MappingProxyType(probs))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "weights", weights)
 
     def __hash__(self) -> int:
-        return hash(frozenset((z, p.numerator, p.denominator) for z, p in self.probs.items()))
+        return hash(frozenset(self.weights))
+
+    def __reduce__(self):  # a mappingproxy does not pickle or deep-copy; rebuild from a dict
+        return Distribution, (dict(self.probs),)
 
     def __getitem__(self, outcome: str) -> Fraction:
         return self.probs.get(outcome, Fraction(0))
@@ -96,8 +109,8 @@ class Distribution:
 
 
 def is_totally_mixed(dist: Distribution) -> bool:
-    """Strictly positive probability on every outcome."""
-    return all(p > 0 for p in dist.probs.values())
+    """Strictly positive probability on every outcome: each carries a weight."""
+    return len(dist.weights) == len(dist.probs)
 
 
 @dataclass(frozen=True)
@@ -246,17 +259,17 @@ def _fsd_pairs(ordering: Ordering, lhs: tuple, rhs: tuple) -> bool:
 def _class_terms(index: Mapping[Pair, int], lhs, rhs) -> list[tuple[int, int]]:
     """`lhs` minus `rhs`, (action, distribution) lotteries, as (column, mass) terms.
 
-    Masses are integers scaled by the least common denominator of both
-    distributions, summed by column (same-action lotteries share columns),
+    Masses are the distributions' integer weights rescaled to the lcm of
+    their scales, summed by column (same-action lotteries share columns),
     with zero-probability pairs skipped and zero sums dropped.
     """
-    scale = math.lcm(*(p.denominator for _, dist in (lhs, rhs) for p in dist.probs.values()))
+    (a, g), (b, h) = lhs, rhs
+    scale = math.lcm(g.scale, h.scale)
     mass: dict[int, int] = {}
-    for (action, dist), sign in ((lhs, 1), (rhs, -1)):
-        for z, p in dist.probs.items():
-            if p:
-                k = index[(action, z)]
-                mass[k] = mass.get(k, 0) + sign * p.numerator * (scale // p.denominator)
+    for action, dist, factor in ((a, g, scale // g.scale), (b, h, -(scale // h.scale))):
+        for z, w in dist.weights:
+            k = index[(action, z)]
+            mass[k] = mass.get(k, 0) + factor * w
     return [(k, m) for k, m in mass.items() if m]
 
 
@@ -379,7 +392,13 @@ MIXED_WEIGHT_DENOMINATOR = 12
 
 def random_totally_mixed(outcomes: Sequence[str], rng: random.Random) -> Distribution:
     """Draw positive rational weights k/MIXED_WEIGHT_DENOMINATOR and renormalize."""
-    ks = [rng.randint(1, MIXED_WEIGHT_DENOMINATOR - 1) for _ in outcomes]
+    outcomes = tuple(outcomes)
+    return _mixed(outcomes, tuple(rng.randint(1, MIXED_WEIGHT_DENOMINATOR - 1) for _ in outcomes))
+
+
+@functools.cache
+def _mixed(outcomes: tuple[str, ...], ks: tuple[int, ...]) -> Distribution:
+    """One shared distribution per weight vector: at most 11^len(outcomes) of them."""
     total = sum(ks)
     return Distribution({z: Fraction(k, total) for z, k in zip(outcomes, ks)})
 

@@ -519,11 +519,41 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 1
 
 
+VERIFY_STDOUT = """\
+PASS characterization-equivalence: 48/48 verdict agreements over 16 tables x 3 domain kinds
+PASS voting-axioms-force-anomaly: 54/54 witnesses across 18 qualifying tables x 3 kinds
+PASS groves-tie-propagation-fails: counterexample a2=0 < r1=1/4 < l1=1/2 < b2=3/4
+PASS queueing-preferences-separable: 30/30 orderings separable over 3 grids x 5 costs x 2 patients
+PASS queueing-witness-validates: witness r=3/4 l=1/2 a=(1/4) b=(3/4)
+PASS strict-dichotomy-blocks-dominance: 0 dominance violations in 4800 sampled lottery pairs
+PASS mixed-mechanisms-avoid-anomaly: 200/200 seeded mechanisms witness-free under strict domains
+PASS mixed-counterexample-reproduced: 16/16 contour values match; witness found
+PASS classical-domains-avoid-anomaly: 16/16 tables witness-free under all-classical domains
+9/9 claims passed
+"""
+
+
 def test_verify_default_all_pass(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
-    assert "9/9 claims passed" in out
-    assert out.count("PASS") == 9 and "FAIL" not in out
+    assert out == VERIFY_STDOUT
+
+
+def test_verify_flags_change_only_the_sample_counts(capsys):
+    code, out, _ = run(capsys, "verify", "--seed", "3", "--samples", "7", "--mixed-count", "13")
+    assert code == 0
+    assert out == """\
+PASS characterization-equivalence: 48/48 verdict agreements over 16 tables x 3 domain kinds
+PASS voting-axioms-force-anomaly: 54/54 witnesses across 18 qualifying tables x 3 kinds
+PASS groves-tie-propagation-fails: counterexample a2=0 < r1=1/4 < l1=1/2 < b2=3/4
+PASS queueing-preferences-separable: 30/30 orderings separable over 3 grids x 5 costs x 2 patients
+PASS queueing-witness-validates: witness r=3/4 l=1/2 a=(1/4) b=(3/4)
+PASS strict-dichotomy-blocks-dominance: 0 dominance violations in 336 sampled lottery pairs
+PASS mixed-mechanisms-avoid-anomaly: 13/13 seeded mechanisms witness-free under strict domains
+PASS mixed-counterexample-reproduced: 16/16 contour values match; witness found
+PASS classical-domains-avoid-anomaly: 16/16 tables witness-free under all-classical domains
+9/9 claims passed
+"""
 
 
 @pytest.mark.parametrize("flag", ("--mixed-count", "--samples"))

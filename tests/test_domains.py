@@ -326,6 +326,19 @@ def frozen_rank_table(n, kind):
 FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 
 
+def test_domain_kind_caches_hit_when_the_kind_is_looked_up_by_value():
+    """`DomainKind` hashes by identity, in C; a kind given by value is the same member."""
+    kind = DomainKind("strict")
+    assert DomainKind.__hash__ is object.__hash__ and kind is DomainKind.STRICT
+    assert {DomainKind.STRICT: "strict"}[kind] == "strict"
+    for cached in (row_count, _shared_row_sets):
+        cached(5, DomainKind.STRICT)
+        before = cached.cache_info()
+        cached(5, kind)
+        after = cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 @pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_rank_table_matches_the_frozen_generator(n, kind):

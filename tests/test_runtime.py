@@ -24,3 +24,53 @@ def test_runtime_imports_only_the_standard_library():
     assert "exmech" in loaded
     # __main__ is the probe itself
     assert loaded - set(sys.stdlib_module_names) - {"exmech", "__main__"} == set()
+
+
+# runs one command in a fresh interpreter and reports the exmech modules it loaded
+COMMAND_PROBE = """
+import contextlib, io, json, sys
+from exmech.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("exmech"))]))
+"""
+
+
+def loaded_by(*argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", COMMAND_PROBE, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, modules = json.loads(done.stdout)
+    assert code == 0, done.stderr
+    return set(modules)
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    bundle = str(tmp_path / "bundle.json")
+    for argv in (
+        ("analyze", "--builder", "referendum", "--m", "1", "--domains", "unrestricted"),
+        ("build", "referendum", "--m", "1", "--out", bundle),
+        ("validate", bundle),
+        ("analyze", "--mech", bundle, "--domains", "strict"),
+    ):
+        loaded = loaded_by(*argv)
+        assert "exmech.deterministic" in loaded
+        assert not loaded & {"exmech.stochastic", "exmech.verify"}, argv
+    loaded = loaded_by("analyze", "--prob", "--builder", "relfreq", "--domains", "strict")
+    assert "exmech.stochastic" in loaded
+    assert not loaded & {"exmech.deterministic", "exmech.verify"}
+
+
+def test_package_names_resolve_on_first_access():
+    import exmech
+
+    for name in exmech.__all__:
+        value = getattr(exmech, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+    assert set(exmech.__all__) <= set(dir(exmech))
+    star = {}
+    exec("from exmech import *", star)
+    assert set(star) - {"__builtins__"} == set(exmech.__all__)
+    assert not hasattr(exmech, "no_such_name")

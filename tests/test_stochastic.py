@@ -1,9 +1,13 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exmech.domains import (
     domain_rank_vectors,
@@ -101,6 +105,30 @@ def test_distribution_sum_check_is_exact():
             Distribution(probs)
 
 
+def test_distribution_probs_are_read_only():
+    source = {"z0": Fraction(1, 3), "z1": Fraction(2, 3)}
+    d = Distribution(source)
+    before = hash(d)
+    source["z0"] = Fraction(5)  # the distribution keeps its own copy
+    with pytest.raises(TypeError):
+        d.probs["z0"] = Fraction(5)
+    with pytest.raises(TypeError):
+        del d.probs["z1"]
+    assert d == Distribution({"z1": "2/3", "z0": "1/3"}) and hash(d) == before
+    assert d["z0"] == Fraction(1, 3) and (d.scale, d.weights) == (3, (("z0", 1), ("z1", 2)))
+    env = Environment.create((("a0",),), Z2)
+    mech = ProbMechanism(env, {("a0",): d})
+    assert prob_mech_from_json(env, prob_mech_to_json(mech)).dist(("a0",)) == d
+    for clone in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert clone == d and hash(clone) == before and clone.weights == d.weights
+
+
+def test_distribution_weights_skip_zero_mass():
+    d = Distribution({"z0": Fraction(1, 4), "z1": 0, "z2": Fraction(3, 4)})
+    assert (d.scale, d.weights) == (4, (("z0", 1), ("z2", 3)))
+    assert Distribution.point_mass("z1", Z2).weights == (("z1", 1),)
+
+
 def per_target_fsd(ordering, lhs, rhs):
     """`fsd` as the loop over target pairs, one `phi` per lottery per target."""
     strict = False
@@ -133,6 +161,38 @@ def test_fsd_equals_the_per_target_phi_loop():
             assert verdict == per_target_fsd(ordering, lhs, rhs)
             verdicts.add(verdict)
     assert verdicts == {False, True}
+
+
+@st.composite
+def fsd_cases(draw):
+    """A weak or strict ordering of two actions' pairs, and two lotteries.
+
+    Weights from 0 to 4 give distributions with zero entries and, through
+    their totals, unequal denominators; both lotteries may share an action.
+    """
+    outcomes = ("z0", "z1", "z2")[: draw(st.integers(2, 3))]
+    pairs = [(a, z) for a in ("a0", "a1") for z in outcomes]
+    perm = draw(st.permutations(pairs))
+    if draw(st.booleans()):
+        breaks = set(range(1, len(pairs)))
+    else:
+        breaks = draw(st.sets(st.integers(1, len(pairs) - 1)))
+    cuts = [0, *sorted(breaks), len(pairs)]
+    ordering = Ordering(0, tuple(frozenset(perm[i:j]) for i, j in zip(cuts, cuts[1:])))
+    weights = st.lists(st.integers(0, 4), min_size=len(outcomes), max_size=len(outcomes))
+    lotteries = []
+    for _ in range(2):
+        ks = draw(weights.filter(any))
+        probs = {z: Fraction(k, sum(ks)) for z, k in zip(outcomes, ks)}
+        lotteries.append(Lottery(draw(st.sampled_from(("a0", "a1"))), Distribution(probs)))
+    return ordering, *lotteries
+
+
+@given(fsd_cases())
+@settings(max_examples=400)
+def test_integer_fsd_matches_the_phi_definition(case):
+    ordering, lhs, rhs = case
+    assert fsd(ordering, lhs, rhs) == per_target_fsd(ordering, lhs, rhs)
 
 
 def test_fsd_agent_mismatch_only_for_pairs_with_mass():
@@ -393,6 +453,25 @@ def test_relative_frequency_rows():
 def test_relative_frequency_no_witness_under_strict():
     _, mech = build_relative_frequency(2, 2)
     assert find_prob_ba_witness(mech, DomainKind.STRICT) is None
+
+
+def test_random_totally_mixed_shares_each_weight_vector():
+    """The same rng calls and distributions as a fresh construction per draw."""
+
+    def fresh(outcomes, rng):
+        ks = [rng.randint(1, 11) for _ in outcomes]
+        total = sum(ks)
+        return tuple(ks), Distribution({z: Fraction(k, total) for z, k in zip(outcomes, ks)})
+
+    for outcomes in (Z2, ("z0", "z1", "z2")):
+        rng, reference = random.Random(5), random.Random(5)
+        drawn = [random_totally_mixed(outcomes, rng) for _ in range(300)]
+        expected = [fresh(outcomes, reference) for _ in range(300)]
+        assert rng.getstate() == reference.getstate()
+        assert drawn == [d for _, d in expected]
+        first = {}
+        for d, (ks, _) in zip(drawn, expected):
+            assert first.setdefault(ks, d) is d
 
 
 def test_random_mixed_mechanisms_have_no_strict_witness():
