@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -19,8 +18,10 @@ from .model import (
     DomainKind,
     DomainSpec,
     Environment,
+    Value,
     env_from_json,
     env_to_json,
+    set_field,
     witness_to_json,
 )
 from .domains import (
@@ -214,16 +215,31 @@ def _domains_from_flag(flag: str, env: Environment, args) -> object:
     raise InvariantViolation(f"unknown domains flag {flag!r}")
 
 
-@dataclass
-class AnalysisReport:
-    mechanism: str
-    probabilistic: bool
-    domains: list[str]
-    verdict: str
-    method: str
-    witness: dict | None
-    search: dict
-    duration_ms: float
+class AnalysisReport(Value):
+    _fields = (
+        "mechanism", "probabilistic", "domains", "verdict", "method", "witness", "search",
+        "duration_ms",
+    )
+
+    def __init__(
+        self,
+        mechanism: str,
+        probabilistic: bool,
+        domains: list[str],
+        verdict: str,
+        method: str,
+        witness: dict | None,
+        search: dict,
+        duration_ms: float,
+    ) -> None:
+        set_field(self, "mechanism", mechanism)
+        set_field(self, "probabilistic", probabilistic)
+        set_field(self, "domains", domains)
+        set_field(self, "verdict", verdict)
+        set_field(self, "method", method)
+        set_field(self, "witness", witness)
+        set_field(self, "search", search)
+        set_field(self, "duration_ms", duration_ms)
 
     def to_json(self) -> str:
         # duration is excluded so identical inputs give byte-identical reports

@@ -19,7 +19,6 @@ weak-only domains.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
@@ -37,10 +36,12 @@ from .model import (
     Pair,
     Profile,
     SubProfile,
+    Value,
     check_profile_table,
     enumerate_profiles,
     full_profile,
     profile_rows,
+    set_field,
     string_labels,
     sub_profiles,
 )
@@ -49,16 +50,19 @@ from .queueing import QueueingOutcome, QueueingParams, grid_labels
 from .search import SearchResult, check_certificate, search_witness
 
 
-@dataclass(frozen=True)
-class DetMechanism:
+class DetMechanism(Value):
     """Total map from action profiles to a single outcome label."""
 
-    env: Environment
-    table: Mapping[Profile, str]
+    _fields = ("env", "table")
+
+    def __init__(self, env: Environment, table: Mapping[Profile, str]) -> None:
+        set_field(self, "env", env)
+        set_field(self, "table", table)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         table = {tuple(k): v for k, v in self.table.items()}
-        object.__setattr__(self, "table", table)
+        set_field(self, "table", table)
         check_profile_table(self.env, table)
         outcomes = set(self.env.outcomes)
         for profile, value in table.items():
@@ -75,16 +79,20 @@ class DetMechanism:
 # --- tie-propagation characterization ---------------------------------------
 
 
-@dataclass(frozen=True)
-class Condition1Violation:
+class Condition1Violation(Value):
     """Tie at `a_minus` between r and l that fails to propagate to `b_minus`."""
 
-    agent: int
-    r: str
-    l: str
-    a_minus: SubProfile
-    b_minus: SubProfile
-    z: str
+    _fields = ("agent", "r", "l", "a_minus", "b_minus", "z")
+
+    def __init__(
+        self, agent: int, r: str, l: str, a_minus: SubProfile, b_minus: SubProfile, z: str
+    ) -> None:
+        set_field(self, "agent", agent)
+        set_field(self, "r", r)
+        set_field(self, "l", l)
+        set_field(self, "a_minus", a_minus)
+        set_field(self, "b_minus", b_minus)
+        set_field(self, "z", z)
 
 
 def condition1_counterexamples(mech: DetMechanism) -> Iterator[Condition1Violation]:

@@ -22,7 +22,6 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -33,7 +32,9 @@ from .model import (
     Environment,
     Ordering,
     Pair,
+    Value,
     as_domain_specs,
+    set_field,
     validate_explicit_domain,
 )
 from .queueing import QueueingParams, clinic_revenue, material_payoff, queueing_outcomes_of
@@ -256,15 +257,17 @@ def is_classical(ordering: Ordering) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SeparabilityViolation:
+class SeparabilityViolation(Value):
     """First quadruple breaking one of the two separability clauses."""
 
-    clause: int
-    x: str
-    x_alt: str
-    z: str
-    z_alt: str
+    _fields = ("clause", "x", "x_alt", "z", "z_alt")
+
+    def __init__(self, clause: int, x: str, x_alt: str, z: str, z_alt: str) -> None:
+        set_field(self, "clause", clause)
+        set_field(self, "x", x)
+        set_field(self, "x_alt", x_alt)
+        set_field(self, "z", z)
+        set_field(self, "z_alt", z_alt)
 
 
 def separability_violation(ordering: Ordering) -> SeparabilityViolation | None:
@@ -314,13 +317,25 @@ def indifferent_ordering(agent: int, actions: Sequence[str], outcomes: Sequence[
 # --- queueing preferences ---------------------------------------------------
 
 
-def _grouped_by_key(agent: int, keyed_pairs: list[tuple[tuple, Pair]]) -> Ordering:
-    keyed_pairs.sort(key=lambda kp: kp[0])
-    classes = [
-        frozenset(pair for _, pair in group)
-        for _, group in itertools.groupby(keyed_pairs, key=lambda kp: kp[0])
-    ]
-    return Ordering(agent, tuple(classes))
+def _grouped(keyed: Iterable[tuple[object, str]]) -> list[list[str]]:
+    """The labels of (key, label) items grouped by equal key, groups by ascending key."""
+    ordered = sorted(keyed, key=lambda kl: kl[0])
+    groups = itertools.groupby(ordered, key=lambda kl: kl[0])
+    return [[label for _, label in group] for _, group in groups]
+
+
+def _lexicographic(
+    agent: int, by_outcome: list[list[str]], by_action: Sequence[Sequence[str]]
+) -> Ordering:
+    """Pairs ranked by their outcome's group, then by their action's group."""
+    return Ordering(
+        agent,
+        tuple(
+            frozenset(itertools.product(actions, labels))
+            for labels in by_outcome
+            for actions in by_action
+        ),
+    )
 
 
 def build_queueing_pref_1(params: QueueingParams, env: Environment) -> Ordering:
@@ -329,28 +344,23 @@ def build_queueing_pref_1(params: QueueingParams, env: Environment) -> Ordering:
     Ranks (report, outcome) pairs by material payoff (higher first), then
     clinic revenue (higher first), then honesty of the report -- distance of
     the report from the true waiting cost (smaller first).  Pairs tying on
-    all three are indifferent.
+    all three are indifferent.  The first two keys depend on the outcome
+    only and the third on the report only, so outcomes and reports are each
+    ranked once.
     """
     outcomes = queueing_outcomes_of(env)
-    keyed = []
-    for action in env.actions[0]:
-        report = Fraction(action)
-        for label, outcome in outcomes.items():
-            key = (
-                -material_payoff(outcome, params, 0),
-                -clinic_revenue(outcome),
-                abs(params.theta1 - report),
-            )
-            keyed.append((key, (action, label)))
-    return _grouped_by_key(0, keyed)
+    by_outcome = _grouped(
+        ((-material_payoff(outcome, params, 0), -clinic_revenue(outcome)), label)
+        for label, outcome in outcomes.items()
+    )
+    by_report = _grouped((abs(params.theta1 - Fraction(a)), a) for a in env.actions[0])
+    return _lexicographic(0, by_outcome, by_report)
 
 
 def build_queueing_pref_2(params: QueueingParams, env: Environment) -> Ordering:
     """Patient 2's classical preference: material payoff only."""
     outcomes = queueing_outcomes_of(env)
-    keyed = [
-        ((-material_payoff(outcome, params, 1),), (action, label))
-        for action in env.actions[1]
-        for label, outcome in outcomes.items()
-    ]
-    return _grouped_by_key(1, keyed)
+    by_outcome = _grouped(
+        (-material_payoff(outcome, params, 1), label) for label, outcome in outcomes.items()
+    )
+    return _lexicographic(1, by_outcome, [env.actions[1]])

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, NotQueueingEnvironment, ParseError
-from .model import Environment
+from .model import Environment, Value, set_field
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -37,20 +36,29 @@ def parse_fraction(text: str) -> Fraction:
         raise ParseError(f"not a rational number: {text!r}") from None
 
 
-@dataclass(frozen=True)
-class QueueingParams:
+class QueueingParams(Value):
     """Unit waiting costs, the common treatment benefit, and the report grid."""
 
-    theta1: Fraction
-    theta2: Fraction
-    grid: tuple[Fraction, ...]
-    u_bar: Fraction = Fraction(2)
+    _fields = ("theta1", "theta2", "grid", "u_bar")
+
+    def __init__(
+        self,
+        theta1: Fraction,
+        theta2: Fraction,
+        grid: tuple[Fraction, ...],
+        u_bar: Fraction = Fraction(2),
+    ) -> None:
+        set_field(self, "theta1", theta1)
+        set_field(self, "theta2", theta2)
+        set_field(self, "grid", grid)
+        set_field(self, "u_bar", u_bar)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta1", Fraction(self.theta1))
-        object.__setattr__(self, "theta2", Fraction(self.theta2))
-        object.__setattr__(self, "u_bar", Fraction(self.u_bar))
-        object.__setattr__(self, "grid", tuple(Fraction(g) for g in self.grid))
+        set_field(self, "theta1", Fraction(self.theta1))
+        set_field(self, "theta2", Fraction(self.theta2))
+        set_field(self, "u_bar", Fraction(self.u_bar))
+        set_field(self, "grid", tuple(Fraction(g) for g in self.grid))
         if not self.grid:
             raise InvariantViolation("report grid is empty")
         if any(not ZERO <= g <= ONE for g in self.grid):
@@ -67,16 +75,19 @@ class QueueingParams:
         return self.theta1 if patient == 0 else self.theta2
 
 
-@dataclass(frozen=True)
-class QueueingOutcome:
+class QueueingOutcome(Value):
     """Waiting-time assignment (one patient first) and the two transfers."""
 
-    w: tuple[int, int]
-    t: tuple[Fraction, Fraction]
+    _fields = ("w", "t")
+
+    def __init__(self, w: tuple[int, int], t: tuple[Fraction, Fraction]) -> None:
+        set_field(self, "w", w)
+        set_field(self, "t", t)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "w", (int(self.w[0]), int(self.w[1])))
-        object.__setattr__(self, "t", (Fraction(self.t[0]), Fraction(self.t[1])))
+        set_field(self, "w", (int(self.w[0]), int(self.w[1])))
+        set_field(self, "t", (Fraction(self.t[0]), Fraction(self.t[1])))
         if sorted(self.w) != [0, 1]:
             raise InvariantViolation("exactly one patient must wait")
 

@@ -53,7 +53,7 @@ calls no more than the pairwise scan's when every signature is distinct.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
 from typing import Callable
 
 from . import domains
@@ -65,14 +65,18 @@ from .model import (
     Environment,
     Ordering,
     SubProfile,
+    Value,
+    set_field,
     sub_profiles,
 )
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    witness: BAWitness | None
-    stats: dict
+class SearchResult(Value):
+    _fields = ("witness", "stats")
+
+    def __init__(self, witness: BAWitness | None, stats: dict) -> None:
+        set_field(self, "witness", witness)
+        set_field(self, "stats", stats)
 
 
 def search_witness(
@@ -93,18 +97,16 @@ def search_witness(
     """
     specs = domains.resolve_domains(env, domain_specs)
     admissible = [_admissible(env, i, spec, cap) for i, spec in enumerate(specs)]
-    subs_by_agent = tuple(tuple(sub_profiles(env, i)) for i in range(env.n))
     stats = {
         "agents": env.n,
         "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
-        "sub_profiles": [len(s) for s in subs_by_agent],
+        "sub_profiles": [math.prod(map(len, env.actions)) // len(acts) for acts in env.actions],
         "orderings_per_agent": [
             None if le is None else le[0][0].bit_length() for le, _ in admissible
         ],
     }
-    for agent, (spec, acts, subs, (le, ordering_at)) in enumerate(
-        zip(specs, env.actions, subs_by_agent, admissible)
-    ):
+    for agent, (spec, acts, (le, ordering_at)) in enumerate(zip(specs, env.actions, admissible)):
+        subs = tuple(sub_profiles(env, agent))  # per agent: a witness ends the search early
         pairs = env.pairs_for(agent)
         if le is not None:  # past the cap, an agent gets no rows
             beats_ii, beats_iii = relations({pair: k for k, pair in enumerate(pairs)}, le)

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
@@ -47,17 +46,18 @@ from .model import (
     Pair,
     Profile,
     SubProfile,
+    Value,
     check_profile_table,
     enumerate_profiles,
     full_profile,
     profile_rows,
+    set_field,
 )
 from .queueing import parse_fraction
 from .search import SearchResult, check_certificate, search_witness
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(Value):
     """Exact probability vector over outcome labels; must sum to one.
 
     Keys should cover the full outcome set explicitly (zeros included) so
@@ -72,7 +72,11 @@ class Distribution:
     intern each agent's distributions to small ints.
     """
 
-    probs: Mapping[str, Fraction]
+    _fields = ("probs",)
+
+    def __init__(self, probs: Mapping[str, Fraction]) -> None:
+        set_field(self, "probs", probs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         probs = {z: p if type(p) is Fraction else Fraction(p) for z, p in self.probs.items()}
@@ -85,9 +89,9 @@ class Distribution:
         weights = tuple((z, n * (scale // d)) for z, n, d in ratios if n)
         if sum(w for _, w in weights) != scale:
             raise InvariantViolation("probabilities must sum to 1")
-        object.__setattr__(self, "probs", MappingProxyType(probs))
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "weights", weights)
+        set_field(self, "probs", MappingProxyType(probs))
+        set_field(self, "scale", scale)
+        set_field(self, "weights", weights)
 
     def __hash__(self) -> int:
         return hash(frozenset(self.weights))
@@ -113,24 +117,29 @@ def is_totally_mixed(dist: Distribution) -> bool:
     return len(dist.weights) == len(dist.probs)
 
 
-@dataclass(frozen=True)
-class Lottery:
+class Lottery(Value):
     """One own action together with a distribution over outcomes."""
 
-    action: str
-    dist: Distribution
+    _fields = ("action", "dist")
+
+    def __init__(self, action: str, dist: Distribution) -> None:
+        set_field(self, "action", action)
+        set_field(self, "dist", dist)
 
 
-@dataclass(frozen=True)
-class ProbMechanism:
+class ProbMechanism(Value):
     """Total map from action profiles to outcome distributions."""
 
-    env: Environment
-    table: Mapping[Profile, Distribution]
+    _fields = ("env", "table")
+
+    def __init__(self, env: Environment, table: Mapping[Profile, Distribution]) -> None:
+        set_field(self, "env", env)
+        set_field(self, "table", table)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         table = {tuple(k): v for k, v in self.table.items()}
-        object.__setattr__(self, "table", table)
+        set_field(self, "table", table)
         check_profile_table(self.env, table)
         outcomes = set(self.env.outcomes)
         for profile, dist in table.items():

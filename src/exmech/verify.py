@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .deterministic import (
@@ -35,7 +34,7 @@ from .domains import (
     indifferent_ordering,
     is_separable,
 )
-from .model import DomainKind, DomainSpec, Environment, enumerate_profiles
+from .model import DomainKind, DomainSpec, Environment, Value, enumerate_profiles, set_field
 from .queueing import QueueingParams
 from .stochastic import (
     DominanceBlock,
@@ -64,11 +63,13 @@ GRID_SWEEP = (
 PROP_GRID = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
 
-@dataclass(frozen=True)
-class ClaimResult:
-    name: str
-    passed: bool
-    detail: str
+class ClaimResult(Value):
+    _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str) -> None:
+        set_field(self, "name", name)
+        set_field(self, "passed", passed)
+        set_field(self, "detail", detail)
 
 
 def small_universe() -> Environment:

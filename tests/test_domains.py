@@ -26,8 +26,9 @@ from exmech.domains import (
 )
 from exmech.errors import CapExceeded, NotQueueingEnvironment
 from exmech.model import DomainKind, DomainSpec, Environment, Ordering
-from exmech.queueing import QueueingParams
+from exmech.queueing import QueueingParams, clinic_revenue, material_payoff, queueing_outcomes_of
 from exmech.search import _row_ranks, _shared_row_sets
+from exmech.verify import GRID_SWEEP, THETA_SWEEP
 
 
 def ordered_bell(n):
@@ -212,6 +213,36 @@ def test_separability_sweep_small():
         env, _ = build_groves_queueing(params)
         assert is_separable(build_queueing_pref_1(params, env))
         assert is_separable(build_queueing_pref_2(params, env))
+
+
+def reference_queueing_pref(params, env, patient):
+    """The preference built pair by pair, keying each (report, outcome) pair in full."""
+    outcomes = queueing_outcomes_of(env)
+    keyed = []
+    for action in env.actions[patient]:
+        report = Fraction(action)
+        for label, outcome in outcomes.items():
+            if patient == 0:
+                key = (
+                    -material_payoff(outcome, params, 0),
+                    -clinic_revenue(outcome),
+                    abs(params.theta1 - report),
+                )
+            else:
+                key = (-material_payoff(outcome, params, 1),)
+            keyed.append((key, (action, label)))
+    keyed.sort(key=lambda kp: kp[0])
+    groups = itertools.groupby(keyed, key=lambda kp: kp[0])
+    return Ordering(patient, tuple(frozenset(pair for _, pair in group) for _, group in groups))
+
+
+@pytest.mark.parametrize("grid", GRID_SWEEP, ids=lambda grid: f"{len(grid)}-points")
+def test_queueing_prefs_match_the_pairwise_construction(grid):
+    for theta1, theta2 in itertools.product(THETA_SWEEP, repeat=2):
+        params = QueueingParams(theta1, theta2, grid)
+        env, _ = build_groves_queueing(params)
+        assert build_queueing_pref_1(params, env) == reference_queueing_pref(params, env, 0)
+        assert build_queueing_pref_2(params, env) == reference_queueing_pref(params, env, 1)
 
 
 # --- enumeration order --------------------------------------------------------

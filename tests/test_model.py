@@ -1,11 +1,20 @@
+import copy
+import inspect
 import itertools
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exmech.cli import AnalysisReport
+from exmech.deterministic import Condition1Violation, DetMechanism
+from exmech.domains import SeparabilityViolation
 from exmech.errors import AgentOutOfRange, InvariantViolation, ParseError, UnknownPair
 from exmech.model import (
+    BAWitness,
+    DomainKind,
     DomainSpec,
     Environment,
     Ordering,
@@ -19,6 +28,10 @@ from exmech.model import (
     sub_profiles,
     witness_from_json,
 )
+from exmech.queueing import QueueingOutcome, QueueingParams
+from exmech.search import SearchResult
+from exmech.stochastic import Distribution, Lottery, ProbMechanism
+from exmech.verify import ClaimResult
 
 
 def ordering_of(agent, *classes):
@@ -249,3 +262,178 @@ def test_witness_from_json_rejects_agents_that_are_not_integers(agent):
     assert witness_from_json(WITNESS).agent == 0
     with pytest.raises(ParseError, match="agent must be a JSON integer"):
         witness_from_json({**WITNESS, "agent": agent})
+
+
+# --- value types ----------------------------------------------------------------
+#
+# Every model and result type is an immutable value.  Each case gives the
+# class, its constructor's parameter names, the arguments of one instance and
+# of a different one, and the instance's repr, in the format dataclasses use.
+
+TOP = (frozenset({("a0", "z0")}), frozenset({("a1", "z0")}))
+BOTTOM = TOP[::-1]
+ONE_AGENT = ((("a0", "a1"),), ("z0",), (DomainSpec(DomainKind.UNRESTRICTED),))
+ONE_AGENT_STRICT = ((("a0", "a1"),), ("z0",), (DomainSpec(DomainKind.STRICT),))
+ENV_REPR = (
+    "Environment(actions=(('a0', 'a1'),), outcomes=('z0',), "
+    "domains=(DomainSpec(kind=<DomainKind.UNRESTRICTED: 'unrestricted'>, orderings=()),))"
+)
+TOP_REPR = "Ordering(agent=0, classes=(frozenset({('a0', 'z0')}), frozenset({('a1', 'z0')})))"
+POINT = Distribution({"z0": Fraction(1)})
+POINT_REPR = "Distribution(probs=mappingproxy({'z0': Fraction(1, 1)}))"
+REPORT = ("referendum(m=1)", False, ["strict"], "NBA", "exhaustive-search", None, {"rows": 1}, 2.5)
+
+VALUE_CASES = [
+    (Ordering, "agent classes", (0, TOP), (0, BOTTOM), TOP_REPR),
+    (
+        DomainSpec, "kind orderings",
+        (DomainKind.EXPLICIT, (Ordering(0, TOP),)), (DomainKind.EXPLICIT, (Ordering(0, BOTTOM),)),
+        f"DomainSpec(kind=<DomainKind.EXPLICIT: 'explicit'>, orderings=({TOP_REPR},))",
+    ),
+    (Environment, "actions outcomes domains", ONE_AGENT, ONE_AGENT_STRICT, ENV_REPR),
+    (
+        BAWitness, "agent r l a_minus b_minus ordering",
+        (0, "a1", "a0", ("b0",), ("b1",), Ordering(0, TOP)),
+        (0, "a1", "a0", ("b1",), ("b0",), Ordering(0, TOP)),
+        f"BAWitness(agent=0, r='a1', l='a0', a_minus=('b0',), b_minus=('b1',), ordering={TOP_REPR})",
+    ),
+    (
+        QueueingParams, "theta1 theta2 grid u_bar",
+        (Fraction(1, 4), Fraction(1, 2), (Fraction(0), Fraction(1)), Fraction(3)),
+        (Fraction(1, 4), Fraction(1, 2), (Fraction(0), Fraction(1))),
+        "QueueingParams(theta1=Fraction(1, 4), theta2=Fraction(1, 2), "
+        "grid=(Fraction(0, 1), Fraction(1, 1)), u_bar=Fraction(3, 1))",
+    ),
+    (
+        QueueingOutcome, "w t",
+        ((0, 1), (Fraction(1, 2), Fraction(0))), ((1, 0), (Fraction(1, 2), Fraction(0))),
+        "QueueingOutcome(w=(0, 1), t=(Fraction(1, 2), Fraction(0, 1)))",
+    ),
+    (
+        SeparabilityViolation, "clause x x_alt z z_alt",
+        (1, "x0", "x1", "z0", "z1"), (2, "x0", "x1", "z0", "z1"),
+        "SeparabilityViolation(clause=1, x='x0', x_alt='x1', z='z0', z_alt='z1')",
+    ),
+    (
+        SearchResult, "witness stats", (None, {"rows": 1}), (None, {"rows": 2}),
+        "SearchResult(witness=None, stats={'rows': 1})",
+    ),
+    (
+        DetMechanism, "env table",
+        (Environment(*ONE_AGENT), {("a0",): "z0", ("a1",): "z0"}),
+        (Environment(*ONE_AGENT_STRICT), {("a0",): "z0", ("a1",): "z0"}),
+        f"DetMechanism(env={ENV_REPR}, table={{('a0',): 'z0', ('a1',): 'z0'}})",
+    ),
+    (
+        Condition1Violation, "agent r l a_minus b_minus z",
+        (0, "a0", "a1", ("b0",), ("b1",), "z0"), (0, "a0", "a1", ("b0",), ("b1",), "z1"),
+        "Condition1Violation(agent=0, r='a0', l='a1', a_minus=('b0',), b_minus=('b1',), z='z0')",
+    ),
+    (
+        Distribution, "probs",
+        ({"z0": Fraction(1)},), ({"z0": Fraction(1, 2), "z1": Fraction(1, 2)},), POINT_REPR,
+    ),
+    (Lottery, "action dist", ("a0", POINT), ("a1", POINT), f"Lottery(action='a0', dist={POINT_REPR})"),
+    (
+        ProbMechanism, "env table",
+        (Environment(*ONE_AGENT), {("a0",): POINT, ("a1",): POINT}),
+        (Environment(*ONE_AGENT_STRICT), {("a0",): POINT, ("a1",): POINT}),
+        f"ProbMechanism(env={ENV_REPR}, table={{('a0',): {POINT_REPR}, ('a1',): {POINT_REPR}}})",
+    ),
+    (
+        AnalysisReport, "mechanism probabilistic domains verdict method witness search duration_ms",
+        REPORT, REPORT[:3] + ("BA",) + REPORT[4:],
+        "AnalysisReport(mechanism='referendum(m=1)', probabilistic=False, domains=['strict'], "
+        "verdict='NBA', method='exhaustive-search', witness=None, search={'rows': 1}, "
+        "duration_ms=2.5)",
+    ),
+    (
+        ClaimResult, "name passed detail", ("claim", True, "ok"), ("claim", False, "ok"),
+        "ClaimResult(name='claim', passed=True, detail='ok')",
+    ),
+]
+# a dict or list field makes the hash raise, as it did for the dataclasses
+UNHASHABLE = {SearchResult, DetMechanism, ProbMechanism, AnalysisReport}
+DEFAULTS = {DomainSpec: {"orderings": ()}, QueueingParams: {"u_bar": Fraction(2)}}
+
+
+@pytest.mark.parametrize(
+    "index, cls, names, args, other_args, expected_repr",
+    [(i, *case) for i, case in enumerate(VALUE_CASES)],
+    ids=[case[0].__name__ for case in VALUE_CASES],
+)
+def test_value_types_compare_hash_print_copy_and_refuse_changes(
+    index, cls, names, args, other_args, expected_repr
+):
+    value, equal, different = cls(*args), cls(*args), cls(*other_args)
+    other_cls, _, other_cls_args, _, _ = VALUE_CASES[index - 1]
+    another_class = other_cls(*other_cls_args)
+    assert value == equal and not value != equal
+    assert value != different and not value == different
+    assert value != another_class and not value == another_class
+    # like a dataclass, a value equals only instances of its own class
+    twin = type(cls.__name__, (cls,), {})(*args)
+    assert value != twin and not value == twin
+    assert value != args
+
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(equal)
+        assert len({value, equal, different}) == 2
+    assert repr(value) == expected_repr
+
+    names = names.split()
+    for name in names + ["extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == expected_repr
+
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(copied) is cls and copied == value
+    rebuild, rebuild_args = value.__reduce__()  # copies go through the constructor's checks
+    assert rebuild is cls and cls(*rebuild_args) == value
+
+    parameters = inspect.signature(cls).parameters.values()
+    assert [p.name for p in parameters] == names
+    defaults = {p.name: p.default for p in parameters if p.default is not p.empty}
+    assert defaults == DEFAULTS.get(cls, {})
+    assert cls(**dict(zip(names, args))) == value
+
+
+def test_value_type_defaults():
+    assert DomainSpec(DomainKind.STRICT).orderings == ()
+    assert DomainSpec(kind=DomainKind.STRICT) == DomainSpec(DomainKind.STRICT, ())
+    grid = (Fraction(0), Fraction(1))
+    params = QueueingParams(theta1=Fraction(1, 4), theta2=Fraction(1, 2), grid=grid)
+    assert params.u_bar == Fraction(2)
+    assert params == QueueingParams(Fraction(1, 4), Fraction(1, 2), grid, Fraction(2))
+
+
+CHECKED = [(case[0], case[2]) for case in VALUE_CASES if "__post_init__" in vars(case[0])]
+
+
+@pytest.mark.parametrize("cls, args", CHECKED, ids=[cls.__name__ for cls, _ in CHECKED])
+def test_construction_calls_the_post_init_found_on_the_class(monkeypatch, cls, args):
+    # perfbench/tracer.py counts and times construction by replacing __post_init__
+    calls = []
+    original = cls.__post_init__
+
+    def counted(self):
+        calls.append(type(self))
+        original(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counted)
+    cls(*args)
+    assert calls == [cls]
+    if cls is Ordering:  # the enumerators build orderings through from_ranks
+        Ordering.from_ranks(0, [("a0", "z0"), ("a1", "z0")], [0, 1])
+        assert calls == [cls, cls]
+
+
+def test_the_traced_classes_define_post_init():
+    checked = {cls for cls, _ in CHECKED}
+    assert {Ordering, DetMechanism, Distribution, ProbMechanism} <= checked

@@ -4,7 +4,6 @@ Each kind's row-set relations are checked here too, against the reference
 relations its validator passes to `check_certificate` (`assert_relations_match`).
 """
 
-import dataclasses
 import functools
 import itertools
 import math
@@ -380,6 +379,19 @@ def test_cap_must_be_none_or_a_non_negative_int(cap):
             run()
 
 
+def altered(witness, **changes):
+    """`witness` with the named fields changed, built through the constructor."""
+    fields = {
+        "agent": witness.agent,
+        "r": witness.r,
+        "l": witness.l,
+        "a_minus": witness.a_minus,
+        "b_minus": witness.b_minus,
+        "ordering": witness.ordering,
+    }
+    return BAWitness(**{**fields, **changes})
+
+
 def test_certificate_check_rejects_malformed_agents_and_sub_profiles():
     _, referendum = build_majority_referendum(1)
     _, mixed = build_mixed_counterexample()
@@ -391,13 +403,13 @@ def test_certificate_check_rejects_malformed_agents_and_sub_profiles():
         validate(mech, witness)
         for agent in ("0", 0.0, True, False, None):
             with pytest.raises(InvariantViolation, match="^agent must be an int, got "):
-                validate(mech, dataclasses.replace(witness, agent=agent))
+                validate(mech, altered(witness, agent=agent))
         with pytest.raises(AgentOutOfRange):
-            validate(mech, dataclasses.replace(witness, agent=mech.env.n))
+            validate(mech, altered(witness, agent=mech.env.n))
         for field in ("a_minus", "b_minus"):
             malformed = list(getattr(witness, field))
             with pytest.raises(InvariantViolation, match="sub-profiles not valid"):
-                validate(mech, dataclasses.replace(witness, **{field: malformed}))
+                validate(mech, altered(witness, **{field: malformed}))
 
 
 @pytest.mark.parametrize("ordering", (None, [], "a0 z0", ((("a0", "z0"),),)), ids=repr)
@@ -408,7 +420,7 @@ def test_certificate_check_rejects_an_ordering_that_is_not_one(ordering):
         (referendum, validate_witness, find_ba_witness),
         (mixed, validate_prob_witness, find_prob_ba_witness),
     ):
-        witness = dataclasses.replace(find(mech, DomainKind.UNRESTRICTED), ordering=ordering)
+        witness = altered(find(mech, DomainKind.UNRESTRICTED), ordering=ordering)
         with pytest.raises(InvariantViolation, match="^witness ordering .* is not an Ordering$"):
             validate(mech, witness)
 

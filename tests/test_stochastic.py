@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import itertools
 import pickle
 import random
@@ -49,7 +48,7 @@ from exmech.stochastic import (
     validate_prob_witness,
 )
 
-from test_search import assert_relations_match
+from test_search import altered, assert_relations_match
 
 Z2 = ("z0", "z1")
 
@@ -422,7 +421,7 @@ def test_validate_prob_witness_checks_domain_membership():
     with pytest.raises(InvariantViolation, match="not one of the explicit domain's orderings"):
         validate_prob_witness(mech, witness, DomainSpec.explicit(others))
     validate_prob_witness(mech, witness, DomainSpec.explicit(others + [witness.ordering]))
-    strict = dataclasses.replace(
+    strict = altered(
         witness, ordering=next(enumerate_strict_orderings(0, sorted(witness.ordering.pairs)))
     )
     with pytest.raises(InvariantViolation, match="outside the weak-only domain"):
