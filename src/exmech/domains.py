@@ -275,11 +275,18 @@ def separability_violation(ordering: Ordering) -> SeparabilityViolation | None:
 
     Clause 1: the outcome comparison at a fixed own action must not depend on
     which action it is.  Clause 2: the own-action comparison at a fixed
-    outcome must not depend on which outcome it is.
+    outcome must not depend on which outcome it is.  So when every pair is
+    ranked, the ordering is separable iff all actions rank the outcomes
+    alike and all outcomes rank the actions alike, which is checked first;
+    the scan runs only to name the first violation.
     """
     actions = _ordering_actions(ordering)
     outcomes = _ordering_outcomes(ordering)
     ranks = ordering._ranks
+    if len(ranks) == len(actions) * len(outcomes):  # every (action, outcome) pair is ranked
+        rows = [[ranks[x, z] for z in outcomes] for x in actions]
+        if len(set(map(_dense, rows))) == 1 and len(set(map(_dense, zip(*rows)))) == 1:
+            return None
     try:
         for x in actions:
             for x_alt in actions:
@@ -294,6 +301,12 @@ def separability_violation(ordering: Ordering) -> SeparabilityViolation | None:
     except KeyError as exc:  # not every (action, outcome) pair is ranked
         raise UnknownPair(f"pair {exc.args[0]!r} is not in the ordering's partition") from None
     return None
+
+
+def _dense(ranks) -> tuple[int, ...]:
+    """Each rank's index among the distinct ranks: the weak order `ranks` induces."""
+    classes = {rank: k for k, rank in enumerate(sorted(set(ranks)))}
+    return tuple(classes[rank] for rank in ranks)
 
 
 def is_separable(ordering: Ordering) -> bool:

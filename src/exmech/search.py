@@ -33,21 +33,19 @@ is made here and nowhere else.
 
 The scan is quotiented by sub-profile signatures.  Each agent's values are
 read lazily, in sub-profile order, and interned to small ints (so values
-must hash consistently with `==`); the signature
-of sub-profile b is the tuple of the codes of every action's value at b.
-For fixed (r, l), condition (ii) depends on a only through the tied value,
-so `beats_ii` runs once per value, and the narrowing for (iii) depends on b
-only through its signature, so it runs at most once per (value, signature).
-For a given a, the witness b is then the smallest index other than a over
-the signatures whose rows survive.  Every signature's smallest such index is
-its first, except that of a itself when a is its first index: there it is
-the second.  So each signature keeps its first two indices.  A walk over
-the signatures in order of their first index stops at the first survivor;
-a's own signature, when first seen at a, is tried last, and only if its
-second index is below that survivor's.  Under both kinds' relations it never
-survives, since (iii) against l at the tied value is the reverse of (ii).
-The search does not rely on that, but trying it last keeps the relation
-calls no more than the pairwise scan's when every signature is distinct.
+must hash consistently with `==`); the signature of sub-profile b is the
+tuple of the codes of every action's value at b.  For fixed (r, l),
+condition (ii) depends on a only through the tied value, and the narrowing
+for (iii) depends on b only through its signature.  A b sharing a's
+signature never survives: there l's value is the tied one, and the search
+requires of each kind's relations that (iii) against a lottery never holds
+where (ii) for that lottery over it does (`search_witness` states this
+contract).  So whether some b completes a witness, and which b and row,
+depends on a only through the tied value, and each tied value is decided
+once per (r, l): at its first tie, (ii) runs once, and a walk over the
+signatures in order of first index, skipping a's own, stops at the first
+whose rows survive, b being that signature's first index.  A value with
+no survivor is dead for every later a.
 """
 
 from __future__ import annotations
@@ -94,6 +92,12 @@ def search_witness(
     module docstring), and values are read only as far as the walk reaches.
     An agent past the cap gets no rows and a `None` count; CapExceeded is
     raised only at its first tuple passing (i).
+
+    The walk requires the relations to meet one contract: for any row set
+    `rows` and lotteries x and y, `beats_iii(y, x, beats_ii(x, y, rows))`
+    is 0.  Strict preference for (ii) meets it with weak or strict
+    preference on the same ordering for (iii), and first-order stochastic
+    dominance, being asymmetric, meets it as both.
     """
     specs = domains.resolve_domains(env, domain_specs)
     admissible = [_admissible(env, i, spec, cap) for i, spec in enumerate(specs)]
@@ -114,8 +118,8 @@ def search_witness(
         codes: dict = {}  # value -> its code, in order of first reading
         values: list = []  # code -> value
         sigs: list[tuple[int, ...]] = []  # the signature of each sub-profile read so far
+        first: dict[tuple[int, ...], int] = {}  # signature -> its first index
         order: list[tuple[int, ...]] = []  # the distinct signatures, by first index
-        indices: dict[tuple[int, ...], list[int]] = {}  # signature -> its first two indices
 
         def read() -> None:
             """Read the next sub-profile's signature: the code of each action's value there."""
@@ -128,71 +132,47 @@ def search_witness(
                     values.append(value)
                 sig.append(code)
             sig = tuple(sig)
-            at = indices.get(sig)
-            if at is None:
-                indices[sig] = [len(sigs)]
+            if first.setdefault(sig, len(sigs)) == len(sigs):
                 order.append(sig)
-            elif len(at) == 1:
-                at.append(len(sigs))
             sigs.append(sig)
 
         for ri, r in enumerate(acts):
             for li, l in enumerate(acts):
                 if r == l:
                     continue
-                protests: dict[int, int] = {}  # code -> rows passing (ii) at that tied value
-                responses: dict[tuple, int] = {}  # (code, signature) -> rows passing (iii) too
+                dead: set[int] = set()  # tied values that complete no witness for (r, l)
                 for i, a in enumerate(subs):
                     if i == len(sigs):
                         read()
                     sig_a = sigs[i]
                     code = sig_a[ri]
-                    if code != sig_a[li]:
+                    if code != sig_a[li] or code in dead:
                         continue
                     if le is None:  # past the cap, so this raises CapExceeded
                         domains.check_full_domain(spec.kind, pairs, cap)
-                    candidates = protests.get(code)
-                    if candidates is None:
-                        value = values[code]
-                        candidates = protests[code] = beats_ii((l, value), (r, value), every)
-                    if not candidates:
-                        continue
-                    # b is the smallest index other than i over the signatures whose rows
-                    # survive; a's own signature, when first seen at a, competes with its
-                    # second index and is tried last
-                    b = rows = own = None
-                    k = 0
-                    while True:
-                        if k < len(order) and (b is None or indices[order[k]][0] < b):
-                            sig = order[k]
-                            k += 1
-                            at = indices[sig]
-                            if at[0] == i:
-                                own = at
-                                continue
-                            index = at[0]
-                        elif b is None and len(sigs) < len(subs):
+                    dead.add(code)  # decided at its first tie: a witness, or none at all
+                    value = values[code]
+                    candidates = beats_ii((l, value), (r, value), every)
+                    k = 0  # walk the signatures by first index, reading only once they run out
+                    while candidates and (k < len(order) or len(sigs) < len(subs)):
+                        if k == len(order):
                             read()
                             continue
-                        elif own is not None and len(own) > 1 and (b is None or own[1] < b):
-                            sig, index, own = sig_a, own[1], None
-                        else:
-                            break
-                        survivors = responses.get((code, sig))
-                        if survivors is None:
-                            anchor = (r, values[sig[ri]])
-                            survivors = candidates
-                            for xi, x in enumerate(acts):
-                                if xi != ri:
-                                    survivors = beats_iii(anchor, (x, values[sig[xi]]), survivors)
-                                    if not survivors:
-                                        break
-                            responses[(code, sig)] = survivors
-                        if survivors:
-                            b, rows = index, survivors
-                    if b is not None:  # the lowest set bit is the canonically first row
-                        ordering = ordering_at((rows & -rows).bit_length() - 1)
-                        return SearchResult(BAWitness(agent, r, l, a, subs[b], ordering), stats)
+                        sig = order[k]
+                        k += 1
+                        if sig == sig_a:  # (iii) against (l, value) there undoes (ii)
+                            continue
+                        anchor = (r, values[sig[ri]])
+                        rows = candidates
+                        for xi, x in enumerate(acts):
+                            if xi != ri:
+                                rows = beats_iii(anchor, (x, values[sig[xi]]), rows)
+                                if not rows:
+                                    break
+                        if rows:  # the lowest set bit is the canonically first row
+                            ordering = ordering_at((rows & -rows).bit_length() - 1)
+                            b = subs[first[sig]]
+                            return SearchResult(BAWitness(agent, r, l, a, b, ordering), stats)
     return SearchResult(None, stats)
 
 

@@ -14,9 +14,11 @@ rank vectors: `_fsd_relations` sums integer masses by pair column and
 partitions all rows at once with the shared `le` row sets, in O(k^2 *
 min(rows, distinct sums)) big-int operations for k mass-carrying columns.
 A `Distribution` hashes consistently with equality, so the search interns
-each agent's distributions and calls those relations once per tied
-distribution for (ii), and for (iii) at most once per tied distribution and
-signature (the distributions of every action at a sub-profile).
+each agent's distributions and decides each tied distribution once per
+action pair: one (ii) call, then (iii) at most once per signature (the
+distributions of every action at a sub-profile) other than the tie's own.
+That relies on dominance being asymmetric, the contract
+`search.search_witness` states.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from exmech.domains import (
     row_count,
     separability_violation,
 )
-from exmech.errors import CapExceeded, NotQueueingEnvironment
+from exmech.errors import CapExceeded, NotQueueingEnvironment, UnknownPair
 from exmech.model import DomainKind, DomainSpec, Environment, Ordering
 from exmech.queueing import QueueingParams, clinic_revenue, material_payoff, queueing_outcomes_of
 from exmech.search import _row_ranks, _shared_row_sets
@@ -168,6 +168,43 @@ def test_every_classical_ordering_is_separable():
     ]
     assert len(enumerated_classical) == 13
     assert all(is_separable(o) for o in enumerated_classical)
+
+
+def scanned_violation(ordering):
+    """The first violation in the quadruple scan, with no shortcut: the reference."""
+    actions = sorted({x for x, _ in ordering.pairs})
+    outcomes = sorted({z for _, z in ordering.pairs})
+    rank = ordering.rank
+    for x, x_alt, z, z_alt in itertools.product(actions, actions, outcomes, outcomes):
+        if x_alt == x:
+            continue
+        if rank((x, z)) <= rank((x, z_alt)) and rank((x_alt, z)) > rank((x_alt, z_alt)):
+            return domains.SeparabilityViolation(1, x, x_alt, z, z_alt)
+        if rank((x, z)) <= rank((x_alt, z)) and rank((x, z_alt)) > rank((x_alt, z_alt)):
+            return domains.SeparabilityViolation(2, x, x_alt, z, z_alt)
+    return None
+
+
+@pytest.mark.parametrize("shape", ((2, 2), (2, 3), (3, 2)), ids=lambda s: f"{s[0]}x{s[1]}")
+def test_separability_violation_agrees_with_the_full_scan(shape):
+    # every weak order, so every strict and weak-only one too
+    actions = tuple(f"a{k}" for k in range(shape[0]))
+    outcomes = tuple(f"z{j}" for j in range(shape[1]))
+    orderings = enumerate_weak_orderings(0, tuple(itertools.product(actions, outcomes)))
+    separable = 0
+    for ordering in orderings:
+        violation = separability_violation(ordering)
+        assert violation == scanned_violation(ordering)
+        separable += violation is None
+    assert 0 < separable < row_count(shape[0] * shape[1], DomainKind.UNRESTRICTED)
+
+
+def test_separability_violation_of_a_partial_ordering_names_the_missing_pair():
+    # (a1, z1) is not ranked, so the shortcut does not apply and the scan raises
+    for ordering in enumerate_weak_orderings(0, (("a0", "z0"), ("a0", "z1"), ("a1", "z0"))):
+        for find in (separability_violation, scanned_violation):
+            with pytest.raises(UnknownPair, match=r"^pair \('a1', 'z1'\) is not in"):
+                find(ordering)
 
 
 def test_pref_1_material_payoff_dominates():

@@ -4,6 +4,7 @@ Each kind's row-set relations are checked here too, against the reference
 relations its validator passes to `check_certificate` (`assert_relations_match`).
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -541,20 +542,6 @@ def few_signature_cases(draw, prob):
     return mech, specs, cap
 
 
-def reflexive_relations(index, le):
-    """Every row passes (ii), and (iii) is weak preference.
-
-    Both kinds' relations make (ii) and (iii) against l exclusive at one
-    value, so no b sharing a's signature ever survives; these do not, so
-    the search's fallback to a signature's second index is reached.
-    """
-
-    def every(lhs, rhs, rows):
-        return rows
-
-    return every, _rank_relations(index, le)[1]
-
-
 @pytest.mark.parametrize("prob", (False, True), ids=("det", "prob"))
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
@@ -567,7 +554,6 @@ def test_signature_search_equals_the_pairwise_scan(prob, data):
             (mech.outcome_at, functools.partial(_rank_relations, strict_iii=strict_iii))
             for strict_iii in (False, True)
         ]
-        cases.append((mech.outcome_at, reflexive_relations))
     for value_at, relations in cases:
         expected = outcome_or_cap(
             lambda: pairwise_search_witness(mech.env, value_at, specs, relations, cap)
@@ -595,31 +581,6 @@ def test_search_reads_only_the_sub_profiles_it_reaches():
         assert {agent for agent, _ in read} == {0}
         assert sorted({subs.index(sub) for _, sub in read}) == [0, 1, 2]
         assert result.witness.b_minus == subs[2]
-
-
-def test_a_tied_signature_falls_back_to_its_second_index_before_later_ones():
-    # At a = b1 the pair (x1, x0) ties at t, and b1's signature survives, so b
-    # is its second index, b2, though b3's signature, already read by the
-    # pair (x0, x1), survives too.
-    env = Environment.create((("x0", "x1"), ("b0", "b1", "b2", "b3")), ("z0",))
-    values = {"b0": ("p", "q"), "b1": ("t", "t"), "b2": ("t", "t"), "b3": ("w", "u")}
-
-    def value_at(agent, action, sub):
-        return values[sub[0]][env.actions[0].index(action)] if agent == 0 else "p"
-
-    def relations(index, le):
-        def every(lhs, rhs, rows):
-            return rows
-
-        def anchored(anchor, rival, rows):
-            return rows if anchor[0] == "x1" and anchor[1] in ("t", "u") else 0
-
-        return every, anchored
-
-    result = search.search_witness(env, value_at, "unrestricted", relations)
-    witness = result.witness
-    assert (witness.r, witness.a_minus, witness.b_minus) == ("x1", ("b1",), ("b2",))
-    assert result == pairwise_search_witness(env, value_at, "unrestricted", relations)
 
 
 def test_a_signature_is_narrowed_again_for_another_tied_value():
@@ -650,3 +611,137 @@ def test_a_signature_is_narrowed_again_for_another_tied_value():
     witness = find_ba_witness(mech, specs)
     assert witness == BAWitness(0, "x0", "x1", ("b2",), ("b1",), row_b)
     assert witness == pairwise_search_witness(env, mech.outcome_at, specs, _rank_relations).witness
+
+
+# --- the contract the walk relies on, and the relation calls it makes ---------------
+
+
+def contract_tables():
+    """(actions, outcomes, le): each full kind's `le` over at most five pairs,
+    and random explicit tables over six."""
+    for n_actions, n_outcomes in ((2, 2), (1, 3), (5, 1), (1, 5)):
+        actions = tuple(f"x{k}" for k in range(n_actions))
+        outcomes = tuple(f"z{j}" for j in range(n_outcomes))
+        for kind in FULL_KINDS:
+            yield actions, outcomes, search._shared_row_sets(n_actions * n_outcomes, kind)
+    rng = random.Random(5)
+    for _ in range(4):
+        table = [[rng.randrange(6) for _ in range(6)] for _ in range(rng.randint(1, 40))]
+        yield ("x0", "x1"), ("z0", "z1", "z2"), search._row_sets(table, 6)
+
+
+@pytest.mark.parametrize("prob", (False, True), ids=("det", "prob"))
+def test_relations_meet_the_search_contract(prob):
+    # (iii) against a lottery never holds where (ii) for it over the other
+    # does: the walk skips a's own signature and decides each tied value once
+    # because of it
+    for actions, outcomes, le in contract_tables():
+        pairs = [(x, z) for x in actions for z in outcomes]
+        index = {pair: k for k, pair in enumerate(pairs)}
+        if prob:
+            masses = itertools.product(range(3 if len(outcomes) <= 3 else 2), repeat=len(outcomes))
+            values = dict.fromkeys(
+                Distribution({z: Fraction(k, sum(ks)) for z, k in zip(outcomes, ks)})
+                for ks in masses
+                if any(ks)
+            )
+            relations = [_fsd_relations(index, le)]
+        else:
+            values = outcomes
+            relations = [_rank_relations(index, le, strict_iii) for strict_iii in (False, True)]
+        lotteries = [(x, value) for x in actions for value in values]
+        every = le[0][0]
+        for beats_ii, beats_iii in relations:
+            for x, y in itertools.product(lotteries, repeat=2):
+                assert beats_iii(y, x, beats_ii(x, y, every)) == 0
+
+
+def logged_relations(env, relations, log):
+    """`relations` with its calls logged.
+
+    A (ii) call logs (agent, r, l, tied value) under "ii" and becomes the
+    context of the (iii) calls after it.  A (iii) call is counted per agent
+    under "iii"; when its rival is the first action other than r it starts
+    a narrowing, which must begin from the rows (ii) returned, and it logs
+    the context with the anchor's and the rival's values under "starts".
+    """
+
+    def wrapped(index, le):
+        agent = next(i for i in range(env.n) if set(index) == set(env.pairs_for(i)))
+        beats_ii, beats_iii = relations(index, le)
+        key = candidates = None
+
+        def ii(lhs, rhs, rows):
+            nonlocal key, candidates
+            key, candidates = (agent, rhs[0], lhs[0], lhs[1]), beats_ii(lhs, rhs, rows)
+            log["ii"].append(key)
+            return candidates
+
+        def iii(anchor, rival, rows):
+            log["iii"][agent] += 1
+            if rival[0] == next(x for x in env.actions[agent] if x != anchor[0]):
+                assert anchor[0] == key[1] and rows == candidates
+                log["starts"].append((*key, anchor[1], rival[1]))
+            return beats_iii(anchor, rival, rows)
+
+        return ii, iii
+
+    return wrapped
+
+
+def assert_within_budget(env, value_at, relations, specs, cap=None):
+    """Search with logged relations and check the calls against the budget.
+
+    (ii) runs at most once per (agent, r, l, tied value).  A narrowing starts
+    at most once per (agent, r, l, value, signature), and never at the
+    signature of the value's first tie: so the starts seen with given
+    anchor and first-rival values number no more than the other signatures
+    with those values.  An agent with one signature makes no (iii) call.
+    """
+    log = {"ii": [], "starts": [], "iii": collections.Counter()}
+    logged = logged_relations(env, relations, log)
+    result = outcome_or_cap(lambda: search.search_witness(env, value_at, specs, logged, cap))
+    assert len(set(log["ii"])) == len(log["ii"])
+
+    def signature(agent, b):
+        return tuple(value_at(agent, x, b) for x in env.actions[agent])
+
+    for (agent, r, l, value, *seen), count in collections.Counter(log["starts"]).items():
+        acts = env.actions[agent]
+        subs = list(sub_profiles(env, agent))
+        tie = next(b for b in subs if value_at(agent, r, b) == value == value_at(agent, l, b))
+        shown = (acts.index(r), acts.index(next(x for x in acts if x != r)))
+        others = {signature(agent, b) for b in subs} - {signature(agent, tie)}
+        assert count <= sum(1 for sig in others if [sig[k] for k in shown] == seen)
+    for agent in range(env.n):
+        if len({signature(agent, b) for b in sub_profiles(env, agent)}) == 1:
+            assert log["iii"][agent] == 0
+    return result
+
+
+@pytest.mark.parametrize("prob", (False, True), ids=("det", "prob"))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_relation_call_budget_on_few_signature_mechanisms(prob, data):
+    mech, specs, cap = data.draw(few_signature_cases(prob))
+    if prob:
+        cases = [(mech.dist_at, _fsd_relations)]
+    else:
+        cases = [
+            (mech.outcome_at, functools.partial(_rank_relations, strict_iii=strict_iii))
+            for strict_iii in (False, True)
+        ]
+    for value_at, relations in cases:
+        assert_within_budget(mech.env, value_at, relations, specs, cap)
+
+
+def test_relation_call_budget_on_constant_mechanisms():
+    env = Environment.create((("a0", "a1", "a2"), ("b0", "b1", "b2")), ("z0", "z1"))
+    constant = DetMechanism(env, {p: "z0" for p in enumerate_profiles(env)})
+    dist = Distribution.uniform(env.outcomes)
+    uniform = ProbMechanism(env, {p: dist for p in enumerate_profiles(env)})
+    for kind in FULL_KINDS:
+        for strict_iii in (False, True):
+            relations = functools.partial(_rank_relations, strict_iii=strict_iii)
+            assert assert_within_budget(env, constant.outcome_at, relations, kind).witness is None
+        assert assert_within_budget(env, uniform.dist_at, _fsd_relations, kind).witness is None
