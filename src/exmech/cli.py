@@ -39,6 +39,7 @@ if TYPE_CHECKING:
 
 # Each command imports `deterministic`, `stochastic` or `verify` where it
 # uses them, so a command loads only the modules it runs.
+BUILDERS = ("referendum", "plurality", "groves", "relfreq", "mixed-counterexample")
 PROB_BUILDERS = ("relfreq", "mixed-counterexample")
 
 EXIT_OK = 0
@@ -78,13 +79,13 @@ def build_parser() -> _Parser:
     p_validate.add_argument("path")
 
     p_build = sub.add_parser("build", help="emit a built-in mechanism as JSON")
-    _add_builder_args(p_build, positional=True)
+    _add_builder_args(p_build, p_build, "builder")
     p_build.add_argument("--out", help="write to a file instead of stdout")
 
     p_analyze = sub.add_parser("analyze", help="decide BA/NBA for a mechanism")
     source = p_analyze.add_mutually_exclusive_group(required=True)
     source.add_argument("--mech", help="mechanism bundle JSON file")
-    _add_builder_args(p_analyze, positional=False, group=source)
+    _add_builder_args(p_analyze, source, "--builder")
     p_analyze.add_argument("--prob", action="store_true", help="treat as probabilistic")
     p_analyze.add_argument(
         "--domains",
@@ -108,18 +109,8 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _add_builder_args(parser, positional: bool, group=None) -> None:
-    target = group if group is not None else parser
-    if positional:
-        target.add_argument(
-            "builder",
-            choices=("referendum", "plurality", "groves", "relfreq", "mixed-counterexample"),
-        )
-    else:
-        target.add_argument(
-            "--builder",
-            choices=("referendum", "plurality", "groves", "relfreq", "mixed-counterexample"),
-        )
+def _add_builder_args(parser, group, name: str) -> None:
+    group.add_argument(name, choices=BUILDERS)
     parser.add_argument("--m", type=int, default=None, help="referendum margin / candidates")
     parser.add_argument("--n", type=int, default=None, help="number of voters")
     parser.add_argument("--tiebreak", default=None, help="comma-separated candidate order")
@@ -332,13 +323,14 @@ def cmd_analyze(args) -> int:
         return EXIT_USAGE
     domains = _domains_from_flag(args.domains, env, args)
     specs = resolve_domains(env, domains)
+    if prob:
+        from .stochastic import search_prob_ba_witness as search, validate_prob_witness as validate
+        options = {}
+    else:
+        from .deterministic import search_ba_witness as search, validate_witness as validate
+        options = {"strict_iii": args.strict_iii}
     try:
-        if prob:
-            from .stochastic import search_prob_ba_witness
-            result = search_prob_ba_witness(mech, specs, cap=args.cap)
-        else:
-            from .deterministic import search_ba_witness
-            result = search_ba_witness(mech, specs, cap=args.cap, strict_iii=args.strict_iii)
+        result = search(mech, specs, cap=args.cap, **options)
         witness, stats, method = result.witness, result.stats, "exhaustive-search"
     except CapExceeded as exc:
         # tie propagation decides a deterministic mechanism whose agents all have full kinds
@@ -360,13 +352,7 @@ def cmd_analyze(args) -> int:
             witness = witness_from_counterexample(mech, cex, specs[cex.agent].kind)
         stats, method = {"agents": env.n, "mode": "tie-propagation"}, "characterization"
     if witness is not None:
-        domain = specs[witness.agent]
-        if prob:
-            from .stochastic import validate_prob_witness
-            validate_prob_witness(mech, witness, domain)
-        else:
-            from .deterministic import validate_witness
-            validate_witness(mech, witness, args.strict_iii, domain)
+        validate(mech, witness, domain=specs[witness.agent], **options)
     report = AnalysisReport(
         mechanism=identity,
         probabilistic=prob,

@@ -165,21 +165,21 @@ def _full_table(kind: DomainKind, pairs: Iterable[Pair], cap: int | None) -> tup
 
 
 def enumerate_weak_orderings(
-    agent: int, pairs: Iterable[Pair], cap: int = DEFAULT_WEAK_CAP
+    agent: int, pairs: Iterable[Pair], cap: int | None = None
 ) -> Iterator[Ordering]:
     """Every weak order over the pairs, exactly once, in a fixed order."""
     return table_orderings(agent, *_full_table(DomainKind.UNRESTRICTED, pairs, cap))
 
 
 def enumerate_strict_orderings(
-    agent: int, pairs: Iterable[Pair], cap: int = DEFAULT_STRICT_CAP
+    agent: int, pairs: Iterable[Pair], cap: int | None = None
 ) -> Iterator[Ordering]:
     """Every strict (all-singleton) order, i.e. every permutation of the pairs."""
     return table_orderings(agent, *_full_table(DomainKind.STRICT, pairs, cap))
 
 
 def enumerate_weak_only_orderings(
-    agent: int, pairs: Iterable[Pair], cap: int = DEFAULT_WEAK_CAP
+    agent: int, pairs: Iterable[Pair], cap: int | None = None
 ) -> Iterator[Ordering]:
     """Weak orders with at least one non-trivial indifference class."""
     return table_orderings(agent, *_full_table(DomainKind.WEAK_ONLY, pairs, cap))

@@ -480,14 +480,12 @@ def env_from_json(data: object) -> Environment:
         raise ParseError("each agent must be a list of action labels")
     actions = tuple(string_labels(acts, "action") for acts in data["agents"])
     outcomes = string_labels(data["outcomes"], "outcome")
-    raw_domains = data.get("domains")
-    if raw_domains is None:
-        domains = tuple(DomainSpec.unrestricted() for _ in actions)
-    else:
-        if not isinstance(raw_domains, list) or len(raw_domains) != len(actions):
+    domains = data.get("domains")
+    if domains is not None:
+        if not isinstance(domains, list) or len(domains) != len(actions):
             raise ParseError("domains must list one spec per agent")
-        domains = tuple(domain_from_json(i, d) for i, d in enumerate(raw_domains))
-    return Environment(actions, outcomes, domains)
+        domains = tuple(domain_from_json(i, d) for i, d in enumerate(domains))
+    return Environment.create(actions, outcomes, domains)
 
 
 def witness_to_json(witness: BAWitness) -> dict:

@@ -210,20 +210,15 @@ def claim_strict_dichotomy_blocks_dominance(
     violations = checks = 0
     for ordering in enumerate_strict_orderings(0, pairs):
         for r, l in itertools.permutations(actions, 2):
-            verdict = dominance_dichotomy(ordering, r, l)
+            # the blocked direction: lo's lotteries never dominate hi's
+            top = dominance_dichotomy(ordering, r, l) is DominanceBlock.R_TOP
+            lo, hi = (l, r) if top else (r, l)
             for _ in range(samples):
                 g = random_totally_mixed(outcomes, rng)
                 h = random_totally_mixed(outcomes, rng)
-                if verdict is DominanceBlock.R_TOP:
-                    blocked = (
-                        fsd(ordering, Lottery(l, g), Lottery(r, h))
-                        or fsd(ordering, Lottery(l, h), Lottery(r, g))
-                    )
-                else:
-                    blocked = (
-                        fsd(ordering, Lottery(r, g), Lottery(l, h))
-                        or fsd(ordering, Lottery(r, h), Lottery(l, g))
-                    )
+                blocked = fsd(ordering, Lottery(lo, g), Lottery(hi, h)) or fsd(
+                    ordering, Lottery(lo, h), Lottery(hi, g)
+                )
                 checks += 1
                 violations += blocked
     return ClaimResult(

@@ -176,6 +176,37 @@ def _build_bundle(capsys, *argv):
     return out
 
 
+@pytest.mark.parametrize(
+    "builder, domains",
+    (
+        (("referendum", "--m", "1"), "unrestricted"),
+        (("plurality", "--n", "3", "--m", "2"), "weak_only"),
+        (("groves", "--grid", "0,1/4,1/2,3/4"), "unrestricted"),
+        (("groves", "--grid", "0,1/4,1/2,3/4", "--theta2", "1/4"), "explicit:queueing"),
+        (("relfreq", "--n", "2", "--m", "2"), "strict"),
+        (("mixed-counterexample",), "weak_only"),
+    ),
+    ids=lambda value: value if isinstance(value, str) else value[0],
+)
+def test_bundle_analyzes_like_its_builder(tmp_path, capsys, builder, domains):
+    path = tmp_path / "bundle.json"
+    code, _, _ = run(capsys, "build", *builder, "--out", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "validate", str(path))
+    kind = "probabilistic" if builder[0] in ("relfreq", "mixed-counterexample") else "deterministic"
+    assert code == 0 and out == f"ok: valid {kind} mechanism\n"
+    # the builder flags after the name also set the queueing preferences of explicit:queueing
+    flags = (*builder[1:], "--domains", domains)
+    code, from_builder, _ = run(capsys, "analyze", "--builder", builder[0], *flags)
+    assert code == 0
+    code, from_bundle, _ = run(capsys, "analyze", "--mech", str(path), *flags)
+    assert code == 0
+    expected, report = json.loads(from_builder), json.loads(from_bundle)
+    assert report.pop("mechanism") == str(path)
+    del expected["mechanism"]
+    assert report == expected
+
+
 def test_analyze_referendum_witness_round_trip(capsys):
     code, out, _ = run(
         capsys, "analyze", "--builder", "referendum", "--m", "1", "--domains", "unrestricted"
