@@ -16,15 +16,17 @@ order (`domains.heads`) and shared by every search over the same pair count
 and kind; no row of it is made, and its witness row is read back from `le`
 (`_row_ranks`).  An explicit domain's rank vectors are read once
 (`domains.domain_rank_vectors`), and `le` is its definition over them; its
-witness is the listed ordering itself.  Either way `le[p][p]` holds every
-row, so it also gives the row count.
+witness is the listed ordering itself.  The row count comes from
+`domains.row_count` or the number of listed rows, so no `le` is built for it.
 
 The certificate needs two relations, and each kind hands the search the
 row-set form of the same two it hands `check_certificate`.  The search calls
-`relations(index, le)` as it reaches each agent, `index` mapping the agent's
-pairs to columns; the call returns `(beats_ii, beats_iii)`, each called as
-`beats(lhs, rhs, rows)` and returning the subset of `rows` under which `lhs`,
-an (action, value) pair, beats `rhs`.  Condition (ii) is
+`relations(index, le)` once per agent, when a tied value first reaches a
+signature other than its own (see below), and only then builds the agent's
+`le`; `index` maps the agent's pairs to columns.  The call returns
+`(beats_ii, beats_iii)`, each called as `beats(lhs, rhs, rows)` and
+returning the subset of `rows` under which `lhs`, an (action, value) pair,
+beats `rhs`.  Condition (ii) is
 `beats_ii((l, value), (r, value), every)` over every row of the domain; (iii)
 narrows those rows with `beats_iii((r, value at b), (x, value at b), rows)`
 rival by rival, in action order, and stops as soon as none remain.  The
@@ -42,10 +44,12 @@ requires of each kind's relations that (iii) against a lottery never holds
 where (ii) for that lottery over it does (`search_witness` states this
 contract).  So whether some b completes a witness, and which b and row,
 depends on a only through the tied value, and each tied value is decided
-once per (r, l): at its first tie, (ii) runs once, and a walk over the
-signatures in order of first index, skipping a's own, stops at the first
-whose rows survive, b being that signature's first index.  A value with
-no survivor is dead for every later a.
+once per (r, l): at its first tie, a walk over the signatures in order of
+first index, skipping a's own, stops at the first whose rows survive, b
+being that signature's first index.  (ii) runs once, at the first
+signature the walk does not skip, so an agent whose sub-profiles all share
+one signature (a constant mechanism's, say) never has its rows built.  A
+value with no survivor is dead for every later a.
 """
 
 from __future__ import annotations
@@ -90,8 +94,9 @@ def search_witness(
     then ordered pairs of distinct sub-profiles (a, b), then orderings in
     domain row order; it is walked by tied value and signature (see the
     module docstring), and values are read only as far as the walk reaches.
-    An agent past the cap gets no rows and a `None` count; CapExceeded is
-    raised only at its first tuple passing (i).
+    Rows are built only where the walk needs them.  An agent past the cap
+    gets no rows and a `None` count; CapExceeded is raised only at its first
+    tuple passing (i).
 
     The walk requires the relations to meet one contract: for any row set
     `rows` and lotteries x and y, `beats_iii(y, x, beats_ii(x, y, rows))`
@@ -105,16 +110,14 @@ def search_witness(
         "agents": env.n,
         "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
         "sub_profiles": [math.prod(map(len, env.actions)) // len(acts) for acts in env.actions],
-        "orderings_per_agent": [
-            None if le is None else le[0][0].bit_length() for le, _ in admissible
-        ],
+        "orderings_per_agent": [count for count, _, _ in admissible],
     }
-    for agent, (spec, acts, (le, ordering_at)) in enumerate(zip(specs, env.actions, admissible)):
+    for agent, (spec, acts, (count, build, ordering_at)) in enumerate(
+        zip(specs, env.actions, admissible)
+    ):
         subs = tuple(sub_profiles(env, agent))  # per agent: a witness ends the search early
         pairs = env.pairs_for(agent)
-        if le is not None:  # past the cap, an agent gets no rows
-            beats_ii, beats_iii = relations({pair: k for k, pair in enumerate(pairs)}, le)
-            every = le[0][0]  # every row ranks a column at or above itself
+        beats_ii = beats_iii = None  # made at the agent's first rival signature
         codes: dict = {}  # value -> its code, in order of first reading
         values: list = []  # code -> value
         sigs: list[tuple[int, ...]] = []  # the signature of each sub-profile read so far
@@ -148,13 +151,13 @@ def search_witness(
                     code = sig_a[ri]
                     if code != sig_a[li] or code in dead:
                         continue
-                    if le is None:  # past the cap, so this raises CapExceeded
+                    if count is None:  # past the cap, so this raises CapExceeded
                         domains.check_full_domain(spec.kind, pairs, cap)
                     dead.add(code)  # decided at its first tie: a witness, or none at all
                     value = values[code]
-                    candidates = beats_ii((l, value), (r, value), every)
+                    candidates = None  # the rows passing (ii), once a rival signature is reached
                     k = 0  # walk the signatures by first index, reading only once they run out
-                    while candidates and (k < len(order) or len(sigs) < len(subs)):
+                    while k < len(order) or len(sigs) < len(subs):
                         if k == len(order):
                             read()
                             continue
@@ -162,6 +165,13 @@ def search_witness(
                         k += 1
                         if sig == sig_a:  # (iii) against (l, value) there undoes (ii)
                             continue
+                        if candidates is None:
+                            if beats_ii is None:
+                                index = {pair: c for c, pair in enumerate(pairs)}
+                                beats_ii, beats_iii = relations(index, build())
+                            candidates = beats_ii((l, value), (r, value), (1 << count) - 1)
+                            if not candidates:
+                                break
                         anchor = (r, values[sig[ri]])
                         rows = candidates
                         for xi, x in enumerate(acts):
@@ -177,22 +187,30 @@ def search_witness(
 
 
 def _admissible(env: Environment, agent: int, spec: DomainSpec, cap: int | None) -> tuple:
-    """(`le`, ordering of row o) over the agent's admissible orderings.
+    """(row count, thunk building `le`, ordering of row o) over the agent's admissible orderings.
 
-    An explicit domain's rows are its listed orderings, so row o's ordering is
+    Everything that can reject the domain runs here, at search start: the
+    cap and type checks of a full kind, and the reading of an explicit
+    domain's rank vectors.  Only `le` waits, for the walk to need rows.  An
+    explicit domain's rows are its listed orderings, so row o's ordering is
     the o-th one listed; a full kind's is rebuilt from row o's ranks, read
-    from `le` (`_row_ranks`).  Past the cap both are None: no rows.
+    from `le` (`_row_ranks`).  Past the cap all three are None: no rows.
     """
     pairs = env.pairs_for(agent)
+    n = len(pairs)
     if spec.kind is DomainKind.EXPLICIT:
         # looked up on the module so that a wrapper installed there sees every explicit table
         table = domains.domain_rank_vectors(env, agent, spec, cap)
-        return _row_sets(table, len(pairs)), spec.orderings.__getitem__
+        return len(table), lambda: _row_sets(table, n), spec.orderings.__getitem__
     try:
-        le = _shared_row_sets(len(domains.check_full_domain(spec.kind, pairs, cap)), spec.kind)
+        domains.check_full_domain(spec.kind, pairs, cap)
     except CapExceeded:
-        return None, None
-    return le, lambda o: Ordering.from_ranks(agent, pairs, _row_ranks(le, o))
+        return None, None, None
+
+    def ordering_at(o: int) -> Ordering:
+        return Ordering.from_ranks(agent, pairs, _row_ranks(_shared_row_sets(n, spec.kind), o))
+
+    return domains.row_count(n, spec.kind), lambda: _shared_row_sets(n, spec.kind), ordering_at
 
 
 def _row_ranks(le: list[list[int]], o: int) -> list[int]:
@@ -227,21 +245,24 @@ def _shared_row_sets(n: int, kind: DomainKind) -> list[list[int]]:
     The rows whose first class is a head H form one contiguous block: for p
     in H, le[p][q] holds the whole block; for q in H and p outside it,
     none of it; for p and q both outside H, the tail's own `le`, shifted to
-    the block's offset.  Tails are memoized here too, so no row is made.
+    the block's offset.  So le[p][q] is `above[p]`, the blocks whose head
+    holds p, joined with the tail parts: each head adds its block once per
+    position it holds.  Tails are memoized here too, so no row is made.
     """
+    above = [0] * n
     le = [[0] * n for _ in range(n)]
     offset = 0
     for head, tail, count in domains.heads(n, kind):
         block = ((1 << count) - 1) << offset
         for p in head:
-            le[p] = [mask | block for mask in le[p]]
+            above[p] |= block
         rest = [p for p in range(n) if p not in head]
         for tail_p, p in zip(_shared_row_sets(len(rest), tail), rest):
             row = le[p]
             for tail_pq, q in zip(tail_p, rest):
                 row[q] |= tail_pq << offset
         offset += count
-    return le
+    return [[mask | tails for tails in row] for mask, row in zip(above, le)]
 
 
 def check_certificate(

@@ -448,9 +448,14 @@ def pairwise_search_witness(env, value_at, domain_specs, relations, cap=None):
 
     The same canonical order, rows and statistics as `search.search_witness`,
     with no interning and no signatures; kept as the oracle for the quotient.
+    Every agent's rows within the cap are built up front, and its ordering
+    count is read from them, not from `search._admissible`'s count.
     """
     specs = domains.resolve_domains(env, domain_specs)
-    admissible = [search._admissible(env, i, spec, cap) for i, spec in enumerate(specs)]
+    admissible = []
+    for i, spec in enumerate(specs):
+        _, build, ordering_at = search._admissible(env, i, spec, cap)
+        admissible.append((None if build is None else build(), ordering_at))
     subs_by_agent = tuple(tuple(sub_profiles(env, i)) for i in range(env.n))
     stats = {
         "agents": env.n,
@@ -659,6 +664,7 @@ def test_relations_meet_the_search_contract(prob):
 def logged_relations(env, relations, log):
     """`relations` with its calls logged.
 
+    Each call of `relations` itself is counted per agent under "relations".
     A (ii) call logs (agent, r, l, tied value) under "ii" and becomes the
     context of the (iii) calls after it.  A (iii) call is counted per agent
     under "iii"; when its rival is the first action other than r it starts
@@ -668,6 +674,7 @@ def logged_relations(env, relations, log):
 
     def wrapped(index, le):
         agent = next(i for i in range(env.n) if set(index) == set(env.pairs_for(i)))
+        log["relations"][agent] += 1
         beats_ii, beats_iii = relations(index, le)
         key = candidates = None
 
@@ -696,9 +703,12 @@ def assert_within_budget(env, value_at, relations, specs, cap=None):
     at most once per (agent, r, l, value, signature), and never at the
     signature of the value's first tie: so the starts seen with given
     anchor and first-rival values number no more than the other signatures
-    with those values.  An agent with one signature makes no (iii) call.
+    with those values.  An agent's relations are made at most once, and an
+    agent with one signature never has them made: it makes no (ii) or (iii)
+    call, so its rows are never built.
     """
     log = {"ii": [], "starts": [], "iii": collections.Counter()}
+    log["relations"] = collections.Counter()
     logged = logged_relations(env, relations, log)
     result = outcome_or_cap(lambda: search.search_witness(env, value_at, specs, logged, cap))
     assert len(set(log["ii"])) == len(log["ii"])
@@ -714,7 +724,10 @@ def assert_within_budget(env, value_at, relations, specs, cap=None):
         others = {signature(agent, b) for b in subs} - {signature(agent, tie)}
         assert count <= sum(1 for sig in others if [sig[k] for k in shown] == seen)
     for agent in range(env.n):
+        assert log["relations"][agent] <= 1
         if len({signature(agent, b) for b in sub_profiles(env, agent)}) == 1:
+            assert log["relations"][agent] == 0
+            assert not [key for key in log["ii"] if key[0] == agent]
             assert log["iii"][agent] == 0
     return result
 
@@ -735,13 +748,88 @@ def test_relation_call_budget_on_few_signature_mechanisms(prob, data):
         assert_within_budget(mech.env, value_at, relations, specs, cap)
 
 
-def test_relation_call_budget_on_constant_mechanisms():
+def constant_3x3x2():
+    """The constant deterministic and the uniform probabilistic mechanism on
+    two agents with three actions each and two outcomes."""
     env = Environment.create((("a0", "a1", "a2"), ("b0", "b1", "b2")), ("z0", "z1"))
     constant = DetMechanism(env, {p: "z0" for p in enumerate_profiles(env)})
     dist = Distribution.uniform(env.outcomes)
     uniform = ProbMechanism(env, {p: dist for p in enumerate_profiles(env)})
+    return env, constant, uniform
+
+
+def test_relation_call_budget_on_constant_mechanisms():
+    env, constant, uniform = constant_3x3x2()
     for kind in FULL_KINDS:
         for strict_iii in (False, True):
             relations = functools.partial(_rank_relations, strict_iii=strict_iii)
             assert assert_within_budget(env, constant.outcome_at, relations, kind).witness is None
         assert assert_within_budget(env, uniform.dist_at, _fsd_relations, kind).witness is None
+
+
+def test_one_signature_agents_build_no_rows(monkeypatch):
+    # no b has a signature other than a's, so no tied value reaches (ii)
+    env, constant, uniform = constant_3x3x2()
+    search._shared_row_sets.cache_clear()
+    for kind in FULL_KINDS:
+        for strict_iii in (False, True):
+            assert find_ba_witness(constant, kind, strict_iii=strict_iii) is None
+        assert find_prob_ba_witness(uniform, kind) is None
+    assert search._shared_row_sets.cache_info().currsize == 0
+
+    def no_row_sets(table, n):
+        raise AssertionError("an explicit domain's rows were built for a constant mechanism")
+
+    monkeypatch.setattr(search, "_row_sets", no_row_sets)
+    specs = [
+        DomainSpec.explicit(itertools.islice(enumerate_weak_orderings(i, env.pairs_for(i)), 5))
+        for i in range(env.n)
+    ]
+    for strict_iii in (False, True):
+        result = search_ba_witness(constant, specs, strict_iii=strict_iii)
+        assert result.witness is None and result.stats["orderings_per_agent"] == [5, 5]
+    assert find_prob_ba_witness(uniform, specs) is None
+
+
+@pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
+def test_ordering_counts_are_those_of_the_rows_never_built(kind):
+    # agent 0 has n pairs, one per action, and agent 1 has two
+    rng = random.Random(7)
+    for n in range(1, 7):
+        env = Environment.create((tuple(f"x{k}" for k in range(n)), ("b0", "b1")), ("z",))
+        constant = DetMechanism(env, {p: "z" for p in enumerate_profiles(env)})
+        listed = domain_orderings(env, 0, DomainSpec(DomainKind.UNRESTRICTED))
+        explicit = DomainSpec.explicit(rng.sample(listed, rng.randint(1, min(len(listed), 30))))
+        for spec in (DomainSpec(kind), explicit):
+            specs = (spec, DomainSpec(kind))
+            counts = search_ba_witness(constant, specs).stats["orderings_per_agent"]
+            built = [search._admissible(env, i, specs[i], None)[1]() for i in range(env.n)]
+            assert counts == [le[0][0].bit_length() for le in built]
+        if n > 1:
+            assert search._admissible(env, 0, DomainSpec(kind), n - 1) == (None, None, None)
+
+
+def test_search_start_checks_do_not_wait_for_rows():
+    env, constant, uniform = constant_3x3x2()
+    for kind in FULL_KINDS:
+        for cap in (-1, True, "3"):
+            for run in (
+                lambda: find_ba_witness(constant, kind, cap=cap),
+                lambda: find_prob_ba_witness(uniform, kind, cap=cap),
+            ):
+                with pytest.raises(InvariantViolation, match="^cap must be None or an int >= 0"):
+                    run()
+    agent_1 = tuple(enumerate_weak_orderings(1, env.pairs_for(1)))[:3]
+    short = Ordering.from_ranks(0, env.pairs_for(0)[1:], range(5))
+    malformed = (
+        (agent_1, "^domain ordering tagged for agent 1, expected 0$"),
+        ((short,), "^partition incomplete$"),
+    )
+    for listed, message in malformed:
+        specs = (DomainSpec.explicit(listed), DomainSpec(DomainKind.STRICT))
+        for run in (
+            lambda: find_ba_witness(constant, specs),
+            lambda: find_prob_ba_witness(uniform, specs),
+        ):
+            with pytest.raises(InvariantViolation, match=message):
+                run()
