@@ -1,16 +1,26 @@
 """Preference-domain generators and structural predicates.
 
-The canonical order of each full domain kind is stated once, by `heads`:
-an ordering is a first class (the head) followed by an ordering of the
-remaining pairs, and the kinds differ only in which heads they take and in
-the kind of the tail.  `unrestricted` (weak orders, i.e. ranked partitions)
-takes heads of any size, `strict` takes single pairs only, and `weak_only`
-keeps a weak-only tail after a single pair and an unrestricted tail after a
-larger head.  `rank_table` materializes that order as rank vectors over
-pair positions, one table per pair count and kind, so every agent with as
-many action-outcome pairs shares one table; a search never makes it, and
-reads its witness row from the row-set matrix `le` instead.  Also
-classifies orderings as classical or separable and builds the
+The canonical order of each full domain kind is stated once, by the head
+rule (`_head_sizes`): an ordering is a first class (the head) followed by an
+ordering of the remaining pairs, and the kinds differ only in which heads
+they take and in the kind of the tail.  `unrestricted` (weak orders, i.e.
+ranked partitions) takes heads of any size, `strict` takes single pairs
+only, and `weak_only` keeps a weak-only tail after a single pair and an
+unrestricted tail after a larger head.  Heads of one size come in
+lexicographic order (`heads`).  Three things read that order:
+- `rank_table` materializes it as rank vectors over pair positions, one
+  table per pair count and kind, so every agent with as many
+  action-outcome pairs shares one table (a search never makes it);
+- the search's row-set matrix `le`, built head by head, for the explicit
+  domains' and the probabilistic kinds' searches;
+- `first_ranks`, the walk that finds the canonically first ordering meeting
+  a few edges between pair positions (p at or above q, or strictly above),
+  depth by depth and with no count, which is how a deterministic search on
+  a full kind finds its witness ordering.  The rows led by one head form
+  one block, so the first head that the edges allow and that leaves a
+  completable rest (`completable`) leads the first row meeting them: the
+  row `le`'s lowest set bit would name.
+Also classifies orderings as classical or separable and builds the
 lexicographic queueing preferences.  Enumeration is capped because the
 number of weak orders grows like the ordered Bell numbers (4683 already at
 six pairs).
@@ -45,6 +55,9 @@ DEFAULT_STRICT_CAP = 8
 # the kinds `heads` orders, and under which tie propagation decides the anomaly
 FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 
+# (p, q, strict): position p ranks at or above position q, strictly if `strict`
+Edge = tuple[int, int, bool]
+
 
 def full_kind(kind: DomainKind | str) -> DomainKind:
     """`kind`, or the kind a string names, after checking it is one of `FULL_KINDS`."""
@@ -57,18 +70,27 @@ def full_kind(kind: DomainKind | str) -> DomainKind:
     return kind
 
 
+def _head_sizes(k: int, kind: DomainKind) -> Iterator[tuple[int, DomainKind]]:
+    """(head size, tail kind) for each size of first class over k positions: the head rule.
+
+    Sizes increase: any size for `unrestricted` and `weak_only`, single
+    positions for `strict`.  The tail keeps the kind, except that `weak_only`
+    takes an unrestricted tail after a head of two or more, whose class is
+    already an indifference.  No count is made, so any k can be walked.
+    """
+    for size in range(1, (min(k, 1) if kind is DomainKind.STRICT else k) + 1):
+        yield size, DomainKind.UNRESTRICTED if kind is DomainKind.WEAK_ONLY and size > 1 else kind
+
+
 @functools.cache
 def _head_groups(k: int, kind: DomainKind) -> tuple[tuple[int, DomainKind, int], ...]:
     """(head size, tail kind, rows per head) for each size of first class, in canonical order.
 
-    The kind's head rule (see the module docstring) gives the sizes, in
-    increasing order, and the kind of the tail after each.  Every head of
-    one size leads a block of as many rows as that tail kind has over the
-    remaining k - size positions.
+    Every head of one size leads a block of as many rows as its tail kind
+    has over the remaining k - size positions.
     """
     groups = []
-    for size in range(1, (min(k, 1) if kind is DomainKind.STRICT else k) + 1):
-        tail = DomainKind.UNRESTRICTED if kind is DomainKind.WEAK_ONLY and size > 1 else kind
+    for size, tail in _head_sizes(k, kind):
         groups.append((size, tail, row_count(k - size, tail)))
     return tuple(groups)
 
@@ -77,10 +99,10 @@ def heads(k: int, kind: DomainKind) -> Iterator[tuple[tuple[int, ...], DomainKin
     """(head, tail kind, rows per head) for each first class of a k-position full domain.
 
     Heads are tuples of positions 0..k-1, by increasing size
-    (`_head_groups`), then lexicographically.  This is the one statement of
-    the canonical order: the rows whose first class is a head form one
-    contiguous block, blocks follow the heads' order, and inside a block the
-    tail's rows follow the tail kind's order over the remaining positions.
+    (`_head_sizes`), then lexicographically.  This is the order of every
+    full domain: the rows whose first class is a head form one contiguous
+    block, blocks follow the heads' order, and inside a block the tail's
+    rows follow the tail kind's order over the remaining positions.
     """
     for size, tail, block in _head_groups(k, kind):
         for head in itertools.combinations(range(k), size):
@@ -95,17 +117,119 @@ def row_count(n: int, kind: DomainKind) -> int:
     return sum(math.comb(n, size) * block for size, _, block in _head_groups(n, kind))
 
 
+def completable(k: int, edges: Sequence[Edge], kind: DomainKind) -> bool:
+    """True iff some ordering of `kind` over k positions meets every edge.
+
+    An edge (p, q, strict) asks position p to rank at or above position q,
+    strictly if `strict`; both are among the k positions.  A weak order
+    meets the edges iff no cycle of them runs through a strict edge (a
+    cycle's positions share one class); a strict order, which ties nothing,
+    iff they have no cycle at all; and a weak-only order iff a weak order
+    does and two positions can also share a class, that is, no path through
+    a strict edge joins them either way.
+    """
+    if kind is DomainKind.WEAK_ONLY and k < 2:
+        return False
+    if not edges:
+        return True
+    below: dict[int, list[int]] = {}  # p -> every q an edge puts at or below it
+    for p, q, _ in edges:
+        below.setdefault(p, []).append(q)
+    every_strict = kind is DomainKind.STRICT
+    for p, q, strict in edges:
+        if (strict or every_strict) and p in _reach(below, q):
+            return False
+    if kind is not DomainKind.WEAK_ONLY:
+        return True
+    ends = {p for p, _, _ in edges} | {q for _, q, _ in edges}
+    if k > len(ends):  # a free position ties with any other
+        return True
+    reaches = {v: _reach(below, v) for v in ends}
+    over = {v: set() for v in ends}  # v -> the positions v is above through a strict edge
+    for p, q, strict in edges:
+        if strict:
+            for v in ends:
+                if p in reaches[v]:
+                    over[v] |= reaches[q]
+    return any(u not in over[v] and v not in over[u] for u, v in itertools.combinations(ends, 2))
+
+
+def _reach(below: dict[int, list[int]], v: int) -> set[int]:
+    """The positions v is at or above by a path of edges, v itself included."""
+    seen, todo = {v}, [v]
+    while todo:
+        for w in below.get(todo.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def first_ranks(n: int, edges: Sequence[Edge], kind: DomainKind) -> list[int]:
+    """Each position's class index under the canonically first ordering of `kind` meeting `edges`.
+
+    Requires `completable(n, edges, kind)`.  The walk goes depth by depth,
+    in the order `heads` states: at each it takes the first head H over the
+    remaining positions (by `_head_sizes`, then lexicographically) that
+    the edges allow on top (no strict edge inside H, no edge from a
+    remaining position outside H to one in H) and after which the edges
+    among the rest can still be met under the tail kind.  Rows led by one
+    head form one block and blocks follow the heads, so the first head
+    whose block holds a row meeting the edges leads the first such row: the
+    row `le`'s lowest set bit would name.  Each depth goes on inside that
+    block alone, with no count made, so any number of positions is walked.
+    """
+    ranks = [0] * n
+    rest = list(range(n))
+    depth = 0
+    while rest:
+        head, kind, edges = _first_head(rest, edges, kind)
+        for p in head:
+            ranks[p] = depth
+        rest = [p for p in rest if p not in head]
+        depth += 1
+    return ranks
+
+
+def _first_head(rest: list[int], edges: Sequence[Edge], kind: DomainKind) -> tuple:
+    """(head, tail kind, edges below it) for the first head over `rest` that can top it.
+
+    `edges` are those among the positions of `rest`, and `kind` their kind.
+    """
+    for size, tail in _head_sizes(len(rest), kind):
+        for head in itertools.combinations(rest, size):
+            below = _below(head, edges, len(rest) - size, tail)
+            if below is not None:
+                return head, tail, below
+    raise InvariantViolation(f"no {kind.value} ordering of positions {rest} meets {list(edges)}")
+
+
+def _below(head: tuple[int, ...], edges: Sequence[Edge], k: int, tail: DomainKind) -> list | None:
+    """The edges left below `head` when it tops the remaining positions, or None if it cannot.
+
+    `edges` are those among the remaining positions.  `head` cannot top them
+    if an edge puts a pair outside it above one in it, or a strict edge
+    joins two of its pairs, or the edges left cannot be met by a tail of
+    `tail` over the k positions below.
+    """
+    left = []
+    for p, q, strict in edges:
+        if q in head:
+            if strict or p not in head:
+                return None
+        elif p not in head:
+            left.append((p, q, strict))
+    return left if completable(k, left, tail) else None
+
+
 @functools.cache
 def rank_table(n: int, kind: DomainKind) -> tuple[tuple[int, ...], ...]:
     """Rank vectors of every ordering in a full domain over pair positions 0..n-1.
 
     Row k gives each position's class index (0 is best) under the k-th
     ordering, in the order `heads` states: the first class varies slowest
-    and the tail recurses the same way.  The head rule is one per kind:
-    `unrestricted` takes heads of any size, `strict` single positions only,
-    and `weak_only` heads of any size, with a weak-only tail after a single
-    position.  Only the pair count matters, so every agent and environment
-    with n pairs shares one table.
+    and the tail recurses the same way.  Only the pair count matters, so
+    every agent and environment with n pairs shares one table.
     """
     if n == 0:
         return ((),) * row_count(0, kind)

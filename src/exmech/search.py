@@ -3,35 +3,52 @@
 A deterministic outcome is a point-mass lottery, so the deterministic and the
 probabilistic certificates differ only in how an ordering compares pairs or
 lotteries.  This module owns everything else: the search order, each agent's
-row-set matrix, condition (i) (equality of the mechanism's value at a), the
-statistics block, the witness ordering and the witness check
+candidate orderings, condition (i) (equality of the mechanism's value at a),
+the statistics block, the witness ordering and the witness check
 (`check_certificate`), to which each kind supplies only its comparisons.
-Row o of an agent's domain ranks its pairs, in `env.pairs_for(agent)` order,
-under its o-th admissible ordering; a row set is a Python int whose bit o
-stands for row o.  The search reads all of a domain through one matrix `le`,
-where `le[p][q]` holds the rows ranking column p weakly above column q (so
-the rows ranking p strictly above q are `rows & ~le[q][p]`).  A full domain
-kind's `le` is built straight from the recursion that defines its canonical
-order (`domains.heads`) and shared by every search over the same pair count
-and kind; no row of it is made, and its witness row is read back from `le`
-(`_row_ranks`).  An explicit domain's rank vectors are read once
-(`domains.domain_rank_vectors`), and `le` is its definition over them; its
-witness is the listed ordering itself.  The row count comes from
-`domains.row_count` or the number of listed rows, so no `le` is built for it.
+
+A search narrows an agent's candidate orderings through two relations and
+takes the canonically first that survives.  The candidates take one of two
+forms.
+- Row sets, for explicit domains and for every probabilistic kind.  Row o
+  of an agent's domain ranks its pairs, in `env.pairs_for(agent)` order,
+  under its o-th admissible ordering; a row set is a Python int whose bit o
+  stands for row o, read through one matrix `le`, where `le[p][q]` holds the
+  rows ranking column p weakly above column q (so the rows ranking p
+  strictly above q are `rows & ~le[q][p]`).  The first survivor is the
+  lowest set bit.  A full kind's `le` is built straight from the recursion
+  that defines its canonical order (`domains.heads`), shared by every search
+  over the same pair count and kind, and its witness row is read back from
+  `le` (`_row_ranks`).  An explicit domain's rank vectors are read once
+  (`domains.domain_rank_vectors`), `le` is its definition over them, and
+  its witness is the listed ordering itself.  An FSD comparison of two
+  lotteries weighs every class of a row, so the probabilistic kinds keep
+  rows.
+- Edge sets, for the deterministic full kinds.  Comparing two pairs asks
+  one pair position to rank above another, so a deterministic tuple puts
+  at most one edge per action on the agent's positions; the candidates are
+  the orderings of the kind meeting those edges, and the first of them is
+  found by a walk over heads (`domains.first_ranks`): the first head that
+  the edges allow on top and after which the rest can still be completed
+  leads the block holding the lowest set bit `le` would name.  No `le`, and
+  no row, is made.
+Either way the row count comes from `domains.row_count` or the number of
+listed rows, so no `le` is built for it.
 
 The certificate needs two relations, and each kind hands the search the
-row-set form of the same two it hands `check_certificate`.  The search calls
-`relations(index, le)` once per agent, when a tied value first reaches a
-signature other than its own (see below), and only then builds the agent's
-`le`; `index` maps the agent's pairs to columns.  The call returns
-`(beats_ii, beats_iii)`, each called as `beats(lhs, rhs, rows)` and
-returning the subset of `rows` under which `lhs`, an (action, value) pair,
-beats `rhs`.  Condition (ii) is
-`beats_ii((l, value), (r, value), every)` over every row of the domain; (iii)
-narrows those rows with `beats_iii((r, value at b), (x, value at b), rows)`
-rival by rival, in action order, and stops as soon as none remain.  The
-lowest set bit of what survives every rival is the witness row.  That choice
-is made here and nowhere else.
+candidate form of the same two it hands `check_certificate`: `relations(index,
+le)` over row sets and, for the deterministic kind, `edge_relations(index,
+kind)` over a full kind's edge sets.  The search makes them once per agent,
+when a tied value first reaches a signature other than its own (see below),
+and only then builds the agent's `le`, if it has one; `index` maps the
+agent's pairs to columns.  The call returns `(beats_ii, beats_iii)`, each
+called as `beats(lhs, rhs, rows)` and returning the part of `rows` under
+which `lhs`, an (action, value) pair, beats `rhs`, empty (falsy) when no
+ordering is left.  Condition (ii) is `beats_ii((l, value), (r, value),
+every)` over every candidate; (iii) narrows those with `beats_iii((r, value
+at b), (x, value at b), rows)` rival by rival, in action order, and stops as
+soon as none remain.  The first ordering of what survives every rival is the
+witness.  That choice is made here (`_admissible`) and nowhere else.
 
 The scan is quotiented by sub-profile signatures.  Each agent's values are
 read lazily, in sub-profile order, and interned to small ints (so values
@@ -87,6 +104,7 @@ def search_witness(
     domain_specs,
     relations: Callable,
     cap: int | None = None,
+    edge_relations: Callable | None = None,
 ) -> SearchResult:
     """Canonically first witness over the admissible orderings `domain_specs` resolve to.
 
@@ -94,26 +112,31 @@ def search_witness(
     then ordered pairs of distinct sub-profiles (a, b), then orderings in
     domain row order; it is walked by tied value and signature (see the
     module docstring), and values are read only as far as the walk reaches.
-    Rows are built only where the walk needs them.  An agent past the cap
-    gets no rows and a `None` count; CapExceeded is raised only at its first
-    tuple passing (i).
+    Rows are built only where the walk needs them.  A kind whose relations
+    compare single pairs also passes `edge_relations(index, kind)`, the
+    same two relations over a full kind's edge sets; its full-kind agents
+    then get no rows at all.  An agent past the cap gets no rows and a
+    `None` count; CapExceeded is raised only at its first tuple passing (i).
 
-    The walk requires the relations to meet one contract: for any row set
-    `rows` and lotteries x and y, `beats_iii(y, x, beats_ii(x, y, rows))`
-    is 0.  Strict preference for (ii) meets it with weak or strict
-    preference on the same ordering for (iii), and first-order stochastic
-    dominance, being asymmetric, meets it as both.
+    The walk requires the relations to meet one contract: for any
+    candidates `rows` and lotteries x and y, no candidate of `beats_ii(x,
+    y, rows)` survives `beats_iii(y, x, ...)`.  Strict preference for (ii)
+    meets it with weak or strict preference on the same ordering for (iii),
+    and first-order stochastic dominance, being asymmetric, meets it as
+    both.
     """
     specs = domains.resolve_domains(env, domain_specs)
-    admissible = [_admissible(env, i, spec, cap) for i, spec in enumerate(specs)]
+    views = [
+        _admissible(env, i, spec, cap, relations, edge_relations) for i, spec in enumerate(specs)
+    ]
     stats = {
         "agents": env.n,
         "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
         "sub_profiles": [math.prod(map(len, env.actions)) // len(acts) for acts in env.actions],
-        "orderings_per_agent": [count for count, _, _ in admissible],
+        "orderings_per_agent": [count for count, _, _ in views],
     }
-    for agent, (spec, acts, (count, build, ordering_at)) in enumerate(
-        zip(specs, env.actions, admissible)
+    for agent, (spec, acts, (count, narrowing, ordering_of)) in enumerate(
+        zip(specs, env.actions, views)
     ):
         subs = tuple(sub_profiles(env, agent))  # per agent: a witness ends the search early
         pairs = env.pairs_for(agent)
@@ -155,7 +178,7 @@ def search_witness(
                         domains.check_full_domain(spec.kind, pairs, cap)
                     dead.add(code)  # decided at its first tie: a witness, or none at all
                     value = values[code]
-                    candidates = None  # the rows passing (ii), once a rival signature is reached
+                    candidates = None  # what passes (ii), once a rival signature is reached
                     k = 0  # walk the signatures by first index, reading only once they run out
                     while k < len(order) or len(sigs) < len(subs):
                         if k == len(order):
@@ -167,9 +190,8 @@ def search_witness(
                             continue
                         if candidates is None:
                             if beats_ii is None:
-                                index = {pair: c for c, pair in enumerate(pairs)}
-                                beats_ii, beats_iii = relations(index, build())
-                            candidates = beats_ii((l, value), (r, value), (1 << count) - 1)
+                                every, beats_ii, beats_iii = narrowing()
+                            candidates = beats_ii((l, value), (r, value), every)
                             if not candidates:
                                 break
                         anchor = (r, values[sig[ri]])
@@ -179,38 +201,75 @@ def search_witness(
                                 rows = beats_iii(anchor, (x, values[sig[xi]]), rows)
                                 if not rows:
                                     break
-                        if rows:  # the lowest set bit is the canonically first row
-                            ordering = ordering_at((rows & -rows).bit_length() - 1)
+                        if rows:
                             b = subs[first[sig]]
-                            return SearchResult(BAWitness(agent, r, l, a, b, ordering), stats)
+                            return SearchResult(
+                                BAWitness(agent, r, l, a, b, ordering_of(rows)), stats
+                            )
     return SearchResult(None, stats)
 
 
-def _admissible(env: Environment, agent: int, spec: DomainSpec, cap: int | None) -> tuple:
-    """(row count, thunk building `le`, ordering of row o) over the agent's admissible orderings.
+def _admissible(
+    env: Environment,
+    agent: int,
+    spec: DomainSpec,
+    cap: int | None,
+    relations: Callable,
+    edge_relations: Callable | None,
+) -> tuple:
+    """(row count, thunk making (every candidate, beats_ii, beats_iii), ordering of the survivors).
 
     Everything that can reject the domain runs here, at search start: the
     cap and type checks of a full kind, and the reading of an explicit
-    domain's rank vectors.  Only `le` waits, for the walk to need rows.  An
-    explicit domain's rows are its listed orderings, so row o's ordering is
-    the o-th one listed; a full kind's is rebuilt from row o's ranks, read
-    from `le` (`_row_ranks`).  Past the cap all three are None: no rows.
+    domain's rank vectors.  The relations, and any rows, wait for the walk
+    to need them.  The canonically first ordering that survives is the
+    witness, chosen here and nowhere else.  Over rows it is the lowest set
+    bit: an explicit domain's rows are its listed orderings, so that row's
+    ordering is the listed one; a full kind's row is rebuilt from its ranks,
+    read from `le` (`_row_ranks`).  Given `edge_relations`, a full kind's
+    "rows" are the edges a tuple has put on the agent's pair positions,
+    starting from none, and the walk over heads (`domains.first_ranks`)
+    finds the first ordering that meets them, with no `le`.  Past the cap
+    all three are None: no rows.
     """
     pairs = env.pairs_for(agent)
     n = len(pairs)
-    if spec.kind is DomainKind.EXPLICIT:
+    kind = spec.kind
+
+    def index() -> dict:
+        return {pair: c for c, pair in enumerate(pairs)}
+
+    if kind is DomainKind.EXPLICIT:
         # looked up on the module so that a wrapper installed there sees every explicit table
         table = domains.domain_rank_vectors(env, agent, spec, cap)
-        return len(table), lambda: _row_sets(table, n), spec.orderings.__getitem__
+        return (
+            len(table),
+            lambda: ((1 << len(table)) - 1, *relations(index(), _row_sets(table, n))),
+            lambda rows: spec.orderings[_lowest(rows)],
+        )
     try:
-        domains.check_full_domain(spec.kind, pairs, cap)
+        domains.check_full_domain(kind, pairs, cap)
     except CapExceeded:
         return None, None, None
+    count = domains.row_count(n, kind)
+    if edge_relations is not None:
+        return (
+            count,
+            lambda: ((), *edge_relations(index(), kind)),
+            lambda edges: Ordering.from_ranks(agent, pairs, domains.first_ranks(n, edges, kind)),
+        )
+    return (
+        count,
+        lambda: ((1 << count) - 1, *relations(index(), _shared_row_sets(n, kind))),
+        lambda rows: Ordering.from_ranks(
+            agent, pairs, _row_ranks(_shared_row_sets(n, kind), _lowest(rows))
+        ),
+    )
 
-    def ordering_at(o: int) -> Ordering:
-        return Ordering.from_ranks(agent, pairs, _row_ranks(_shared_row_sets(n, spec.kind), o))
 
-    return domains.row_count(n, spec.kind), lambda: _shared_row_sets(n, spec.kind), ordering_at
+def _lowest(rows: int) -> int:
+    """The index of the lowest set bit: the canonically first row of a row set."""
+    return (rows & -rows).bit_length() - 1
 
 
 def _row_ranks(le: list[list[int]], o: int) -> list[int]:

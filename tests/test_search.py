@@ -9,6 +9,7 @@ import functools
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from exmech import domains, search
 from exmech.deterministic import (
     DetMechanism,
+    _edge_relations,
     _rank_relations,
     build_groves_queueing,
     build_majority_referendum,
@@ -299,6 +301,175 @@ def test_search_never_builds_a_rank_table(monkeypatch):
             find_ba_witness(wide_constant, kind)
 
 
+# --- the walk over heads against the lowest set bit ------------------------------
+
+
+def assert_walk_equals_rows(pairs, kind, strict_iii, r, l, z, at_b):
+    """Narrow one deterministic tuple as edges and as rows, step by step as the search does.
+
+    The tuple ties r and l at z and has each action x give `at_b[x]` at b.
+    After (ii) and after each rival of (iii), the edge set must be
+    completable exactly when rows of `search._shared_row_sets` survive; at
+    the end the walk's ranks must be the lowest surviving row's
+    (`search._row_ranks`).  Returns whether the tuple is a witness.
+    """
+    index = {pair: k for k, pair in enumerate(pairs)}
+    le = search._shared_row_sets(len(pairs), kind)
+    by_rows = _rank_relations(index, le, strict_iii)
+    by_edges = _edge_relations(index, kind, strict_iii)
+    steps = [(0, (l, z), (r, z))]
+    steps += [(1, (r, at_b[r]), (x, at_b[x])) for x in at_b if x != r]
+    rows, edges = le[0][0], ()
+    for which, lhs, rhs in steps:
+        rows = by_rows[which](lhs, rhs, rows)
+        edges = by_edges[which](lhs, rhs, edges)
+        assert bool(edges) == bool(rows)
+        if not rows:
+            return False
+        assert domains.completable(len(pairs), edges, kind)
+    lowest = (rows & -rows).bit_length() - 1
+    assert domains.first_ranks(len(pairs), edges, kind) == search._row_ranks(le, lowest)
+    return True
+
+
+# every shape of at most six pairs: one outcome (m = 1) and one action included
+WALK_SHAPES = [(a, m) for a in range(1, 7) for m in range(1, 7) if a * m <= 6]
+
+
+@pytest.mark.parametrize("strict_iii", (False, True))
+@pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
+def test_walk_equals_the_lowest_row_on_every_tuple(kind, strict_iii):
+    # every edge set a deterministic tuple can put on its agent's pairs: the
+    # protest edge, then a star of rival edges from the anchor
+    found = collections.Counter()
+    for n_actions, n_outcomes in WALK_SHAPES:
+        actions = tuple(f"x{k}" for k in range(n_actions))
+        outcomes = tuple(f"z{j}" for j in range(n_outcomes))
+        pairs = [(x, z) for x in actions for z in outcomes]
+        for r, l in itertools.permutations(actions, 2):
+            for z in outcomes:
+                for at_b in itertools.product(outcomes, repeat=n_actions):
+                    at_b = dict(zip(actions, at_b))
+                    found[n_actions, n_outcomes] += assert_walk_equals_rows(
+                        pairs, kind, strict_iii, r, l, z, at_b
+                    )
+    # one outcome: r and l tie again at b, so no tuple is a witness
+    assert found[2, 1] == found[6, 1] == 0 < found[3, 2]
+    # two pairs under weak_only: the one row ties them, so not even (ii) holds
+    index = {("x0", "z0"): 0, ("x1", "z0"): 1}
+    protest = _edge_relations(index, kind, strict_iii)[0](("x1", "z0"), ("x0", "z0"), ())
+    assert (protest is None) == (kind is DomainKind.WEAK_ONLY)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_walk_equals_the_lowest_row_on_random_tables(data):
+    env = data.draw(environments(6))
+    values = st.sampled_from(env.outcomes)
+    mech = DetMechanism(env, {p: data.draw(values) for p in enumerate_profiles(env)})
+    kind = data.draw(st.sampled_from(FULL_KINDS))
+    for strict_iii in (False, True):
+        for agent in range(env.n):
+            acts = env.actions[agent]
+            for a, b in itertools.permutations(sub_profiles(env, agent), 2):
+                at_a = {x: mech.outcome_at(agent, x, a) for x in acts}
+                at_b = {x: mech.outcome_at(agent, x, b) for x in acts}
+                for r, l in itertools.permutations(acts, 2):
+                    if at_a[r] == at_a[l]:
+                        pairs = env.pairs_for(agent)
+                        assert_walk_equals_rows(pairs, kind, strict_iii, r, l, at_a[r], at_b)
+        by_rows = functools.partial(_rank_relations, strict_iii=strict_iii)
+        expected = search.search_witness(env, mech.outcome_at, kind, by_rows)
+        assert search_ba_witness(mech, kind, strict_iii=strict_iii) == expected
+
+
+@pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
+def test_walk_equals_the_lowest_row_on_any_edges(kind):
+    # edge sets no deterministic tuple makes too, such as cycles of weak edges
+    rng = random.Random(9)
+    for n in range(1, 7):
+        le = search._shared_row_sets(n, kind)
+        choices = [(p, q, s) for p in range(n) for q in range(n) if p != q for s in (False, True)]
+        for _ in range(150):
+            edges = rng.sample(choices, min(len(choices), rng.randint(0, 5)))
+            rows = le[0][0]
+            for p, q, strict in edges:
+                rows &= ~le[q][p] if strict else le[p][q]
+            assert domains.completable(n, edges, kind) == bool(rows)
+            if rows:
+                lowest = (rows & -rows).bit_length() - 1
+                assert domains.first_ranks(n, edges, kind) == search._row_ranks(le, lowest)
+
+
+def test_walk_refuses_edges_no_ordering_meets():
+    # two positions under weak_only must tie, which a strict edge forbids
+    with pytest.raises(InvariantViolation, match=r"^no weak_only ordering of positions \[0, 1\]"):
+        domains.first_ranks(2, [(0, 1, True)], DomainKind.WEAK_ONLY)
+
+
+def tie_heavy_3x3x2():
+    env = Environment.create((("a0", "a1", "a2"), ("b0", "b1", "b2")), ("z0", "z1"))
+    rng = random.Random(4)
+    return DetMechanism(env, {p: rng.choice(env.outcomes) for p in enumerate_profiles(env)})
+
+
+def test_deterministic_full_kinds_build_no_rows(monkeypatch):
+    mechs = [build_majority_referendum(2)[1], tie_heavy_3x3x2()]
+    cases = [(mech, kind, s) for mech in mechs for kind in FULL_KINDS for s in (False, True)]
+    expected = []
+    for mech, kind, strict_iii in cases:
+        by_rows = functools.partial(_rank_relations, strict_iii=strict_iii)
+        expected.append(search.search_witness(mech.env, mech.outcome_at, kind, by_rows))
+    assert all(result.witness is not None for result in expected)
+    search._shared_row_sets.cache_clear()
+
+    def no_row_ranks(le, o):
+        raise AssertionError("a deterministic full kind's witness row was read from `le`")
+
+    monkeypatch.setattr(search, "_row_ranks", no_row_ranks)
+    for (mech, kind, strict_iii), result in zip(cases, expected):
+        assert search_ba_witness(mech, kind, strict_iii=strict_iii) == result
+    assert search._shared_row_sets.cache_info().misses == 0
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("points", (4, 19))
+@pytest.mark.parametrize("strict_iii", (False, True))
+@pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
+def test_walk_needs_no_cap_and_no_recursion(kind, strict_iii, points):
+    # the groves rule on a 4-point grid gives each agent 28 pairs, past every
+    # cap, and on a 19-point grid 703; tie propagation fails on both
+    grid = tuple(Fraction(k, points - 1) for k in range(points))
+    env, groves = build_groves_queueing(QueueingParams(Fraction(1, 2), Fraction(1, 4), grid))
+    cex = condition1_counterexample(groves)
+    acts, pairs = env.actions[cex.agent], env.pairs_for(cex.agent)
+    assert len(pairs) == {4: 28, 19: 703}[points]
+    with pytest.raises(CapExceeded):
+        domains.check_full_domain(kind, pairs, None)
+    beats_ii, beats_iii = _edge_relations({p: k for k, p in enumerate(pairs)}, kind, strict_iii)
+    at_b = {x: groves.outcome_at(cex.agent, x, cex.b_minus) for x in acts}
+    edges = beats_ii((cex.l, cex.z), (cex.r, cex.z), ())
+    for x in acts:
+        if x != cex.r:
+            edges = beats_iii((cex.r, at_b[cex.r]), (x, at_b[x]), edges)
+    assert edges
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 30)  # far fewer frames than the walk's depths
+    try:
+        ranks = domains.first_ranks(len(pairs), edges, kind)
+    finally:
+        sys.setrecursionlimit(limit)
+    ordering = Ordering.from_ranks(cex.agent, pairs, ranks)
+    witness = BAWitness(cex.agent, cex.r, cex.l, cex.a_minus, cex.b_minus, ordering)
+    validate_witness(groves, witness, strict_iii=strict_iii, domain=kind)
+
+
 @pytest.mark.parametrize("strict_iii", (False, True))
 @pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
 def test_past_cap_agent_after_a_witness_is_never_read(kind, strict_iii):
@@ -443,19 +614,40 @@ def test_certificate_check_takes_a_domain_kind_as_the_searches_do():
 # --- the signature quotient against the pairwise scan ------------------------------
 
 
+def domain_rows(env, agent, spec, cap=None):
+    """(`le`, ordering of row o) of the agent's domain, built here, or (None, None) past the cap.
+
+    A full kind's rows are its rank table's, an explicit domain's its listed
+    orderings', each turned into `le` by its definition (`search._row_sets`),
+    so no oracle shares the search's head-by-head `le` or its walk over heads.
+    """
+    pairs = env.pairs_for(agent)
+    if spec.kind is DomainKind.EXPLICIT:
+        table = [[o.rank(p) for p in pairs] for o in spec.orderings]
+        return search._row_sets(table, len(pairs)), spec.orderings.__getitem__
+    try:
+        domains.check_full_domain(spec.kind, pairs, cap)
+    except CapExceeded:
+        return None, None
+    table = rank_table(len(pairs), spec.kind)
+
+    def ordering_at(o):
+        return Ordering.from_ranks(agent, pairs, table[o])
+
+    return search._row_sets(table, len(pairs)), ordering_at
+
+
 def pairwise_search_witness(env, value_at, domain_specs, relations, cap=None):
     """The search as a scan over every (a, b) pair, each b narrowed rival by rival.
 
-    The same canonical order, rows and statistics as `search.search_witness`,
-    with no interning and no signatures; kept as the oracle for the quotient.
-    Every agent's rows within the cap are built up front, and its ordering
-    count is read from them, not from `search._admissible`'s count.
+    The same canonical order, witnesses and statistics as
+    `search.search_witness`, with no interning, no signatures and no edge
+    sets; kept as the oracle for the quotient and for the walk over heads.
+    Every agent's rows within the cap are built up front (`domain_rows`),
+    and its ordering count is read from them.
     """
     specs = domains.resolve_domains(env, domain_specs)
-    admissible = []
-    for i, spec in enumerate(specs):
-        _, build, ordering_at = search._admissible(env, i, spec, cap)
-        admissible.append((None if build is None else build(), ordering_at))
+    admissible = [domain_rows(env, i, spec, cap) for i, spec in enumerate(specs)]
     subs_by_agent = tuple(tuple(sub_profiles(env, i)) for i in range(env.n))
     stats = {
         "agents": env.n,
@@ -547,24 +739,33 @@ def few_signature_cases(draw, prob):
     return mech, specs, cap
 
 
+def relation_cases(mech, prob):
+    """(value_at, relations, edge_relations) as each kind's search passes them, per `strict_iii`."""
+    if prob:
+        return [(mech.dist_at, _fsd_relations, None)]
+    return [
+        (
+            mech.outcome_at,
+            functools.partial(_rank_relations, strict_iii=strict_iii),
+            functools.partial(_edge_relations, strict_iii=strict_iii),
+        )
+        for strict_iii in (False, True)
+    ]
+
+
 @pytest.mark.parametrize("prob", (False, True), ids=("det", "prob"))
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_signature_search_equals_the_pairwise_scan(prob, data):
+    # the pairwise scan reads rows only, so on the deterministic full kinds
+    # this also compares the walk over heads with the lowest set bit
     mech, specs, cap = data.draw(few_signature_cases(prob))
-    if prob:
-        cases = [(mech.dist_at, _fsd_relations)]
-    else:
-        cases = [
-            (mech.outcome_at, functools.partial(_rank_relations, strict_iii=strict_iii))
-            for strict_iii in (False, True)
-        ]
-    for value_at, relations in cases:
+    for value_at, relations, edge_relations in relation_cases(mech, prob):
         expected = outcome_or_cap(
             lambda: pairwise_search_witness(mech.env, value_at, specs, relations, cap)
         )
         assert outcome_or_cap(
-            lambda: search.search_witness(mech.env, value_at, specs, relations, cap)
+            lambda: search.search_witness(mech.env, value_at, specs, relations, cap, edge_relations)
         ) == expected
 
 
@@ -622,17 +823,17 @@ def test_a_signature_is_narrowed_again_for_another_tied_value():
 
 
 def contract_tables():
-    """(actions, outcomes, le): each full kind's `le` over at most five pairs,
-    and random explicit tables over six."""
+    """(actions, outcomes, kind, le): each full kind's `le` over at most five
+    pairs, and random explicit tables over six, whose kind is None."""
     for n_actions, n_outcomes in ((2, 2), (1, 3), (5, 1), (1, 5)):
         actions = tuple(f"x{k}" for k in range(n_actions))
         outcomes = tuple(f"z{j}" for j in range(n_outcomes))
         for kind in FULL_KINDS:
-            yield actions, outcomes, search._shared_row_sets(n_actions * n_outcomes, kind)
+            yield actions, outcomes, kind, search._shared_row_sets(n_actions * n_outcomes, kind)
     rng = random.Random(5)
     for _ in range(4):
         table = [[rng.randrange(6) for _ in range(6)] for _ in range(rng.randint(1, 40))]
-        yield ("x0", "x1"), ("z0", "z1", "z2"), search._row_sets(table, 6)
+        yield ("x0", "x1"), ("z0", "z1", "z2"), None, search._row_sets(table, 6)
 
 
 @pytest.mark.parametrize("prob", (False, True), ids=("det", "prob"))
@@ -640,9 +841,10 @@ def test_relations_meet_the_search_contract(prob):
     # (iii) against a lottery never holds where (ii) for it over the other
     # does: the walk skips a's own signature and decides each tied value once
     # because of it
-    for actions, outcomes, le in contract_tables():
+    for actions, outcomes, kind, le in contract_tables():
         pairs = [(x, z) for x in actions for z in outcomes]
         index = {pair: k for k, pair in enumerate(pairs)}
+        every = le[0][0]
         if prob:
             masses = itertools.product(range(3 if len(outcomes) <= 3 else 2), repeat=len(outcomes))
             values = dict.fromkeys(
@@ -650,15 +852,17 @@ def test_relations_meet_the_search_contract(prob):
                 for ks in masses
                 if any(ks)
             )
-            relations = [_fsd_relations(index, le)]
+            relations = [(_fsd_relations(index, le), every)]
         else:
             values = outcomes
-            relations = [_rank_relations(index, le, strict_iii) for strict_iii in (False, True)]
+            relations = [(_rank_relations(index, le, s), every) for s in (False, True)]
+            if kind is not None:  # a full kind's edge sets start from no edge
+                relations += [(_edge_relations(index, kind, s), ()) for s in (False, True)]
         lotteries = [(x, value) for x in actions for value in values]
-        every = le[0][0]
-        for beats_ii, beats_iii in relations:
+        for (beats_ii, beats_iii), start in relations:
             for x, y in itertools.product(lotteries, repeat=2):
-                assert beats_iii(y, x, beats_ii(x, y, every)) == 0
+                rows = beats_ii(x, y, start)  # the search narrows only what (ii) left
+                assert not (rows and beats_iii(y, x, rows))
 
 
 def logged_relations(env, relations, log):
@@ -696,7 +900,7 @@ def logged_relations(env, relations, log):
     return wrapped
 
 
-def assert_within_budget(env, value_at, relations, specs, cap=None):
+def assert_within_budget(env, value_at, relations, specs, cap=None, edge_relations=None):
     """Search with logged relations and check the calls against the budget.
 
     (ii) runs at most once per (agent, r, l, tied value).  A narrowing starts
@@ -710,7 +914,8 @@ def assert_within_budget(env, value_at, relations, specs, cap=None):
     log = {"ii": [], "starts": [], "iii": collections.Counter()}
     log["relations"] = collections.Counter()
     logged = logged_relations(env, relations, log)
-    result = outcome_or_cap(lambda: search.search_witness(env, value_at, specs, logged, cap))
+    edges = edge_relations and logged_relations(env, edge_relations, log)
+    result = outcome_or_cap(lambda: search.search_witness(env, value_at, specs, logged, cap, edges))
     assert len(set(log["ii"])) == len(log["ii"])
 
     def signature(agent, b):
@@ -737,15 +942,8 @@ def assert_within_budget(env, value_at, relations, specs, cap=None):
 @settings(max_examples=60, deadline=None)
 def test_relation_call_budget_on_few_signature_mechanisms(prob, data):
     mech, specs, cap = data.draw(few_signature_cases(prob))
-    if prob:
-        cases = [(mech.dist_at, _fsd_relations)]
-    else:
-        cases = [
-            (mech.outcome_at, functools.partial(_rank_relations, strict_iii=strict_iii))
-            for strict_iii in (False, True)
-        ]
-    for value_at, relations in cases:
-        assert_within_budget(mech.env, value_at, relations, specs, cap)
+    for value_at, relations, edge_relations in relation_cases(mech, prob):
+        assert_within_budget(mech.env, value_at, relations, specs, cap, edge_relations)
 
 
 def constant_3x3x2():
@@ -761,10 +959,10 @@ def constant_3x3x2():
 def test_relation_call_budget_on_constant_mechanisms():
     env, constant, uniform = constant_3x3x2()
     for kind in FULL_KINDS:
-        for strict_iii in (False, True):
-            relations = functools.partial(_rank_relations, strict_iii=strict_iii)
-            assert assert_within_budget(env, constant.outcome_at, relations, kind).witness is None
-        assert assert_within_budget(env, uniform.dist_at, _fsd_relations, kind).witness is None
+        for mech, prob in ((constant, False), (uniform, True)):
+            for value_at, relations, edges in relation_cases(mech, prob):
+                result = assert_within_budget(env, value_at, relations, kind, None, edges)
+                assert result.witness is None
 
 
 def test_one_signature_agents_build_no_rows(monkeypatch):
@@ -803,10 +1001,11 @@ def test_ordering_counts_are_those_of_the_rows_never_built(kind):
         for spec in (DomainSpec(kind), explicit):
             specs = (spec, DomainSpec(kind))
             counts = search_ba_witness(constant, specs).stats["orderings_per_agent"]
-            built = [search._admissible(env, i, specs[i], None)[1]() for i in range(env.n)]
+            built = [domain_rows(env, i, specs[i])[0] for i in range(env.n)]
             assert counts == [le[0][0].bit_length() for le in built]
         if n > 1:
-            assert search._admissible(env, 0, DomainSpec(kind), n - 1) == (None, None, None)
+            past = search._admissible(env, 0, DomainSpec(kind), n - 1, _rank_relations, None)
+            assert past == (None, None, None)
 
 
 def test_search_start_checks_do_not_wait_for_rows():
