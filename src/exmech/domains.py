@@ -1,18 +1,18 @@
 """Preference-domain generators and structural predicates.
 
 The canonical order of each full domain kind is stated once, by the head
-rule (`_head_sizes`): an ordering is a first class (the head) followed by an
+rule (`heads`): an ordering is a first class (the head) followed by an
 ordering of the remaining pairs, and the kinds differ only in which heads
 they take and in the kind of the tail.  `unrestricted` (weak orders, i.e.
 ranked partitions) takes heads of any size, `strict` takes single pairs
 only, and `weak_only` keeps a weak-only tail after a single pair and an
 unrestricted tail after a larger head.  Heads of one size come in
-lexicographic order (`heads`).  Three things read that order:
-- `rank_table` materializes it as rank vectors over pair positions, one
-  table per pair count and kind, so every agent with as many
+lexicographic order.  Three things iterate `heads`:
+- `rank_table` materializes the order as rank vectors over pair positions,
+  one table per pair count and kind, so every agent with as many
   action-outcome pairs shares one table (a search never makes it);
-- the search's row-set matrix `le`, built head by head, for the explicit
-  domains' and the probabilistic kinds' searches;
+- the search's row-set matrix `le` of a full kind, built head by head, for
+  the probabilistic searches;
 - `first_ranks`, the walk that finds the canonically first ordering meeting
   a few edges between pair positions (p at or above q, or strictly above),
   depth by depth and with no count, which is how a deterministic search on
@@ -20,6 +20,7 @@ lexicographic order (`heads`).  Three things read that order:
   one block, so the first head that the edges allow and that leaves a
   completable rest (`completable`) leads the first row meeting them: the
   row `le`'s lowest set bit would name.
+`row_count` counts each full domain directly, with no head.
 Also classifies orderings as classical or separable and builds the
 lexicographic queueing preferences.  Enumeration is capped because the
 number of weak orders grows like the ordered Bell numbers (4683 already at
@@ -70,51 +71,40 @@ def full_kind(kind: DomainKind | str) -> DomainKind:
     return kind
 
 
-def _head_sizes(k: int, kind: DomainKind) -> Iterator[tuple[int, DomainKind]]:
-    """(head size, tail kind) for each size of first class over k positions: the head rule.
+def heads(positions: Sequence[int], kind: DomainKind) -> Iterator[tuple[tuple, DomainKind]]:
+    """(head, tail kind) for each first class over `positions`, in canonical order: the head rule.
 
-    Sizes increase: any size for `unrestricted` and `weak_only`, single
-    positions for `strict`.  The tail keeps the kind, except that `weak_only`
-    takes an unrestricted tail after a head of two or more, whose class is
-    already an indifference.  No count is made, so any k can be walked.
+    Heads come by increasing size, then lexicographically: any size for
+    `unrestricted` and `weak_only`, single positions for `strict`.  The tail
+    keeps the kind, except that `weak_only` takes an unrestricted tail after
+    a head of two or more, whose class is already an indifference.  This is
+    the order of every full domain: the rows whose first class is a head
+    form one contiguous block, blocks follow the heads' order, and inside a
+    block the tail's rows follow the tail kind's order over the remaining
+    positions.  No count is made, so any number of positions can be walked.
     """
-    for size in range(1, (min(k, 1) if kind is DomainKind.STRICT else k) + 1):
-        yield size, DomainKind.UNRESTRICTED if kind is DomainKind.WEAK_ONLY and size > 1 else kind
-
-
-@functools.cache
-def _head_groups(k: int, kind: DomainKind) -> tuple[tuple[int, DomainKind, int], ...]:
-    """(head size, tail kind, rows per head) for each size of first class, in canonical order.
-
-    Every head of one size leads a block of as many rows as its tail kind
-    has over the remaining k - size positions.
-    """
-    groups = []
-    for size, tail in _head_sizes(k, kind):
-        groups.append((size, tail, row_count(k - size, tail)))
-    return tuple(groups)
-
-
-def heads(k: int, kind: DomainKind) -> Iterator[tuple[tuple[int, ...], DomainKind, int]]:
-    """(head, tail kind, rows per head) for each first class of a k-position full domain.
-
-    Heads are tuples of positions 0..k-1, by increasing size
-    (`_head_sizes`), then lexicographically.  This is the order of every
-    full domain: the rows whose first class is a head form one contiguous
-    block, blocks follow the heads' order, and inside a block the tail's
-    rows follow the tail kind's order over the remaining positions.
-    """
-    for size, tail, block in _head_groups(k, kind):
-        for head in itertools.combinations(range(k), size):
-            yield head, tail, block
+    larger = DomainKind.UNRESTRICTED if kind is DomainKind.WEAK_ONLY else kind
+    for size in range(1, 2 if kind is DomainKind.STRICT else len(positions) + 1):
+        tail = kind if size == 1 else larger
+        for head in itertools.combinations(positions, size):
+            yield head, tail
 
 
 @functools.cache
 def row_count(n: int, kind: DomainKind) -> int:
-    """Number of orderings in the full domain of `kind` over n pair positions."""
-    if n == 0:  # one empty ordering, which has no indifference
-        return 0 if kind is DomainKind.WEAK_ONLY else 1
-    return sum(math.comb(n, size) * block for size, _, block in _head_groups(n, kind))
+    """Number of orderings in the full domain of `kind` over n pair positions.
+
+    Strict orders are the n! permutations; weak orders number the ordered
+    Bell number (a first class of each size, then a weak order of the rest);
+    weak-only orders are the weak orders that are not strict.
+    """
+    strict = math.factorial(n)
+    if kind is DomainKind.STRICT:
+        return strict
+    weak = [1]  # weak[m]: weak orders over m positions
+    for m in range(1, n + 1):
+        weak.append(sum(math.comb(m, size) * weak[m - size] for size in range(1, m + 1)))
+    return weak[n] - strict if kind is DomainKind.WEAK_ONLY else weak[n]
 
 
 def completable(k: int, edges: Sequence[Edge], kind: DomainKind) -> bool:
@@ -125,8 +115,9 @@ def completable(k: int, edges: Sequence[Edge], kind: DomainKind) -> bool:
     meets the edges iff no cycle of them runs through a strict edge (a
     cycle's positions share one class); a strict order, which ties nothing,
     iff they have no cycle at all; and a weak-only order iff a weak order
-    does and two positions can also share a class, that is, no path through
-    a strict edge joins them either way.
+    does and two positions can also share a class: a position no edge
+    touches can join any class, and two edge ends u and v can share one iff
+    a weak order meets the edges with v renamed u.
     """
     if kind is DomainKind.WEAK_ONLY and k < 2:
         return False
@@ -142,16 +133,14 @@ def completable(k: int, edges: Sequence[Edge], kind: DomainKind) -> bool:
     if kind is not DomainKind.WEAK_ONLY:
         return True
     ends = {p for p, _, _ in edges} | {q for _, q, _ in edges}
-    if k > len(ends):  # a free position ties with any other
-        return True
-    reaches = {v: _reach(below, v) for v in ends}
-    over = {v: set() for v in ends}  # v -> the positions v is above through a strict edge
-    for p, q, strict in edges:
-        if strict:
-            for v in ends:
-                if p in reaches[v]:
-                    over[v] |= reaches[q]
-    return any(u not in over[v] and v not in over[u] for u, v in itertools.combinations(ends, 2))
+    return k > len(ends) or any(
+        completable(
+            k - 1,
+            [(u if p == v else p, u if q == v else q, strict) for p, q, strict in edges],
+            DomainKind.UNRESTRICTED,
+        )
+        for u, v in itertools.combinations(ends, 2)
+    )
 
 
 def _reach(below: dict[int, list[int]], v: int) -> set[int]:
@@ -168,12 +157,11 @@ def _reach(below: dict[int, list[int]], v: int) -> set[int]:
 def first_ranks(n: int, edges: Sequence[Edge], kind: DomainKind) -> list[int]:
     """Each position's class index under the canonically first ordering of `kind` meeting `edges`.
 
-    Requires `completable(n, edges, kind)`.  The walk goes depth by depth,
-    in the order `heads` states: at each it takes the first head H over the
-    remaining positions (by `_head_sizes`, then lexicographically) that
-    the edges allow on top (no strict edge inside H, no edge from a
-    remaining position outside H to one in H) and after which the edges
-    among the rest can still be met under the tail kind.  Rows led by one
+    Requires `completable(n, edges, kind)`.  The walk goes depth by depth:
+    at each it takes the first head H that `heads` yields over the remaining
+    positions that the edges allow on top (no strict edge inside H, no edge
+    from a remaining position outside H to one in H) and after which the
+    edges among the rest can still be met under the tail kind.  Rows led by one
     head form one block and blocks follow the heads, so the first head
     whose block holds a row meeting the edges leads the first such row: the
     row `le`'s lowest set bit would name.  Each depth goes on inside that
@@ -182,26 +170,21 @@ def first_ranks(n: int, edges: Sequence[Edge], kind: DomainKind) -> list[int]:
     ranks = [0] * n
     rest = list(range(n))
     depth = 0
-    while rest:
-        head, kind, edges = _first_head(rest, edges, kind)
+    while rest:  # `edges` are those among the positions of `rest`, and `kind` their kind
+        for head, tail in heads(rest, kind):
+            below = _below(head, edges, len(rest) - len(head), tail)
+            if below is not None:
+                break
+        else:
+            raise InvariantViolation(
+                f"no {kind.value} ordering of positions {rest} meets {list(edges)}"
+            )
         for p in head:
             ranks[p] = depth
         rest = [p for p in rest if p not in head]
+        kind, edges = tail, below
         depth += 1
     return ranks
-
-
-def _first_head(rest: list[int], edges: Sequence[Edge], kind: DomainKind) -> tuple:
-    """(head, tail kind, edges below it) for the first head over `rest` that can top it.
-
-    `edges` are those among the positions of `rest`, and `kind` their kind.
-    """
-    for size, tail in _head_sizes(len(rest), kind):
-        for head in itertools.combinations(rest, size):
-            below = _below(head, edges, len(rest) - size, tail)
-            if below is not None:
-                return head, tail, below
-    raise InvariantViolation(f"no {kind.value} ordering of positions {rest} meets {list(edges)}")
 
 
 def _below(head: tuple[int, ...], edges: Sequence[Edge], k: int, tail: DomainKind) -> list | None:
@@ -234,7 +217,7 @@ def rank_table(n: int, kind: DomainKind) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ((),) * row_count(0, kind)
     rows = []
-    for head, tail, _ in heads(n, kind):
+    for head, tail in heads(range(n), kind):
         rest = [p for p in range(n) if p not in head]
         for tail_row in rank_table(len(rest), tail):
             ranks = [0] * n

@@ -16,7 +16,7 @@ forms.
   stands for row o, read through one matrix `le`, where `le[p][q]` holds the
   rows ranking column p weakly above column q (so the rows ranking p
   strictly above q are `rows & ~le[q][p]`).  The first survivor is the
-  lowest set bit.  A full kind's `le` is built straight from the recursion
+  lowest set bit.  A full kind's `le` is built head by head from the rule
   that defines its canonical order (`domains.heads`), shared by every search
   over the same pair count and kind, and its witness row is read back from
   `le` (`_row_ranks`).  An explicit domain's rank vectors are read once
@@ -307,12 +307,17 @@ def _shared_row_sets(n: int, kind: DomainKind) -> list[list[int]]:
     the block's offset.  So le[p][q] is `above[p]`, the blocks whose head
     holds p, joined with the tail parts: each head adds its block once per
     position it holds.  Tails are memoized here too, so no row is made.
+    Heads of one size lead blocks of one length, counted once per size.
     """
     above = [0] * n
     le = [[0] * n for _ in range(n)]
-    offset = 0
-    for head, tail, count in domains.heads(n, kind):
-        block = ((1 << count) - 1) << offset
+    offset = size = 0
+    for head, tail in domains.heads(range(n), kind):
+        if len(head) != size:
+            size = len(head)
+            count = domains.row_count(n - size, tail)
+            rows = (1 << count) - 1
+        block = rows << offset
         for p in head:
             above[p] |= block
         rest = [p for p in range(n) if p not in head]

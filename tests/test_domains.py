@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 from fractions import Fraction
@@ -99,9 +100,9 @@ def test_full_domain_past_sys_maxsize_orderings_is_a_cap(kind):
         else:
             with pytest.raises(CapExceeded, match=f"^{n} pairs give the {kind.value} domain {past}"):
                 check_full_domain(kind, pairs(n), 28)
-    # a cold count of 300 pairs would recurse 300 deep
+    # past 20 pairs the bound is reached without a count, which at 300 pairs
+    # would be a number of hundreds of digits
     domains.row_count.cache_clear()
-    domains._head_groups.cache_clear()
     for n in (21, 28, 300):
         with pytest.raises(CapExceeded, match=f"^{n} pairs give the {kind.value} domain {past}"):
             check_full_domain(kind, pairs(n), n)
@@ -421,3 +422,30 @@ def test_unrank_finds_every_row_of_the_rank_table(n, kind):
     le = _shared_row_sets(n, kind)
     assert row_count(n, kind) == len(table) == le[0][0].bit_length()
     assert [tuple(_row_ranks(le, o)) for o in range(len(table))] == list(table)
+
+
+@functools.cache
+def recursive_row_count(n, kind):
+    """The count by first-class size: a first class of each size the kind allows, then a tail.
+
+    `weak_only` takes a weak-only tail after a single pair and an unrestricted
+    one after a larger first class; kept as the oracle for the direct count.
+    """
+    if n == 0:
+        return 0 if kind is DomainKind.WEAK_ONLY else 1
+    return sum(
+        comb(n, size)
+        * recursive_row_count(
+            n - size, DomainKind.UNRESTRICTED if kind is DomainKind.WEAK_ONLY and size > 1 else kind
+        )
+        for size in ((1,) if kind is DomainKind.STRICT else range(1, n + 1))
+    )
+
+
+@pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
+def test_row_count_past_the_rank_tables(kind):
+    for n in range(21):
+        assert row_count(n, kind) == recursive_row_count(n, kind)
+    assert row_count(6, kind) == {"unrestricted": 4683, "strict": 720, "weak_only": 3963}[kind.value]
+    if kind is DomainKind.STRICT:
+        assert row_count(20, kind) == factorial(20)

@@ -383,22 +383,45 @@ def test_walk_equals_the_lowest_row_on_random_tables(data):
         assert search_ba_witness(mech, kind, strict_iii=strict_iii) == expected
 
 
+def edge_sets():
+    """(n, edges) over n positions: random sets, then every small one.
+
+    Every edge set over at most three positions (each ordered pair absent,
+    weak or strict), and every set of at most three edges over four; among
+    them are the sets whose edges touch every position, the only ones for
+    which `weak_only` must merge two edge ends.
+    """
+    rng = random.Random(9)
+    for n in range(1, 7):
+        choices = [(p, q, s) for p in range(n) for q in range(n) if p != q for s in (False, True)]
+        for _ in range(150):
+            yield n, rng.sample(choices, min(len(choices), rng.randint(0, 5)))
+    for n in range(1, 4):
+        ordered = list(itertools.permutations(range(n), 2))
+        for marks in itertools.product((None, False, True), repeat=len(ordered)):
+            yield n, [(p, q, s) for (p, q), s in zip(ordered, marks) if s is not None]
+    ordered = list(itertools.permutations(range(4), 2))
+    for size in range(4):
+        for chosen in itertools.combinations(ordered, size):
+            for marks in itertools.product((False, True), repeat=size):
+                yield 4, [(p, q, s) for (p, q), s in zip(chosen, marks)]
+
+
 @pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
 def test_walk_equals_the_lowest_row_on_any_edges(kind):
     # edge sets no deterministic tuple makes too, such as cycles of weak edges
-    rng = random.Random(9)
-    for n in range(1, 7):
+    touching_all = 0  # completable sets whose edges touch every position
+    for n, edges in edge_sets():
         le = search._shared_row_sets(n, kind)
-        choices = [(p, q, s) for p in range(n) for q in range(n) if p != q for s in (False, True)]
-        for _ in range(150):
-            edges = rng.sample(choices, min(len(choices), rng.randint(0, 5)))
-            rows = le[0][0]
-            for p, q, strict in edges:
-                rows &= ~le[q][p] if strict else le[p][q]
-            assert domains.completable(n, edges, kind) == bool(rows)
-            if rows:
-                lowest = (rows & -rows).bit_length() - 1
-                assert domains.first_ranks(n, edges, kind) == search._row_ranks(le, lowest)
+        rows = le[0][0]
+        for p, q, strict in edges:
+            rows &= ~le[q][p] if strict else le[p][q]
+        assert domains.completable(n, edges, kind) == bool(rows)
+        if rows:
+            lowest = (rows & -rows).bit_length() - 1
+            assert domains.first_ranks(n, edges, kind) == search._row_ranks(le, lowest)
+            touching_all += len({p for p, _, _ in edges} | {q for _, q, _ in edges}) == n
+    assert touching_all > 0
 
 
 def test_walk_refuses_edges_no_ordering_meets():
