@@ -101,10 +101,16 @@ def row_count(n: int, kind: DomainKind) -> int:
     strict = math.factorial(n)
     if kind is DomainKind.STRICT:
         return strict
-    weak = [1]  # weak[m]: weak orders over m positions
-    for m in range(1, n + 1):
-        weak.append(sum(math.comb(m, size) * weak[m - size] for size in range(1, m + 1)))
+    weak = _weak_counts
+    for m in range(len(weak), n + 1):
+        count = 0
+        for size in range(1, m + 1):
+            count += math.comb(m, size) * weak[m - size]
+        weak.append(count)
     return weak[n] - strict if kind is DomainKind.WEAK_ONLY else weak[n]
+
+
+_weak_counts = [1]  # _weak_counts[m]: weak orders over m positions, each counted once
 
 
 def completable(k: int, edges: Sequence[Edge], kind: DomainKind) -> bool:

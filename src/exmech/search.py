@@ -22,8 +22,12 @@ forms.
   `le` (`_row_ranks`).  An explicit domain's rank vectors are read once
   (`domains.domain_rank_vectors`), `le` is its definition over them, and
   its witness is the listed ordering itself.  An FSD comparison of two
-  lotteries weighs every class of a row, so the probabilistic kinds keep
-  rows.
+  lotteries weighs every class of a row, so the probabilistic full kinds
+  keep rows for the witness, but build them only for a tuple known to give
+  one: a kind may hand the search `tuple_test(index, kind)`, which decides
+  from a tuple's values alone whether some ordering of a full kind
+  completes it (`stochastic._chain_test`), and a tuple it rules out reads
+  no row.
 - Edge sets, for the deterministic full kinds.  Comparing two pairs asks
   one pair position to rank above another, so a deterministic tuple puts
   at most one edge per action on the agent's positions; the candidates are
@@ -40,8 +44,9 @@ candidate form of the same two it hands `check_certificate`: `relations(index,
 le)` over row sets and, for the deterministic kind, `edge_relations(index,
 kind)` over a full kind's edge sets.  The search makes them once per agent,
 when a tied value first reaches a signature other than its own (see below),
-and only then builds the agent's `le`, if it has one; `index` maps the
-agent's pairs to columns.  The call returns `(beats_ii, beats_iii)`, each
+or, given `tuple_test`, when that test first passes a tuple, and only then
+builds the agent's `le`, if it has one; `index` maps the agent's pairs to
+columns.  The call returns `(beats_ii, beats_iii)`, each
 called as `beats(lhs, rhs, rows)` and returning the part of `rows` under
 which `lhs`, an (action, value) pair, beats `rhs`, empty (falsy) when no
 ordering is left.  Condition (ii) is `beats_ii((l, value), (r, value),
@@ -66,7 +71,11 @@ first index, skipping a's own, stops at the first whose rows survive, b
 being that signature's first index.  (ii) runs once, at the first
 signature the walk does not skip, so an agent whose sub-profiles all share
 one signature (a constant mechanism's, say) never has its rows built.  A
-value with no survivor is dead for every later a.
+value with no survivor is dead for every later a.  Given `tuple_test`, the
+walk asks it first at each signature, once per agent and (tied, anchor,
+l-rival) codes, and skips a signature it rules out, so (ii) and (iii) run
+only at the signature that gives the witness; a pass there with no
+surviving row raises InvariantViolation.
 """
 
 from __future__ import annotations
@@ -105,6 +114,7 @@ def search_witness(
     relations: Callable,
     cap: int | None = None,
     edge_relations: Callable | None = None,
+    tuple_test: Callable | None = None,
 ) -> SearchResult:
     """Canonically first witness over the admissible orderings `domain_specs` resolve to.
 
@@ -115,8 +125,12 @@ def search_witness(
     Rows are built only where the walk needs them.  A kind whose relations
     compare single pairs also passes `edge_relations(index, kind)`, the
     same two relations over a full kind's edge sets; its full-kind agents
-    then get no rows at all.  An agent past the cap gets no rows and a
-    `None` count; CapExceeded is raised only at its first tuple passing (i).
+    then get no rows at all.  A kind may pass instead `tuple_test(index,
+    kind)`, giving `exists(value, anchor value, l-rival value)`, which says
+    whether some ordering of a full kind meets (ii) and (iii) for them;
+    its full-kind agents then get rows only for the witness.  An agent past
+    the cap gets no rows and a `None` count; CapExceeded is raised only at
+    its first tuple passing (i).
 
     The walk requires the relations to meet one contract: for any
     candidates `rows` and lotteries x and y, no candidate of `beats_ii(x,
@@ -127,20 +141,23 @@ def search_witness(
     """
     specs = domains.resolve_domains(env, domain_specs)
     views = [
-        _admissible(env, i, spec, cap, relations, edge_relations) for i, spec in enumerate(specs)
+        _admissible(env, i, spec, cap, relations, edge_relations, tuple_test)
+        for i, spec in enumerate(specs)
     ]
     stats = {
         "agents": env.n,
         "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
         "sub_profiles": [math.prod(map(len, env.actions)) // len(acts) for acts in env.actions],
-        "orderings_per_agent": [count for count, _, _ in views],
+        "orderings_per_agent": [view[0] for view in views],
     }
-    for agent, (spec, acts, (count, narrowing, ordering_of)) in enumerate(
+    for agent, (spec, acts, (count, narrowing, ordering_of, testing)) in enumerate(
         zip(specs, env.actions, views)
     ):
         subs = tuple(sub_profiles(env, agent))  # per agent: a witness ends the search early
         pairs = env.pairs_for(agent)
         beats_ii = beats_iii = None  # made at the agent's first rival signature
+        exists = None  # likewise, for a full kind given `tuple_test`
+        tested: dict[tuple[int, int, int], bool] = {}  # (tied, anchor, l-rival) codes -> exists
         codes: dict = {}  # value -> its code, in order of first reading
         values: list = []  # code -> value
         sigs: list[tuple[int, ...]] = []  # the signature of each sub-profile read so far
@@ -188,23 +205,33 @@ def search_witness(
                         k += 1
                         if sig == sig_a:  # (iii) against (l, value) there undoes (ii)
                             continue
+                        if testing is not None:
+                            key = (code, sig[ri], sig[li])
+                            if key not in tested:
+                                exists = exists or testing()
+                                tested[key] = exists(value, values[sig[ri]], values[sig[li]])
+                            if not tested[key]:  # no ordering gives a witness: no rows, no (ii)
+                                continue
                         if candidates is None:
                             if beats_ii is None:
                                 every, beats_ii, beats_iii = narrowing()
                             candidates = beats_ii((l, value), (r, value), every)
-                            if not candidates:
+                            if not candidates and testing is None:
                                 break
                         anchor = (r, values[sig[ri]])
                         rows = candidates
                         for xi, x in enumerate(acts):
-                            if xi != ri:
+                            if xi != ri and rows:
                                 rows = beats_iii(anchor, (x, values[sig[xi]]), rows)
-                                if not rows:
-                                    break
                         if rows:
                             b = subs[first[sig]]
                             return SearchResult(
                                 BAWitness(agent, r, l, a, b, ordering_of(rows)), stats
+                            )
+                        if testing is not None:
+                            raise InvariantViolation(
+                                f"the tuple test passed agent {agent}'s ({r!r}, {l!r}) at "
+                                f"sub-profiles {a!r} and {subs[first[sig]]!r}, but no row survives"
                             )
     return SearchResult(None, stats)
 
@@ -216,8 +243,12 @@ def _admissible(
     cap: int | None,
     relations: Callable,
     edge_relations: Callable | None,
+    tuple_test: Callable | None,
 ) -> tuple:
-    """(row count, thunk making (every candidate, beats_ii, beats_iii), ordering of the survivors).
+    """(row count, thunk making (every, beats_ii, beats_iii), ordering of survivors, test thunk).
+
+    `every` is every candidate; the test thunk makes the tuple test, or is
+    None where the walk asks none.
 
     Everything that can reject the domain runs here, at search start: the
     cap and type checks of a full kind, and the reading of an explicit
@@ -229,8 +260,10 @@ def _admissible(
     read from `le` (`_row_ranks`).  Given `edge_relations`, a full kind's
     "rows" are the edges a tuple has put on the agent's pair positions,
     starting from none, and the walk over heads (`domains.first_ranks`)
-    finds the first ordering that meets them, with no `le`.  Past the cap
-    all three are None: no rows.
+    finds the first ordering that meets them, with no `le`.  Otherwise, given
+    `tuple_test`, a full kind's walk asks `tuple_test(index, kind)` about a
+    tuple before its rows, which are then built only for the witness.
+    Past the cap all four are None: no rows.
     """
     pairs = env.pairs_for(agent)
     n = len(pairs)
@@ -246,17 +279,19 @@ def _admissible(
             len(table),
             lambda: ((1 << len(table)) - 1, *relations(index(), _row_sets(table, n))),
             lambda rows: spec.orderings[_lowest(rows)],
+            None,
         )
     try:
         domains.check_full_domain(kind, pairs, cap)
     except CapExceeded:
-        return None, None, None
+        return None, None, None, None
     count = domains.row_count(n, kind)
     if edge_relations is not None:
         return (
             count,
             lambda: ((), *edge_relations(index(), kind)),
             lambda edges: Ordering.from_ranks(agent, pairs, domains.first_ranks(n, edges, kind)),
+            None,
         )
     return (
         count,
@@ -264,6 +299,7 @@ def _admissible(
         lambda rows: Ordering.from_ranks(
             agent, pairs, _row_ranks(_shared_row_sets(n, kind), _lowest(rows))
         ),
+        tuple_test and (lambda: tuple_test(index(), kind)),
     )
 
 

@@ -18,7 +18,14 @@ each agent's distributions and decides each tied distribution once per
 action pair: one (ii) call, then (iii) at most once per signature (the
 distributions of every action at a sub-profile) other than the tie's own.
 That relies on dominance being asymmetric, the contract
-`search.search_witness` states.
+`search.search_witness` states.  On a full kind the search first asks
+`_chain_test`, which decides from the tied distribution, the anchor's and
+the l-rival's alone, as a chain over pairs of outcome sets, whether some
+ordering of the kind completes the tuple; only the tuple that gives the
+witness reaches the rows.  Under `strict`, totally mixed tied and l-rival
+distributions fail the chain's first step (the dominance dichotomy), so a
+completely mixed mechanism is found NBA with no row built.  Explicit
+domains are searched over their rows alone.
 """
 
 from __future__ import annotations
@@ -325,6 +332,109 @@ def _fsd_relations(index: Mapping[Pair, int], le):
     return beats, beats
 
 
+def _chain_test(index: Mapping[Pair, int], kind: DomainKind):
+    """`exists(A, B_r, B_l)`: whether some ordering of a full `kind` meets (ii) and (iii).
+
+    The answer reads no row.  Fix actions r != l, a tied distribution A =
+    g(r, a) = g(l, a), the anchor's B_r = g(r, b) and the l-rival's B_l =
+    g(l, b).  A point is a pair (L, R) of outcome sets; it stands for the
+    upper-contour set holding the l-pairs over L and the r-pairs over R.
+
+    Claim: such an ordering exists iff a chain of points from ({}, {}) to
+    (Z, Z), each step growing L or R or both, has A(L) >= A(R) and B_r(R) >=
+    B_l(L) at every point, A(L) > A(R) at some point and B_r(R) > B_l(L) at
+    some point (`fsd` is strict dominance), where under `strict` each step
+    adds one outcome to L or to R.  The other rivals never matter.
+
+    Proof.  Only if: (ii), and (iii) against l, read only the pairs {r, l} x
+    Z.  The upper-contour set at any target, restricted to them, is a union
+    of the first classes of the ordering restricted to them; these unions
+    form such a chain, of single steps if the ordering is strict.  If: make
+    the chain's steps the classes, best first, and place every other
+    action's pairs strictly below them, in any order of the kind.  (ii) and
+    (iii) against l then hold as the chain says.  (iii) holds against any
+    other rival x: at a target in {r, l} x Z the rival's pairs above it carry
+    no mass, at one of x's pairs the r-pairs above it carry all of B_r, and
+    at the last class of {r, l} x Z that is 1 against 0.  Under `weak_only`
+    the ordering also needs a class of two or more pairs, and needs no other
+    step rule: the points with a strict inequality make a chain of at most
+    three steps, so over 2m >= 4 pairs one step adds two; with one outcome
+    no chain exists, since A(L) > A(R) needs L = Z and R = {}, and B_r(R) >
+    B_l(L) the reverse, which are not comparable.
+
+    Points are the bits of an int, (L, R) being bit L + R * 2^m for outcome
+    masks L and R, and masses are integers, as `_class_terms` makes them.  A
+    chain then exists iff the end is reached from the origin through a point
+    of each strict inequality, in one order or the other.  Under `strict` a
+    reach takes single steps through points meeting both inequalities; under
+    the other kinds it takes any such point above, so there the test asks
+    for two comparable points.  Under `strict`, totally mixed A and B_l give
+    no first step (an r-step breaks (ii), an l-step (iii)): the dominance
+    dichotomy, decided before any point is made.
+    """
+    outcomes = tuple(dict.fromkeys(z for _, z in index))
+    size = 1 << len(outcomes)
+    end = size * size - 1
+    # per outcome of L, then of R: (shift adding it, the points lacking it); bit c of
+    # a point's index is clear in runs of 2^c, a repunit in base 2^(2^(c+1)) times 2^(2^c) - 1
+    steps = [
+        (1 << c, ((1 << (1 << c)) - 1) * ((1 << (end + 1)) - 1) // ((1 << (2 << c)) - 1))
+        for c in range(2 * len(outcomes))
+    ]
+    strict = kind is DomainKind.STRICT
+    vectors: dict = {}  # distribution -> its mass on each outcome set, at its own scale
+
+    def masses(dist: Distribution) -> list[int]:
+        sums = vectors.get(dist)
+        if sums is None:
+            weights = dict(dist.weights)
+            sums = [0]
+            for z in outcomes:
+                w = weights.get(z, 0)
+                sums += [s + w for s in sums]
+            vectors[dist] = sums
+        return sums
+
+    def exists(tied: Distribution, anchor: Distribution, rival: Distribution) -> bool:
+        if strict and is_totally_mixed(tied) and is_totally_mixed(rival):
+            return False
+        a = masses(tied)
+        scale = math.lcm(anchor.scale, rival.scale)
+        right = [s * (scale // anchor.scale) for s in masses(anchor)]
+        left = [s * (scale // rival.scale) for s in masses(rival)]
+        valid = a_more = b_more = 0
+        bit = 1
+        for a_r, b_r in zip(a, right):
+            for a_l, b_l in zip(a, left):
+                if a_l >= a_r and b_r >= b_l:
+                    valid |= bit
+                    if a_l > a_r:
+                        a_more |= bit
+                    if b_r > b_l:
+                        b_more |= bit
+                bit <<= 1
+
+        def reach(points: int) -> int:
+            if not strict:
+                for shift, lacking in steps:
+                    points |= (points & lacking) << shift
+                return points & valid
+            while True:
+                grown = points
+                for shift, lacking in steps:
+                    grown |= (grown & lacking) << shift & valid
+                if grown == points:
+                    return points
+                points = grown
+
+        first = reach(1)
+        return any(
+            reach(reach(first & x) & y) >> end & 1 for x, y in ((a_more, b_more), (b_more, a_more))
+        )
+
+    return exists
+
+
 def search_prob_ba_witness(
     mech: ProbMechanism,
     domains: Sequence[DomainSpec] | DomainSpec | DomainKind | str | None = None,
@@ -337,7 +447,9 @@ def search_prob_ba_witness(
     first-order stochastic dominance.  The search order is that of
     `search.search_witness`.
     """
-    return search_witness(mech.env, mech.dist_at, domains, _fsd_relations, cap)
+    return search_witness(
+        mech.env, mech.dist_at, domains, _fsd_relations, cap, tuple_test=_chain_test
+    )
 
 
 def find_prob_ba_witness(

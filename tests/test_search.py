@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exmech import domains, search
+from exmech import domains, search, stochastic
 from exmech.deterministic import (
     DetMechanism,
     _edge_relations,
@@ -53,11 +53,15 @@ from exmech.queueing import QueueingParams
 from exmech.stochastic import (
     Distribution,
     ProbMechanism,
+    _chain_test,
     _fsd_relations,
     build_mixed_counterexample,
     counterexample_preference,
     find_prob_ba_witness,
+    is_completely_mixed,
+    random_completely_mixed_mechanism,
     random_totally_mixed,
+    search_prob_ba_witness,
     validate_prob_witness,
 )
 
@@ -223,10 +227,10 @@ def det_cases(draw, explicit):
 
 
 @st.composite
-def prob_cases(draw, explicit):
+def prob_cases(draw, explicit, env=None):
     """Each profile draws from a palette of at most three distributions, so
     condition (i) ties are common."""
-    env = draw(environments(6 if explicit else 4))
+    env = env or draw(environments(6 if explicit else 4))
     weights = st.lists(st.integers(0, 3), min_size=len(env.outcomes), max_size=len(env.outcomes))
     palette = []
     for ks in draw(st.lists(weights.filter(any), min_size=1, max_size=3)):
@@ -763,14 +767,18 @@ def few_signature_cases(draw, prob):
 
 
 def relation_cases(mech, prob):
-    """(value_at, relations, edge_relations) as each kind's search passes them, per `strict_iii`."""
+    """(value_at, relations, options) as each kind's search passes them, per `strict_iii`.
+
+    `options` holds what else the kind hands `search.search_witness`: the
+    deterministic kind's `edge_relations`, the probabilistic kind's `tuple_test`.
+    """
     if prob:
-        return [(mech.dist_at, _fsd_relations, None)]
+        return [(mech.dist_at, _fsd_relations, {"tuple_test": _chain_test})]
     return [
         (
             mech.outcome_at,
             functools.partial(_rank_relations, strict_iii=strict_iii),
-            functools.partial(_edge_relations, strict_iii=strict_iii),
+            {"edge_relations": functools.partial(_edge_relations, strict_iii=strict_iii)},
         )
         for strict_iii in (False, True)
     ]
@@ -780,15 +788,16 @@ def relation_cases(mech, prob):
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_signature_search_equals_the_pairwise_scan(prob, data):
-    # the pairwise scan reads rows only, so on the deterministic full kinds
-    # this also compares the walk over heads with the lowest set bit
+    # the pairwise scan reads rows only, so on the full kinds this also
+    # compares the walk over heads with the lowest set bit (deterministic) and
+    # the tuple test with the rows that survive (probabilistic)
     mech, specs, cap = data.draw(few_signature_cases(prob))
-    for value_at, relations, edge_relations in relation_cases(mech, prob):
+    for value_at, relations, options in relation_cases(mech, prob):
         expected = outcome_or_cap(
             lambda: pairwise_search_witness(mech.env, value_at, specs, relations, cap)
         )
         assert outcome_or_cap(
-            lambda: search.search_witness(mech.env, value_at, specs, relations, cap, edge_relations)
+            lambda: search.search_witness(mech.env, value_at, specs, relations, cap, **options)
         ) == expected
 
 
@@ -923,7 +932,29 @@ def logged_relations(env, relations, log):
     return wrapped
 
 
-def assert_within_budget(env, value_at, relations, specs, cap=None, edge_relations=None):
+def logged_tuple_test(env, tuple_test, log):
+    """`tuple_test` with its calls logged: each test made is counted per agent
+    under "tests", and each question, (agent, tied, anchor, l-rival values)
+    and its answer, is appended to "asked"."""
+
+    def wrapped(index, kind):
+        agent = next(i for i in range(env.n) if set(index) == set(env.pairs_for(i)))
+        log["tests"][agent] += 1
+        exists = tuple_test(index, kind)
+
+        def asked(*values):
+            answer = exists(*values)
+            log["asked"].append(((agent, *values), answer))
+            return answer
+
+        return asked
+
+    return wrapped
+
+
+def assert_within_budget(
+    env, value_at, relations, specs, cap=None, edge_relations=None, tuple_test=None
+):
     """Search with logged relations and check the calls against the budget.
 
     (ii) runs at most once per (agent, r, l, tied value).  A narrowing starts
@@ -932,14 +963,29 @@ def assert_within_budget(env, value_at, relations, specs, cap=None, edge_relatio
     anchor and first-rival values number no more than the other signatures
     with those values.  An agent's relations are made at most once, and an
     agent with one signature never has them made: it makes no (ii) or (iii)
-    call, so its rows are never built.
+    call, so its rows are never built.  Given `tuple_test`, the same holds
+    of each agent's test, which is asked each (tied, anchor, l-rival) at most
+    once, and (ii) and (iii) run only after it answers yes, which ends the
+    search.
     """
-    log = {"ii": [], "starts": [], "iii": collections.Counter()}
+    log = {"ii": [], "starts": [], "iii": collections.Counter(), "asked": []}
     log["relations"] = collections.Counter()
+    log["tests"] = collections.Counter()
     logged = logged_relations(env, relations, log)
     edges = edge_relations and logged_relations(env, edge_relations, log)
-    result = outcome_or_cap(lambda: search.search_witness(env, value_at, specs, logged, cap, edges))
+    test = tuple_test and logged_tuple_test(env, tuple_test, log)
+    result = outcome_or_cap(
+        lambda: search.search_witness(env, value_at, specs, logged, cap, edges, test)
+    )
     assert len(set(log["ii"])) == len(log["ii"])
+    asked = [question for question, _ in log["asked"]]
+    assert len(set(asked)) == len(asked)
+    assert [answer for _, answer in log["asked"]].count(True) <= 1
+    for agent in log["tests"]:
+        yes = [answer for (at, *_), answer in log["asked"] if at == agent].count(True)
+        assert len([key for key in log["ii"] if key[0] == agent]) == yes
+        if not yes:
+            assert log["relations"][agent] == log["iii"][agent] == 0
 
     def signature(agent, b):
         return tuple(value_at(agent, x, b) for x in env.actions[agent])
@@ -952,9 +998,9 @@ def assert_within_budget(env, value_at, relations, specs, cap=None, edge_relatio
         others = {signature(agent, b) for b in subs} - {signature(agent, tie)}
         assert count <= sum(1 for sig in others if [sig[k] for k in shown] == seen)
     for agent in range(env.n):
-        assert log["relations"][agent] <= 1
+        assert log["relations"][agent] <= 1 and log["tests"][agent] <= 1
         if len({signature(agent, b) for b in sub_profiles(env, agent)}) == 1:
-            assert log["relations"][agent] == 0
+            assert log["relations"][agent] == log["tests"][agent] == 0
             assert not [key for key in log["ii"] if key[0] == agent]
             assert log["iii"][agent] == 0
     return result
@@ -965,8 +1011,8 @@ def assert_within_budget(env, value_at, relations, specs, cap=None, edge_relatio
 @settings(max_examples=60, deadline=None)
 def test_relation_call_budget_on_few_signature_mechanisms(prob, data):
     mech, specs, cap = data.draw(few_signature_cases(prob))
-    for value_at, relations, edge_relations in relation_cases(mech, prob):
-        assert_within_budget(mech.env, value_at, relations, specs, cap, edge_relations)
+    for value_at, relations, options in relation_cases(mech, prob):
+        assert_within_budget(mech.env, value_at, relations, specs, cap, **options)
 
 
 def constant_3x3x2():
@@ -983,8 +1029,8 @@ def test_relation_call_budget_on_constant_mechanisms():
     env, constant, uniform = constant_3x3x2()
     for kind in FULL_KINDS:
         for mech, prob in ((constant, False), (uniform, True)):
-            for value_at, relations, edges in relation_cases(mech, prob):
-                result = assert_within_budget(env, value_at, relations, kind, None, edges)
+            for value_at, relations, options in relation_cases(mech, prob):
+                result = assert_within_budget(env, value_at, relations, kind, None, **options)
                 assert result.witness is None
 
 
@@ -1012,6 +1058,100 @@ def test_one_signature_agents_build_no_rows(monkeypatch):
     assert find_prob_ba_witness(uniform, specs) is None
 
 
+def test_completely_mixed_strict_mechanisms_are_nba_with_no_rows(monkeypatch):
+    # the dominance dichotomy: the tuple test rejects every tuple at the
+    # chain's first step, so no row is built and no (ii) or (iii) runs
+    def no_relations(index, le):
+        raise AssertionError("rows were read for a completely mixed mechanism under strict")
+
+    asked = []
+    chain_test = stochastic._chain_test
+
+    def counted(index, kind):
+        exists = chain_test(index, kind)
+        return lambda *values: asked.append(values) or exists(*values)
+
+    monkeypatch.setattr(stochastic, "_fsd_relations", no_relations)
+    monkeypatch.setattr(stochastic, "_chain_test", counted)
+    rng = random.Random(29)
+    env = Environment.create((("a0", "a1", "a2"), ("b0", "b1", "b2")), ("z0", "z1"))
+    mechs = []
+    for _ in range(4):  # the 2x3x2 shape on a palette of three distributions
+        palette = [random_totally_mixed(env.outcomes, rng) for _ in range(3)]
+        mechs.append(ProbMechanism(env, {p: rng.choice(palette) for p in enumerate_profiles(env)}))
+    for actions in ((("a0", "a1"),) * 3, (("a0", "a1", "a2"),) * 2):
+        shape = Environment.create(actions, ("z0", "z1"))
+        mechs += [random_completely_mixed_mechanism(shape, rng) for _ in range(4)]
+    search._shared_row_sets.cache_clear()
+    for mech in mechs:
+        assert is_completely_mixed(mech)
+        assert search_prob_ba_witness(mech, DomainKind.STRICT).witness is None
+    assert search._shared_row_sets.cache_info().misses == 0
+    assert len(asked) > len(mechs)
+
+
+def test_a_tuple_test_yes_with_no_surviving_row_is_an_invariant_violation(monkeypatch):
+    # the mixed counterexample is NBA under strict, and its tie at b0 reaches the
+    # signature of b1, so a test that always answers yes meets no surviving row
+    monkeypatch.setattr(stochastic, "_chain_test", lambda index, kind: lambda *values: True)
+    _, mech = build_mixed_counterexample()
+    with pytest.raises(InvariantViolation, match="no row survives"):
+        search_prob_ba_witness(mech, DomainKind.STRICT)
+
+
+def test_the_tuple_test_is_asked_per_l_rival_value():
+    # (x0, x1) ties at b0; b1 and b2 share the anchor's value and differ in
+    # the l-rival's, which rules b1 out and lets b2 give the witness
+    env = Environment.create((("x0", "x1"), ("b0", "b1", "b2")), ("z0", "z1"))
+    low, half, high = (
+        Distribution({"z0": Fraction(k, 2), "z1": Fraction(2 - k, 2)}) for k in range(3)
+    )
+    at_b = {"b0": (low, low), "b1": (low, half), "b2": (low, high)}
+    mech = ProbMechanism(env, {(x, b): at_b[b][int(x[1])] for x, b in enumerate_profiles(env)})
+    for kind in FULL_KINDS:
+        result = search_prob_ba_witness(mech, kind)
+        witness = result.witness
+        assert (witness.r, witness.l) == ("x0", "x1")
+        assert (witness.a_minus, witness.b_minus) == (("b0",), ("b2",))
+        assert result == search.search_witness(env, mech.dist_at, kind, _fsd_relations)
+
+
+@st.composite
+def tuple_test_cases(draw):
+    """A probabilistic mechanism over up to six pairs per agent, its
+    distributions from a palette as `prob_cases` draws it or from two totally
+    mixed ones; per agent a full kind or an explicit domain; maybe a cap.
+    Every agent has two actions or more, so each can tie."""
+    env = draw(environments(6).filter(lambda env: min(map(len, env.actions)) > 1))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 999)))
+        mixed = st.sampled_from([random_totally_mixed(env.outcomes, rng) for _ in range(2)])
+        mech = ProbMechanism(env, {p: draw(mixed) for p in enumerate_profiles(env)})
+    else:
+        mech, _ = draw(prob_cases(False, env))
+    kinds = st.sampled_from(FULL_KINDS)
+    if draw(st.booleans()):
+        specs = draw(kinds)
+    else:
+        explicit = draw(explicit_domains(env))
+        specs = tuple(
+            explicit[agent] if draw(st.booleans()) else DomainSpec(draw(kinds))
+            for agent in range(env.n)
+        )
+    return mech, specs, draw(st.sampled_from((None, 3, 5)))
+
+
+@given(tuple_test_cases())
+@settings(max_examples=80, deadline=None)
+def test_prob_search_equals_the_search_without_the_tuple_test(case):
+    # the rows alone, the search's path before the tuple test, as the oracle
+    mech, specs, cap = case
+    expected = outcome_or_cap(
+        lambda: search.search_witness(mech.env, mech.dist_at, specs, _fsd_relations, cap)
+    )
+    assert outcome_or_cap(lambda: search_prob_ba_witness(mech, specs, cap=cap)) == expected
+
+
 @pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
 def test_ordering_counts_are_those_of_the_rows_never_built(kind):
     # agent 0 has n pairs, one per action, and agent 1 has two
@@ -1027,8 +1167,8 @@ def test_ordering_counts_are_those_of_the_rows_never_built(kind):
             built = [domain_rows(env, i, specs[i])[0] for i in range(env.n)]
             assert counts == [le[0][0].bit_length() for le in built]
         if n > 1:
-            past = search._admissible(env, 0, DomainSpec(kind), n - 1, _rank_relations, None)
-            assert past == (None, None, None)
+            past = search._admissible(env, 0, DomainSpec(kind), n - 1, _rank_relations, None, None)
+            assert past == (None, None, None, None)
 
 
 def test_search_start_checks_do_not_wait_for_rows():

@@ -23,12 +23,13 @@ from exmech.errors import (
     ParseError,
 )
 from exmech.model import DomainKind, DomainSpec, Environment, Ordering, enumerate_profiles
-from exmech.search import _row_sets
+from exmech.search import _row_sets, _shared_row_sets
 from exmech.stochastic import (
     Distribution,
     DominanceBlock,
     Lottery,
     ProbMechanism,
+    _chain_test,
     _fsd_pairs,
     _fsd_relations,
     best_outcome,
@@ -377,6 +378,105 @@ def test_fsd_kernel_matches_reference_on_twenty_four_pair_support():
     assert fsd(orderings[2], Lottery("a0", dists[0]), Lottery("a0", dists[1]))
     table = domain_rank_vectors(env, 0, DomainSpec.explicit(orderings))
     assert assert_fsd_relations_match(env, 0, table, orderings, dists) == {False, True}
+
+
+# --- the chain test against the rows that survive ---------------------------
+
+FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
+
+
+def chain_shapes(kind):
+    """(actions, outcomes) per agent: at most six pairs, eight under `strict`.
+    One outcome, and two actions, which leave `weak_only` no spare pair."""
+    shapes = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (6, 1)]
+    return shapes + [(2, 4), (4, 2)] if kind is DomainKind.STRICT else shapes
+
+
+def assert_chain_test_matches_rows(kind, n_actions, n_outcomes, tied, at_b, ri, li):
+    """The chain test's answer for (tied, B_r, B_l) against brute existence:
+    rows of the full domain that survive (ii) and then (iii) against every
+    rival, each action's value at b being `at_b[action index]`."""
+    actions = tuple(f"x{k}" for k in range(n_actions))
+    pairs = [(x, z) for x in actions for z in (f"z{j}" for j in range(n_outcomes))]
+    index = {pair: c for c, pair in enumerate(pairs)}
+    le = _shared_row_sets(len(pairs), kind)
+    beats_ii, beats_iii = _fsd_relations(index, le)
+    r, l = actions[ri], actions[li]
+    rows = beats_ii((l, tied), (r, tied), le[0][0])
+    for x, value in zip(actions, at_b):
+        if x != r and rows:
+            rows = beats_iii((r, at_b[ri]), (x, value), rows)
+    exists = _chain_test(index, kind)(tied, at_b[ri], at_b[li])
+    assert exists == bool(rows)
+    return exists
+
+
+@pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
+def test_chain_test_equals_brute_existence(kind):
+    # per shape, a palette of point masses, the uniform distribution and
+    # random rationals with zero-probability outcomes; every tuple of the
+    # tied value and each action's value at b, with every (r, l), or 300 of them
+    rng = random.Random(23)
+    answers = []
+    for n_actions, n_outcomes in chain_shapes(kind):
+        outcomes = tuple(f"z{j}" for j in range(n_outcomes))
+        palette = {Distribution.point_mass(z, outcomes) for z in outcomes}
+        palette.add(Distribution.uniform(outcomes))
+        for _ in range(3):
+            ks = [rng.choice((0, 0, 1, 2, 5)) for _ in outcomes]
+            ks[rng.randrange(n_outcomes)] += 1
+            palette.add(Distribution({z: Fraction(k, sum(ks)) for z, k in zip(outcomes, ks)}))
+        palette = sorted(palette, key=lambda d: d.weights)
+        tuples = list(
+            itertools.product(
+                itertools.product(palette, repeat=n_actions + 1),
+                itertools.permutations(range(n_actions), 2),
+            )
+        )
+        for (tied, *at_b), (ri, li) in rng.sample(tuples, min(len(tuples), 300)):
+            answers.append(
+                assert_chain_test_matches_rows(kind, n_actions, n_outcomes, tied, at_b, ri, li)
+            )
+    assert True in answers and False in answers
+
+
+@st.composite
+def chain_tuples(draw):
+    """A full kind, a shape it allows, and random rationals with zeros for the
+    tied value and each action's value at b, with r != l."""
+    kind = draw(st.sampled_from(FULL_KINDS))
+    n_actions, n_outcomes = draw(st.sampled_from(chain_shapes(kind)))
+    outcomes = tuple(f"z{j}" for j in range(n_outcomes))
+    weights = st.lists(st.integers(0, 4), min_size=n_outcomes, max_size=n_outcomes).filter(any)
+    tied, *at_b = (
+        Distribution({z: Fraction(k, sum(ks)) for z, k in zip(outcomes, ks)})
+        for ks in draw(st.lists(weights, min_size=n_actions + 1, max_size=n_actions + 1))
+    )
+    ri, li = draw(st.permutations(range(n_actions)))[:2]
+    return kind, n_actions, n_outcomes, tied, at_b, ri, li
+
+
+@given(chain_tuples())
+@settings(max_examples=200, deadline=None)
+def test_chain_test_equals_brute_existence_on_random_tuples(case):
+    assert_chain_test_matches_rows(*case)
+
+
+def test_chain_test_rejects_totally_mixed_strict_tuples_at_the_first_step():
+    # the dominance dichotomy: with A and B_l totally mixed, an r-step breaks
+    # (ii) and an l-step (iii), whatever B_r is
+    index = {(x, z): c for c, (x, z) in enumerate(itertools.product(("x0", "x1"), Z2))}
+    exists = _chain_test(index, DomainKind.STRICT)
+    mixed = dist("1/3", "2/3")
+    assert not any(exists(mixed, b, mixed) for b in (dist(1, 0), dist(0, 1), mixed))
+    # the mixed counterexample's witness tuple, totally mixed, passes only off `strict`
+    _, mech = build_mixed_counterexample()
+    witness = find_prob_ba_witness(mech, DomainKind.WEAK_ONLY)
+    agent, r, l, a, b = witness.agent, witness.r, witness.l, witness.a_minus, witness.b_minus
+    index = {pair: c for c, pair in enumerate(mech.env.pairs_for(agent))}
+    values = [mech.dist_at(agent, x, sub) for x, sub in ((r, a), (r, b), (l, b))]
+    assert all(is_totally_mixed(value) for value in values)
+    assert [_chain_test(index, kind)(*values) for kind in FULL_KINDS] == [True, False, True]
 
 
 def test_completely_mixed_mechanism_predicate():
