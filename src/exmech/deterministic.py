@@ -45,7 +45,7 @@ from .model import (
     string_labels,
     sub_profiles,
 )
-from .domains import build_queueing_pref_1, completable, full_kind
+from .domains import build_queueing_pref_1, completable, edges_below, full_kind
 from .queueing import QueueingOutcome, QueueingParams, grid_labels
 from .search import SearchResult, check_certificate, search_witness
 
@@ -215,28 +215,25 @@ def _rank_relations(index: Mapping[Pair, int], le, strict_iii: bool = False):
     return strictly, strictly if strict_iii else weakly
 
 
-def _edge_relations(index: Mapping[Pair, int], kind: DomainKind, strict_iii: bool = False):
-    """(beats_ii, beats_iii) over a full kind's edge sets, chosen as `_rank_relations` chooses.
+def _edge_walk(index: Mapping[Pair, int], kind: DomainKind, strict_iii: bool = False):
+    """(start, below) for a full kind's walk over heads, (iii) chosen as `_rank_relations` chooses.
 
     A tuple's constraints on an ordering are few: (ii) puts (l, z) strictly
     above (r, z), and (iii) puts (r, o(r, b)) at or above each (x, o(x, b)),
-    or strictly above.  So the search hands on, in place of a row set, the
-    tuple of edges (p, q, strict) placed so far over the pair positions.
-    Each relation adds its edge and returns the new tuple while some
-    ordering of `kind` meets every edge (`domains.completable`), and None
-    once none does.  The search starts from (), no edge: every ordering.
+    or strictly above.  So the walk's state is the list of those edges (p,
+    q, strict) between pair positions: `start` gives it while some ordering
+    of `kind` meets every edge (`domains.completable`), and None otherwise,
+    and the step that places a head is `domains.edges_below`.
     """
     n = len(index)
 
-    def placing(strict: bool):
-        def beats(lhs: Pair, rhs: Pair, edges: tuple) -> tuple | None:
-            edges = (*edges, (index[lhs], index[rhs], strict))
-            return edges if completable(n, edges, kind) else None
+    def start(r: str, l: str, z: str, at_b: Mapping[str, str]) -> list | None:
+        anchor = index[r, at_b[r]]
+        edges = [(index[l, z], index[r, z], True)]
+        edges += [(anchor, index[x, value], strict_iii) for x, value in at_b.items() if x != r]
+        return edges if completable(n, edges, kind) else None
 
-        return beats
-
-    strictly = placing(True)
-    return strictly, strictly if strict_iii else placing(False)
+    return start, edges_below
 
 
 def search_ba_witness(
@@ -252,8 +249,8 @@ def search_ba_witness(
     `search.search_witness`.
     """
     relations = functools.partial(_rank_relations, strict_iii=strict_iii)
-    edge_relations = functools.partial(_edge_relations, strict_iii=strict_iii)
-    return search_witness(mech.env, mech.outcome_at, domains, relations, cap, edge_relations)
+    walk = functools.partial(_edge_walk, strict_iii=strict_iii)
+    return search_witness(mech.env, mech.outcome_at, domains, relations, walk, cap)
 
 
 def find_ba_witness(

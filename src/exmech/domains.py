@@ -7,19 +7,17 @@ they take and in the kind of the tail.  `unrestricted` (weak orders, i.e.
 ranked partitions) takes heads of any size, `strict` takes single pairs
 only, and `weak_only` keeps a weak-only tail after a single pair and an
 unrestricted tail after a larger head.  Heads of one size come in
-lexicographic order.  Three things iterate `heads`:
+lexicographic order.  Two things iterate `heads`:
 - `rank_table` materializes the order as rank vectors over pair positions,
   one table per pair count and kind, so every agent with as many
   action-outcome pairs shares one table (a search never makes it);
-- the search's row-set matrix `le` of a full kind, built head by head, for
-  the probabilistic searches;
-- `first_ranks`, the walk that finds the canonically first ordering meeting
-  a few edges between pair positions (p at or above q, or strictly above),
-  depth by depth and with no count, which is how a deterministic search on
-  a full kind finds its witness ordering.  The rows led by one head form
-  one block, so the first head that the edges allow and that leaves a
-  completable rest (`completable`) leads the first row meeting them: the
-  row `le`'s lowest set bit would name.
+- `first_ranks`, the walk by which a search on a full kind finds its
+  witness ordering, depth by depth and with no count.  The rows led by one
+  head form one block, so the first head after which the search's tuple
+  can still be completed leads the first row completing it.  The kind
+  supplies only that test, as the step `below`; `edges_below` is the step
+  over a few edges between pair positions (p at or above q, or strictly
+  above), which `completable` decides.
 `row_count` counts each full domain directly, with no head.
 Also classifies orderings as classical or separable and builds the
 lexicographic queueing preferences.  Enumeration is capped because the
@@ -34,7 +32,7 @@ import itertools
 import math
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InvariantViolation, UnknownPair
 from .model import (
@@ -160,46 +158,49 @@ def _reach(below: dict[int, list[int]], v: int) -> set[int]:
     return seen
 
 
-def first_ranks(n: int, edges: Sequence[Edge], kind: DomainKind) -> list[int]:
-    """Each position's class index under the canonically first ordering of `kind` meeting `edges`.
+def first_ranks(n: int, state, kind: DomainKind, below: Callable) -> list[int]:
+    """Each position's class index under the canonically first ordering of `kind` a walk completes.
 
-    Requires `completable(n, edges, kind)`.  The walk goes depth by depth:
-    at each it takes the first head H that `heads` yields over the remaining
-    positions that the edges allow on top (no strict edge inside H, no edge
-    from a remaining position outside H to one in H) and after which the
-    edges among the rest can still be met under the tail kind.  Rows led by one
-    head form one block and blocks follow the heads, so the first head
-    whose block holds a row meeting the edges leads the first such row: the
-    row `le`'s lowest set bit would name.  Each depth goes on inside that
-    block alone, with no count made, so any number of positions is walked.
+    The walk starts from `state` over all n positions and goes depth by
+    depth.  `below(head, state, k, tail)` places `head` on top of the
+    remaining positions: it returns the state after it, or None when no
+    ordering of `tail` over the k positions left below completes it.  At
+    each depth the first head that `heads` yields over the remaining
+    positions and that `below` accepts is taken.  Rows led by one head form
+    one block and blocks follow the heads, so that head leads the first
+    completed row.  Each depth goes on inside that block alone, with no
+    count made, so any number of positions is walked.  Requires that some
+    ordering of `kind` completes `state`.
     """
     ranks = [0] * n
     rest = list(range(n))
     depth = 0
-    while rest:  # `edges` are those among the positions of `rest`, and `kind` their kind
+    while rest:  # `state` describes the positions of `rest`, and `kind` is their kind
         for head, tail in heads(rest, kind):
-            below = _below(head, edges, len(rest) - len(head), tail)
-            if below is not None:
+            placed = below(head, state, len(rest) - len(head), tail)
+            if placed is not None:
                 break
         else:
             raise InvariantViolation(
-                f"no {kind.value} ordering of positions {rest} meets {list(edges)}"
+                f"no {kind.value} ordering of positions {rest} completes {state!r}"
             )
         for p in head:
             ranks[p] = depth
         rest = [p for p in rest if p not in head]
-        kind, edges = tail, below
+        kind, state = tail, placed
         depth += 1
     return ranks
 
 
-def _below(head: tuple[int, ...], edges: Sequence[Edge], k: int, tail: DomainKind) -> list | None:
-    """The edges left below `head` when it tops the remaining positions, or None if it cannot.
+def edges_below(
+    head: tuple[int, ...], edges: Sequence[Edge], k: int, tail: DomainKind
+) -> list | None:
+    """`first_ranks`'s step over edges: the edges left below `head`, or None if it cannot top them.
 
     `edges` are those among the remaining positions.  `head` cannot top them
     if an edge puts a pair outside it above one in it, or a strict edge
     joins two of its pairs, or the edges left cannot be met by a tail of
-    `tail` over the k positions below.
+    `tail` over the k positions below (`completable`).
     """
     left = []
     for p, q, strict in edges:
@@ -246,8 +247,9 @@ def check_full_domain(
     Raises InvariantViolation for a `cap` that is neither None nor an int >= 0,
     no pairs or a duplicate pair.  Raises CapExceeded for more pairs than
     `cap` (by default the strict or the weak cap, by kind), and, whatever
-    `cap` says, for more orderings than `sys.maxsize`: a row set has a bit per
-    row, and Python shifts an int by at most that many bits.
+    `cap` says, for more orderings than `sys.maxsize`, which a row set of
+    them could not index.  The search walks a full kind without rows, but
+    keeps both bounds, so that no verdict past them changes.
     """
     if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
         raise InvariantViolation(f"cap must be None or an int >= 0, got {cap!r}")

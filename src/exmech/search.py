@@ -7,75 +7,47 @@ candidate orderings, condition (i) (equality of the mechanism's value at a),
 the statistics block, the witness ordering and the witness check
 (`check_certificate`), to which each kind supplies only its comparisons.
 
-A search narrows an agent's candidate orderings through two relations and
-takes the canonically first that survives.  The candidates take one of two
-forms.
-- Row sets, for explicit domains and for every probabilistic kind.  Row o
-  of an agent's domain ranks its pairs, in `env.pairs_for(agent)` order,
-  under its o-th admissible ordering; a row set is a Python int whose bit o
-  stands for row o, read through one matrix `le`, where `le[p][q]` holds the
-  rows ranking column p weakly above column q (so the rows ranking p
-  strictly above q are `rows & ~le[q][p]`).  The first survivor is the
-  lowest set bit.  A full kind's `le` is built head by head from the rule
-  that defines its canonical order (`domains.heads`), shared by every search
-  over the same pair count and kind, and its witness row is read back from
-  `le` (`_row_ranks`).  An explicit domain's rank vectors are read once
-  (`domains.domain_rank_vectors`), `le` is its definition over them, and
-  its witness is the listed ordering itself.  An FSD comparison of two
-  lotteries weighs every class of a row, so the probabilistic full kinds
-  keep rows for the witness, but build them only for a tuple known to give
-  one: a kind may hand the search `tuple_test(index, kind)`, which decides
-  from a tuple's values alone whether some ordering of a full kind
-  completes it (`stochastic._chain_test`), and a tuple it rules out reads
-  no row.
-- Edge sets, for the deterministic full kinds.  Comparing two pairs asks
-  one pair position to rank above another, so a deterministic tuple puts
-  at most one edge per action on the agent's positions; the candidates are
-  the orderings of the kind meeting those edges, and the first of them is
-  found by a walk over heads (`domains.first_ranks`): the first head that
-  the edges allow on top and after which the rest can still be completed
-  leads the block holding the lowest set bit `le` would name.  No `le`, and
-  no row, is made.
-Either way the row count comes from `domains.row_count` or the number of
-listed rows, so no `le` is built for it.
-
-The certificate needs two relations, and each kind hands the search the
-candidate form of the same two it hands `check_certificate`: `relations(index,
-le)` over row sets and, for the deterministic kind, `edge_relations(index,
-kind)` over a full kind's edge sets.  The search makes them once per agent,
-when a tied value first reaches a signature other than its own (see below),
-or, given `tuple_test`, when that test first passes a tuple, and only then
-builds the agent's `le`, if it has one; `index` maps the agent's pairs to
-columns.  The call returns `(beats_ii, beats_iii)`, each
-called as `beats(lhs, rhs, rows)` and returning the part of `rows` under
-which `lhs`, an (action, value) pair, beats `rhs`, empty (falsy) when no
-ordering is left.  Condition (ii) is `beats_ii((l, value), (r, value),
-every)` over every candidate; (iii) narrows those with `beats_iii((r, value
-at b), (x, value at b), rows)` rival by rival, in action order, and stops as
-soon as none remain.  The first ordering of what survives every rival is the
-witness.  That choice is made here (`_admissible`) and nowhere else.
+A tuple (agent, r, l, a, b) passing (i) is a witness when some admissible
+ordering meets (ii) and (iii); the search takes the canonically first such
+ordering, in one place (`_admissible`).  The candidates take one of two forms.
+- Rows, for explicit domains, which list their own orderings.  Row o ranks
+  the agent's pairs, in `env.pairs_for(agent)` order, as the o-th listed
+  ordering does; a row set is an int whose bit o stands for row o, read
+  through one matrix `le`, where `le[p][q]` holds the rows ranking column p
+  weakly above column q.  The kind hands the search `relations(index, le)`,
+  `index` mapping the agent's pairs to columns, which gives `(beats_ii,
+  beats_iii)`, each called as `beats(lhs, rhs, rows)` and returning the part
+  of `rows` under which `lhs`, an (action, value) pair, beats `rhs`.  (ii)
+  is `beats_ii((l, value), (r, value), every row)`, run once per tied value;
+  (iii) narrows what it leaves with `beats_iii((r, value at b), (x, value at
+  b), rows)`, rival by rival in action order, and stops once none remain.
+  The witness is the listed ordering of the lowest surviving row.
+- Walk states, for the full kinds, which are never listed.  The kind hands
+  the search `full(index, kind)`, which gives `(start, below)`: `start(r, l,
+  value, at_b)`, where `at_b` maps each action to its value at b, is the
+  first state of a walk over heads, or None when no ordering of the kind
+  meets (ii) and (iii) for the tuple; from that state, `domains.first_ranks`
+  takes at each depth the first head that `below` accepts, and so reaches
+  the canonically first ordering meeting both.  No row is made.
+Either way the ordering count comes from `domains.row_count` or the number
+of listed orderings, and the relations, rows or hook are made only at the
+agent's first tied value that reaches a signature other than its own.
 
 The scan is quotiented by sub-profile signatures.  Each agent's values are
 read lazily, in sub-profile order, and interned to small ints (so values
 must hash consistently with `==`); the signature of sub-profile b is the
 tuple of the codes of every action's value at b.  For fixed (r, l),
-condition (ii) depends on a only through the tied value, and the narrowing
-for (iii) depends on b only through its signature.  A b sharing a's
-signature never survives: there l's value is the tied one, and the search
-requires of each kind's relations that (iii) against a lottery never holds
-where (ii) for that lottery over it does (`search_witness` states this
-contract).  So whether some b completes a witness, and which b and row,
-depends on a only through the tied value, and each tied value is decided
-once per (r, l): at its first tie, a walk over the signatures in order of
-first index, skipping a's own, stops at the first whose rows survive, b
-being that signature's first index.  (ii) runs once, at the first
-signature the walk does not skip, so an agent whose sub-profiles all share
-one signature (a constant mechanism's, say) never has its rows built.  A
-value with no survivor is dead for every later a.  Given `tuple_test`, the
-walk asks it first at each signature, once per agent and (tied, anchor,
-l-rival) codes, and skips a signature it rules out, so (ii) and (iii) run
-only at the signature that gives the witness; a pass there with no
-surviving row raises InvariantViolation.
+condition (ii) depends on a only through the tied value, and (iii) depends
+on b only through its signature.  A b sharing a's signature never completes
+a witness: there l's value is the tied one, and each kind's comparisons meet
+the contract `search_witness` states.  So whether some b completes a
+witness, and which b and ordering, depends on a only through the tied
+value, and each tied value is decided once per (r, l): at its first tie, a
+walk over the signatures in order of first index, skipping a's own, stops at
+the first that completes it, b being that signature's first index.  An agent
+whose sub-profiles all share one signature (a constant mechanism's, say)
+never has anything built.  A value with no such signature is dead for every
+later a.
 """
 
 from __future__ import annotations
@@ -112,9 +84,8 @@ def search_witness(
     value_at: Callable[[int, str, SubProfile], object],
     domain_specs,
     relations: Callable,
+    full: Callable,
     cap: int | None = None,
-    edge_relations: Callable | None = None,
-    tuple_test: Callable | None = None,
 ) -> SearchResult:
     """Canonically first witness over the admissible orderings `domain_specs` resolve to.
 
@@ -122,47 +93,38 @@ def search_witness(
     then ordered pairs of distinct sub-profiles (a, b), then orderings in
     domain row order; it is walked by tied value and signature (see the
     module docstring), and values are read only as far as the walk reaches.
-    Rows are built only where the walk needs them.  A kind whose relations
-    compare single pairs also passes `edge_relations(index, kind)`, the
-    same two relations over a full kind's edge sets; its full-kind agents
-    then get no rows at all.  A kind may pass instead `tuple_test(index,
-    kind)`, giving `exists(value, anchor value, l-rival value)`, which says
-    whether some ordering of a full kind meets (ii) and (iii) for them;
-    its full-kind agents then get rows only for the witness.  An agent past
-    the cap gets no rows and a `None` count; CapExceeded is raised only at
-    its first tuple passing (i).
+    Explicit domains are searched through `relations(index, le)`, the full
+    kinds through `full(index, kind)`.  An agent past the cap gets nothing
+    built and a `None` count; CapExceeded is raised only at its first tuple
+    passing (i).
 
-    The walk requires the relations to meet one contract: for any
-    candidates `rows` and lotteries x and y, no candidate of `beats_ii(x,
-    y, rows)` survives `beats_iii(y, x, ...)`.  Strict preference for (ii)
+    The walk requires each kind's comparisons to meet one contract: no
+    ordering meets (ii) for a lottery x over a lottery y and (iii) for y
+    over x.  So for any candidates `rows`, no candidate of `beats_ii(x, y,
+    rows)` survives `beats_iii(y, x, ...)`, and `start` is None where l's
+    value at b is the tied one and r's is too.  Strict preference for (ii)
     meets it with weak or strict preference on the same ordering for (iii),
     and first-order stochastic dominance, being asymmetric, meets it as
     both.
     """
     specs = domains.resolve_domains(env, domain_specs)
-    views = [
-        _admissible(env, i, spec, cap, relations, edge_relations, tuple_test)
-        for i, spec in enumerate(specs)
-    ]
+    views = [_admissible(env, i, spec, cap, relations, full) for i, spec in enumerate(specs)]
     stats = {
         "agents": env.n,
         "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
         "sub_profiles": [math.prod(map(len, env.actions)) // len(acts) for acts in env.actions],
-        "orderings_per_agent": [view[0] for view in views],
+        "orderings_per_agent": [count for count, _ in views],
     }
-    for agent, (spec, acts, (count, narrowing, ordering_of, testing)) in enumerate(
-        zip(specs, env.actions, views)
-    ):
+    for agent, (spec, acts, (count, narrowing)) in enumerate(zip(specs, env.actions, views)):
         subs = tuple(sub_profiles(env, agent))  # per agent: a witness ends the search early
         pairs = env.pairs_for(agent)
-        beats_ii = beats_iii = None  # made at the agent's first rival signature
-        exists = None  # likewise, for a full kind given `tuple_test`
-        tested: dict[tuple[int, int, int], bool] = {}  # (tied, anchor, l-rival) codes -> exists
+        deciding = ordering_of = None  # made at the agent's first rival signature
         codes: dict = {}  # value -> its code, in order of first reading
         values: list = []  # code -> value
         sigs: list[tuple[int, ...]] = []  # the signature of each sub-profile read so far
         first: dict[tuple[int, ...], int] = {}  # signature -> its first index
         order: list[tuple[int, ...]] = []  # the distinct signatures, by first index
+        at: dict = {}  # signature -> each action's value there, made at its first visit
 
         def read() -> None:
             """Read the next sub-profile's signature: the code of each action's value there."""
@@ -195,7 +157,7 @@ def search_witness(
                         domains.check_full_domain(spec.kind, pairs, cap)
                     dead.add(code)  # decided at its first tie: a witness, or none at all
                     value = values[code]
-                    candidates = None  # what passes (ii), once a rival signature is reached
+                    decide = None  # decides a signature for this tied value, once one is reached
                     k = 0  # walk the signatures by first index, reading only once they run out
                     while k < len(order) or len(sigs) < len(subs):
                         if k == len(order):
@@ -205,33 +167,19 @@ def search_witness(
                         k += 1
                         if sig == sig_a:  # (iii) against (l, value) there undoes (ii)
                             continue
-                        if testing is not None:
-                            key = (code, sig[ri], sig[li])
-                            if key not in tested:
-                                exists = exists or testing()
-                                tested[key] = exists(value, values[sig[ri]], values[sig[li]])
-                            if not tested[key]:  # no ordering gives a witness: no rows, no (ii)
-                                continue
-                        if candidates is None:
-                            if beats_ii is None:
-                                every, beats_ii, beats_iii = narrowing()
-                            candidates = beats_ii((l, value), (r, value), every)
-                            if not candidates and testing is None:
+                        if decide is None:
+                            if deciding is None:
+                                deciding, ordering_of = narrowing()
+                            decide = deciding(r, l, value)
+                            if decide is None:  # (ii) fails whatever b is
                                 break
-                        anchor = (r, values[sig[ri]])
-                        rows = candidates
-                        for xi, x in enumerate(acts):
-                            if xi != ri and rows:
-                                rows = beats_iii(anchor, (x, values[sig[xi]]), rows)
-                        if rows:
+                        if sig not in at:
+                            at[sig] = {x: values[c] for x, c in zip(acts, sig)}
+                        found = decide(at[sig])
+                        if found:
                             b = subs[first[sig]]
                             return SearchResult(
-                                BAWitness(agent, r, l, a, b, ordering_of(rows)), stats
-                            )
-                        if testing is not None:
-                            raise InvariantViolation(
-                                f"the tuple test passed agent {agent}'s ({r!r}, {l!r}) at "
-                                f"sub-profiles {a!r} and {subs[first[sig]]!r}, but no row survives"
+                                BAWitness(agent, r, l, a, b, ordering_of(found)), stats
                             )
     return SearchResult(None, stats)
 
@@ -242,28 +190,22 @@ def _admissible(
     spec: DomainSpec,
     cap: int | None,
     relations: Callable,
-    edge_relations: Callable | None,
-    tuple_test: Callable | None,
+    full: Callable,
 ) -> tuple:
-    """(row count, thunk making (every, beats_ii, beats_iii), ordering of survivors, test thunk).
+    """(ordering count, thunk making (deciding, ordering of a found candidate set)).
 
-    `every` is every candidate; the test thunk makes the tuple test, or is
-    None where the walk asks none.
+    `deciding(r, l, value)` is called once per tied value: it gives
+    `decide(at_b)`, which returns the candidates meeting (ii) and (iii) at
+    a signature, empty (falsy) when none does, or None when (ii) alone
+    already fails.  The canonically first candidate is the witness ordering,
+    chosen here and nowhere else: over an explicit domain's rows, the listed
+    ordering of the lowest set bit; over a full kind's walk state, the
+    ordering the walk over heads (`domains.first_ranks`) completes.
 
     Everything that can reject the domain runs here, at search start: the
     cap and type checks of a full kind, and the reading of an explicit
-    domain's rank vectors.  The relations, and any rows, wait for the walk
-    to need them.  The canonically first ordering that survives is the
-    witness, chosen here and nowhere else.  Over rows it is the lowest set
-    bit: an explicit domain's rows are its listed orderings, so that row's
-    ordering is the listed one; a full kind's row is rebuilt from its ranks,
-    read from `le` (`_row_ranks`).  Given `edge_relations`, a full kind's
-    "rows" are the edges a tuple has put on the agent's pair positions,
-    starting from none, and the walk over heads (`domains.first_ranks`)
-    finds the first ordering that meets them, with no `le`.  Otherwise, given
-    `tuple_test`, a full kind's walk asks `tuple_test(index, kind)` about a
-    tuple before its rows, which are then built only for the witness.
-    Past the cap all four are None: no rows.
+    domain's rank vectors.  The relations, rows and hook wait for the walk
+    to need them.  Past the cap both are None.
     """
     pairs = env.pairs_for(agent)
     n = len(pairs)
@@ -275,49 +217,39 @@ def _admissible(
     if kind is DomainKind.EXPLICIT:
         # looked up on the module so that a wrapper installed there sees every explicit table
         table = domains.domain_rank_vectors(env, agent, spec, cap)
-        return (
-            len(table),
-            lambda: ((1 << len(table)) - 1, *relations(index(), _row_sets(table, n))),
-            lambda rows: spec.orderings[_lowest(rows)],
-            None,
-        )
+
+        def narrowing() -> tuple:
+            beats_ii, beats_iii = relations(index(), _row_sets(table, n))
+            every = (1 << len(table)) - 1
+
+            def narrow(rows: int, r: str, at_b: dict) -> int:
+                anchor = (r, at_b[r])
+                for x, value in at_b.items():
+                    if x != r and rows:
+                        rows = beats_iii(anchor, (x, value), rows)
+                return rows
+
+            def deciding(r: str, l: str, value) -> Callable | None:
+                rows = beats_ii((l, value), (r, value), every)
+                return functools.partial(narrow, rows, r) if rows else None
+
+            return deciding, lambda rows: spec.orderings[(rows & -rows).bit_length() - 1]
+
+        return len(table), narrowing
     try:
         domains.check_full_domain(kind, pairs, cap)
     except CapExceeded:
-        return None, None, None, None
-    count = domains.row_count(n, kind)
-    if edge_relations is not None:
-        return (
-            count,
-            lambda: ((), *edge_relations(index(), kind)),
-            lambda edges: Ordering.from_ranks(agent, pairs, domains.first_ranks(n, edges, kind)),
-            None,
-        )
-    return (
-        count,
-        lambda: ((1 << count) - 1, *relations(index(), _shared_row_sets(n, kind))),
-        lambda rows: Ordering.from_ranks(
-            agent, pairs, _row_ranks(_shared_row_sets(n, kind), _lowest(rows))
-        ),
-        tuple_test and (lambda: tuple_test(index(), kind)),
-    )
+        return None, None
 
+    def walking() -> tuple:
+        start, below = full(index(), kind)
 
-def _lowest(rows: int) -> int:
-    """The index of the lowest set bit: the canonically first row of a row set."""
-    return (rows & -rows).bit_length() - 1
+        def ordering_of(state) -> Ordering:
+            return Ordering.from_ranks(agent, pairs, domains.first_ranks(n, state, kind, below))
 
+        return lambda r, l, value: functools.partial(start, r, l, value), ordering_of
 
-def _row_ranks(le: list[list[int]], o: int) -> list[int]:
-    """Row o's rank vector: column p's class index, read from bit o of `le`.
-
-    The columns at or above p number the pairs in p's class and every better
-    one, so these counts, distinct and sorted, are the classes in order.
-    """
-    bit = 1 << o
-    above = [sum([1 for q_le_p in column if q_le_p & bit]) for column in zip(*le)]
-    classes = {count: k for k, count in enumerate(sorted(set(above)))}
-    return [classes[count] for count in above]
+    return domains.row_count(n, kind), walking
 
 
 def _row_sets(table, n: int) -> list[list[int]]:
@@ -331,38 +263,6 @@ def _row_sets(table, n: int) -> list[list[int]]:
         [int("0" + "".join("1" if rv[p] <= rv[q] else "0" for rv in rows), 2) for q in range(n)]
         for p in range(n)
     ]
-
-
-@functools.cache
-def _shared_row_sets(n: int, kind: DomainKind) -> list[list[int]]:
-    """`le` of the full domain of `kind` over n positions, built block by block from its heads.
-
-    The rows whose first class is a head H form one contiguous block: for p
-    in H, le[p][q] holds the whole block; for q in H and p outside it,
-    none of it; for p and q both outside H, the tail's own `le`, shifted to
-    the block's offset.  So le[p][q] is `above[p]`, the blocks whose head
-    holds p, joined with the tail parts: each head adds its block once per
-    position it holds.  Tails are memoized here too, so no row is made.
-    Heads of one size lead blocks of one length, counted once per size.
-    """
-    above = [0] * n
-    le = [[0] * n for _ in range(n)]
-    offset = size = 0
-    for head, tail in domains.heads(range(n), kind):
-        if len(head) != size:
-            size = len(head)
-            count = domains.row_count(n - size, tail)
-            rows = (1 << count) - 1
-        block = rows << offset
-        for p in head:
-            above[p] |= block
-        rest = [p for p in range(n) if p not in head]
-        for tail_p, p in zip(_shared_row_sets(len(rest), tail), rest):
-            row = le[p]
-            for tail_pq, q in zip(tail_p, rest):
-                row[q] |= tail_pq << offset
-        offset += count
-    return [[mask | tails for tails in row] for mask, row in zip(above, le)]
 
 
 def check_certificate(

@@ -9,28 +9,26 @@ somewhere.
 
 `phi` is the reference definition in `Fraction` arithmetic; `fsd` compares
 its differences as integer prefix sums over the ordering's classes, and every
-witness is re-checked with it.  The anomaly search reads neither them nor
-rank vectors: `_fsd_relations` sums integer masses by pair column and
-partitions all rows at once with the shared `le` row sets, in O(k^2 *
+witness is re-checked with it.  The anomaly search reads neither.  Over an
+explicit domain, `_fsd_relations` sums integer masses by pair column and
+partitions all listed rows at once with the `le` row sets, in O(k^2 *
 min(rows, distinct sums)) big-int operations for k mass-carrying columns.
-A `Distribution` hashes consistently with equality, so the search interns
-each agent's distributions and decides each tied distribution once per
-action pair: one (ii) call, then (iii) at most once per signature (the
-distributions of every action at a sub-profile) other than the tie's own.
-That relies on dominance being asymmetric, the contract
-`search.search_witness` states.  On a full kind the search first asks
-`_chain_test`, which decides from the tied distribution, the anchor's and
-the l-rival's alone, as a chain over pairs of outcome sets, whether some
-ordering of the kind completes the tuple; only the tuple that gives the
-witness reaches the rows.  Under `strict`, totally mixed tied and l-rival
-distributions fail the chain's first step (the dominance dichotomy), so a
-completely mixed mechanism is found NBA with no row built.  Explicit
-domains are searched over their rows alone.
+Over a full kind no row is made: `_chain_walk` decides each tuple from the
+tied distribution and each action's distribution at b, as a chain over
+pairs of outcome sets, and finds the witness ordering by the walk over
+heads, placing masses class by class.  Under `strict`, totally mixed tied
+and l-rival distributions fail the chain's first step (the dominance
+dichotomy), so a completely mixed mechanism is found NBA at once.  A
+`Distribution` hashes consistently with equality, so the search interns
+each agent's distributions and the chain test memoizes its answers by them.
+Each tied distribution is decided once per action pair, which relies on
+dominance being asymmetric, the contract `search.search_witness` states.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from enum import Enum
@@ -76,9 +74,10 @@ class Distribution(Value):
     once and keeps `scale`, the least common denominator, and `weights`, the
     (outcome, probability * scale) pairs of nonzero mass, so the sign and
     sum checks and `fsd` run on ints.  A `Fraction` is kept in lowest terms,
-    so equal distributions have equal scales and weights, and hashing those
-    avoids `Fraction.__hash__`, which runs in Python.  That lets the search
-    intern each agent's distributions to small ints.
+    so equal distributions have equal scales and weights, and hashing those,
+    once at construction, avoids `Fraction.__hash__`, which runs in Python.
+    That lets the search intern each agent's distributions and the chain
+    test memoize its answers by distribution.
     """
 
     _fields = ("probs",)
@@ -101,9 +100,10 @@ class Distribution(Value):
         set_field(self, "probs", MappingProxyType(probs))
         set_field(self, "scale", scale)
         set_field(self, "weights", weights)
+        set_field(self, "_hash", hash(frozenset(weights)))
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.weights))
+        return self._hash
 
     def __reduce__(self):  # a mappingproxy does not pickle or deep-copy; rebuild from a dict
         return Distribution, (dict(self.probs),)
@@ -332,19 +332,20 @@ def _fsd_relations(index: Mapping[Pair, int], le):
     return beats, beats
 
 
-def _chain_test(index: Mapping[Pair, int], kind: DomainKind):
-    """`exists(A, B_r, B_l)`: whether some ordering of a full `kind` meets (ii) and (iii).
+def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
+    """(start, below) for a full kind's walk over heads, decided with no row by a chain test.
 
-    The answer reads no row.  Fix actions r != l, a tied distribution A =
-    g(r, a) = g(l, a), the anchor's B_r = g(r, b) and the l-rival's B_l =
-    g(l, b).  A point is a pair (L, R) of outcome sets; it stands for the
-    upper-contour set holding the l-pairs over L and the r-pairs over R.
+    Fix actions r != l, a tied distribution A = g(r, a) = g(l, a), and each
+    action x's distribution B_x = g(x, b) at b.  A point is a pair (L, R) of
+    outcome sets; it stands for the upper-contour set holding the l-pairs
+    over L and the r-pairs over R.
 
-    Claim: such an ordering exists iff a chain of points from ({}, {}) to
-    (Z, Z), each step growing L or R or both, has A(L) >= A(R) and B_r(R) >=
-    B_l(L) at every point, A(L) > A(R) at some point and B_r(R) > B_l(L) at
-    some point (`fsd` is strict dominance), where under `strict` each step
-    adds one outcome to L or to R.  The other rivals never matter.
+    Claim: some ordering of a full `kind` meets (ii) and (iii) iff a chain
+    of points from ({}, {}) to (Z, Z), each step growing L or R or both, has
+    A(L) >= A(R) and B_r(R) >= B_l(L) at every point, A(L) > A(R) at some
+    point and B_r(R) > B_l(L) at some point (`fsd` is strict dominance),
+    where under `strict` each step adds one outcome to L or to R, and under
+    `weak_only` some class has two pairs or more.
 
     Proof.  Only if: (ii), and (iii) against l, read only the pairs {r, l} x
     Z.  The upper-contour set at any target, restricted to them, is a union
@@ -355,34 +356,56 @@ def _chain_test(index: Mapping[Pair, int], kind: DomainKind):
     (iii) against l then hold as the chain says.  (iii) holds against any
     other rival x: at a target in {r, l} x Z the rival's pairs above it carry
     no mass, at one of x's pairs the r-pairs above it carry all of B_r, and
-    at the last class of {r, l} x Z that is 1 against 0.  Under `weak_only`
-    the ordering also needs a class of two or more pairs, and needs no other
-    step rule: the points with a strict inequality make a chain of at most
-    three steps, so over 2m >= 4 pairs one step adds two; with one outcome
-    no chain exists, since A(L) > A(R) needs L = Z and R = {}, and B_r(R) >
-    B_l(L) the reverse, which are not comparable.
+    at the last class of {r, l} x Z that is 1 against 0.
+
+    The walk places classes best first.  Its state holds each action's
+    placed outcomes (L for l, R for r) and which strict inequalities held
+    at a class boundary so far: (ii)'s, and (iii)'s against each rival.
+    `below` places a head and rejects it at once if a difference at the new
+    boundary is negative; otherwise some ordering completes the placed
+    classes iff the same argument, run from (L, R), holds:
+    - every rival x other than l not yet strictly beaten still has some B_x
+      mass unplaced (below the chain's end, B_r is whole);
+    - a chain from (L, R) reaches (Z, Z) through a point for each strict
+      inequality of (ii), and of (iii) against l, not met yet;
+    - under a `weak_only` tail, some class of two or more pairs is left: two
+      other-action pairs are unplaced (they share the last class), or a
+      chain step adds two pairs or more, or exactly one other-action pair
+      is unplaced and joins a nonempty chain's last class.
+    The classes placed under a `weak_only` tail are single pairs, so each
+    boundary so far was an equality for each inequality not met yet.  So a
+    rival not yet beaten has no mass placed, and the chain's point with
+    B_r(R) > B_l(L) beats it before its last pair is placed.  And a step
+    adds two pairs or more iff the {r, l} pairs left outnumber the steps of
+    a shortest chain, one more than the inequalities not met yet: with both
+    unmet and three pairs left, no one point meets both, as one of l and r
+    has a single outcome left, carrying all of its remaining mass.
+    `start` runs the test at the origin, where it reads only A, B_r and B_l,
+    so it is memoized per agent by them.  Under `strict`, totally mixed A
+    and B_l give no first step (an r-step breaks (ii), an l-step (iii)): the
+    dominance dichotomy, decided before any point is made.
 
     Points are the bits of an int, (L, R) being bit L + R * 2^m for outcome
-    masks L and R, and masses are integers, as `_class_terms` makes them.  A
-    chain then exists iff the end is reached from the origin through a point
-    of each strict inequality, in one order or the other.  Under `strict` a
-    reach takes single steps through points meeting both inequalities; under
-    the other kinds it takes any such point above, so there the test asks
-    for two comparable points.  Under `strict`, totally mixed A and B_l give
-    no first step (an r-step breaks (ii), an l-step (iii)): the dominance
-    dichotomy, decided before any point is made.
+    masks L and R, and masses are integers over one scale.  A chain through
+    some points exists iff the end is reached from the start through each,
+    in some order.  Under `strict` a reach takes single steps through points
+    meeting both inequalities; under the other kinds it takes any such point
+    above.
     """
     outcomes = tuple(dict.fromkeys(z for _, z in index))
     size = 1 << len(outcomes)
     end = size * size - 1
+    column = [None] * len(index)  # column -> (action, its outcome's bit)
+    for (x, z), c in index.items():
+        column[c] = (x, 1 << outcomes.index(z))
     # per outcome of L, then of R: (shift adding it, the points lacking it); bit c of
     # a point's index is clear in runs of 2^c, a repunit in base 2^(2^(c+1)) times 2^(2^c) - 1
     steps = [
         (1 << c, ((1 << (1 << c)) - 1) * ((1 << (end + 1)) - 1) // ((1 << (2 << c)) - 1))
         for c in range(2 * len(outcomes))
     ]
-    strict = kind is DomainKind.STRICT
     vectors: dict = {}  # distribution -> its mass on each outcome set, at its own scale
+    tested: dict = {}  # (tied, anchor, l-rival) -> whether some ordering completes them
 
     def masses(dist: Distribution) -> list[int]:
         sums = vectors.get(dist)
@@ -395,17 +418,60 @@ def _chain_test(index: Mapping[Pair, int], kind: DomainKind):
             vectors[dist] = sums
         return sums
 
-    def exists(tied: Distribution, anchor: Distribution, rival: Distribution) -> bool:
-        if strict and is_totally_mixed(tied) and is_totally_mixed(rival):
+    def reach(points: int, valid: int, strict: bool) -> int:
+        if not strict:
+            for shift, lacking in steps:
+                points |= (points & lacking) << shift
+            return points & valid
+        while True:
+            grown = points
+            for shift, lacking in steps:
+                grown |= (grown & lacking) << shift & valid
+            if grown == points:
+                return points
+            points = grown
+
+    def through(point: int, needs: list[int], valid: int, strict: bool) -> bool:
+        """Whether a chain from `point` reaches the end through a point of each of `needs`."""
+        for order in itertools.permutations(needs):
+            points = reach(point, valid, strict)
+            for need in order:
+                points = reach(points & need, valid, strict)
+            if points >> end & 1:
+                return True
+        return False
+
+    def completes(state: tuple, k: int, tail: DomainKind) -> bool:
+        """Whether some ordering of `tail` over the k positions left completes `state`."""
+        (r, l, a, mass, valid, a_more, b_more), placed, ii, beaten = state
+        whole = mass[r][-1]
+        if any(x not in beaten and mass[x][placed[x]] == whole for x in placed if x not in (r, l)):
             return False
+        needs = ([] if ii else [a_more]) + ([] if l in beaten else [b_more])
+        lefts, rights = placed[l], placed[r]
+        point = 1 << (lefts | rights * size)
+        if not through(point, needs, valid, tail is DomainKind.STRICT):
+            return False
+        pairs = 2 * len(outcomes) - bin(lefts).count("1") - bin(rights).count("1")
+        others = k - pairs  # unplaced pairs of the other actions
+        if tail is not DomainKind.WEAK_ONLY or others >= 2 or pairs > 1 + len(needs):
+            return True
+        return others == 1 and pairs > 0
+
+    def start(r: str, l: str, tied: Distribution, at_b: Mapping[str, Distribution]):
+        if kind is DomainKind.STRICT and is_totally_mixed(tied) and is_totally_mixed(at_b[l]):
+            return None
+        key = (tied, at_b[r], at_b[l])
+        known = tested.get(key)
+        if known is False:
+            return None
+        scale = math.lcm(*(dist.scale for dist in at_b.values()))
+        mass = {x: [s * (scale // dist.scale) for s in masses(dist)] for x, dist in at_b.items()}
         a = masses(tied)
-        scale = math.lcm(anchor.scale, rival.scale)
-        right = [s * (scale // anchor.scale) for s in masses(anchor)]
-        left = [s * (scale // rival.scale) for s in masses(rival)]
         valid = a_more = b_more = 0
         bit = 1
-        for a_r, b_r in zip(a, right):
-            for a_l, b_l in zip(a, left):
+        for a_r, b_r in zip(a, mass[r]):
+            for a_l, b_l in zip(a, mass[l]):
                 if a_l >= a_r and b_r >= b_l:
                     valid |= bit
                     if a_l > a_r:
@@ -413,26 +479,28 @@ def _chain_test(index: Mapping[Pair, int], kind: DomainKind):
                     if b_r > b_l:
                         b_more |= bit
                 bit <<= 1
+        tie = (r, l, a, mass, valid, a_more, b_more)
+        state = tie, dict.fromkeys(at_b, 0), False, frozenset()  # nothing placed yet
+        if known is None:
+            tested[key] = known = completes(state, len(column), kind)
+        return state if known else None
 
-        def reach(points: int) -> int:
-            if not strict:
-                for shift, lacking in steps:
-                    points |= (points & lacking) << shift
-                return points & valid
-            while True:
-                grown = points
-                for shift, lacking in steps:
-                    grown |= (grown & lacking) << shift & valid
-                if grown == points:
-                    return points
-                points = grown
+    def below(head: tuple[int, ...], state: tuple, k: int, tail: DomainKind):
+        tie, placed, ii, beaten = state
+        r, l, a, mass = tie[:4]
+        placed = dict(placed)
+        for c in head:
+            x, bit = column[c]
+            placed[x] |= bit
+        lefts, rights = placed[l], placed[r]
+        top = mass[r][rights]
+        if a[lefts] < a[rights] or any(mass[x][placed[x]] > top for x in placed if x != r):
+            return None
+        beaten = beaten | {x for x in placed if x != r and mass[x][placed[x]] < top}
+        state = (tie, placed, ii or a[lefts] > a[rights], beaten)
+        return state if completes(state, k, tail) else None
 
-        first = reach(1)
-        return any(
-            reach(reach(first & x) & y) >> end & 1 for x, y in ((a_more, b_more), (b_more, a_more))
-        )
-
-    return exists
+    return start, below
 
 
 def search_prob_ba_witness(
@@ -447,9 +515,7 @@ def search_prob_ba_witness(
     first-order stochastic dominance.  The search order is that of
     `search.search_witness`.
     """
-    return search_witness(
-        mech.env, mech.dist_at, domains, _fsd_relations, cap, tuple_test=_chain_test
-    )
+    return search_witness(mech.env, mech.dist_at, domains, _fsd_relations, _chain_walk, cap)
 
 
 def find_prob_ba_witness(
@@ -527,8 +593,14 @@ def _mixed(outcomes: tuple[str, ...], ks: tuple[int, ...]) -> Distribution:
 
 
 def random_completely_mixed_mechanism(env: Environment, rng: random.Random) -> ProbMechanism:
-    table = {profile: random_totally_mixed(env.outcomes, rng) for profile in enumerate_profiles(env)}
-    return ProbMechanism(env, table)
+    """Each profile draws one of two seeded totally mixed distributions.
+
+    Distributions repeat across profiles, so actions tie (condition (i))
+    and a search reaches its dominance tests; independent draws from the
+    11^m weight vectors almost never tie.
+    """
+    palette = [random_totally_mixed(env.outcomes, rng) for _ in range(2)]
+    return ProbMechanism(env, {profile: rng.choice(palette) for profile in enumerate_profiles(env)})
 
 
 # --- JSON ------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from exmech.model import (
     DomainSpec,
     env_from_json,
     enumerate_profiles,
+    sub_profiles,
     witness_from_json,
 )
 from exmech.queueing import QueueingParams, parse_fraction
@@ -612,6 +614,38 @@ def test_mixed_claim_fails_on_mechanisms_that_are_not_completely_mixed(monkeypat
     result = claim_mixed_mechanisms_avoid_anomaly(count=3)
     assert not result.passed
     assert "3 not completely mixed" in result.detail
+
+
+def test_mixed_claim_reaches_the_dominance_tests(monkeypatch):
+    # most mechanisms must tie somewhere (condition (i)) at a sub-profile
+    # whose signature another sub-profile does not share, so that the search
+    # decides a dominance question for them
+    seen = []
+    find = verify.find_prob_ba_witness
+
+    def recorded(mech, *args, **kwargs):
+        seen.append(mech)
+        return find(mech, *args, **kwargs)
+
+    def reaches_a_rival_signature(mech):
+        env = mech.env
+        for agent in range(env.n):
+            acts = env.actions[agent]
+            subs = list(sub_profiles(env, agent))
+            sig = {b: tuple(mech.dist_at(agent, x, b) for x in acts) for b in subs}
+            for r, l in itertools.permutations(acts, 2):
+                for a in subs:
+                    tied = mech.dist_at(agent, r, a) == mech.dist_at(agent, l, a)
+                    if tied and any(sig[b] != sig[a] for b in subs):
+                        return True
+        return False
+
+    monkeypatch.setattr(verify, "find_prob_ba_witness", recorded)
+    result = claim_mixed_mechanisms_avoid_anomaly()
+    assert result.passed
+    assert result.detail == "200/200 seeded mechanisms witness-free under strict domains"
+    assert len(seen) == 200
+    assert sum(map(reaches_a_rival_signature, seen)) > len(seen) // 2
 
 
 def test_verify_seed_does_not_change_verdicts():

@@ -42,7 +42,7 @@ from exmech.model import (
     sub_profiles,
 )
 from exmech.queueing import QueueingParams, clinic_revenue, QueueingOutcome
-from exmech.search import _row_sets, _shared_row_sets
+from exmech.search import _row_sets
 
 from test_search import assert_relations_match
 
@@ -269,7 +269,8 @@ FULL_TABLE_SIZES.append((6, DomainKind.STRICT))
     "n, kind", FULL_TABLE_SIZES, ids=lambda v: v.value if isinstance(v, DomainKind) else str(v)
 )
 def test_rank_kernel_matches_row_wise_reference_on_full_tables(n, kind):
-    assert_rank_relations_match(rank_table(n, kind), n, _shared_row_sets(n, kind))
+    table = rank_table(n, kind)
+    assert_rank_relations_match(table, n, _row_sets(table, n))
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 28))
@@ -307,10 +308,6 @@ def test_rank_kernel_single_row_table():
     assert _rank_relations(index, tied, False)[1](x0, x1, 1) == 1
     assert _rank_relations(index, tied, True)[1](x0, x1, 1) == 0
     assert _rank_relations(index, tied, True)[1](x0, x2, 1) == 1
-
-
-def test_full_row_sets_are_shared():
-    assert _shared_row_sets(4, DomainKind.WEAK_ONLY) is _shared_row_sets(4, DomainKind.WEAK_ONLY)
 
 
 # --- witness domain membership ---------------------------------------------------

@@ -15,9 +15,11 @@ from exmech.domains import (
     classical_orderings,
     domain_orderings,
     domain_rank_vectors,
+    edges_below,
     enumerate_strict_orderings,
     enumerate_weak_only_orderings,
     enumerate_weak_orderings,
+    first_ranks,
     indifferent_ordering,
     is_classical,
     is_separable,
@@ -28,7 +30,6 @@ from exmech.domains import (
 from exmech.errors import CapExceeded, NotQueueingEnvironment, UnknownPair
 from exmech.model import DomainKind, DomainSpec, Environment, Ordering
 from exmech.queueing import QueueingParams, clinic_revenue, material_payoff, queueing_outcomes_of
-from exmech.search import _row_ranks, _shared_row_sets
 from exmech.verify import GRID_SWEEP, THETA_SWEEP
 
 
@@ -400,7 +401,7 @@ def test_domain_kind_caches_hit_when_the_kind_is_looked_up_by_value():
     kind = DomainKind("strict")
     assert DomainKind.__hash__ is object.__hash__ and kind is DomainKind.STRICT
     assert {DomainKind.STRICT: "strict"}[kind] == "strict"
-    for cached in (row_count, _shared_row_sets):
+    for cached in (row_count, rank_table):
         cached(5, DomainKind.STRICT)
         before = cached.cache_info()
         cached(5, kind)
@@ -417,11 +418,19 @@ def test_rank_table_matches_the_frozen_generator(n, kind):
 @pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_unrank_finds_every_row_of_the_rank_table(n, kind):
-    # a search reads its witness row back from the shared row sets, not the table
+    # a search finds its witness ordering by the walk over heads, not from the
+    # table: given every order between positions that a row states, the walk
+    # must return that row
     table = rank_table(n, kind)
-    le = _shared_row_sets(n, kind)
-    assert row_count(n, kind) == len(table) == le[0][0].bit_length()
-    assert [tuple(_row_ranks(le, o)) for o in range(len(table))] == list(table)
+    assert row_count(n, kind) == len(table)
+    for ranks in table:
+        edges = [
+            (p, q, ranks[p] < ranks[q])
+            for p in range(n)
+            for q in range(n)
+            if p != q and ranks[p] <= ranks[q]
+        ]
+        assert tuple(first_ranks(n, edges, kind, edges_below)) == ranks
 
 
 @functools.cache

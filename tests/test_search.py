@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from exmech import domains, search, stochastic
 from exmech.deterministic import (
     DetMechanism,
-    _edge_relations,
+    _edge_walk,
     _rank_relations,
     build_groves_queueing,
     build_majority_referendum,
@@ -53,7 +53,7 @@ from exmech.queueing import QueueingParams
 from exmech.stochastic import (
     Distribution,
     ProbMechanism,
-    _chain_test,
+    _chain_walk,
     _fsd_relations,
     build_mixed_counterexample,
     counterexample_preference,
@@ -123,6 +123,41 @@ def first_valid_witness(mech, domains, validate):
                     continue
                 return witness
     return None
+
+
+@functools.cache
+def full_rows(n, kind):
+    """(rank table, `le`) of a full kind over n positions, `le` by its definition."""
+    table = rank_table(n, kind)
+    return table, search._row_sets(table, n)
+
+
+def listed(env, specs, cap=None):
+    """`specs` with each full-kind agent within the cap given an explicit domain
+    listing every ordering of its kind in rank-table order; the rest, and a
+    kind with no ordering (`weak_only` over one pair), unchanged.
+
+    The row path, searched over these, is the oracle of the full kinds' walk.
+    """
+    resolved = resolve_domains(env, specs)
+    for agent, spec in enumerate(resolved):
+        if spec.kind is not DomainKind.EXPLICIT:
+            pairs = env.pairs_for(agent)
+            try:
+                domains.check_full_domain(spec.kind, pairs, cap)
+            except CapExceeded:
+                continue
+            if domains.row_count(len(pairs), spec.kind):
+                explicit = listing(agent, pairs, spec.kind)
+                resolved = (*resolved[:agent], explicit, *resolved[agent + 1 :])
+    return resolved
+
+
+@functools.cache
+def listing(agent, pairs, kind):
+    """The explicit domain of every ordering of a full kind over an agent's pairs."""
+    table = rank_table(len(pairs), kind)
+    return DomainSpec.explicit(domains.table_orderings(agent, pairs, table))
 
 
 @pytest.mark.parametrize("strict_iii", (False, True))
@@ -267,6 +302,22 @@ def test_probabilistic_search_equals_oracle_on_random_mechanisms(explicit, data)
     )
 
 
+@pytest.mark.parametrize("prob", (False, True), ids=("det", "prob"))
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_full_kind_search_equals_the_search_over_its_listed_orderings(prob, data):
+    # the explicit domain's row path, over every ordering of the kind in
+    # rank-table order, is the oracle of the walk: same witness, same stats
+    mech, kind = data.draw(prob_cases(False) if prob else det_cases(False))
+    explicit = listed(mech.env, kind)
+    if prob:
+        assert search_prob_ba_witness(mech, kind) == search_prob_ba_witness(mech, explicit)
+        return
+    for strict_iii in (False, True):
+        expected = search_ba_witness(mech, explicit, strict_iii=strict_iii)
+        assert search_ba_witness(mech, kind, strict_iii=strict_iii) == expected
+
+
 # --- full-domain row sets -----------------------------------------------------------
 
 ROW_SET_SIZES = [(n, kind) for kind in FULL_KINDS for n in range(1, 7)]
@@ -277,7 +328,13 @@ ROW_SET_SIZES.append((7, DomainKind.STRICT))
     "n, kind", ROW_SET_SIZES, ids=lambda v: v.value if isinstance(v, DomainKind) else str(v)
 )
 def test_full_row_sets_equal_those_of_the_rank_table(n, kind):
-    assert search._shared_row_sets(n, kind) == search._row_sets(rank_table(n, kind), n)
+    # the oracle lists a full kind's orderings as an explicit domain: its rows
+    # and its `le` are the rank table's
+    env = Environment.create((tuple(f"x{k}" for k in range(n)), ("b0",)), ("z",))
+    table = domains.domain_rank_vectors(env, 0, listed(env, kind)[0])
+    assert table == rank_table(n, kind)
+    le = search._row_sets(table, n)
+    assert le[0][0].bit_length() == domains.row_count(n, kind)
 
 
 def test_search_never_builds_a_rank_table(monkeypatch):
@@ -287,7 +344,6 @@ def test_search_never_builds_a_rank_table(monkeypatch):
     expected = {k: first_valid_witness(referendum, k, validate_witness) for k in FULL_KINDS}
     wide = Environment.create((tuple(f"x{k}" for k in range(7)), ("b0",)), ("z",))
     wide_constant = DetMechanism(wide, {p: "z" for p in enumerate_profiles(wide)})
-    search._shared_row_sets.cache_clear()  # a warm cache would hide a rank-table build
 
     def no_rank_table(n, kind):
         raise AssertionError(f"rank_table({n}, {kind}) built during a search")
@@ -309,30 +365,34 @@ def test_search_never_builds_a_rank_table(monkeypatch):
 
 
 def assert_walk_equals_rows(pairs, kind, strict_iii, r, l, z, at_b):
-    """Narrow one deterministic tuple as edges and as rows, step by step as the search does.
+    """Decide one deterministic tuple by the walk and by the rank table's rows.
 
     The tuple ties r and l at z and has each action x give `at_b[x]` at b.
-    After (ii) and after each rival of (iii), the edge set must be
-    completable exactly when rows of `search._shared_row_sets` survive; at
-    the end the walk's ranks must be the lowest surviving row's
-    (`search._row_ranks`).  Returns whether the tuple is a witness.
+    After (ii) and after each rival of (iii), the edges so far must be
+    completable exactly when rows of the rank table survive; the walk's
+    start must keep the edges exactly when rows survive them all, and the
+    walk's ranks must then be the lowest surviving row's.  Returns whether
+    the tuple is a witness.
     """
     index = {pair: k for k, pair in enumerate(pairs)}
-    le = search._shared_row_sets(len(pairs), kind)
+    table, le = full_rows(len(pairs), kind)
     by_rows = _rank_relations(index, le, strict_iii)
-    by_edges = _edge_relations(index, kind, strict_iii)
     steps = [(0, (l, z), (r, z))]
     steps += [(1, (r, at_b[r]), (x, at_b[x])) for x in at_b if x != r]
-    rows, edges = le[0][0], ()
+    rows, edges = le[0][0], []
     for which, lhs, rhs in steps:
         rows = by_rows[which](lhs, rhs, rows)
-        edges = by_edges[which](lhs, rhs, edges)
-        assert bool(edges) == bool(rows)
+        edges.append((index[lhs], index[rhs], which == 0 or strict_iii))
+        assert domains.completable(len(pairs), edges, kind) == bool(rows)
         if not rows:
-            return False
-        assert domains.completable(len(pairs), edges, kind)
+            break
+    start, below = _edge_walk(index, kind, strict_iii)
+    state = start(r, l, z, at_b)
+    assert state == (edges if rows else None)
+    if not rows:
+        return False
     lowest = (rows & -rows).bit_length() - 1
-    assert domains.first_ranks(len(pairs), edges, kind) == search._row_ranks(le, lowest)
+    assert tuple(domains.first_ranks(len(pairs), state, kind, below)) == table[lowest]
     return True
 
 
@@ -360,9 +420,7 @@ def test_walk_equals_the_lowest_row_on_every_tuple(kind, strict_iii):
     # one outcome: r and l tie again at b, so no tuple is a witness
     assert found[2, 1] == found[6, 1] == 0 < found[3, 2]
     # two pairs under weak_only: the one row ties them, so not even (ii) holds
-    index = {("x0", "z0"): 0, ("x1", "z0"): 1}
-    protest = _edge_relations(index, kind, strict_iii)[0](("x1", "z0"), ("x0", "z0"), ())
-    assert (protest is None) == (kind is DomainKind.WEAK_ONLY)
+    assert domains.completable(2, [(1, 0, True)], kind) == (kind is not DomainKind.WEAK_ONLY)
 
 
 @given(data=st.data())
@@ -382,8 +440,7 @@ def test_walk_equals_the_lowest_row_on_random_tables(data):
                     if at_a[r] == at_a[l]:
                         pairs = env.pairs_for(agent)
                         assert_walk_equals_rows(pairs, kind, strict_iii, r, l, at_a[r], at_b)
-        by_rows = functools.partial(_rank_relations, strict_iii=strict_iii)
-        expected = search.search_witness(env, mech.outcome_at, kind, by_rows)
+        expected = search_ba_witness(mech, listed(env, kind), strict_iii=strict_iii)
         assert search_ba_witness(mech, kind, strict_iii=strict_iii) == expected
 
 
@@ -416,14 +473,15 @@ def test_walk_equals_the_lowest_row_on_any_edges(kind):
     # edge sets no deterministic tuple makes too, such as cycles of weak edges
     touching_all = 0  # completable sets whose edges touch every position
     for n, edges in edge_sets():
-        le = search._shared_row_sets(n, kind)
+        table, le = full_rows(n, kind)
         rows = le[0][0]
         for p, q, strict in edges:
             rows &= ~le[q][p] if strict else le[p][q]
         assert domains.completable(n, edges, kind) == bool(rows)
         if rows:
             lowest = (rows & -rows).bit_length() - 1
-            assert domains.first_ranks(n, edges, kind) == search._row_ranks(le, lowest)
+            ranks = domains.first_ranks(n, edges, kind, domains.edges_below)
+            assert tuple(ranks) == table[lowest]
             touching_all += len({p for p, _, _ in edges} | {q for _, q, _ in edges}) == n
     assert touching_all > 0
 
@@ -431,7 +489,7 @@ def test_walk_equals_the_lowest_row_on_any_edges(kind):
 def test_walk_refuses_edges_no_ordering_meets():
     # two positions under weak_only must tie, which a strict edge forbids
     with pytest.raises(InvariantViolation, match=r"^no weak_only ordering of positions \[0, 1\]"):
-        domains.first_ranks(2, [(0, 1, True)], DomainKind.WEAK_ONLY)
+        domains.first_ranks(2, [(0, 1, True)], DomainKind.WEAK_ONLY, domains.edges_below)
 
 
 def tie_heavy_3x3x2():
@@ -440,23 +498,38 @@ def tie_heavy_3x3x2():
     return DetMechanism(env, {p: rng.choice(env.outcomes) for p in enumerate_profiles(env)})
 
 
+def no_row_sets(table, n):
+    raise AssertionError("rows were built for a full domain kind")
+
+
 def test_deterministic_full_kinds_build_no_rows(monkeypatch):
     mechs = [build_majority_referendum(2)[1], tie_heavy_3x3x2()]
     cases = [(mech, kind, s) for mech in mechs for kind in FULL_KINDS for s in (False, True)]
-    expected = []
-    for mech, kind, strict_iii in cases:
-        by_rows = functools.partial(_rank_relations, strict_iii=strict_iii)
-        expected.append(search.search_witness(mech.env, mech.outcome_at, kind, by_rows))
+    expected = [
+        search_ba_witness(mech, listed(mech.env, kind), strict_iii=strict_iii)
+        for mech, kind, strict_iii in cases
+    ]
     assert all(result.witness is not None for result in expected)
-    search._shared_row_sets.cache_clear()
-
-    def no_row_ranks(le, o):
-        raise AssertionError("a deterministic full kind's witness row was read from `le`")
-
-    monkeypatch.setattr(search, "_row_ranks", no_row_ranks)
+    monkeypatch.setattr(search, "_row_sets", no_row_sets)
     for (mech, kind, strict_iii), result in zip(cases, expected):
         assert search_ba_witness(mech, kind, strict_iii=strict_iii) == result
-    assert search._shared_row_sets.cache_info().misses == 0
+
+
+def test_probabilistic_full_kinds_build_no_rows(monkeypatch):
+    # BA searches whose witnesses come from the walk with masses, on every kind
+    _, counterexample = build_mixed_counterexample()
+    env = Environment.create((("a0", "a1", "a2"), ("b0", "b1")), ("z0", "z1"))
+    rng = random.Random(11)
+    mechs = [counterexample]
+    while len(mechs) < 6:
+        palette = degenerate_palette(env, rng)
+        mechs.append(ProbMechanism(env, {p: rng.choice(palette) for p in enumerate_profiles(env)}))
+    cases = [(mech, kind) for mech in mechs for kind in FULL_KINDS]
+    expected = [search_prob_ba_witness(mech, listed(mech.env, kind)) for mech, kind in cases]
+    assert sum(result.witness is not None for result in expected) > len(cases) // 2
+    monkeypatch.setattr(search, "_row_sets", no_row_sets)
+    for (mech, kind), result in zip(cases, expected):
+        assert search_prob_ba_witness(mech, kind) == result
 
 
 def stack_depth():
@@ -479,17 +552,14 @@ def test_walk_needs_no_cap_and_no_recursion(kind, strict_iii, points):
     assert len(pairs) == {4: 28, 19: 703}[points]
     with pytest.raises(CapExceeded):
         domains.check_full_domain(kind, pairs, None)
-    beats_ii, beats_iii = _edge_relations({p: k for k, p in enumerate(pairs)}, kind, strict_iii)
+    start, below = _edge_walk({p: k for k, p in enumerate(pairs)}, kind, strict_iii)
     at_b = {x: groves.outcome_at(cex.agent, x, cex.b_minus) for x in acts}
-    edges = beats_ii((cex.l, cex.z), (cex.r, cex.z), ())
-    for x in acts:
-        if x != cex.r:
-            edges = beats_iii((cex.r, at_b[cex.r]), (x, at_b[x]), edges)
+    edges = start(cex.r, cex.l, cex.z, at_b)
     assert edges
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 30)  # far fewer frames than the walk's depths
     try:
-        ranks = domains.first_ranks(len(pairs), edges, kind)
+        ranks = domains.first_ranks(len(pairs), edges, kind, below)
     finally:
         sys.setrecursionlimit(limit)
     ordering = Ordering.from_ranks(cex.agent, pairs, ranks)
@@ -668,8 +738,8 @@ def pairwise_search_witness(env, value_at, domain_specs, relations, cap=None):
     """The search as a scan over every (a, b) pair, each b narrowed rival by rival.
 
     The same canonical order, witnesses and statistics as
-    `search.search_witness`, with no interning, no signatures and no edge
-    sets; kept as the oracle for the quotient and for the walk over heads.
+    `search.search_witness`, with no interning, no signatures and no walk;
+    kept as the oracle for the quotient and for the walk over heads.
     Every agent's rows within the cap are built up front (`domain_rows`),
     and its ordering count is read from them.
     """
@@ -767,18 +837,14 @@ def few_signature_cases(draw, prob):
 
 
 def relation_cases(mech, prob):
-    """(value_at, relations, options) as each kind's search passes them, per `strict_iii`.
-
-    `options` holds what else the kind hands `search.search_witness`: the
-    deterministic kind's `edge_relations`, the probabilistic kind's `tuple_test`.
-    """
+    """(value_at, relations, full) as each kind's search passes them, per `strict_iii`."""
     if prob:
-        return [(mech.dist_at, _fsd_relations, {"tuple_test": _chain_test})]
+        return [(mech.dist_at, _fsd_relations, _chain_walk)]
     return [
         (
             mech.outcome_at,
             functools.partial(_rank_relations, strict_iii=strict_iii),
-            {"edge_relations": functools.partial(_edge_relations, strict_iii=strict_iii)},
+            functools.partial(_edge_walk, strict_iii=strict_iii),
         )
         for strict_iii in (False, True)
     ]
@@ -789,15 +855,14 @@ def relation_cases(mech, prob):
 @settings(max_examples=80, deadline=None)
 def test_signature_search_equals_the_pairwise_scan(prob, data):
     # the pairwise scan reads rows only, so on the full kinds this also
-    # compares the walk over heads with the lowest set bit (deterministic) and
-    # the tuple test with the rows that survive (probabilistic)
+    # compares the walk over heads with the lowest surviving row
     mech, specs, cap = data.draw(few_signature_cases(prob))
-    for value_at, relations, options in relation_cases(mech, prob):
+    for value_at, relations, full in relation_cases(mech, prob):
         expected = outcome_or_cap(
             lambda: pairwise_search_witness(mech.env, value_at, specs, relations, cap)
         )
         assert outcome_or_cap(
-            lambda: search.search_witness(mech.env, value_at, specs, relations, cap, **options)
+            lambda: search.search_witness(mech.env, value_at, specs, relations, full, cap)
         ) == expected
 
 
@@ -814,7 +879,7 @@ def test_search_reads_only_the_sub_profiles_it_reaches():
 
     for kind in FULL_KINDS:
         read.clear()
-        result = search.search_witness(env, value_at, kind, _rank_relations)
+        result = search.search_witness(env, value_at, kind, _rank_relations, _edge_walk)
         assert result.witness == find_ba_witness(referendum, kind)
         assert {agent for agent, _ in read} == {0}
         assert sorted({subs.index(sub) for _, sub in read}) == [0, 1, 2]
@@ -860,8 +925,9 @@ def contract_tables():
     for n_actions, n_outcomes in ((2, 2), (1, 3), (5, 1), (1, 5)):
         actions = tuple(f"x{k}" for k in range(n_actions))
         outcomes = tuple(f"z{j}" for j in range(n_outcomes))
+        n = n_actions * n_outcomes
         for kind in FULL_KINDS:
-            yield actions, outcomes, kind, search._shared_row_sets(n_actions * n_outcomes, kind)
+            yield actions, outcomes, kind, full_rows(n, kind)[1]
     rng = random.Random(5)
     for _ in range(4):
         table = [[rng.randrange(6) for _ in range(6)] for _ in range(rng.randint(1, 40))]
@@ -872,7 +938,8 @@ def contract_tables():
 def test_relations_meet_the_search_contract(prob):
     # (iii) against a lottery never holds where (ii) for it over the other
     # does: the walk skips a's own signature and decides each tied value once
-    # because of it
+    # because of it.  Rows: no row of (ii) survives the reversed (iii).
+    # Walks: `start` refuses every tuple whose r and l give the tied value at b.
     for actions, outcomes, kind, le in contract_tables():
         pairs = [(x, z) for x in actions for z in outcomes]
         index = {pair: k for k, pair in enumerate(pairs)}
@@ -884,17 +951,24 @@ def test_relations_meet_the_search_contract(prob):
                 for ks in masses
                 if any(ks)
             )
-            relations = [(_fsd_relations(index, le), every)]
+            relations = [_fsd_relations(index, le)]
+            walks = [_chain_walk(index, kind)] if kind is not None else []
         else:
             values = outcomes
-            relations = [(_rank_relations(index, le, s), every) for s in (False, True)]
-            if kind is not None:  # a full kind's edge sets start from no edge
-                relations += [(_edge_relations(index, kind, s), ()) for s in (False, True)]
+            relations = [_rank_relations(index, le, s) for s in (False, True)]
+            walks = [_edge_walk(index, kind, s) for s in (False, True)] if kind is not None else []
         lotteries = [(x, value) for x in actions for value in values]
-        for (beats_ii, beats_iii), start in relations:
+        for beats_ii, beats_iii in relations:
             for x, y in itertools.product(lotteries, repeat=2):
-                rows = beats_ii(x, y, start)  # the search narrows only what (ii) left
+                rows = beats_ii(x, y, every)  # the search narrows only what (ii) left
                 assert not (rows and beats_iii(y, x, rows))
+        at_bs = list(itertools.product(values, repeat=len(actions)))
+        for start, _ in walks:
+            for (r, l), tied, rivals in itertools.product(
+                itertools.permutations(actions, 2), values, at_bs
+            ):
+                at_b = {**dict(zip(actions, rivals)), r: tied, l: tied}
+                assert start(r, l, tied, at_b) is None
 
 
 def logged_relations(env, relations, log):
@@ -932,63 +1006,62 @@ def logged_relations(env, relations, log):
     return wrapped
 
 
-def logged_tuple_test(env, tuple_test, log):
-    """`tuple_test` with its calls logged: each test made is counted per agent
-    under "tests", and each question, (agent, tied, anchor, l-rival values)
-    and its answer, is appended to "asked"."""
+def logged_walk(env, full, log):
+    """`full` with its calls logged: each hook made is counted per agent under
+    "walks", and each start asked, (agent, r, l, tied value, every action's
+    value at b) and whether it gave a state, is appended to "asked"."""
 
     def wrapped(index, kind):
         agent = next(i for i in range(env.n) if set(index) == set(env.pairs_for(i)))
-        log["tests"][agent] += 1
-        exists = tuple_test(index, kind)
+        log["walks"][agent] += 1
+        start, below = full(index, kind)
 
-        def asked(*values):
-            answer = exists(*values)
-            log["asked"].append(((agent, *values), answer))
-            return answer
+        def asked(r, l, value, at_b):
+            state = start(r, l, value, at_b)
+            log["asked"].append(((agent, r, l, value, tuple(at_b.items())), state is not None))
+            return state
 
-        return asked
+        return asked, below
 
     return wrapped
 
 
-def assert_within_budget(
-    env, value_at, relations, specs, cap=None, edge_relations=None, tuple_test=None
-):
-    """Search with logged relations and check the calls against the budget.
+def assert_within_budget(env, value_at, relations, full, specs, cap=None):
+    """Search with logged relations and walks and check the calls against the budget.
 
     (ii) runs at most once per (agent, r, l, tied value).  A narrowing starts
     at most once per (agent, r, l, value, signature), and never at the
     signature of the value's first tie: so the starts seen with given
     anchor and first-rival values number no more than the other signatures
-    with those values.  An agent's relations are made at most once, and an
-    agent with one signature never has them made: it makes no (ii) or (iii)
-    call, so its rows are never built.  Given `tuple_test`, the same holds
-    of each agent's test, which is asked each (tied, anchor, l-rival) at most
-    once, and (ii) and (iii) run only after it answers yes, which ends the
-    search.
+    with those values.  A walk's start is asked each (agent, r, l, value,
+    values at b) at most once, never at the signature of the value's first
+    tie, and gives a state at most once, which ends the search, and never
+    where r and l both give the tied value at b.  An
+    agent's relations and its walk hook are each made at most once, and an
+    agent with one signature has neither made: it makes no (ii), (iii) or
+    start call, so nothing is built for it.
     """
     log = {"ii": [], "starts": [], "iii": collections.Counter(), "asked": []}
     log["relations"] = collections.Counter()
-    log["tests"] = collections.Counter()
+    log["walks"] = collections.Counter()
     logged = logged_relations(env, relations, log)
-    edges = edge_relations and logged_relations(env, edge_relations, log)
-    test = tuple_test and logged_tuple_test(env, tuple_test, log)
-    result = outcome_or_cap(
-        lambda: search.search_witness(env, value_at, specs, logged, cap, edges, test)
-    )
+    walk = logged_walk(env, full, log)
+    result = outcome_or_cap(lambda: search.search_witness(env, value_at, specs, logged, walk, cap))
     assert len(set(log["ii"])) == len(log["ii"])
     asked = [question for question, _ in log["asked"]]
     assert len(set(asked)) == len(asked)
     assert [answer for _, answer in log["asked"]].count(True) <= 1
-    for agent in log["tests"]:
-        yes = [answer for (at, *_), answer in log["asked"] if at == agent].count(True)
-        assert len([key for key in log["ii"] if key[0] == agent]) == yes
-        if not yes:
-            assert log["relations"][agent] == log["iii"][agent] == 0
+    for agent in log["walks"]:  # an agent is searched through rows or through its walk
+        assert log["relations"][agent] == log["iii"][agent] == 0
 
     def signature(agent, b):
         return tuple(value_at(agent, x, b) for x in env.actions[agent])
+
+    for (agent, r, l, value, at_b), answer in log["asked"]:
+        subs = list(sub_profiles(env, agent))
+        tie = next(b for b in subs if value_at(agent, r, b) == value == value_at(agent, l, b))
+        assert tuple(v for _, v in at_b) != signature(agent, tie)
+        assert not (answer and dict(at_b)[r] == dict(at_b)[l] == value)
 
     for (agent, r, l, value, *seen), count in collections.Counter(log["starts"]).items():
         acts = env.actions[agent]
@@ -998,10 +1071,11 @@ def assert_within_budget(
         others = {signature(agent, b) for b in subs} - {signature(agent, tie)}
         assert count <= sum(1 for sig in others if [sig[k] for k in shown] == seen)
     for agent in range(env.n):
-        assert log["relations"][agent] <= 1 and log["tests"][agent] <= 1
+        assert log["relations"][agent] <= 1 and log["walks"][agent] <= 1
         if len({signature(agent, b) for b in sub_profiles(env, agent)}) == 1:
-            assert log["relations"][agent] == log["tests"][agent] == 0
+            assert log["relations"][agent] == log["walks"][agent] == 0
             assert not [key for key in log["ii"] if key[0] == agent]
+            assert not [question for question in asked if question[0] == agent]
             assert log["iii"][agent] == 0
     return result
 
@@ -1011,8 +1085,8 @@ def assert_within_budget(
 @settings(max_examples=60, deadline=None)
 def test_relation_call_budget_on_few_signature_mechanisms(prob, data):
     mech, specs, cap = data.draw(few_signature_cases(prob))
-    for value_at, relations, options in relation_cases(mech, prob):
-        assert_within_budget(mech.env, value_at, relations, specs, cap, **options)
+    for value_at, relations, full in relation_cases(mech, prob):
+        assert_within_budget(mech.env, value_at, relations, full, specs, cap)
 
 
 def constant_3x3x2():
@@ -1029,25 +1103,25 @@ def test_relation_call_budget_on_constant_mechanisms():
     env, constant, uniform = constant_3x3x2()
     for kind in FULL_KINDS:
         for mech, prob in ((constant, False), (uniform, True)):
-            for value_at, relations, options in relation_cases(mech, prob):
-                result = assert_within_budget(env, value_at, relations, kind, None, **options)
+            for value_at, relations, full in relation_cases(mech, prob):
+                result = assert_within_budget(env, value_at, relations, full, kind)
                 assert result.witness is None
 
 
 def test_one_signature_agents_build_no_rows(monkeypatch):
     # no b has a signature other than a's, so no tied value reaches (ii)
     env, constant, uniform = constant_3x3x2()
-    search._shared_row_sets.cache_clear()
-    for kind in FULL_KINDS:
-        for strict_iii in (False, True):
-            assert find_ba_witness(constant, kind, strict_iii=strict_iii) is None
-        assert find_prob_ba_witness(uniform, kind) is None
-    assert search._shared_row_sets.cache_info().currsize == 0
 
-    def no_row_sets(table, n):
-        raise AssertionError("an explicit domain's rows were built for a constant mechanism")
+    def no_walk(index, kind):
+        raise AssertionError("a walk was made for a constant mechanism")
 
     monkeypatch.setattr(search, "_row_sets", no_row_sets)
+    for kind in FULL_KINDS:
+        for strict_iii in (False, True):
+            result = search.search_witness(env, constant.outcome_at, kind, _rank_relations, no_walk)
+            assert result.witness is None
+        result = search.search_witness(env, uniform.dist_at, kind, _fsd_relations, no_walk)
+        assert result.witness is None
     specs = [
         DomainSpec.explicit(itertools.islice(enumerate_weak_orderings(i, env.pairs_for(i)), 5))
         for i in range(env.n)
@@ -1059,20 +1133,21 @@ def test_one_signature_agents_build_no_rows(monkeypatch):
 
 
 def test_completely_mixed_strict_mechanisms_are_nba_with_no_rows(monkeypatch):
-    # the dominance dichotomy: the tuple test rejects every tuple at the
+    # the dominance dichotomy: the chain test rejects every tuple at the
     # chain's first step, so no row is built and no (ii) or (iii) runs
     def no_relations(index, le):
         raise AssertionError("rows were read for a completely mixed mechanism under strict")
 
     asked = []
-    chain_test = stochastic._chain_test
+    chain_walk = stochastic._chain_walk
 
     def counted(index, kind):
-        exists = chain_test(index, kind)
-        return lambda *values: asked.append(values) or exists(*values)
+        start, below = chain_walk(index, kind)
+        return (lambda *values: asked.append(values) or start(*values)), below
 
     monkeypatch.setattr(stochastic, "_fsd_relations", no_relations)
-    monkeypatch.setattr(stochastic, "_chain_test", counted)
+    monkeypatch.setattr(stochastic, "_chain_walk", counted)
+    monkeypatch.setattr(search, "_row_sets", no_row_sets)
     rng = random.Random(29)
     env = Environment.create((("a0", "a1", "a2"), ("b0", "b1", "b2")), ("z0", "z1"))
     mechs = []
@@ -1082,21 +1157,10 @@ def test_completely_mixed_strict_mechanisms_are_nba_with_no_rows(monkeypatch):
     for actions in ((("a0", "a1"),) * 3, (("a0", "a1", "a2"),) * 2):
         shape = Environment.create(actions, ("z0", "z1"))
         mechs += [random_completely_mixed_mechanism(shape, rng) for _ in range(4)]
-    search._shared_row_sets.cache_clear()
     for mech in mechs:
         assert is_completely_mixed(mech)
         assert search_prob_ba_witness(mech, DomainKind.STRICT).witness is None
-    assert search._shared_row_sets.cache_info().misses == 0
     assert len(asked) > len(mechs)
-
-
-def test_a_tuple_test_yes_with_no_surviving_row_is_an_invariant_violation(monkeypatch):
-    # the mixed counterexample is NBA under strict, and its tie at b0 reaches the
-    # signature of b1, so a test that always answers yes meets no surviving row
-    monkeypatch.setattr(stochastic, "_chain_test", lambda index, kind: lambda *values: True)
-    _, mech = build_mixed_counterexample()
-    with pytest.raises(InvariantViolation, match="no row survives"):
-        search_prob_ba_witness(mech, DomainKind.STRICT)
 
 
 def test_the_tuple_test_is_asked_per_l_rival_value():
@@ -1113,7 +1177,7 @@ def test_the_tuple_test_is_asked_per_l_rival_value():
         witness = result.witness
         assert (witness.r, witness.l) == ("x0", "x1")
         assert (witness.a_minus, witness.b_minus) == (("b0",), ("b2",))
-        assert result == search.search_witness(env, mech.dist_at, kind, _fsd_relations)
+        assert result == search_prob_ba_witness(mech, listed(env, kind))
 
 
 @st.composite
@@ -1144,10 +1208,11 @@ def tuple_test_cases(draw):
 @given(tuple_test_cases())
 @settings(max_examples=80, deadline=None)
 def test_prob_search_equals_the_search_without_the_tuple_test(case):
-    # the rows alone, the search's path before the tuple test, as the oracle
+    # the rows alone, over each full kind's orderings listed, as the oracle;
+    # an agent past the cap keeps its kind, so it raises at the same tie
     mech, specs, cap = case
     expected = outcome_or_cap(
-        lambda: search.search_witness(mech.env, mech.dist_at, specs, _fsd_relations, cap)
+        lambda: search_prob_ba_witness(mech, listed(mech.env, specs, cap), cap=cap)
     )
     assert outcome_or_cap(lambda: search_prob_ba_witness(mech, specs, cap=cap)) == expected
 
@@ -1167,8 +1232,8 @@ def test_ordering_counts_are_those_of_the_rows_never_built(kind):
             built = [domain_rows(env, i, specs[i])[0] for i in range(env.n)]
             assert counts == [le[0][0].bit_length() for le in built]
         if n > 1:
-            past = search._admissible(env, 0, DomainSpec(kind), n - 1, _rank_relations, None, None)
-            assert past == (None, None, None, None)
+            past = search._admissible(env, 0, DomainSpec(kind), n - 1, _rank_relations, _edge_walk)
+            assert past == (None, None)
 
 
 def test_search_start_checks_do_not_wait_for_rows():

@@ -12,6 +12,7 @@ from exmech.domains import (
     domain_rank_vectors,
     enumerate_strict_orderings,
     enumerate_weak_orderings,
+    first_ranks,
     indifferent_ordering,
     rank_table,
 )
@@ -23,13 +24,13 @@ from exmech.errors import (
     ParseError,
 )
 from exmech.model import DomainKind, DomainSpec, Environment, Ordering, enumerate_profiles
-from exmech.search import _row_sets, _shared_row_sets
+from exmech.search import _row_sets
 from exmech.stochastic import (
     Distribution,
     DominanceBlock,
     Lottery,
     ProbMechanism,
-    _chain_test,
+    _chain_walk,
     _fsd_pairs,
     _fsd_relations,
     best_outcome,
@@ -49,7 +50,7 @@ from exmech.stochastic import (
     validate_prob_witness,
 )
 
-from test_search import altered, assert_relations_match
+from test_search import altered, assert_relations_match, full_rows
 
 Z2 = ("z0", "z1")
 
@@ -393,22 +394,37 @@ def chain_shapes(kind):
 
 
 def assert_chain_test_matches_rows(kind, n_actions, n_outcomes, tied, at_b, ri, li):
-    """The chain test's answer for (tied, B_r, B_l) against brute existence:
-    rows of the full domain that survive (ii) and then (iii) against every
-    rival, each action's value at b being `at_b[action index]`."""
+    """The walk with masses for (tied, each action's value at b) against the rows.
+
+    Its start must give a state exactly when some row of the full domain
+    survives (ii) and then (iii) against every rival, each action's value at
+    b being `at_b[action index]`; the walk must then end at the first such
+    row, whose ordering `fsd` must accept.  The row-set relation is pinned to
+    `fsd` row by row in `test_fsd_kernel_matches_reference_on_rank_tables`.
+    """
     actions = tuple(f"x{k}" for k in range(n_actions))
     pairs = [(x, z) for x in actions for z in (f"z{j}" for j in range(n_outcomes))]
     index = {pair: c for c, pair in enumerate(pairs)}
-    le = _shared_row_sets(len(pairs), kind)
+    table, le = full_rows(len(pairs), kind)
     beats_ii, beats_iii = _fsd_relations(index, le)
     r, l = actions[ri], actions[li]
     rows = beats_ii((l, tied), (r, tied), le[0][0])
     for x, value in zip(actions, at_b):
         if x != r and rows:
             rows = beats_iii((r, at_b[ri]), (x, value), rows)
-    exists = _chain_test(index, kind)(tied, at_b[ri], at_b[li])
-    assert exists == bool(rows)
-    return exists
+    start, below = _chain_walk(index, kind)
+    values = dict(zip(actions, at_b))
+    state = start(r, l, tied, values)
+    assert (state is not None) == bool(rows)
+    if rows:
+        ranks = first_ranks(len(pairs), state, kind, below)
+        assert tuple(ranks) == table[(rows & -rows).bit_length() - 1]
+        ordering = Ordering.from_ranks(0, pairs, ranks)
+        assert fsd(ordering, Lottery(l, tied), Lottery(r, tied))
+        for x in actions:
+            if x != r:
+                assert fsd(ordering, Lottery(r, values[r]), Lottery(x, values[x]))
+    return bool(rows)
 
 
 @pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
@@ -466,17 +482,32 @@ def test_chain_test_rejects_totally_mixed_strict_tuples_at_the_first_step():
     # the dominance dichotomy: with A and B_l totally mixed, an r-step breaks
     # (ii) and an l-step (iii), whatever B_r is
     index = {(x, z): c for c, (x, z) in enumerate(itertools.product(("x0", "x1"), Z2))}
-    exists = _chain_test(index, DomainKind.STRICT)
+    start, _ = _chain_walk(index, DomainKind.STRICT)
     mixed = dist("1/3", "2/3")
-    assert not any(exists(mixed, b, mixed) for b in (dist(1, 0), dist(0, 1), mixed))
+    for b in (dist(1, 0), dist(0, 1), mixed):
+        assert start("x0", "x1", mixed, {"x0": b, "x1": mixed}) is None
     # the mixed counterexample's witness tuple, totally mixed, passes only off `strict`
     _, mech = build_mixed_counterexample()
     witness = find_prob_ba_witness(mech, DomainKind.WEAK_ONLY)
     agent, r, l, a, b = witness.agent, witness.r, witness.l, witness.a_minus, witness.b_minus
     index = {pair: c for c, pair in enumerate(mech.env.pairs_for(agent))}
-    values = [mech.dist_at(agent, x, sub) for x, sub in ((r, a), (r, b), (l, b))]
-    assert all(is_totally_mixed(value) for value in values)
-    assert [_chain_test(index, kind)(*values) for kind in FULL_KINDS] == [True, False, True]
+    tied = mech.dist_at(agent, r, a)
+    at_b = {x: mech.dist_at(agent, x, b) for x in mech.env.actions[agent]}
+    assert all(is_totally_mixed(value) for value in (tied, *at_b.values()))
+    found = [_chain_walk(index, kind)[0](r, l, tied, at_b) is not None for kind in FULL_KINDS]
+    assert found == [True, False, True]
+
+
+def test_the_walk_refuses_a_head_that_leaves_a_rival_unbeatable():
+    # r's and x2's whole masses share the first class, so no later class can
+    # put r's lottery strictly above x2's; r's pair alone on top beats x2
+    index = {(x, z): c for c, (x, z) in enumerate(itertools.product(("x0", "x1", "x2"), Z2))}
+    start, below = _chain_walk(index, DomainKind.UNRESTRICTED)
+    at_b = {"x0": dist(1, 0), "x1": dist(0, 1), "x2": dist(1, 0)}
+    state = start("x0", "x1", dist(0, 1), at_b)
+    assert state is not None
+    assert below((0, 4), state, 4, DomainKind.UNRESTRICTED) is None
+    assert below((0,), state, 5, DomainKind.UNRESTRICTED) is not None
 
 
 def test_completely_mixed_mechanism_predicate():
