@@ -190,33 +190,20 @@ def validate_witness(
 
     With a `domain`, the witness ordering must also belong to it.
     """
-    beats_iii = Ordering.strictly_prefers if strict_iii else Ordering.weakly_prefers
-    check_certificate(
-        mech.env, witness, mech.outcome_at, Ordering.strictly_prefers, beats_iii, domain
-    )
+    check_certificate(mech.env, witness, mech.outcome_at, *_preferences(strict_iii), domain)
+
+
+def _preferences(strict_iii: bool) -> tuple:
+    """(beats_ii, beats_iii): strict preference, then weak preference unless `strict_iii`."""
+    weakly = Ordering.strictly_prefers if strict_iii else Ordering.weakly_prefers
+    return Ordering.strictly_prefers, weakly
 
 
 # --- exhaustive witness search ------------------------------------------------
 
 
-def _rank_relations(index: Mapping[Pair, int], le, strict_iii: bool = False):
-    """(beats_ii, beats_iii) as row sets: strict preference, then weak unless `strict_iii`.
-
-    The same choice `validate_witness` makes between `Ordering.strictly_prefers`
-    and `Ordering.weakly_prefers`.
-    """
-
-    def strictly(lhs: Pair, rhs: Pair, rows: int) -> int:
-        return rows & ~le[index[rhs]][index[lhs]]
-
-    def weakly(lhs: Pair, rhs: Pair, rows: int) -> int:
-        return rows & le[index[lhs]][index[rhs]]
-
-    return strictly, strictly if strict_iii else weakly
-
-
 def _edge_walk(index: Mapping[Pair, int], kind: DomainKind, strict_iii: bool = False):
-    """(start, below) for a full kind's walk over heads, (iii) chosen as `_rank_relations` chooses.
+    """(start, below) for a full kind's walk over heads, with (iii) as `_preferences` takes it.
 
     A tuple's constraints on an ordering are few: (ii) puts (l, z) strictly
     above (r, z), and (iii) puts (r, o(r, b)) at or above each (x, o(x, b)),
@@ -248,9 +235,8 @@ def search_ba_witness(
     The search order and the cases that raise CapExceeded are those of
     `search.search_witness`.
     """
-    relations = functools.partial(_rank_relations, strict_iii=strict_iii)
     walk = functools.partial(_edge_walk, strict_iii=strict_iii)
-    return search_witness(mech.env, mech.outcome_at, domains, relations, walk, cap)
+    return search_witness(mech.env, mech.outcome_at, domains, _preferences(strict_iii), walk, cap)
 
 
 def find_ba_witness(

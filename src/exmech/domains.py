@@ -247,9 +247,9 @@ def check_full_domain(
     Raises InvariantViolation for a `cap` that is neither None nor an int >= 0,
     no pairs or a duplicate pair.  Raises CapExceeded for more pairs than
     `cap` (by default the strict or the weak cap, by kind), and, whatever
-    `cap` says, for more orderings than `sys.maxsize`, which a row set of
-    them could not index.  The search walks a full kind without rows, but
-    keeps both bounds, so that no verdict past them changes.
+    `cap` says, for more orderings than `sys.maxsize`.  The search walks a
+    full kind with no rank table, so it needs neither bound; both stay only
+    so that no pinned verdict moves until the caps are lifted together.
     """
     if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
         raise InvariantViolation(f"cap must be None or an int >= 0, got {cap!r}")

@@ -10,28 +10,24 @@ the statistics block, the witness ordering and the witness check
 A tuple (agent, r, l, a, b) passing (i) is a witness when some admissible
 ordering meets (ii) and (iii); the search takes the canonically first such
 ordering, in one place (`_admissible`).  The candidates take one of two forms.
-- Rows, for explicit domains, which list their own orderings.  Row o ranks
-  the agent's pairs, in `env.pairs_for(agent)` order, as the o-th listed
-  ordering does; a row set is an int whose bit o stands for row o, read
-  through one matrix `le`, where `le[p][q]` holds the rows ranking column p
-  weakly above column q.  The kind hands the search `relations(index, le)`,
-  `index` mapping the agent's pairs to columns, which gives `(beats_ii,
-  beats_iii)`, each called as `beats(lhs, rhs, rows)` and returning the part
-  of `rows` under which `lhs`, an (action, value) pair, beats `rhs`.  (ii)
-  is `beats_ii((l, value), (r, value), every row)`, run once per tied value;
-  (iii) narrows what it leaves with `beats_iii((r, value at b), (x, value at
-  b), rows)`, rival by rival in action order, and stops once none remain.
-  The witness is the listed ordering of the lowest surviving row.
+- Listed orderings, for explicit domains.  The kind hands the search `beats
+  = (beats_ii, beats_iii)`, the comparisons `check_certificate` takes, each
+  called as `beats(ordering, lhs, rhs)` on (action, value) pairs.  (ii),
+  `beats_ii(o, (l, value), (r, value))`, runs on every listed ordering o
+  once per tied value and keeps those that pass; at a signature the witness
+  is the first kept ordering with `beats_iii(o, (r, value at b), (x, value
+  at b))` for every rival x, asked in action order.
 - Walk states, for the full kinds, which are never listed.  The kind hands
-  the search `full(index, kind)`, which gives `(start, below)`: `start(r, l,
-  value, at_b)`, where `at_b` maps each action to its value at b, is the
-  first state of a walk over heads, or None when no ordering of the kind
-  meets (ii) and (iii) for the tuple; from that state, `domains.first_ranks`
-  takes at each depth the first head that `below` accepts, and so reaches
-  the canonically first ordering meeting both.  No row is made.
-Either way the ordering count comes from `domains.row_count` or the number
-of listed orderings, and the relations, rows or hook are made only at the
-agent's first tied value that reaches a signature other than its own.
+  the search `full(index, kind)`, `index` mapping the agent's pairs to
+  positions, which gives `(start, below)`: `start(r, l, value, at_b)`, where
+  `at_b` maps each action to its value at b, is the first state of a walk
+  over heads, or None when no ordering of the kind meets (ii) and (iii) for
+  the tuple; from that state, `domains.first_ranks` takes at each depth the
+  first head that `below` accepts, and so reaches the canonically first
+  ordering meeting both.  No ordering is listed.
+The ordering count comes from `domains.row_count` or the number of listed
+orderings, and a full kind's hook is made only at the agent's first tied
+value that reaches a signature other than its own.
 
 The scan is quotiented by sub-profile signatures.  Each agent's values are
 read lazily, in sub-profile order, and interned to small ints (so values
@@ -83,7 +79,7 @@ def search_witness(
     env: Environment,
     value_at: Callable[[int, str, SubProfile], object],
     domain_specs,
-    relations: Callable,
+    beats: tuple[Callable, Callable],
     full: Callable,
     cap: int | None = None,
 ) -> SearchResult:
@@ -93,29 +89,29 @@ def search_witness(
     then ordered pairs of distinct sub-profiles (a, b), then orderings in
     domain row order; it is walked by tied value and signature (see the
     module docstring), and values are read only as far as the walk reaches.
-    Explicit domains are searched through `relations(index, le)`, the full
-    kinds through `full(index, kind)`.  An agent past the cap gets nothing
-    built and a `None` count; CapExceeded is raised only at its first tuple
+    Explicit domains are searched with `beats`, the pair `(beats_ii,
+    beats_iii)` of comparisons `check_certificate` takes, the full kinds
+    through `full(index, kind)`.  An agent past the cap gets nothing built
+    and a `None` count; CapExceeded is raised only at its first tuple
     passing (i).
 
     The walk requires each kind's comparisons to meet one contract: no
     ordering meets (ii) for a lottery x over a lottery y and (iii) for y
-    over x.  So for any candidates `rows`, no candidate of `beats_ii(x, y,
-    rows)` survives `beats_iii(y, x, ...)`, and `start` is None where l's
-    value at b is the tied one and r's is too.  Strict preference for (ii)
-    meets it with weak or strict preference on the same ordering for (iii),
-    and first-order stochastic dominance, being asymmetric, meets it as
-    both.
+    over x, that is, `beats_ii(o, x, y)` and `beats_iii(o, y, x)` never
+    both hold, and `start` is None where l's value at b is the tied one and
+    r's is too.  Strict preference for (ii) meets it with weak or strict
+    preference on the same ordering for (iii), and first-order stochastic
+    dominance, being asymmetric, meets it as both.
     """
     specs = domains.resolve_domains(env, domain_specs)
-    views = [_admissible(env, i, spec, cap, relations, full) for i, spec in enumerate(specs)]
+    views = [_admissible(env, i, spec, cap, beats, full) for i, spec in enumerate(specs)]
     stats = {
         "agents": env.n,
         "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
         "sub_profiles": [math.prod(map(len, env.actions)) // len(acts) for acts in env.actions],
         "orderings_per_agent": [count for count, _ in views],
     }
-    for agent, (spec, acts, (count, narrowing)) in enumerate(zip(specs, env.actions, views)):
+    for agent, (spec, acts, (count, making)) in enumerate(zip(specs, env.actions, views)):
         subs = tuple(sub_profiles(env, agent))  # per agent: a witness ends the search early
         pairs = env.pairs_for(agent)
         deciding = ordering_of = None  # made at the agent's first rival signature
@@ -169,14 +165,14 @@ def search_witness(
                             continue
                         if decide is None:
                             if deciding is None:
-                                deciding, ordering_of = narrowing()
+                                deciding, ordering_of = making()
                             decide = deciding(r, l, value)
                             if decide is None:  # (ii) fails whatever b is
                                 break
                         if sig not in at:
                             at[sig] = {x: values[c] for x, c in zip(acts, sig)}
                         found = decide(at[sig])
-                        if found:
+                        if found is not None:
                             b = subs[first[sig]]
                             return SearchResult(
                                 BAWitness(agent, r, l, a, b, ordering_of(found)), stats
@@ -189,60 +185,51 @@ def _admissible(
     agent: int,
     spec: DomainSpec,
     cap: int | None,
-    relations: Callable,
+    beats: tuple[Callable, Callable],
     full: Callable,
 ) -> tuple:
-    """(ordering count, thunk making (deciding, ordering of a found candidate set)).
+    """(ordering count, thunk making (deciding, ordering of a found candidate)).
 
     `deciding(r, l, value)` is called once per tied value: it gives
-    `decide(at_b)`, which returns the candidates meeting (ii) and (iii) at
-    a signature, empty (falsy) when none does, or None when (ii) alone
+    `decide(at_b)`, which returns the candidate meeting (ii) and (iii) at a
+    signature, or None when none does; `deciding` gives None when (ii) alone
     already fails.  The canonically first candidate is the witness ordering,
-    chosen here and nowhere else: over an explicit domain's rows, the listed
-    ordering of the lowest set bit; over a full kind's walk state, the
-    ordering the walk over heads (`domains.first_ranks`) completes.
+    chosen here and nowhere else: over an explicit domain, the first listed
+    ordering meeting both; over a full kind's walk state, the ordering the
+    walk over heads (`domains.first_ranks`) completes.
 
-    Everything that can reject the domain runs here, at search start: the
-    cap and type checks of a full kind, and the reading of an explicit
-    domain's rank vectors.  The relations, rows and hook wait for the walk
-    to need them.  Past the cap both are None.
+    A full kind's cap and type checks run here, at search start; an explicit
+    domain was checked when it was resolved.  The hook waits for the walk to
+    need it.  Past the cap both are None.
     """
     pairs = env.pairs_for(agent)
     n = len(pairs)
     kind = spec.kind
-
-    def index() -> dict:
-        return {pair: c for c, pair in enumerate(pairs)}
-
     if kind is DomainKind.EXPLICIT:
-        # looked up on the module so that a wrapper installed there sees every explicit table
-        table = domains.domain_rank_vectors(env, agent, spec, cap)
+        beats_ii, beats_iii = beats
 
-        def narrowing() -> tuple:
-            beats_ii, beats_iii = relations(index(), _row_sets(table, n))
-            every = (1 << len(table)) - 1
-
-            def narrow(rows: int, r: str, at_b: dict) -> int:
-                anchor = (r, at_b[r])
+        def decide(kept: list[Ordering], r: str, at_b: dict) -> Ordering | None:
+            anchor = (r, at_b[r])
+            for ordering in kept:
                 for x, value in at_b.items():
-                    if x != r and rows:
-                        rows = beats_iii(anchor, (x, value), rows)
-                return rows
+                    if x != r and not beats_iii(ordering, anchor, (x, value)):
+                        break
+                else:
+                    return ordering
+            return None
 
-            def deciding(r: str, l: str, value) -> Callable | None:
-                rows = beats_ii((l, value), (r, value), every)
-                return functools.partial(narrow, rows, r) if rows else None
+        def deciding(r: str, l: str, value) -> Callable | None:
+            kept = [o for o in spec.orderings if beats_ii(o, (l, value), (r, value))]
+            return functools.partial(decide, kept, r) if kept else None
 
-            return deciding, lambda rows: spec.orderings[(rows & -rows).bit_length() - 1]
-
-        return len(table), narrowing
+        return len(spec.orderings), lambda: (deciding, lambda ordering: ordering)
     try:
         domains.check_full_domain(kind, pairs, cap)
     except CapExceeded:
         return None, None
 
     def walking() -> tuple:
-        start, below = full(index(), kind)
+        start, below = full({pair: c for c, pair in enumerate(pairs)}, kind)
 
         def ordering_of(state) -> Ordering:
             return Ordering.from_ranks(agent, pairs, domains.first_ranks(n, state, kind, below))
@@ -250,19 +237,6 @@ def _admissible(
         return lambda r, l, value: functools.partial(start, r, l, value), ordering_of
 
     return domains.row_count(n, kind), walking
-
-
-def _row_sets(table, n: int) -> list[list[int]]:
-    """`le` for the rows of a rank table: bit o of le[p][q] is set iff row o ranks p at or above q.
-
-    Each entry is read from one bit string, row o being its o-th digit from
-    the right; the leading "0" makes an empty table's string a number.
-    """
-    rows = table[::-1]
-    return [
-        [int("0" + "".join("1" if rv[p] <= rv[q] else "0" for rv in rows), 2) for q in range(n)]
-        for p in range(n)
-    ]
 
 
 def check_certificate(

@@ -8,16 +8,14 @@ target pair must be at least as large everywhere and strictly larger
 somewhere.
 
 `phi` is the reference definition in `Fraction` arithmetic; `fsd` compares
-its differences as integer prefix sums over the ordering's classes, and every
-witness is re-checked with it.  The anomaly search reads neither.  Over an
-explicit domain, `_fsd_relations` sums integer masses by pair column and
-partitions all listed rows at once with the `le` row sets, in O(k^2 *
-min(rows, distinct sums)) big-int operations for k mass-carrying columns.
-Over a full kind no row is made: `_chain_walk` decides each tuple from the
-tied distribution and each action's distribution at b, as a chain over
-pairs of outcome sets, and finds the witness ordering by the walk over
-heads, placing masses class by class.  Under `strict`, totally mixed tied
-and l-rival distributions fail the chain's first step (the dominance
+its differences as integer prefix sums over the ordering's classes.  It
+re-checks every witness, and over an explicit domain it is the search's
+comparison, asked of the listed orderings one at a time.  Over a full kind
+no ordering is listed: `_chain_walk` decides each tuple from the tied
+distribution and each action's distribution at b, as a chain over pairs of
+outcome sets, and finds the witness ordering by the walk over heads,
+placing masses class by class.  Under `strict`, totally mixed tied and
+l-rival distributions fail the chain's first step (the dominance
 dichotomy), so a completely mixed mechanism is found NBA at once.  A
 `Distribution` hashes consistently with equality, so the search interns
 each agent's distributions and the chain test memoizes its answers by them.
@@ -291,47 +289,6 @@ def _class_terms(index: Mapping[Pair, int], lhs, rhs) -> list[tuple[int, int]]:
     return [(k, m) for k, m in mass.items() if m]
 
 
-def _fsd_relations(index: Mapping[Pair, int], le):
-    """`fsd` on (action, distribution) lotteries as a row-set relation, for (ii) and (iii).
-
-    `phi` depends on its target only through the target's class, so under a
-    row the upper-contour differences are the sums S(t), over mass-carrying
-    columns t, of the mass on columns weakly above t (or 0), and dominance
-    holds iff no S(t) is negative and some S(t) is positive.  For each t,
-    `beats` partitions the rows by the partial sum: column p's mass is added
-    on `hi = group & le[p][t]` and not on `lo = group ^ hi`, the rest of the
-    group, so the map from sum to row set stays a partition and its size at
-    most min(rows, distinct sums).
-    """
-
-    def beats(lhs, rhs, rows: int) -> int:
-        terms = _class_terms(index, lhs, rhs)
-        positive = 0
-        for t, _ in terms:
-            sums = {0: rows}
-            for p, m in terms:  # le[t][t] is every row, so t's own mass is always added
-                above = le[p][t]
-                split: dict[int, int] = {}
-                for s, group in sums.items():
-                    hi = group & above
-                    lo = group ^ hi
-                    if hi:
-                        split[s + m] = split.get(s + m, 0) | hi
-                    if lo:
-                        split[s] = split.get(s, 0) | lo
-                sums = split
-            for s, group in sums.items():
-                if s < 0:
-                    rows &= ~group
-                elif s > 0:
-                    positive |= group
-            if not rows:
-                return 0
-        return rows & positive
-
-    return beats, beats
-
-
 def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
     """(start, below) for a full kind's walk over heads, decided with no row by a chain test.
 
@@ -515,7 +472,8 @@ def search_prob_ba_witness(
     first-order stochastic dominance.  The search order is that of
     `search.search_witness`.
     """
-    return search_witness(mech.env, mech.dist_at, domains, _fsd_relations, _chain_walk, cap)
+    beats = (_fsd_pairs, _fsd_pairs)
+    return search_witness(mech.env, mech.dist_at, domains, beats, _chain_walk, cap)
 
 
 def find_prob_ba_witness(

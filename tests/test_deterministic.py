@@ -8,7 +8,7 @@ import pytest
 from exmech.deterministic import (
     Condition1Violation,
     DetMechanism,
-    _rank_relations,
+    _preferences,
     build_groves_queueing,
     build_majority_referendum,
     build_plurality,
@@ -42,9 +42,8 @@ from exmech.model import (
     sub_profiles,
 )
 from exmech.queueing import QueueingParams, clinic_revenue, QueueingOutcome
-from exmech.search import _row_sets
 
-from test_search import assert_relations_match
+from rowsets import assert_relations_match, rank_relations, row_sets
 
 FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 
@@ -243,9 +242,9 @@ def test_search_stats_and_strict_iii():
 
 
 def assert_rank_relations_match(table, n, le):
-    """Both row-set relations match the pair-rank comparisons `validate_witness`
-    passes to `check_certificate`, strict_iii off and on, on every ordered
-    pair of pairs.
+    """Both row-set relations match the pair-rank comparisons the search and
+    `validate_witness` take (`_preferences`), strict_iii off and on, on every
+    ordered pair of pairs.
 
     The agent has n actions and one outcome, so column k is pair (xk, z).
     """
@@ -255,9 +254,8 @@ def assert_rank_relations_match(table, n, le):
     orderings = [Ordering.from_ranks(0, pairs, rv) for rv in table]
     comparisons = list(itertools.product(pairs, repeat=2))
     for strict_iii in (False, True):
-        weak = Ordering.strictly_prefers if strict_iii else Ordering.weakly_prefers
-        relations = functools.partial(_rank_relations, strict_iii=strict_iii)
-        reference = (Ordering.strictly_prefers, weak)
+        relations = functools.partial(rank_relations, strict_iii=strict_iii)
+        reference = _preferences(strict_iii)
         assert_relations_match(relations, reference, index, le, orderings, comparisons)
 
 
@@ -270,7 +268,7 @@ FULL_TABLE_SIZES.append((6, DomainKind.STRICT))
 )
 def test_rank_kernel_matches_row_wise_reference_on_full_tables(n, kind):
     table = rank_table(n, kind)
-    assert_rank_relations_match(table, n, _row_sets(table, n))
+    assert_rank_relations_match(table, n, row_sets(table, n))
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 28))
@@ -286,7 +284,7 @@ def test_rank_kernel_matches_row_wise_reference_on_explicit_tables(n):
         tables = [tuple(rng.sample(full, min(size, len(full)))) for size in (1, 2, 7, 30)]
     for table in tables:
         assert len(table[0]) == n
-        assert_rank_relations_match(table, n, _row_sets(table, n))
+        assert_rank_relations_match(table, n, row_sets(table, n))
 
 
 def test_rank_kernel_single_row_table():
@@ -295,7 +293,7 @@ def test_rank_kernel_single_row_table():
     x0, x1, x2 = env.pairs_for(0)
     index = {x0: 0, x1: 1, x2: 2}
     for strict_iii in (False, True):
-        beats_ii, beats_iii = _rank_relations(index, _row_sets(((0, 1, 2),), 3), strict_iii)
+        beats_ii, beats_iii = rank_relations(index, row_sets(((0, 1, 2),), 3), strict_iii)
         assert beats_ii(x0, x1, 1) == 1
         assert beats_ii(x1, x0, 1) == 0
         assert beats_iii(x0, x1, 1) == beats_iii(x0, x2, 1) == 1
@@ -303,11 +301,11 @@ def test_rank_kernel_single_row_table():
         assert beats_iii(x1, x0, 1) == 0
         assert beats_iii(x0, x1, 0) == 0
     # x0 ~ x1 > x2: a tie answers (ii) never, and (iii) only when it is weak
-    tied = _row_sets(((0, 0, 1),), 3)
-    assert _rank_relations(index, tied, False)[0](x0, x1, 1) == 0
-    assert _rank_relations(index, tied, False)[1](x0, x1, 1) == 1
-    assert _rank_relations(index, tied, True)[1](x0, x1, 1) == 0
-    assert _rank_relations(index, tied, True)[1](x0, x2, 1) == 1
+    tied = row_sets(((0, 0, 1),), 3)
+    assert rank_relations(index, tied, False)[0](x0, x1, 1) == 0
+    assert rank_relations(index, tied, False)[1](x0, x1, 1) == 1
+    assert rank_relations(index, tied, True)[1](x0, x1, 1) == 0
+    assert rank_relations(index, tied, True)[1](x0, x2, 1) == 1
 
 
 # --- witness domain membership ---------------------------------------------------

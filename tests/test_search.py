@@ -1,7 +1,8 @@
 """The search returns the canonically first witness, checked against a brute-force oracle.
 
-Each kind's row-set relations are checked here too, against the reference
-relations its validator passes to `check_certificate` (`assert_relations_match`).
+The oracles over whole full domains read each kind's comparisons as row
+sets (`rowsets`), which the deterministic and the probabilistic tests pin
+to the comparisons themselves.
 """
 
 import collections
@@ -20,7 +21,7 @@ from exmech import domains, search, stochastic
 from exmech.deterministic import (
     DetMechanism,
     _edge_walk,
-    _rank_relations,
+    _preferences,
     build_groves_queueing,
     build_majority_referendum,
     condition1_counterexample,
@@ -54,7 +55,7 @@ from exmech.stochastic import (
     Distribution,
     ProbMechanism,
     _chain_walk,
-    _fsd_relations,
+    _fsd_pairs,
     build_mixed_counterexample,
     counterexample_preference,
     find_prob_ba_witness,
@@ -65,42 +66,13 @@ from exmech.stochastic import (
     validate_prob_witness,
 )
 
+from rowsets import fsd_relations, full_rows, rank_relations, row_sets
+
 FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 
 
 def small_env():
     return Environment.create((("a0", "a1"), ("b0", "b1")), ("z0", "z1"))
-
-
-def row_set(rows):
-    return sum(1 << o for o in rows)
-
-
-def assert_relations_match(relations, reference, index, le, orderings, comparisons):
-    """Each row-set relation equals the reference relation it stands for.
-
-    `relations(index, le)` gives (beats_ii, beats_iii) over a table whose row
-    o is `orderings[o]`; `reference` gives the (beats_ii, beats_iii) the
-    kind's validator passes to `check_certificate`.  For every (lhs, rhs) in
-    `comparisons`, each relation is given every row alone, all rows at once,
-    every other row and no row, and must return exactly the given rows under
-    which its reference holds.  Returns the set of reference verdicts seen.
-    """
-    every = row_set(range(len(orderings)))
-    alternate = row_set(range(0, len(orderings), 2))
-    verdicts = set()
-    # a kind that compares with one relation in both conditions is checked once
-    for fast, slow in set(zip(relations(index, le), reference)):
-        for lhs, rhs in comparisons:
-            expected = [slow(o, lhs, rhs) for o in orderings]
-            verdicts.update(expected)
-            holds = row_set(k for k, e in enumerate(expected) if e)
-            single = [fast(lhs, rhs, 1 << k) for k in range(len(orderings))]
-            assert single == [holds & (1 << k) for k in range(len(orderings))]
-            assert fast(lhs, rhs, every) == holds
-            assert fast(lhs, rhs, alternate) == holds & alternate
-            assert fast(lhs, rhs, 0) == 0
-    return verdicts
 
 
 def first_valid_witness(mech, domains, validate):
@@ -125,19 +97,12 @@ def first_valid_witness(mech, domains, validate):
     return None
 
 
-@functools.cache
-def full_rows(n, kind):
-    """(rank table, `le`) of a full kind over n positions, `le` by its definition."""
-    table = rank_table(n, kind)
-    return table, search._row_sets(table, n)
-
-
 def listed(env, specs, cap=None):
     """`specs` with each full-kind agent within the cap given an explicit domain
     listing every ordering of its kind in rank-table order; the rest, and a
     kind with no ordering (`weak_only` over one pair), unchanged.
 
-    The row path, searched over these, is the oracle of the full kinds' walk.
+    The search over these listed orderings is the oracle of the full kinds' walk.
     """
     resolved = resolve_domains(env, specs)
     for agent, spec in enumerate(resolved):
@@ -328,12 +293,12 @@ ROW_SET_SIZES.append((7, DomainKind.STRICT))
     "n, kind", ROW_SET_SIZES, ids=lambda v: v.value if isinstance(v, DomainKind) else str(v)
 )
 def test_full_row_sets_equal_those_of_the_rank_table(n, kind):
-    # the oracle lists a full kind's orderings as an explicit domain: its rows
-    # and its `le` are the rank table's
+    # the oracle lists a full kind's orderings as an explicit domain in the
+    # rank table's order, so the row oracles and the listed search agree
     env = Environment.create((tuple(f"x{k}" for k in range(n)), ("b0",)), ("z",))
     table = domains.domain_rank_vectors(env, 0, listed(env, kind)[0])
     assert table == rank_table(n, kind)
-    le = search._row_sets(table, n)
+    le = row_sets(table, n)
     assert le[0][0].bit_length() == domains.row_count(n, kind)
 
 
@@ -376,7 +341,7 @@ def assert_walk_equals_rows(pairs, kind, strict_iii, r, l, z, at_b):
     """
     index = {pair: k for k, pair in enumerate(pairs)}
     table, le = full_rows(len(pairs), kind)
-    by_rows = _rank_relations(index, le, strict_iii)
+    by_rows = rank_relations(index, le, strict_iii)
     steps = [(0, (l, z), (r, z))]
     steps += [(1, (r, at_b[r]), (x, at_b[x])) for x in at_b if x != r]
     rows, edges = le[0][0], []
@@ -498,8 +463,14 @@ def tie_heavy_3x3x2():
     return DetMechanism(env, {p: rng.choice(env.outcomes) for p in enumerate_profiles(env)})
 
 
-def no_row_sets(table, n):
-    raise AssertionError("rows were built for a full domain kind")
+def forbid_rows(monkeypatch):
+    """Fail the test if a rank table or any domain's rank vectors are built."""
+
+    def no_rows(*args):
+        raise AssertionError("rank vectors were built during a search")
+
+    monkeypatch.setattr(domains, "rank_table", no_rows)
+    monkeypatch.setattr(domains, "domain_rank_vectors", no_rows)
 
 
 def test_deterministic_full_kinds_build_no_rows(monkeypatch):
@@ -510,7 +481,7 @@ def test_deterministic_full_kinds_build_no_rows(monkeypatch):
         for mech, kind, strict_iii in cases
     ]
     assert all(result.witness is not None for result in expected)
-    monkeypatch.setattr(search, "_row_sets", no_row_sets)
+    forbid_rows(monkeypatch)
     for (mech, kind, strict_iii), result in zip(cases, expected):
         assert search_ba_witness(mech, kind, strict_iii=strict_iii) == result
 
@@ -527,7 +498,7 @@ def test_probabilistic_full_kinds_build_no_rows(monkeypatch):
     cases = [(mech, kind) for mech in mechs for kind in FULL_KINDS]
     expected = [search_prob_ba_witness(mech, listed(mech.env, kind)) for mech, kind in cases]
     assert sum(result.witness is not None for result in expected) > len(cases) // 2
-    monkeypatch.setattr(search, "_row_sets", no_row_sets)
+    forbid_rows(monkeypatch)
     for (mech, kind), result in zip(cases, expected):
         assert search_prob_ba_witness(mech, kind) == result
 
@@ -633,6 +604,56 @@ def test_explicit_witness_is_the_listed_ordering(monkeypatch):
         assert any(witness.ordering is listed for listed in specs[witness.agent].orderings)
 
 
+def test_explicit_searches_read_no_rank_vectors(monkeypatch):
+    # the CLI's queueing and counterexample shorthands, and thirty listed weak
+    # orders per agent: the search asks the listed orderings themselves
+    params = QueueingParams(Fraction(1, 2), Fraction(1, 4), tuple(Fraction(k, 4) for k in range(4)))
+    env, groves = build_groves_queueing(params)
+    queueing = (
+        DomainSpec.explicit((build_queueing_pref_1(params, env),)),
+        DomainSpec.explicit((build_queueing_pref_2(params, env),)),
+    )
+    env, mixed = build_mixed_counterexample()
+    counterexample = (
+        DomainSpec.explicit((counterexample_preference(),)),
+        DomainSpec.explicit((indifferent_ordering(1, env.actions[1], env.outcomes),)),
+    )
+    tie_heavy = tie_heavy_3x3x2()
+    env = tie_heavy.env
+    rng = random.Random(30)
+    palette = degenerate_palette(env, rng)
+    palette_mech = ProbMechanism(env, {p: rng.choice(palette) for p in enumerate_profiles(env)})
+    weak = DomainSpec(DomainKind.UNRESTRICTED)
+    thirty = tuple(
+        DomainSpec.explicit(rng.sample(domain_orderings(env, i, weak), 30)) for i in range(env.n)
+    )
+    cases = [
+        (mech, specs, strict_iii)
+        for mech, specs in ((groves, queueing), (tie_heavy, thirty))
+        for strict_iii in (False, True)
+    ]
+    cases += [(mixed, counterexample, None), (palette_mech, thirty, None)]
+
+    def find(mech, specs, strict_iii):
+        if strict_iii is None:
+            return find_prob_ba_witness(mech, specs)
+        return find_ba_witness(mech, specs, strict_iii=strict_iii)
+
+    def validator(strict_iii):
+        if strict_iii is None:
+            return validate_prob_witness
+        return functools.partial(validate_witness, strict_iii=strict_iii)
+
+    expected = [first_valid_witness(m, specs, validator(s)) for m, specs, s in cases]
+    assert all(witness is not None for witness in expected)
+
+    def no_rank_vectors(*args):
+        raise AssertionError("an explicit domain's rank vectors were built during a search")
+
+    monkeypatch.setattr(domains, "domain_rank_vectors", no_rank_vectors)
+    assert [find(*case) for case in cases] == expected
+
+
 @pytest.mark.parametrize("cap", ("5", [6], float("nan"), True, False, 2.5, -1), ids=repr)
 def test_cap_must_be_none_or_a_non_negative_int(cap):
     _, referendum = build_majority_referendum(1)
@@ -712,16 +733,16 @@ def test_certificate_check_takes_a_domain_kind_as_the_searches_do():
 
 
 def domain_rows(env, agent, spec, cap=None):
-    """(`le`, ordering of row o) of the agent's domain, built here, or (None, None) past the cap.
+    """(`le`, ordering of row o) of the agent's domain, or (None, None) past the cap.
 
     A full kind's rows are its rank table's, an explicit domain's its listed
-    orderings', each turned into `le` by its definition (`search._row_sets`),
-    so no oracle shares the search's head-by-head `le` or its walk over heads.
+    orderings', each turned into `le` by its definition (`rowsets.row_sets`),
+    so no oracle shares the search's walk over heads or its listed scan.
     """
     pairs = env.pairs_for(agent)
     if spec.kind is DomainKind.EXPLICIT:
         table = [[o.rank(p) for p in pairs] for o in spec.orderings]
-        return search._row_sets(table, len(pairs)), spec.orderings.__getitem__
+        return row_sets(table, len(pairs)), spec.orderings.__getitem__
     try:
         domains.check_full_domain(spec.kind, pairs, cap)
     except CapExceeded:
@@ -731,15 +752,16 @@ def domain_rows(env, agent, spec, cap=None):
     def ordering_at(o):
         return Ordering.from_ranks(agent, pairs, table[o])
 
-    return search._row_sets(table, len(pairs)), ordering_at
+    return row_sets(table, len(pairs)), ordering_at
 
 
 def pairwise_search_witness(env, value_at, domain_specs, relations, cap=None):
     """The search as a scan over every (a, b) pair, each b narrowed rival by rival.
 
     The same canonical order, witnesses and statistics as
-    `search.search_witness`, with no interning, no signatures and no walk;
-    kept as the oracle for the quotient and for the walk over heads.
+    `search.search_witness`, with no interning, no signatures and no walk,
+    reading each kind's comparisons as row-set `relations`; kept as the
+    oracle for the quotient, the walk over heads and the listed scan.
     Every agent's rows within the cap are built up front (`domain_rows`),
     and its ordering count is read from them.
     """
@@ -837,13 +859,16 @@ def few_signature_cases(draw, prob):
 
 
 def relation_cases(mech, prob):
-    """(value_at, relations, full) as each kind's search passes them, per `strict_iii`."""
+    """(value_at, relations, beats, full) per `strict_iii`: the comparisons
+    `beats` and the hook `full` as each kind's search passes them, and the
+    comparisons' row-set form `relations` for the pairwise scan."""
     if prob:
-        return [(mech.dist_at, _fsd_relations, _chain_walk)]
+        return [(mech.dist_at, fsd_relations, (_fsd_pairs, _fsd_pairs), _chain_walk)]
     return [
         (
             mech.outcome_at,
-            functools.partial(_rank_relations, strict_iii=strict_iii),
+            functools.partial(rank_relations, strict_iii=strict_iii),
+            _preferences(strict_iii),
             functools.partial(_edge_walk, strict_iii=strict_iii),
         )
         for strict_iii in (False, True)
@@ -854,15 +879,15 @@ def relation_cases(mech, prob):
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_signature_search_equals_the_pairwise_scan(prob, data):
-    # the pairwise scan reads rows only, so on the full kinds this also
-    # compares the walk over heads with the lowest surviving row
+    # the pairwise scan reads rows only, so this also compares the walk over
+    # heads and the scan of listed orderings with the lowest surviving row
     mech, specs, cap = data.draw(few_signature_cases(prob))
-    for value_at, relations, full in relation_cases(mech, prob):
+    for value_at, relations, beats, full in relation_cases(mech, prob):
         expected = outcome_or_cap(
             lambda: pairwise_search_witness(mech.env, value_at, specs, relations, cap)
         )
         assert outcome_or_cap(
-            lambda: search.search_witness(mech.env, value_at, specs, relations, full, cap)
+            lambda: search.search_witness(mech.env, value_at, specs, beats, full, cap)
         ) == expected
 
 
@@ -879,7 +904,7 @@ def test_search_reads_only_the_sub_profiles_it_reaches():
 
     for kind in FULL_KINDS:
         read.clear()
-        result = search.search_witness(env, value_at, kind, _rank_relations, _edge_walk)
+        result = search.search_witness(env, value_at, kind, _preferences(False), _edge_walk)
         assert result.witness == find_ba_witness(referendum, kind)
         assert {agent for agent, _ in read} == {0}
         assert sorted({subs.index(sub) for _, sub in read}) == [0, 1, 2]
@@ -887,10 +912,10 @@ def test_search_reads_only_the_sub_profiles_it_reaches():
 
 
 def test_a_signature_is_narrowed_again_for_another_tied_value():
-    # For (x0, x1), a = b0 ties at z0 and a = b2 at z1.  Row A alone passes
-    # (ii) at z0 and row B alone at z1; the signatures of b1 and b3 survive
-    # under B only, so the witness is (a, b) = (b2, b1) under B, after b1
-    # and b3 failed for z0.
+    # For (x0, x1), a = b0 ties at z0 and a = b2 at z1.  Ordering A alone
+    # passes (ii) at z0 and ordering B alone at z1; the signatures of b1 and
+    # b3 meet (iii) under B only, so the witness is (a, b) = (b2, b1) under
+    # B, after b1 and b3 failed for z0.
     env = Environment.create((("x0", "x1", "x2"), ("b0", "b1", "b2", "b3")), ("z0", "z1"))
     at_agent_0 = {
         "b0": ("z0", "z0", "z0"),
@@ -913,34 +938,39 @@ def test_a_signature_is_narrowed_again_for_another_tied_value():
     specs = (DomainSpec.explicit((row_a, row_b)), DomainSpec(DomainKind.UNRESTRICTED))
     witness = find_ba_witness(mech, specs)
     assert witness == BAWitness(0, "x0", "x1", ("b2",), ("b1",), row_b)
-    assert witness == pairwise_search_witness(env, mech.outcome_at, specs, _rank_relations).witness
+    assert witness == pairwise_search_witness(env, mech.outcome_at, specs, rank_relations).witness
 
 
-# --- the contract the walk relies on, and the relation calls it makes ---------------
+# --- the contract the walk relies on, and the comparison calls it makes ------------
 
 
 def contract_tables():
-    """(actions, outcomes, kind, le): each full kind's `le` over at most five
-    pairs, and random explicit tables over six, whose kind is None."""
+    """(actions, outcomes, kind, table, le): each full kind's rank table over
+    at most five pairs, and random explicit tables over six, whose kind is None."""
     for n_actions, n_outcomes in ((2, 2), (1, 3), (5, 1), (1, 5)):
         actions = tuple(f"x{k}" for k in range(n_actions))
         outcomes = tuple(f"z{j}" for j in range(n_outcomes))
         n = n_actions * n_outcomes
         for kind in FULL_KINDS:
-            yield actions, outcomes, kind, full_rows(n, kind)[1]
+            yield actions, outcomes, kind, *full_rows(n, kind)
     rng = random.Random(5)
     for _ in range(4):
-        table = [[rng.randrange(6) for _ in range(6)] for _ in range(rng.randint(1, 40))]
-        yield ("x0", "x1"), ("z0", "z1", "z2"), None, search._row_sets(table, 6)
+        table = []
+        for _ in range(rng.randint(1, 40)):
+            labels = [rng.randrange(6) for _ in range(6)]
+            table.append([sorted(set(labels)).index(c) for c in labels])
+        yield ("x0", "x1"), ("z0", "z1", "z2"), None, table, row_sets(table, 6)
 
 
 @pytest.mark.parametrize("prob", (False, True), ids=("det", "prob"))
 def test_relations_meet_the_search_contract(prob):
     # (iii) against a lottery never holds where (ii) for it over the other
     # does: the walk skips a's own signature and decides each tied value once
-    # because of it.  Rows: no row of (ii) survives the reversed (iii).
-    # Walks: `start` refuses every tuple whose r and l give the tied value at b.
-    for actions, outcomes, kind, le in contract_tables():
+    # because of it.  Comparisons: no ordering meeting (ii) meets the reversed
+    # (iii), asked of random explicit orderings and, through their row-set
+    # form, of every row of each table.  Walks: `start`
+    # refuses every tuple whose r and l give the tied value at b.
+    for actions, outcomes, kind, table, le in contract_tables():
         pairs = [(x, z) for x in actions for z in outcomes]
         index = {pair: k for k, pair in enumerate(pairs)}
         every = le[0][0]
@@ -951,17 +981,22 @@ def test_relations_meet_the_search_contract(prob):
                 for ks in masses
                 if any(ks)
             )
-            relations = [_fsd_relations(index, le)]
+            comparisons = [((_fsd_pairs, _fsd_pairs), fsd_relations(index, le))]
             walks = [_chain_walk(index, kind)] if kind is not None else []
         else:
             values = outcomes
-            relations = [_rank_relations(index, le, s) for s in (False, True)]
+            comparisons = [(_preferences(s), rank_relations(index, le, s)) for s in (False, True)]
             walks = [_edge_walk(index, kind, s) for s in (False, True)] if kind is not None else []
         lotteries = [(x, value) for x in actions for value in values]
-        for beats_ii, beats_iii in relations:
+        orderings = []  # a full kind's orderings are asked through the rows alone
+        if kind is None:  # four a table keep the direct fsd calls few
+            orderings = [Ordering.from_ranks(0, pairs, ranks) for ranks in table[:4]]
+        for (beats_ii, beats_iii), (rows_ii, rows_iii) in comparisons:
             for x, y in itertools.product(lotteries, repeat=2):
-                rows = beats_ii(x, y, every)  # the search narrows only what (ii) left
-                assert not (rows and beats_iii(y, x, rows))
+                rows = rows_ii(x, y, every)  # the search asks (iii) only where (ii) held
+                assert not (rows and rows_iii(y, x, rows))
+                for ordering in orderings:
+                    assert not (beats_ii(ordering, x, y) and beats_iii(ordering, y, x))
         at_bs = list(itertools.product(values, repeat=len(actions)))
         for start, _ in walks:
             for (r, l), tied, rivals in itertools.product(
@@ -971,39 +1006,35 @@ def test_relations_meet_the_search_contract(prob):
                 assert start(r, l, tied, at_b) is None
 
 
-def logged_relations(env, relations, log):
-    """`relations` with its calls logged.
+def logged_comparisons(env, beats, log):
+    """`beats` with its calls logged, each for the agent its ordering is tagged for.
 
-    Each call of `relations` itself is counted per agent under "relations".
-    A (ii) call logs (agent, r, l, tied value) under "ii" and becomes the
-    context of the (iii) calls after it.  A (iii) call is counted per agent
-    under "iii"; when its rival is the first action other than r it starts
-    a narrowing, which must begin from the rows (ii) returned, and it logs
-    the context with the anchor's and the rival's values under "starts".
+    A (ii) call logs ((agent, r, l, tied value), ordering, answer) under
+    "ii", and its key becomes the context of the (iii) calls after it.  A
+    (iii) call is counted per agent under "iii"; when its rival is the first
+    action other than r it starts the check of one ordering at one
+    signature, and it logs the context, the ordering and the anchor's and
+    the rival's values under "starts".
     """
+    beats_ii, beats_iii = beats
+    key = None
 
-    def wrapped(index, le):
-        agent = next(i for i in range(env.n) if set(index) == set(env.pairs_for(i)))
-        log["relations"][agent] += 1
-        beats_ii, beats_iii = relations(index, le)
-        key = candidates = None
+    def ii(ordering, lhs, rhs):
+        nonlocal key
+        key = (ordering.agent, rhs[0], lhs[0], lhs[1])
+        answer = beats_ii(ordering, lhs, rhs)
+        log["ii"].append((key, ordering, answer))
+        return answer
 
-        def ii(lhs, rhs, rows):
-            nonlocal key, candidates
-            key, candidates = (agent, rhs[0], lhs[0], lhs[1]), beats_ii(lhs, rhs, rows)
-            log["ii"].append(key)
-            return candidates
+    def iii(ordering, anchor, rival):
+        agent = ordering.agent
+        log["iii"][agent] += 1
+        assert key[0] == agent and anchor[0] == key[1]
+        if rival[0] == next(x for x in env.actions[agent] if x != anchor[0]):
+            log["starts"].append((*key, ordering, anchor[1], rival[1]))
+        return beats_iii(ordering, anchor, rival)
 
-        def iii(anchor, rival, rows):
-            log["iii"][agent] += 1
-            if rival[0] == next(x for x in env.actions[agent] if x != anchor[0]):
-                assert anchor[0] == key[1] and rows == candidates
-                log["starts"].append((*key, anchor[1], rival[1]))
-            return beats_iii(anchor, rival, rows)
-
-        return ii, iii
-
-    return wrapped
+    return ii, iii
 
 
 def logged_walk(env, full, log):
@@ -1026,33 +1057,41 @@ def logged_walk(env, full, log):
     return wrapped
 
 
-def assert_within_budget(env, value_at, relations, full, specs, cap=None):
-    """Search with logged relations and walks and check the calls against the budget.
+def assert_within_budget(env, value_at, beats, full, specs, cap=None):
+    """Search with logged comparisons and walks and check the calls against the budget.
 
-    (ii) runs at most once per (agent, r, l, tied value).  A narrowing starts
-    at most once per (agent, r, l, value, signature), and never at the
-    signature of the value's first tie: so the starts seen with given
-    anchor and first-rival values number no more than the other signatures
-    with those values.  A walk's start is asked each (agent, r, l, value,
-    values at b) at most once, never at the signature of the value's first
-    tie, and gives a state at most once, which ends the search, and never
-    where r and l both give the tied value at b.  An
-    agent's relations and its walk hook are each made at most once, and an
-    agent with one signature has neither made: it makes no (ii), (iii) or
-    start call, so nothing is built for it.
+    (ii) runs once on each listed ordering, in listed order, per (agent, r,
+    l, tied value), and on nothing else.  An ordering's check starts only
+    if it met (ii) for that tied value, at most once per signature and
+    never at the signature of the value's first tie: so the starts seen
+    with given anchor and first-rival values number no more than the other
+    signatures with those values, times the ordering's listed copies.  A
+    walk's start is asked each (agent, r, l, value, values at b) at most
+    once, never at the signature of the value's first tie, and gives a
+    state at most once, which ends the search, and never where r and l both
+    give the tied value at b.  An agent's walk hook is made at most once,
+    and a walked agent has no comparison asked.  An agent with one
+    signature has nothing made or asked.
     """
     log = {"ii": [], "starts": [], "iii": collections.Counter(), "asked": []}
-    log["relations"] = collections.Counter()
     log["walks"] = collections.Counter()
-    logged = logged_relations(env, relations, log)
+    logged = logged_comparisons(env, beats, log)
     walk = logged_walk(env, full, log)
     result = outcome_or_cap(lambda: search.search_witness(env, value_at, specs, logged, walk, cap))
-    assert len(set(log["ii"])) == len(log["ii"])
+    listed = [spec.orderings for spec in resolve_domains(env, specs)]
+    runs = [
+        (key, [ordering for _, ordering, _ in run])
+        for key, run in itertools.groupby(log["ii"], lambda call: call[0])
+    ]
+    assert len({key for key, _ in runs}) == len(runs)
+    for (agent, *_), orderings in runs:
+        assert tuple(orderings) == listed[agent]
+    passed = {(key, ordering) for key, ordering, answer in log["ii"] if answer}
     asked = [question for question, _ in log["asked"]]
     assert len(set(asked)) == len(asked)
     assert [answer for _, answer in log["asked"]].count(True) <= 1
-    for agent in log["walks"]:  # an agent is searched through rows or through its walk
-        assert log["relations"][agent] == log["iii"][agent] == 0
+    for agent in log["walks"]:  # an agent is searched through its listed orderings or its walk
+        assert log["iii"][agent] == 0 and not [key for key, _ in runs if key[0] == agent]
 
     def signature(agent, b):
         return tuple(value_at(agent, x, b) for x in env.actions[agent])
@@ -1063,20 +1102,21 @@ def assert_within_budget(env, value_at, relations, full, specs, cap=None):
         assert tuple(v for _, v in at_b) != signature(agent, tie)
         assert not (answer and dict(at_b)[r] == dict(at_b)[l] == value)
 
-    for (agent, r, l, value, *seen), count in collections.Counter(log["starts"]).items():
+    for (agent, r, l, value, ordering, *seen), count in collections.Counter(log["starts"]).items():
+        assert ((agent, r, l, value), ordering) in passed
         acts = env.actions[agent]
         subs = list(sub_profiles(env, agent))
         tie = next(b for b in subs if value_at(agent, r, b) == value == value_at(agent, l, b))
         shown = (acts.index(r), acts.index(next(x for x in acts if x != r)))
         others = {signature(agent, b) for b in subs} - {signature(agent, tie)}
-        assert count <= sum(1 for sig in others if [sig[k] for k in shown] == seen)
+        matching = sum(1 for sig in others if [sig[k] for k in shown] == seen)
+        assert count <= matching * listed[agent].count(ordering)
     for agent in range(env.n):
-        assert log["relations"][agent] <= 1 and log["walks"][agent] <= 1
+        assert log["walks"][agent] <= 1
         if len({signature(agent, b) for b in sub_profiles(env, agent)}) == 1:
-            assert log["relations"][agent] == log["walks"][agent] == 0
-            assert not [key for key in log["ii"] if key[0] == agent]
+            assert log["walks"][agent] == log["iii"][agent] == 0
+            assert not [key for key, _ in runs if key[0] == agent]
             assert not [question for question in asked if question[0] == agent]
-            assert log["iii"][agent] == 0
     return result
 
 
@@ -1085,8 +1125,8 @@ def assert_within_budget(env, value_at, relations, full, specs, cap=None):
 @settings(max_examples=60, deadline=None)
 def test_relation_call_budget_on_few_signature_mechanisms(prob, data):
     mech, specs, cap = data.draw(few_signature_cases(prob))
-    for value_at, relations, full in relation_cases(mech, prob):
-        assert_within_budget(mech.env, value_at, relations, full, specs, cap)
+    for value_at, _, beats, full in relation_cases(mech, prob):
+        assert_within_budget(mech.env, value_at, beats, full, specs, cap)
 
 
 def constant_3x3x2():
@@ -1103,8 +1143,8 @@ def test_relation_call_budget_on_constant_mechanisms():
     env, constant, uniform = constant_3x3x2()
     for kind in FULL_KINDS:
         for mech, prob in ((constant, False), (uniform, True)):
-            for value_at, relations, full in relation_cases(mech, prob):
-                result = assert_within_budget(env, value_at, relations, full, kind)
+            for value_at, _, beats, full in relation_cases(mech, prob):
+                result = assert_within_budget(env, value_at, beats, full, kind)
                 assert result.witness is None
 
 
@@ -1115,28 +1155,27 @@ def test_one_signature_agents_build_no_rows(monkeypatch):
     def no_walk(index, kind):
         raise AssertionError("a walk was made for a constant mechanism")
 
-    monkeypatch.setattr(search, "_row_sets", no_row_sets)
-    for kind in FULL_KINDS:
-        for strict_iii in (False, True):
-            result = search.search_witness(env, constant.outcome_at, kind, _rank_relations, no_walk)
-            assert result.witness is None
-        result = search.search_witness(env, uniform.dist_at, kind, _fsd_relations, no_walk)
-        assert result.witness is None
-    specs = [
+    def no_comparison(ordering, lhs, rhs):
+        raise AssertionError("a listed ordering was compared for a constant mechanism")
+
+    specs = tuple(
         DomainSpec.explicit(itertools.islice(enumerate_weak_orderings(i, env.pairs_for(i)), 5))
         for i in range(env.n)
-    ]
-    for strict_iii in (False, True):
-        result = search_ba_witness(constant, specs, strict_iii=strict_iii)
-        assert result.witness is None and result.stats["orderings_per_agent"] == [5, 5]
-    assert find_prob_ba_witness(uniform, specs) is None
+    )
+    forbid_rows(monkeypatch)
+    for domain in (*FULL_KINDS, specs):
+        for value_at in (constant.outcome_at, uniform.dist_at):
+            beats = (no_comparison, no_comparison)
+            result = search.search_witness(env, value_at, domain, beats, no_walk)
+            assert result.witness is None
+    assert result.stats["orderings_per_agent"] == [5, 5]
 
 
 def test_completely_mixed_strict_mechanisms_are_nba_with_no_rows(monkeypatch):
     # the dominance dichotomy: the chain test rejects every tuple at the
     # chain's first step, so no row is built and no (ii) or (iii) runs
-    def no_relations(index, le):
-        raise AssertionError("rows were read for a completely mixed mechanism under strict")
+    def no_comparison(ordering, lhs, rhs):
+        raise AssertionError("an ordering was compared for a completely mixed mechanism")
 
     asked = []
     chain_walk = stochastic._chain_walk
@@ -1145,9 +1184,9 @@ def test_completely_mixed_strict_mechanisms_are_nba_with_no_rows(monkeypatch):
         start, below = chain_walk(index, kind)
         return (lambda *values: asked.append(values) or start(*values)), below
 
-    monkeypatch.setattr(stochastic, "_fsd_relations", no_relations)
+    monkeypatch.setattr(stochastic, "_fsd_pairs", no_comparison)
     monkeypatch.setattr(stochastic, "_chain_walk", counted)
-    monkeypatch.setattr(search, "_row_sets", no_row_sets)
+    forbid_rows(monkeypatch)
     rng = random.Random(29)
     env = Environment.create((("a0", "a1", "a2"), ("b0", "b1", "b2")), ("z0", "z1"))
     mechs = []
@@ -1163,7 +1202,7 @@ def test_completely_mixed_strict_mechanisms_are_nba_with_no_rows(monkeypatch):
     assert len(asked) > len(mechs)
 
 
-def test_the_tuple_test_is_asked_per_l_rival_value():
+def test_the_walk_start_is_asked_per_l_rival_value():
     # (x0, x1) ties at b0; b1 and b2 share the anchor's value and differ in
     # the l-rival's, which rules b1 out and lets b2 give the witness
     env = Environment.create((("x0", "x1"), ("b0", "b1", "b2")), ("z0", "z1"))
@@ -1181,7 +1220,7 @@ def test_the_tuple_test_is_asked_per_l_rival_value():
 
 
 @st.composite
-def tuple_test_cases(draw):
+def mixed_domain_cases(draw):
     """A probabilistic mechanism over up to six pairs per agent, its
     distributions from a palette as `prob_cases` draws it or from two totally
     mixed ones; per agent a full kind or an explicit domain; maybe a cap.
@@ -1205,10 +1244,10 @@ def tuple_test_cases(draw):
     return mech, specs, draw(st.sampled_from((None, 3, 5)))
 
 
-@given(tuple_test_cases())
+@given(mixed_domain_cases())
 @settings(max_examples=80, deadline=None)
-def test_prob_search_equals_the_search_without_the_tuple_test(case):
-    # the rows alone, over each full kind's orderings listed, as the oracle;
+def test_prob_search_equals_the_search_over_listed_orderings(case):
+    # the scan of listed orderings, over each full kind's orderings, as the oracle;
     # an agent past the cap keeps its kind, so it raises at the same tie
     mech, specs, cap = case
     expected = outcome_or_cap(
@@ -1218,7 +1257,7 @@ def test_prob_search_equals_the_search_without_the_tuple_test(case):
 
 
 @pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
-def test_ordering_counts_are_those_of_the_rows_never_built(kind):
+def test_ordering_counts_are_the_domain_sizes(kind):
     # agent 0 has n pairs, one per action, and agent 1 has two
     rng = random.Random(7)
     for n in range(1, 7):
@@ -1232,11 +1271,12 @@ def test_ordering_counts_are_those_of_the_rows_never_built(kind):
             built = [domain_rows(env, i, specs[i])[0] for i in range(env.n)]
             assert counts == [le[0][0].bit_length() for le in built]
         if n > 1:
-            past = search._admissible(env, 0, DomainSpec(kind), n - 1, _rank_relations, _edge_walk)
+            beats = _preferences(False)
+            past = search._admissible(env, 0, DomainSpec(kind), n - 1, beats, _edge_walk)
             assert past == (None, None)
 
 
-def test_search_start_checks_do_not_wait_for_rows():
+def test_search_start_checks_do_not_wait_for_a_tie():
     env, constant, uniform = constant_3x3x2()
     for kind in FULL_KINDS:
         for cap in (-1, True, "3"):

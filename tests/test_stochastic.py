@@ -24,7 +24,6 @@ from exmech.errors import (
     ParseError,
 )
 from exmech.model import DomainKind, DomainSpec, Environment, Ordering, enumerate_profiles
-from exmech.search import _row_sets
 from exmech.stochastic import (
     Distribution,
     DominanceBlock,
@@ -32,7 +31,6 @@ from exmech.stochastic import (
     ProbMechanism,
     _chain_walk,
     _fsd_pairs,
-    _fsd_relations,
     best_outcome,
     build_mixed_counterexample,
     build_relative_frequency,
@@ -50,7 +48,8 @@ from exmech.stochastic import (
     validate_prob_witness,
 )
 
-from test_search import altered, assert_relations_match, full_rows
+from rowsets import assert_relations_match, fsd_relations, full_rows, row_sets
+from test_search import altered
 
 Z2 = ("z0", "z1")
 
@@ -284,8 +283,8 @@ PALETTES = {
 
 
 def assert_fsd_relations_match(env, agent, table, orderings, dists=None):
-    """The FSD row-set relation equals `fsd`, the relation `validate_prob_witness`
-    passes to `check_certificate` for (ii) and (iii), on every row.
+    """The FSD row-set relation equals `fsd`, the comparison the search and
+    `validate_prob_witness` take for (ii) and (iii), on every row.
 
     Every ordered pair of lotteries over `dists` (by default the palette of
     the outcome count) is compared, equal ones and same-action ones
@@ -299,9 +298,9 @@ def assert_fsd_relations_match(env, agent, table, orderings, dists=None):
         ]
     lotteries = [(x, d) for x in env.actions[agent] for d in dists]
     comparisons = list(itertools.product(lotteries, repeat=2))
-    le = _row_sets(table, len(index))
+    le = row_sets(table, len(index))
     reference = (_fsd_pairs, _fsd_pairs)
-    return assert_relations_match(_fsd_relations, reference, index, le, orderings, comparisons)
+    return assert_relations_match(fsd_relations, reference, index, le, orderings, comparisons)
 
 
 @pytest.mark.parametrize("kind", (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY))
@@ -406,7 +405,7 @@ def assert_chain_test_matches_rows(kind, n_actions, n_outcomes, tied, at_b, ri, 
     pairs = [(x, z) for x in actions for z in (f"z{j}" for j in range(n_outcomes))]
     index = {pair: c for c, pair in enumerate(pairs)}
     table, le = full_rows(len(pairs), kind)
-    beats_ii, beats_iii = _fsd_relations(index, le)
+    beats_ii, beats_iii = fsd_relations(index, le)
     r, l = actions[ri], actions[li]
     rows = beats_ii((l, tied), (r, tied), le[0][0])
     for x, value in zip(actions, at_b):
