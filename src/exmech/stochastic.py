@@ -8,9 +8,10 @@ target pair must be at least as large everywhere and strictly larger
 somewhere.
 
 `phi` is the reference definition in `Fraction` arithmetic; `fsd` compares
-its differences as integer prefix sums over the ordering's classes.  It
-re-checks every witness, and over an explicit domain it is the search's
-comparison, asked of the listed orderings one at a time.  Over a full kind
+its differences as integer prefix sums over the ordering's classes, on
+lotteries or on (action, distribution) pairs.  It re-checks every witness,
+and over an explicit domain it is the search's comparison, asked of the
+listed orderings one at a time, with no `Lottery` built.  Over a full kind
 no ordering is listed: `_chain_walk` decides each tuple from the tied
 distribution and each action's distribution at b, as a chain over pairs of
 outcome sets, and finds the witness ordering by the walk over heads,
@@ -133,6 +134,9 @@ class Lottery(Value):
         set_field(self, "action", action)
         set_field(self, "dist", dist)
 
+    def __iter__(self):
+        return iter((self.action, self.dist))
+
 
 class ProbMechanism(Value):
     """Total map from action profiles to outcome distributions."""
@@ -190,29 +194,41 @@ def phi(ordering: Ordering, lottery: Lottery, target: Pair) -> Fraction:
         raise AgentMismatch(str(exc)) from None
 
 
-def fsd(ordering: Ordering, lhs: Lottery, rhs: Lottery) -> bool:
+def fsd(ordering: Ordering, lhs, rhs) -> bool:
     """True iff `lhs` first-order stochastically dominates `rhs`.
 
-    The upper-contour probability of `lhs` must weakly exceed that of `rhs`
-    at every target pair, strictly at one; irreflexive and asymmetric by
+    Each side is a `Lottery` or an (action, distribution) pair.  The
+    upper-contour probability of `lhs` must weakly exceed that of `rhs` at
+    every target pair, strictly at one; irreflexive and asymmetric by
     construction.  `phi` at a target sums the mass on its class and every
     better one, so the differences are the prefix sums, best class first, of
-    the mass `lhs` puts on each class minus the mass `rhs` puts there
-    (`_class_terms` with classes for columns).  They change only at classes
-    of nonzero net mass, so dominance holds iff some class has nonzero net
-    mass and no prefix sum is negative: the first such sum is then positive.
-    Zero-probability pairs are skipped, as `phi` skips them.
+    the mass `lhs` puts on each class minus the mass `rhs` puts there, each
+    side's weights times the other side's scale.  They change only at
+    classes of nonzero net mass, so dominance holds iff some class has
+    nonzero net mass and no prefix sum is negative: the first such sum is
+    then positive.  Pairs of zero probability are never looked up, as `phi`
+    skips them.
     """
+    (a, g), (b, h) = lhs, rhs
+    ranks = ordering._ranks
+    mass: dict[int, int] = {}
     try:
-        terms = _class_terms(ordering._ranks, (lhs.action, lhs.dist), (rhs.action, rhs.dist))
+        factor = h.scale
+        for z, w in g.weights:
+            k = ranks[a, z]
+            mass[k] = mass.get(k, 0) + factor * w
+        factor = g.scale
+        for z, w in h.weights:
+            k = ranks[b, z]
+            mass[k] = mass.get(k, 0) - factor * w
     except KeyError as exc:
         raise AgentMismatch(f"pair {exc.args[0]!r} is not in the ordering's partition") from None
     difference = 0
-    for _, mass in sorted(terms):
-        difference += mass
+    for k in sorted(mass):
+        difference += mass[k]
         if difference < 0:
             return False
-    return bool(terms)
+    return any(mass.values())
 
 
 class DominanceBlock(Enum):
@@ -264,29 +280,7 @@ def validate_prob_witness(
 
     With a `domain`, the witness ordering must also belong to it.
     """
-    check_certificate(mech.env, witness, mech.dist_at, _fsd_pairs, _fsd_pairs, domain)
-
-
-def _fsd_pairs(ordering: Ordering, lhs: tuple, rhs: tuple) -> bool:
-    """`fsd` on two (action, distribution) pairs."""
-    return fsd(ordering, Lottery(*lhs), Lottery(*rhs))
-
-
-def _class_terms(index: Mapping[Pair, int], lhs, rhs) -> list[tuple[int, int]]:
-    """`lhs` minus `rhs`, (action, distribution) lotteries, as (column, mass) terms.
-
-    Masses are the distributions' integer weights rescaled to the lcm of
-    their scales, summed by column (same-action lotteries share columns),
-    with zero-probability pairs skipped and zero sums dropped.
-    """
-    (a, g), (b, h) = lhs, rhs
-    scale = math.lcm(g.scale, h.scale)
-    mass: dict[int, int] = {}
-    for action, dist, factor in ((a, g, scale // g.scale), (b, h, -(scale // h.scale))):
-        for z, w in dist.weights:
-            k = index[(action, z)]
-            mass[k] = mass.get(k, 0) + factor * w
-    return [(k, m) for k, m in mass.items() if m]
+    check_certificate(mech.env, witness, mech.dist_at, fsd, fsd, domain)
 
 
 def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
@@ -472,8 +466,7 @@ def search_prob_ba_witness(
     first-order stochastic dominance.  The search order is that of
     `search.search_witness`.
     """
-    beats = (_fsd_pairs, _fsd_pairs)
-    return search_witness(mech.env, mech.dist_at, domains, beats, _chain_walk, cap)
+    return search_witness(mech.env, mech.dist_at, domains, (fsd, fsd), _chain_walk, cap)
 
 
 def find_prob_ba_witness(

@@ -170,9 +170,9 @@ def claim_queueing_preferences_separable() -> ClaimResult:
     """Both constructed queueing preferences are separable across the sweep."""
     checked = separable = 0
     for grid in GRID_SWEEP:
+        env, _ = build_groves_queueing(QueueingParams(0, 0, grid))  # outcomes follow the grid
         for theta in THETA_SWEEP:
             params = QueueingParams(theta, theta, grid)
-            env, _ = build_groves_queueing(params)
             for ordering in (
                 build_queueing_pref_1(params, env),
                 build_queueing_pref_2(params, env),
@@ -207,20 +207,18 @@ def claim_strict_dichotomy_blocks_dominance(
     rng = random.Random(seed)
     actions, outcomes = ("a0", "a1"), ("z0", "z1")
     pairs = tuple((a, z) for a in actions for z in outcomes)
+    orderings = list(enumerate_strict_orderings(0, pairs))
     violations = checks = 0
-    for ordering in enumerate_strict_orderings(0, pairs):
-        for r, l in itertools.permutations(actions, 2):
+    for r, l in itertools.permutations(actions, 2):
+        draws = [(random_totally_mixed(outcomes, rng), random_totally_mixed(outcomes, rng))
+                 for _ in range(samples)]
+        for ordering in orderings:  # every ordering checked against the same draws
             # the blocked direction: lo's lotteries never dominate hi's
             top = dominance_dichotomy(ordering, r, l) is DominanceBlock.R_TOP
             lo, hi = (l, r) if top else (r, l)
-            for _ in range(samples):
-                g = random_totally_mixed(outcomes, rng)
-                h = random_totally_mixed(outcomes, rng)
-                blocked = fsd(ordering, Lottery(lo, g), Lottery(hi, h)) or fsd(
-                    ordering, Lottery(lo, h), Lottery(hi, g)
-                )
-                checks += 1
-                violations += blocked
+            for g, h in draws:
+                violations += fsd(ordering, (lo, g), (hi, h)) or fsd(ordering, (lo, h), (hi, g))
+            checks += len(draws)
     return ClaimResult(
         "strict-dichotomy-blocks-dominance",
         checks > 0 and violations == 0,

@@ -15,9 +15,9 @@ deterministic kind and `fsd_relations` for the probabilistic one.
 """
 
 import functools
+import math
 
 from exmech.domains import rank_table
-from exmech.stochastic import _class_terms
 
 
 def row_set(rows):
@@ -56,6 +56,23 @@ def rank_relations(index, le, strict_iii=False):
     return strictly, strictly if strict_iii else weakly
 
 
+def class_terms(index, lhs, rhs):
+    """`lhs` minus `rhs`, (action, distribution) lotteries, as (column, mass) terms.
+
+    Masses are the distributions' integer weights rescaled to the lcm of
+    their scales, summed by column (same-action lotteries share columns),
+    with zero-probability pairs skipped and zero sums dropped.
+    """
+    (a, g), (b, h) = lhs, rhs
+    scale = math.lcm(g.scale, h.scale)
+    mass = {}
+    for action, dist, factor in ((a, g, scale // g.scale), (b, h, -(scale // h.scale))):
+        for z, w in dist.weights:
+            k = index[(action, z)]
+            mass[k] = mass.get(k, 0) + factor * w
+    return [(k, m) for k, m in mass.items() if m]
+
+
 def fsd_relations(index, le):
     """`fsd` on (action, distribution) lotteries as a row-set relation, for (ii) and (iii).
 
@@ -70,7 +87,7 @@ def fsd_relations(index, le):
     """
 
     def beats(lhs, rhs, rows):
-        terms = _class_terms(index, lhs, rhs)
+        terms = class_terms(index, lhs, rhs)
         positive = 0
         for t, _ in terms:
             sums = {0: rows}

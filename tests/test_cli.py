@@ -21,7 +21,7 @@ from exmech.model import (
     witness_from_json,
 )
 from exmech.queueing import QueueingParams, parse_fraction
-from exmech.stochastic import build_mixed_counterexample, validate_prob_witness
+from exmech.stochastic import DominanceBlock, build_mixed_counterexample, validate_prob_witness
 from exmech.verify import (
     claim_mixed_counterexample_reproduced,
     claim_mixed_mechanisms_avoid_anomaly,
@@ -603,6 +603,22 @@ def test_sweep_claims_fail_when_they_check_nothing():
     assert not claim_strict_dichotomy_blocks_dominance(samples=0).passed
     assert claim_mixed_mechanisms_avoid_anomaly(count=3).passed
     assert claim_strict_dichotomy_blocks_dominance(samples=3).passed
+
+
+def test_dichotomy_claim_catches_a_wrong_dichotomy(monkeypatch):
+    # with each ordering's blocked direction reversed, the sampled lotteries
+    # of the action holding the better top pair dominate the other's
+    right = verify.dominance_dichotomy
+
+    def reversed_block(ordering, r, l):
+        block = right(ordering, r, l)
+        return DominanceBlock.L_TOP if block is DominanceBlock.R_TOP else DominanceBlock.R_TOP
+
+    monkeypatch.setattr(verify, "dominance_dichotomy", reversed_block)
+    result = claim_strict_dichotomy_blocks_dominance(samples=10)
+    violations = int(result.detail.split()[0])
+    assert not result.passed and violations > 0
+    assert result.detail.endswith(f"in {24 * 2 * 10} sampled lottery pairs")
 
 
 def test_mixed_claim_fails_on_mechanisms_that_are_not_completely_mixed(monkeypatch):

@@ -55,10 +55,10 @@ from exmech.stochastic import (
     Distribution,
     ProbMechanism,
     _chain_walk,
-    _fsd_pairs,
     build_mixed_counterexample,
     counterexample_preference,
     find_prob_ba_witness,
+    fsd,
     is_completely_mixed,
     random_completely_mixed_mechanism,
     random_totally_mixed,
@@ -863,7 +863,7 @@ def relation_cases(mech, prob):
     `beats` and the hook `full` as each kind's search passes them, and the
     comparisons' row-set form `relations` for the pairwise scan."""
     if prob:
-        return [(mech.dist_at, fsd_relations, (_fsd_pairs, _fsd_pairs), _chain_walk)]
+        return [(mech.dist_at, fsd_relations, (fsd, fsd), _chain_walk)]
     return [
         (
             mech.outcome_at,
@@ -981,7 +981,7 @@ def test_relations_meet_the_search_contract(prob):
                 for ks in masses
                 if any(ks)
             )
-            comparisons = [((_fsd_pairs, _fsd_pairs), fsd_relations(index, le))]
+            comparisons = [((fsd, fsd), fsd_relations(index, le))]
             walks = [_chain_walk(index, kind)] if kind is not None else []
         else:
             values = outcomes
@@ -1184,7 +1184,7 @@ def test_completely_mixed_strict_mechanisms_are_nba_with_no_rows(monkeypatch):
         start, below = chain_walk(index, kind)
         return (lambda *values: asked.append(values) or start(*values)), below
 
-    monkeypatch.setattr(stochastic, "_fsd_pairs", no_comparison)
+    monkeypatch.setattr(stochastic, "fsd", no_comparison)
     monkeypatch.setattr(stochastic, "_chain_walk", counted)
     forbid_rows(monkeypatch)
     rng = random.Random(29)

@@ -30,7 +30,6 @@ from exmech.stochastic import (
     Lottery,
     ProbMechanism,
     _chain_walk,
-    _fsd_pairs,
     best_outcome,
     build_mixed_counterexample,
     build_relative_frequency,
@@ -299,7 +298,7 @@ def assert_fsd_relations_match(env, agent, table, orderings, dists=None):
     lotteries = [(x, d) for x in env.actions[agent] for d in dists]
     comparisons = list(itertools.product(lotteries, repeat=2))
     le = row_sets(table, len(index))
-    reference = (_fsd_pairs, _fsd_pairs)
+    reference = (fsd, fsd)
     return assert_relations_match(fsd_relations, reference, index, le, orderings, comparisons)
 
 
