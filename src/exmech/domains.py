@@ -239,38 +239,41 @@ def table_orderings(agent: int, pairs: Sequence[Pair], table: Iterable) -> Itera
     return (Ordering.from_ranks(agent, pairs, ranks) for ranks in table)
 
 
-def check_full_domain(
-    kind: DomainKind, pairs: Iterable[Pair], cap: int | None
-) -> tuple[Pair, ...]:
-    """The pairs as a tuple, after checking a full domain of `kind` over them can be enumerated.
-
-    Raises InvariantViolation for a `cap` that is neither None nor an int >= 0,
-    no pairs or a duplicate pair.  Raises CapExceeded for more pairs than
-    `cap` (by default the strict or the weak cap, by kind), and, whatever
-    `cap` says, for more orderings than `sys.maxsize`.  The search walks a
-    full kind with no rank table, so it needs neither bound; both stay only
-    so that no pinned verdict moves until the caps are lifted together.
-    """
-    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
-        raise InvariantViolation(f"cap must be None or an int >= 0, got {cap!r}")
+def check_full_domain(kind: DomainKind, pairs: Iterable[Pair], cap: int | None) -> tuple[Pair, ...]:
+    """The pairs as a tuple, after checking that there are some, none twice, and `check_size`."""
     pairs = tuple(tuple(p) for p in pairs)
     if not pairs:
         raise InvariantViolation("need at least one pair to enumerate orderings")
     if len(set(pairs)) != len(pairs):
         raise InvariantViolation("duplicate pairs")
+    check_size(kind, len(pairs), cap)
+    return pairs
+
+
+def check_size(kind: DomainKind, n: int, cap: int | None) -> None:
+    """Check that a full domain of `kind` over n pairs can be enumerated under `cap`.
+
+    Raises InvariantViolation for a `cap` that is neither None nor an int >= 0.
+    Raises CapExceeded for more pairs than `cap` (by default the strict or
+    the weak cap, by kind), and, whatever `cap` says, for more orderings
+    than `sys.maxsize`.  The search walks a full kind with no rank table, so
+    it needs neither bound; both stay only so that no pinned verdict moves
+    until the caps are lifted together.
+    """
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 0):
+        raise InvariantViolation(f"cap must be None or an int >= 0, got {cap!r}")
     strict = kind is DomainKind.STRICT
     if cap is None:
         cap = DEFAULT_STRICT_CAP if strict else DEFAULT_WEAK_CAP
-    if len(pairs) > cap:
+    if n > cap:
         what = "strict-order" if strict else "weak-order"
-        raise CapExceeded(f"{len(pairs)} pairs exceed the {what} enumeration cap of {cap}")
+        raise CapExceeded(f"{n} pairs exceed the {what} enumeration cap of {cap}")
     # 21! > 2**63: past 20 pairs every kind is over the bound, and row_count is not asked
-    if len(pairs) > 20 or row_count(len(pairs), kind) > sys.maxsize:
+    if n > 20 or row_count(n, kind) > sys.maxsize:
         raise CapExceeded(
-            f"{len(pairs)} pairs give the {kind.value} domain more orderings than "
+            f"{n} pairs give the {kind.value} domain more orderings than "
             f"sys.maxsize ({sys.maxsize}), the most a search can index"
         )
-    return pairs
 
 
 def _full_table(kind: DomainKind, pairs: Iterable[Pair], cap: int | None) -> tuple:
@@ -308,7 +311,6 @@ def domain_rank_vectors(
     A full domain kind gives the shared `rank_table` of the agent's pair
     count; an explicit domain gives its listed orderings' ranks, in order.
     """
-    env.check_agent(agent)
     pairs = env.pairs_for(agent)
     if spec.kind is DomainKind.EXPLICIT:
         validate_explicit_domain(env, agent, spec)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from .errors import AgentOutOfRange, InvariantViolation, ParseError, UnknownPair
 
@@ -275,6 +275,7 @@ class Environment(Value):
             raise InvariantViolation("duplicate outcome labels")
         if len(self.domains) != len(self.actions):
             raise InvariantViolation("one domain spec per agent required")
+        set_field(self, "_pairs", tuple(tuple(itertools.product(a, self.outcomes)) for a in actions))
         for i, spec in enumerate(self.domains):
             if spec.kind is DomainKind.EXPLICIT:
                 validate_explicit_domain(self, i, spec)
@@ -302,9 +303,9 @@ class Environment(Value):
             raise AgentOutOfRange(f"agent {agent} out of range for {self.n} agents")
 
     def pairs_for(self, agent: int) -> tuple[Pair, ...]:
-        """The agent's action-outcome pairs in canonical (action-major) order."""
+        """The agent's action-outcome pairs in canonical (action-major) order, made once."""
         self.check_agent(agent)
-        return tuple((a, z) for a in self.actions[agent] for z in self.outcomes)
+        return self._pairs[agent]
 
 
 def validate_explicit_domain(env: Environment, agent: int, spec: DomainSpec) -> None:

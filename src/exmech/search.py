@@ -33,17 +33,17 @@ The scan is quotiented by sub-profile signatures.  Each agent's values are
 read lazily, in sub-profile order, and interned to small ints (so values
 must hash consistently with `==`); the signature of sub-profile b is the
 tuple of the codes of every action's value at b.  For fixed (r, l),
-condition (ii) depends on a only through the tied value, and (iii) depends
-on b only through its signature.  A b sharing a's signature never completes
-a witness: there l's value is the tied one, and each kind's comparisons meet
-the contract `search_witness` states.  So whether some b completes a
-witness, and which b and ordering, depends on a only through the tied
-value, and each tied value is decided once per (r, l): at its first tie, a
-walk over the signatures in order of first index, skipping a's own, stops at
-the first that completes it, b being that signature's first index.  An agent
-whose sub-profiles all share one signature (a constant mechanism's, say)
-never has anything built.  A value with no such signature is dead for every
-later a.
+condition (i) depends on a only through its signature, (ii) only through
+the tied value, and (iii) depends on b only through its signature.  So a
+and b both walk the distinct signatures by first index, each standing for
+its first sub-profile, and the scan costs action pairs times signatures; a
+walk that runs out reads on up to the next new signature.  A b sharing a's
+signature never completes a witness: there l's value is the tied one, and
+each kind's comparisons meet the contract `search_witness` states.  So
+each tied value is decided once per (r, l), at its first tie, by a walk
+over the other signatures that stops at the first completing it; a value
+with none is dead for every later a.  An agent whose sub-profiles all
+share one signature (a constant mechanism's, say) never has anything built.
 """
 
 from __future__ import annotations
@@ -87,8 +87,9 @@ def search_witness(
 
     The search space is ordered by agent, then ordered action pairs (r, l),
     then ordered pairs of distinct sub-profiles (a, b), then orderings in
-    domain row order; it is walked by tied value and signature (see the
-    module docstring), and values are read only as far as the walk reaches.
+    domain row order; it is walked by tied value and signature, a as well
+    as b taking the distinct signatures by first index (see the module
+    docstring), and values are read only as far as the walk reaches.
     Explicit domains are searched with `beats`, the pair `(beats_ii,
     beats_iii)` of comparisons `check_certificate` takes, the full kinds
     through `full(index, kind)`.  An agent past the cap gets nothing built
@@ -112,53 +113,48 @@ def search_witness(
         "orderings_per_agent": [count for count, _ in views],
     }
     for agent, (spec, acts, (count, making)) in enumerate(zip(specs, env.actions, views)):
-        subs = tuple(sub_profiles(env, agent))  # per agent: a witness ends the search early
-        pairs = env.pairs_for(agent)
+        unread = sub_profiles(env, agent)  # per agent: a witness ends the search early
         deciding = ordering_of = None  # made at the agent's first rival signature
         codes: dict = {}  # value -> its code, in order of first reading
-        values: list = []  # code -> value
-        sigs: list[tuple[int, ...]] = []  # the signature of each sub-profile read so far
-        first: dict[tuple[int, ...], int] = {}  # signature -> its first index
+        first: dict[tuple[int, ...], SubProfile] = {}  # signature -> its first sub-profile
+        at: dict = {}  # signature -> each action's value at its first sub-profile
         order: list[tuple[int, ...]] = []  # the distinct signatures, by first index
-        at: dict = {}  # signature -> each action's value there, made at its first visit
 
-        def read() -> None:
-            """Read the next sub-profile's signature: the code of each action's value there."""
-            b = subs[len(sigs)]
-            sig = []
-            for x in acts:
-                value = value_at(agent, x, b)
-                code = codes.setdefault(value, len(values))
-                if code == len(values):
-                    values.append(value)
-                sig.append(code)
-            sig = tuple(sig)
-            if first.setdefault(sig, len(sigs)) == len(sigs):
-                order.append(sig)
-            sigs.append(sig)
+        def read() -> bool:
+            """Read sub-profiles up to the next new signature; False once none is left."""
+            for b in unread:
+                sig, here = [], []
+                for x in acts:
+                    value = value_at(agent, x, b)
+                    here.append(value)
+                    sig.append(codes.setdefault(value, len(codes)))
+                sig = tuple(sig)
+                if sig not in first:
+                    first[sig] = b
+                    at[sig] = dict(zip(acts, here))
+                    order.append(sig)
+                    return True
+            return False
 
         for ri, r in enumerate(acts):
             for li, l in enumerate(acts):
                 if r == l:
                     continue
                 dead: set[int] = set()  # tied values that complete no witness for (r, l)
-                for i, a in enumerate(subs):
-                    if i == len(sigs):
-                        read()
-                    sig_a = sigs[i]
+                j = 0  # walk the signatures by first index, reading only once they run out
+                while j < len(order) or read():
+                    sig_a = order[j]
+                    j += 1
                     code = sig_a[ri]
                     if code != sig_a[li] or code in dead:
                         continue
                     if count is None:  # past the cap, so this raises CapExceeded
-                        domains.check_full_domain(spec.kind, pairs, cap)
+                        domains.check_size(spec.kind, len(env.pairs_for(agent)), cap)
                     dead.add(code)  # decided at its first tie: a witness, or none at all
-                    value = values[code]
+                    value = at[sig_a][r]
                     decide = None  # decides a signature for this tied value, once one is reached
-                    k = 0  # walk the signatures by first index, reading only once they run out
-                    while k < len(order) or len(sigs) < len(subs):
-                        if k == len(order):
-                            read()
-                            continue
+                    k = 0
+                    while k < len(order) or read():
                         sig = order[k]
                         k += 1
                         if sig == sig_a:  # (iii) against (l, value) there undoes (ii)
@@ -169,11 +165,9 @@ def search_witness(
                             decide = deciding(r, l, value)
                             if decide is None:  # (ii) fails whatever b is
                                 break
-                        if sig not in at:
-                            at[sig] = {x: values[c] for x, c in zip(acts, sig)}
                         found = decide(at[sig])
                         if found is not None:
-                            b = subs[first[sig]]
+                            a, b = first[sig_a], first[sig]
                             return SearchResult(
                                 BAWitness(agent, r, l, a, b, ordering_of(found)), stats
                             )
@@ -202,8 +196,6 @@ def _admissible(
     domain was checked when it was resolved.  The hook waits for the walk to
     need it.  Past the cap both are None.
     """
-    pairs = env.pairs_for(agent)
-    n = len(pairs)
     kind = spec.kind
     if kind is DomainKind.EXPLICIT:
         beats_ii, beats_iii = beats
@@ -223,8 +215,10 @@ def _admissible(
             return functools.partial(decide, kept, r) if kept else None
 
         return len(spec.orderings), lambda: (deciding, lambda ordering: ordering)
+    pairs = env.pairs_for(agent)
+    n = len(pairs)
     try:
-        domains.check_full_domain(kind, pairs, cap)
+        domains.check_size(kind, n, cap)
     except CapExceeded:
         return None, None
 

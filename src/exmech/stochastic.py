@@ -18,8 +18,8 @@ outcome sets, and finds the witness ordering by the walk over heads,
 placing masses class by class.  Under `strict`, totally mixed tied and
 l-rival distributions fail the chain's first step (the dominance
 dichotomy), so a completely mixed mechanism is found NBA at once.  A
-`Distribution` hashes consistently with equality, so the search interns
-each agent's distributions and the chain test memoizes its answers by them.
+`Distribution` compares and hashes on its exact integer form, so the search
+interns each agent's distributions and the chain test memoizes by them.
 Each tied distribution is decided once per action pair, which relies on
 dominance being asymmetric, the contract `search.search_witness` states.
 """
@@ -66,17 +66,16 @@ from .search import SearchResult, check_certificate, search_witness
 class Distribution(Value):
     """Exact probability vector over outcome labels; must sum to one.
 
-    Keys should cover the full outcome set explicitly (zeros included) so
-    that equality of distributions is plain mapping equality.  `probs` is a
-    read-only view, so a distribution shared between mechanisms cannot
-    change.  Validation reads each probability's numerator and denominator
-    once and keeps `scale`, the least common denominator, and `weights`, the
-    (outcome, probability * scale) pairs of nonzero mass, so the sign and
-    sum checks and `fsd` run on ints.  A `Fraction` is kept in lowest terms,
-    so equal distributions have equal scales and weights, and hashing those,
-    once at construction, avoids `Fraction.__hash__`, which runs in Python.
-    That lets the search intern each agent's distributions and the chain
-    test memoize its answers by distribution.
+    Keys should cover the full outcome set explicitly: a zero entry counts.
+    `probs` is a read-only view, so a distribution shared between mechanisms
+    cannot change.  Validation reads each probability's numerator and
+    denominator once and keeps `scale`, the least common denominator, and
+    `weights`, the (outcome, probability * scale) pairs of nonzero mass, so
+    the sign and sum checks and `fsd` run on ints.  Equality and the hash
+    read `_key`, the frozenset of those pairs over every outcome: each
+    `Fraction` is in lowest terms, so `probs` fixes `scale`, and as the
+    weights sum to `scale`, `_key` fixes `probs`.  So comparing two takes no
+    `Fraction` arithmetic, which runs in Python.
     """
 
     _fields = ("probs",)
@@ -93,16 +92,19 @@ class Distribution(Value):
         if any(n < 0 for _, n, _ in ratios):
             raise InvariantViolation("negative probability")
         scale = math.lcm(*(d for _, _, d in ratios))
-        weights = tuple((z, n * (scale // d)) for z, n, d in ratios if n)
-        if sum(w for _, w in weights) != scale:
+        key = [(z, n * (scale // d)) for z, n, d in ratios]
+        if sum(w for _, w in key) != scale:
             raise InvariantViolation("probabilities must sum to 1")
         set_field(self, "probs", MappingProxyType(probs))
         set_field(self, "scale", scale)
-        set_field(self, "weights", weights)
-        set_field(self, "_hash", hash(frozenset(weights)))
+        set_field(self, "weights", tuple((z, w) for z, w in key if w))
+        set_field(self, "_key", frozenset(key))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __eq__(self, other: object) -> bool:
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:  # a frozenset makes its hash once
+        return hash(self._key)
 
     def __reduce__(self):  # a mappingproxy does not pickle or deep-copy; rebuild from a dict
         return Distribution, (dict(self.probs),)
@@ -332,9 +334,9 @@ def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
     unmet and three pairs left, no one point meets both, as one of l and r
     has a single outcome left, carrying all of its remaining mass.
     `start` runs the test at the origin, where it reads only A, B_r and B_l,
-    so it is memoized per agent by them.  Under `strict`, totally mixed A
-    and B_l give no first step (an r-step breaks (ii), an l-step (iii)): the
-    dominance dichotomy, decided before any point is made.
+    so it is memoized per agent by them and looked up first.  Under `strict`,
+    totally mixed A and B_l give no first step (an r-step breaks (ii), an
+    l-step (iii)): the dominance dichotomy, memoized as a failed test.
 
     Points are the bits of an int, (L, R) being bit L + R * 2^m for outcome
     masks L and R, and masses are integers over one scale.  A chain through
@@ -355,6 +357,7 @@ def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
         (1 << c, ((1 << (1 << c)) - 1) * ((1 << (end + 1)) - 1) // ((1 << (2 << c)) - 1))
         for c in range(2 * len(outcomes))
     ]
+    strict = kind is DomainKind.STRICT
     vectors: dict = {}  # distribution -> its mass on each outcome set, at its own scale
     tested: dict = {}  # (tied, anchor, l-rival) -> whether some ordering completes them
 
@@ -410,10 +413,10 @@ def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
         return others == 1 and pairs > 0
 
     def start(r: str, l: str, tied: Distribution, at_b: Mapping[str, Distribution]):
-        if kind is DomainKind.STRICT and is_totally_mixed(tied) and is_totally_mixed(at_b[l]):
-            return None
         key = (tied, at_b[r], at_b[l])
         known = tested.get(key)
+        if known is None and strict and is_totally_mixed(tied) and is_totally_mixed(at_b[l]):
+            tested[key] = known = False  # the dominance dichotomy
         if known is False:
             return None
         scale = math.lcm(*(dist.scale for dist in at_b.values()))

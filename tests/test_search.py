@@ -911,6 +911,33 @@ def test_search_reads_only_the_sub_profiles_it_reaches():
         assert result.witness.b_minus == subs[2]
 
 
+def test_nba_scan_reads_each_value_once_on_constant_mechanisms():
+    # six agents of three actions (3^6 profiles): each agent's sub-profiles
+    # share one signature, so the scan reads all 243 of them looking for a
+    # second, and walks the one signature it found for every action pair
+    env = Environment.create([[f"x{i}{k}" for k in range(3)] for i in range(6)], ("z0", "z1"))
+    profiles = list(enumerate_profiles(env))
+    constant = DetMechanism(env, dict.fromkeys(profiles, "z0"))
+    uniform = ProbMechanism(env, dict.fromkeys(profiles, Distribution.uniform(env.outcomes)))
+    every = collections.Counter(
+        (agent, x, sub)
+        for agent, acts in enumerate(env.actions)
+        for sub in sub_profiles(env, agent)
+        for x in acts
+    )
+    for mech, prob in ((constant, False), (uniform, True)):
+        for value_at, _, beats, full in relation_cases(mech, prob):
+            for kind in FULL_KINDS:
+                read = collections.Counter()
+
+                def counted(agent, action, sub):
+                    read[agent, action, sub] += 1
+                    return value_at(agent, action, sub)
+
+                assert search.search_witness(env, counted, kind, beats, full).witness is None
+                assert read == every
+
+
 def test_a_signature_is_narrowed_again_for_another_tied_value():
     # For (x0, x1), a = b0 ties at z0 and a = b2 at z1.  Ordering A alone
     # passes (ii) at z0 and ordering B alone at z1; the signatures of b1 and

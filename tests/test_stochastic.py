@@ -23,7 +23,15 @@ from exmech.errors import (
     NotStrict,
     ParseError,
 )
-from exmech.model import DomainKind, DomainSpec, Environment, Ordering, enumerate_profiles
+from exmech.model import (
+    DomainKind,
+    DomainSpec,
+    Environment,
+    Ordering,
+    Value,
+    enumerate_profiles,
+    set_field,
+)
 from exmech.stochastic import (
     Distribution,
     DominanceBlock,
@@ -90,6 +98,42 @@ def test_distribution_hash_agrees_with_equality():
     # equal distributions from differently built fractions share one dict slot
     codes = {half: 0}
     assert all(codes[other] == 0 for other in same)
+
+
+@st.composite
+def probability_maps(draw):
+    """Probabilities over some of three outcomes, zeros allowed, each written
+    as a Fraction or a string; the space is small, so draws often agree."""
+    outcomes = draw(st.lists(st.sampled_from(("z0", "z1", "z2")), min_size=1, unique=True))
+    weights = draw(st.lists(st.integers(0, 2), min_size=len(outcomes), max_size=len(outcomes)))
+    if not any(weights):
+        weights[0] = 1
+    form = draw(st.sampled_from((Fraction, str)))
+    return {z: form(Fraction(w, sum(weights))) for z, w in zip(outcomes, weights)}
+
+
+class Probs(Value):
+    """Another value type with a distribution's one field."""
+
+    _fields = ("probs",)
+
+    def __init__(self, probs) -> None:
+        set_field(self, "probs", probs)
+
+
+@given(probability_maps(), probability_maps())
+@settings(max_examples=300)
+def test_distribution_equality_and_hash_are_those_of_the_probability_map(p, q):
+    g, h = Distribution(p), Distribution(q)
+    assert (g == h) == (dict(g.probs) == dict(h.probs)) == (not g != h)
+    if g == h:
+        assert hash(g) == hash(h)
+    reordered = Distribution({z: str(v) for z, v in reversed(g.probs.items())})
+    assert reordered == g and hash(reordered) == hash(g)
+    for other in (Probs(g.probs), Lottery("a0", g), g.probs):
+        assert g != other and other != g
+    for clone in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert clone == g and hash(clone) == hash(g) and (clone == h) == (g == h)
 
 
 def test_distribution_sum_check_is_exact():
