@@ -210,11 +210,12 @@ def _edge_walk(index: Mapping[Pair, int], kind: DomainKind, strict_iii: bool = F
     or strictly above.  So the walk's state is the list of those edges (p,
     q, strict) between pair positions: `start` gives it while some ordering
     of `kind` meets every edge (`domains.completable`), and None otherwise,
-    and the step that places a head is `domains.edges_below`.
+    and the step that places a head is `domains.edges_below`.  The edges
+    read every action's value at b, so `start` memoizes nothing by `key`.
     """
     n = len(index)
 
-    def start(r: str, l: str, z: str, at_b: Mapping[str, str]) -> list | None:
+    def start(r: str, l: str, z: str, at_b: Mapping[str, str], key: tuple) -> list | None:
         anchor = index[r, at_b[r]]
         edges = [(index[l, z], index[r, z], True)]
         edges += [(anchor, index[x, value], strict_iii) for x, value in at_b.items() if x != r]

@@ -19,12 +19,15 @@ ordering, in one place (`_admissible`).  The candidates take one of two forms.
   at b))` for every rival x, asked in action order.
 - Walk states, for the full kinds, which are never listed.  The kind hands
   the search `full(index, kind)`, `index` mapping the agent's pairs to
-  positions, which gives `(start, below)`: `start(r, l, value, at_b)`, where
-  `at_b` maps each action to its value at b, is the first state of a walk
-  over heads, or None when no ordering of the kind meets (ii) and (iii) for
-  the tuple; from that state, `domains.first_ranks` takes at each depth the
-  first head that `below` accepts, and so reaches the canonically first
-  ordering meeting both.  No ordering is listed.
+  positions, which gives `(start, below)`: `start(r, l, value, at_b, key)`,
+  where `at_b` maps each action to its value at b and `key` holds the codes
+  (below) of the tied value, r's value at b and l's value at b, is the
+  first state of a walk over heads, or None when no ordering of the kind
+  meets (ii) and (iii) for the tuple.  Equal keys stand for equal values,
+  so a kind may memoize `start`'s verdict by `key`.  From that state,
+  `domains.first_ranks` takes at each depth the first head that `below`
+  accepts, and so reaches the canonically first ordering meeting both.  No
+  ordering is listed.
 The ordering count comes from `domains.row_count` or the number of listed
 orderings, and a full kind's hook is made only at the agent's first tied
 value that reaches a signature other than its own.
@@ -37,7 +40,8 @@ condition (i) depends on a only through its signature, (ii) only through
 the tied value, and (iii) depends on b only through its signature.  So a
 and b both walk the distinct signatures by first index, each standing for
 its first sub-profile, and the scan costs action pairs times signatures; a
-walk that runs out reads on up to the next new signature.  A b sharing a's
+walk that runs out reads on up to the next new signature, and once the
+sub-profiles are all read no walk asks again.  A b sharing a's
 signature never completes a witness: there l's value is the tied one, and
 each kind's comparisons meet the contract `search_witness` states.  So
 each tied value is decided once per (r, l), at its first tie, by a walk
@@ -114,6 +118,7 @@ def search_witness(
     }
     for agent, (spec, acts, (count, making)) in enumerate(zip(specs, env.actions, views)):
         unread = sub_profiles(env, agent)  # per agent: a witness ends the search early
+        more = True  # until `unread` runs out
         deciding = ordering_of = None  # made at the agent's first rival signature
         codes: dict = {}  # value -> its code, in order of first reading
         first: dict[tuple[int, ...], SubProfile] = {}  # signature -> its first sub-profile
@@ -122,6 +127,7 @@ def search_witness(
 
         def read() -> bool:
             """Read sub-profiles up to the next new signature; False once none is left."""
+            nonlocal more
             for b in unread:
                 sig, here = [], []
                 for x in acts:
@@ -134,6 +140,7 @@ def search_witness(
                     at[sig] = dict(zip(acts, here))
                     order.append(sig)
                     return True
+            more = False
             return False
 
         for ri, r in enumerate(acts):
@@ -142,7 +149,7 @@ def search_witness(
                     continue
                 dead: set[int] = set()  # tied values that complete no witness for (r, l)
                 j = 0  # walk the signatures by first index, reading only once they run out
-                while j < len(order) or read():
+                while j < len(order) or more and read():
                     sig_a = order[j]
                     j += 1
                     code = sig_a[ri]
@@ -154,7 +161,7 @@ def search_witness(
                     value = at[sig_a][r]
                     decide = None  # decides a signature for this tied value, once one is reached
                     k = 0
-                    while k < len(order) or read():
+                    while k < len(order) or more and read():
                         sig = order[k]
                         k += 1
                         if sig == sig_a:  # (iii) against (l, value) there undoes (ii)
@@ -165,7 +172,7 @@ def search_witness(
                             decide = deciding(r, l, value)
                             if decide is None:  # (ii) fails whatever b is
                                 break
-                        found = decide(at[sig])
+                        found = decide(at[sig], (code, sig[ri], sig[li]))
                         if found is not None:
                             a, b = first[sig_a], first[sig]
                             return SearchResult(
@@ -185,12 +192,13 @@ def _admissible(
     """(ordering count, thunk making (deciding, ordering of a found candidate)).
 
     `deciding(r, l, value)` is called once per tied value: it gives
-    `decide(at_b)`, which returns the candidate meeting (ii) and (iii) at a
-    signature, or None when none does; `deciding` gives None when (ii) alone
-    already fails.  The canonically first candidate is the witness ordering,
-    chosen here and nowhere else: over an explicit domain, the first listed
-    ordering meeting both; over a full kind's walk state, the ordering the
-    walk over heads (`domains.first_ranks`) completes.
+    `decide(at_b, key)`, `key` being `start`'s, which returns the candidate
+    meeting (ii) and (iii) at a signature, or None when none does;
+    `deciding` gives None when (ii) alone already fails.  The canonically
+    first candidate is the witness ordering, chosen here and nowhere else:
+    over an explicit domain, the first listed ordering meeting both; over a
+    full kind's walk state, the ordering the walk over heads
+    (`domains.first_ranks`) completes.
 
     A full kind's cap and type checks run here, at search start; an explicit
     domain was checked when it was resolved.  The hook waits for the walk to
@@ -200,7 +208,7 @@ def _admissible(
     if kind is DomainKind.EXPLICIT:
         beats_ii, beats_iii = beats
 
-        def decide(kept: list[Ordering], r: str, at_b: dict) -> Ordering | None:
+        def decide(kept: list[Ordering], r: str, at_b: dict, key: tuple) -> Ordering | None:
             anchor = (r, at_b[r])
             for ordering in kept:
                 for x, value in at_b.items():
@@ -259,9 +267,14 @@ def check_certificate(
         raise InvariantViolation("witness actions not in the agent's action set")
     if witness.r == witness.l:
         raise InvariantViolation("witness actions must be distinct")
-    subs = tuple(sub_profiles(env, witness.agent))  # `in` compares, so it hashes no malformed one
-    if witness.a_minus not in subs or witness.b_minus not in subs:
-        raise InvariantViolation("witness sub-profiles not valid for the environment")
+    others = [acts for j, acts in enumerate(env.actions) if j != witness.agent]
+    for sub in (witness.a_minus, witness.b_minus):  # by coordinate: nothing listed, nothing hashed
+        if not (
+            isinstance(sub, tuple)
+            and len(sub) == len(others)
+            and all(x in acts for x, acts in zip(sub, others))
+        ):
+            raise InvariantViolation("witness sub-profiles not valid for the environment")
     if witness.a_minus == witness.b_minus:
         raise InvariantViolation("witness sub-profiles must be distinct")
     ordering = witness.ordering

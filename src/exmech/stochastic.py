@@ -19,15 +19,16 @@ placing masses class by class.  Under `strict`, totally mixed tied and
 l-rival distributions fail the chain's first step (the dominance
 dichotomy), so a completely mixed mechanism is found NBA at once.  A
 `Distribution` compares and hashes on its exact integer form, so the search
-interns each agent's distributions and the chain test memoizes by them.
-Each tied distribution is decided once per action pair, which relies on
+interns each agent's distributions to small ints; the chain test memoizes
+by the codes of the tied, anchor and l-rival distributions and runs on
+ints, point sets being bitmasks, with one backward reach per tuple.  Each
+tied distribution is decided once per action pair, which relies on
 dominance being asymmetric, the contract `search.search_witness` states.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from enum import Enum
@@ -285,6 +286,58 @@ def validate_prob_witness(
     check_certificate(mech.env, witness, mech.dist_at, fsd, fsd, domain)
 
 
+@functools.cache
+def _steps(m: int) -> tuple[tuple[int, int], ...]:
+    """(shift adding it, the points lacking it) per outcome of L, then of R, over 4^m points.
+
+    The points are `_chain_walk`'s.  Bit c of a point's index is clear in
+    the lowest run of 2^c indices and in every second run after it, so each
+    mask is its lowest run doubled until it covers the points, with as many
+    bits copied in all as there are points.
+    """
+    points, steps = 1 << 2 * m, []
+    for c in range(2 * m):
+        w = 1 << c
+        lacking, period = (1 << w) - 1, 2 * w
+        while period < points:
+            lacking |= lacking << period
+            period *= 2
+        steps.append((w, lacking))
+    return tuple(steps)
+
+
+def _reached(valid: int, a_more: int, b_more: int, steps: tuple, strict: bool) -> list[int]:
+    """Per set of unmet needs, the points from which a chain meets each and reaches the end.
+
+    Points and `steps` are `_chain_walk`'s, the end being valid, and the
+    needs are `a_more` (bit 1 of the set) and `b_more` (bit 2), both within
+    `valid`.  A chain goes through valid points, by single steps under
+    `strict` and by any steps up otherwise.  The set with no need holds the
+    points from which the end is reached; a set with needs, those from
+    which a chain reaches a point of one need that lies in the set of the
+    others.  Each set is its seeds closed downward, by single steps into
+    valid points under `strict` and by any step down otherwise, and is
+    exact at every valid point, the only points the walk asks about.
+    """
+
+    def close(points: int) -> int:
+        if not strict:
+            for shift, lacking in steps:
+                points |= points >> shift & lacking
+            return points
+        while True:
+            grown = points
+            for shift, lacking in steps:
+                grown |= grown >> shift & lacking & valid
+            if grown == points:
+                return points
+            points = grown
+
+    through = close(1 << (1 << len(steps)) - 1)  # the end: 4^m - 1 with 2m steps
+    through_a, through_b = close(a_more & through), close(b_more & through)
+    return [through, through_a, through_b, close(a_more & through_b | b_more & through_a)]
+
+
 def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
     """(start, below) for a full kind's walk over heads, decided with no row by a chain test.
 
@@ -333,126 +386,139 @@ def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
     a shortest chain, one more than the inequalities not met yet: with both
     unmet and three pairs left, no one point meets both, as one of l and r
     has a single outcome left, carrying all of its remaining mass.
-    `start` runs the test at the origin, where it reads only A, B_r and B_l,
-    so it is memoized per agent by them and looked up first.  Under `strict`,
-    totally mixed A and B_l give no first step (an r-step breaks (ii), an
-    l-step (iii)): the dominance dichotomy, memoized as a failed test.
+    At the origin nothing is placed, so the test reads only A, B_r and B_l:
+    `start` memoizes it per agent by `key`, the search's codes of the three
+    values, and looks it up first.  Under `strict`, totally mixed A and B_l
+    give no first step (an r-step breaks (ii), an l-step (iii)): the
+    dominance dichotomy, memoized as a failed test.
 
     Points are the bits of an int, (L, R) being bit L + R * 2^m for outcome
-    masks L and R, and masses are integers over one scale.  A chain through
-    some points exists iff the end is reached from the start through each,
-    in some order.  Under `strict` a reach takes single steps through points
-    meeting both inequalities; under the other kinds it takes any such point
-    above.
+    masks L and R, and masses are integers.  A tuple's first test builds
+    `valid`, `a_more` and `b_more` (the points meeting both inequalities,
+    and those meeting (ii)'s or (iii)'s strictly) a row of 2^m points at a
+    time, and `_reached` gives, per set of unmet needs, the points from
+    which a chain reaches the end through a point of each, in one backward
+    reach.  So the origin test, and each `completes` after a head, is one
+    bit test beside the rival check and the `weak_only` count rule.  The
+    walk's state is ints: actions are positions, `placed` holds each one's
+    outcome mask, and one bitmask holds (iii) met against each beaten rival
+    and (ii) met at r's own bit.
     """
-    outcomes = tuple(dict.fromkeys(z for _, z in index))
-    size = 1 << len(outcomes)
-    end = size * size - 1
-    column = [None] * len(index)  # column -> (action, its outcome's bit)
-    for (x, z), c in index.items():
-        column[c] = (x, 1 << outcomes.index(z))
-    # per outcome of L, then of R: (shift adding it, the points lacking it); bit c of
-    # a point's index is clear in runs of 2^c, a repunit in base 2^(2^(c+1)) times 2^(2^c) - 1
-    steps = [
-        (1 << c, ((1 << (1 << c)) - 1) * ((1 << (end + 1)) - 1) // ((1 << (2 << c)) - 1))
-        for c in range(2 * len(outcomes))
-    ]
     strict = kind is DomainKind.STRICT
-    vectors: dict = {}  # distribution -> its mass on each outcome set, at its own scale
-    tested: dict = {}  # (tied, anchor, l-rival) -> whether some ordering completes them
+    tested: dict = {}  # key -> the tuple's chain, or False when no ordering completes it
+    # the layout, made by `lay_out` at the first tuple past the dominance dichotomy
+    actions: dict = {}  # action -> its position, in order of first column
+    outcomes: dict = {}  # outcome -> its bit's position, the same way
+    column = [None] * len(index)  # column -> (its action's position, its outcome's bit)
+    m = steps = None
 
-    def masses(dist: Distribution) -> list[int]:
-        sums = vectors.get(dist)
-        if sums is None:
-            weights = dict(dist.weights)
-            sums = [0]
-            for z in outcomes:
-                w = weights.get(z, 0)
-                sums += [s + w for s in sums]
-            vectors[dist] = sums
+    def lay_out() -> None:
+        nonlocal m, steps
+        for (x, z), c in index.items():
+            bit = 1 << outcomes.setdefault(z, len(outcomes))
+            column[c] = (actions.setdefault(x, len(actions)), bit)
+        m = len(outcomes)
+        steps = _steps(m)
+
+    def masses(dist: Distribution, factor: int) -> list[int]:
+        """The distribution's mass on each outcome set, its weights times `factor`."""
+        weights = dict(dist.weights)
+        sums = [0]
+        for z in outcomes:
+            w = weights.get(z, 0) * factor
+            sums += [s + w for s in sums]
         return sums
 
-    def reach(points: int, valid: int, strict: bool) -> int:
-        if not strict:
-            for shift, lacking in steps:
-                points |= (points & lacking) << shift
-            return points & valid
-        while True:
-            grown = points
-            for shift, lacking in steps:
-                grown |= (grown & lacking) << shift & valid
-            if grown == points:
-                return points
-            points = grown
+    def completes(
+        reached: list, unmet: int, lefts: int, rights: int, k: int, tail: DomainKind
+    ) -> bool:
+        """Whether some ordering of `tail` over the k positions left completes a chain.
 
-    def through(point: int, needs: list[int], valid: int, strict: bool) -> bool:
-        """Whether a chain from `point` reaches the end through a point of each of `needs`."""
-        for order in itertools.permutations(needs):
-            points = reach(point, valid, strict)
-            for need in order:
-                points = reach(points & need, valid, strict)
-            if points >> end & 1:
-                return True
-        return False
-
-    def completes(state: tuple, k: int, tail: DomainKind) -> bool:
-        """Whether some ordering of `tail` over the k positions left completes `state`."""
-        (r, l, a, mass, valid, a_more, b_more), placed, ii, beaten = state
-        whole = mass[r][-1]
-        if any(x not in beaten and mass[x][placed[x]] == whole for x in placed if x not in (r, l)):
+        The chain starts at the valid point (lefts, rights) with the needs in
+        `unmet` still to meet; `reached` is `_reached`'s for `kind`, as a tail
+        is strict just when the kind is.  The rivals are the caller's to check.
+        """
+        if not reached[unmet] >> (lefts | rights << m) & 1:
             return False
-        needs = ([] if ii else [a_more]) + ([] if l in beaten else [b_more])
-        lefts, rights = placed[l], placed[r]
-        point = 1 << (lefts | rights * size)
-        if not through(point, needs, valid, tail is DomainKind.STRICT):
-            return False
-        pairs = 2 * len(outcomes) - bin(lefts).count("1") - bin(rights).count("1")
+        pairs = 2 * m - lefts.bit_count() - rights.bit_count()
         others = k - pairs  # unplaced pairs of the other actions
-        if tail is not DomainKind.WEAK_ONLY or others >= 2 or pairs > 1 + len(needs):
+        if tail is not DomainKind.WEAK_ONLY or others >= 2 or pairs > 1 + unmet.bit_count():
             return True
         return others == 1 and pairs > 0
 
-    def start(r: str, l: str, tied: Distribution, at_b: Mapping[str, Distribution]):
-        key = (tied, at_b[r], at_b[l])
-        known = tested.get(key)
-        if known is None and strict and is_totally_mixed(tied) and is_totally_mixed(at_b[l]):
-            tested[key] = known = False  # the dominance dichotomy
-        if known is False:
-            return None
-        scale = math.lcm(*(dist.scale for dist in at_b.values()))
-        mass = {x: [s * (scale // dist.scale) for s in masses(dist)] for x, dist in at_b.items()}
-        a = masses(tied)
+    def chain_of(tied: Distribution, anchor: Distribution, rival: Distribution):
+        """(A's masses, `_reached`'s sets) for a tuple, or False if no ordering completes it."""
+        a = masses(tied, 1)
+        rs, ls = masses(anchor, rival.scale), masses(rival, anchor.scale)  # at one scale
         valid = a_more = b_more = 0
-        bit = 1
-        for a_r, b_r in zip(a, mass[r]):
-            for a_l, b_l in zip(a, mass[l]):
+        shift = 0  # each mask grows a row of points (L, R) at a time, one row per R
+        for a_r, b_r in zip(a, rs):
+            row = row_a = row_b = 0
+            bit = 1
+            for a_l, b_l in zip(a, ls):
                 if a_l >= a_r and b_r >= b_l:
-                    valid |= bit
+                    row |= bit
                     if a_l > a_r:
-                        a_more |= bit
+                        row_a |= bit
                     if b_r > b_l:
-                        b_more |= bit
+                        row_b |= bit
                 bit <<= 1
-        tie = (r, l, a, mass, valid, a_more, b_more)
-        state = tie, dict.fromkeys(at_b, 0), False, frozenset()  # nothing placed yet
-        if known is None:
-            tested[key] = known = completes(state, len(column), kind)
-        return state if known else None
+            valid |= row << shift
+            a_more |= row_a << shift
+            b_more |= row_b << shift
+            shift += len(a)
+        if not (a_more and b_more):
+            return False  # no point meets (ii)'s inequality strictly, or none (iii)'s
+        reached = _reached(valid, a_more, b_more, steps, strict)
+        return (a, reached) if completes(reached, 3, 0, 0, len(column), kind) else False
+
+    def start(r: str, l: str, tied: Distribution, at_b: Mapping[str, Distribution], key: tuple):
+        chain = tested.get(key)
+        if chain is None:
+            anchor, rival = at_b[r], at_b[l]
+            if strict and (  # both totally mixed: the dominance dichotomy
+                len(tied.weights) == len(tied.probs) and len(rival.weights) == len(rival.probs)
+            ):
+                chain = False
+            else:
+                if steps is None:
+                    lay_out()
+                chain = chain_of(tied, anchor, rival)
+            tested[key] = chain
+        if chain is False:
+            return None
+        values = [at_b[x] for x in actions]
+        scale = math.lcm(*[dist.scale for dist in values])
+        mass = [masses(dist, scale // dist.scale) for dist in values]
+        tie = actions[r], actions[l], mass, *chain
+        return tie, (0,) * len(actions), 0  # nothing placed, nothing met
 
     def below(head: tuple[int, ...], state: tuple, k: int, tail: DomainKind):
-        tie, placed, ii, beaten = state
-        r, l, a, mass = tie[:4]
-        placed = dict(placed)
+        tie, placed, met = state
+        r, l, mass, a, reached = tie
+        placed = list(placed)
         for c in head:
             x, bit = column[c]
             placed[x] |= bit
         lefts, rights = placed[l], placed[r]
-        top = mass[r][rights]
-        if a[lefts] < a[rights] or any(mass[x][placed[x]] > top for x in placed if x != r):
+        if a[lefts] < a[rights]:
             return None
-        beaten = beaten | {x for x in placed if x != r and mass[x][placed[x]] < top}
-        state = (tie, placed, ii or a[lefts] > a[rights], beaten)
-        return state if completes(state, k, tail) else None
+        if a[lefts] > a[rights]:
+            met |= 1 << r
+        top, whole = mass[r][rights], mass[r][-1]
+        for x, sums in enumerate(mass):
+            if x != r:
+                here = sums[placed[x]]
+                if here > top:
+                    return None
+                if here < top:
+                    met |= 1 << x
+                elif here == whole and x != l and not met >> x & 1:
+                    return None  # a rival with all its mass placed and never beaten
+        unmet = (~met >> r & 1) | (~met >> l & 1) << 1
+        if not completes(reached, unmet, lefts, rights, k, tail):
+            return None
+        return tie, tuple(placed), met
 
     return start, below
 

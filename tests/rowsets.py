@@ -12,9 +12,14 @@ as `beats(lhs, rhs, rows)` and returning the part of `rows` under which
 `lhs`, an (action, value) pair, beats `rhs`: `rank_relations` for the
 deterministic kind and `fsd_relations` for the probabilistic one.
 `assert_relations_match` pins each to the comparisons it stands for.
+
+`forward_chain` is the probabilistic walk's chain test run forward, one
+reach per need in every order of the needs: the oracle for
+`stochastic._reached`, which runs it backward once per tuple.
 """
 
 import functools
+import itertools
 import math
 
 from exmech.domains import rank_table
@@ -139,3 +144,51 @@ def assert_relations_match(relations, reference, index, le, orderings, compariso
             assert fast(lhs, rhs, alternate) == holds & alternate
             assert fast(lhs, rhs, 0) == 0
     return verdicts
+
+
+def repunit_steps(m):
+    """(shift, points lacking it) per outcome of L, then of R, over 4^m points, as repunits.
+
+    Bit c of a point's index is clear in runs of 2^c: a repunit in base
+    2^(2^(c+1)) times 2^(2^c) - 1.
+    """
+    end = (1 << 2 * m) - 1
+    return [
+        (1 << c, ((1 << (1 << c)) - 1) * ((1 << (end + 1)) - 1) // ((1 << (2 << c)) - 1))
+        for c in range(2 * m)
+    ]
+
+
+def forward_chain(m, valid, needs, point, strict):
+    """Whether a chain from point index `point` reaches the end through a point of each of `needs`.
+
+    Points are bits L + R * 2^m of an int over outcome masks L and R, and
+    the end is the last.  A reach takes single outcome steps into `valid`
+    points under `strict`, and goes to every valid point above otherwise.
+    A chain through some points exists iff the end is reached from the
+    start through each, in some order: so each order of the needs is tried,
+    reaching from the point, then from the reached points of each need.
+    """
+    end = (1 << 2 * m) - 1
+    steps = repunit_steps(m)
+
+    def reach(points):
+        if not strict:
+            for shift, lacking in steps:
+                points |= (points & lacking) << shift
+            return points & valid
+        while True:
+            grown = points
+            for shift, lacking in steps:
+                grown |= (grown & lacking) << shift & valid
+            if grown == points:
+                return points
+            points = grown
+
+    for order in itertools.permutations(needs):
+        points = reach(1 << point)
+        for need in order:
+            points = reach(points & need)
+        if points >> end & 1:
+            return True
+    return False

@@ -352,7 +352,7 @@ def assert_walk_equals_rows(pairs, kind, strict_iii, r, l, z, at_b):
         if not rows:
             break
     start, below = _edge_walk(index, kind, strict_iii)
-    state = start(r, l, z, at_b)
+    state = start(r, l, z, at_b, (z, at_b[r], at_b[l]))
     assert state == (edges if rows else None)
     if not rows:
         return False
@@ -525,7 +525,7 @@ def test_walk_needs_no_cap_and_no_recursion(kind, strict_iii, points):
         domains.check_full_domain(kind, pairs, None)
     start, below = _edge_walk({p: k for k, p in enumerate(pairs)}, kind, strict_iii)
     at_b = {x: groves.outcome_at(cex.agent, x, cex.b_minus) for x in acts}
-    edges = start(cex.r, cex.l, cex.z, at_b)
+    edges = start(cex.r, cex.l, cex.z, at_b, (cex.z, at_b[cex.r], at_b[cex.l]))
     assert edges
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 30)  # far fewer frames than the walk's depths
@@ -700,6 +700,44 @@ def test_certificate_check_rejects_malformed_agents_and_sub_profiles():
             malformed = list(getattr(witness, field))
             with pytest.raises(InvariantViolation, match="sub-profiles not valid"):
                 validate(mech, altered(witness, **{field: malformed}))
+
+
+def test_certificate_check_reads_sub_profiles_coordinate_by_coordinate():
+    # 20 three-action agents: 3^19 sub-profiles each, too many to list, and
+    # a mechanism given only as a rule; agent 0's r = x and l = y tie at a,
+    # where agent 1 plays x, and r alone gives z1 at b, where agent 1 plays y
+    env = Environment.create((("x", "y", "w"),) * 20, ("z0", "z1"))
+
+    def value_at(agent, action, sub):
+        return "z1" if action == "x" and sub[0] == "y" else "z0"
+
+    a, b = ("x",) * 19, ("y",) + ("x",) * 18
+    ordering = Ordering(
+        0,
+        (
+            frozenset({("x", "z1")}),
+            frozenset({("y", "z0")}),
+            frozenset({("x", "z0")}),
+            frozenset({("y", "z1"), ("w", "z0"), ("w", "z1")}),
+        ),
+    )
+    witness = BAWitness(0, "x", "y", a, b, ordering)
+    beats = _preferences(False)
+    search.check_certificate(env, witness, value_at, *beats)
+    malformed = (
+        list(a),  # a list never equals a tuple
+        a[:-1],
+        a + ("x",),
+        ("v",) + a[1:],  # not an action of agent 1
+        (["x"],) + a[1:],  # unhashable, compared and never hashed
+        Fraction(1),
+    )
+    for field in ("a_minus", "b_minus"):
+        for sub in malformed:
+            with pytest.raises(InvariantViolation, match="^witness sub-profiles not valid"):
+                search.check_certificate(env, altered(witness, **{field: sub}), value_at, *beats)
+    with pytest.raises(InvariantViolation, match="^witness sub-profiles must be distinct$"):
+        search.check_certificate(env, altered(witness, b_minus=a), value_at, *beats)
 
 
 @pytest.mark.parametrize("ordering", (None, [], "a0 z0", ((("a0", "z0"),),)), ids=repr)
@@ -1030,7 +1068,7 @@ def test_relations_meet_the_search_contract(prob):
                 itertools.permutations(actions, 2), values, at_bs
             ):
                 at_b = {**dict(zip(actions, rivals)), r: tied, l: tied}
-                assert start(r, l, tied, at_b) is None
+                assert start(r, l, tied, at_b, (tied, tied, tied)) is None
 
 
 def logged_comparisons(env, beats, log):
@@ -1067,15 +1105,21 @@ def logged_comparisons(env, beats, log):
 def logged_walk(env, full, log):
     """`full` with its calls logged: each hook made is counted per agent under
     "walks", and each start asked, (agent, r, l, tied value, every action's
-    value at b) and whether it gave a state, is appended to "asked"."""
+    value at b) and whether it gave a state, is appended to "asked".  Each
+    start's key must stand for the tied value, r's value at b and l's value
+    at b: per agent, equal keys for equal values and distinct keys for
+    distinct ones."""
 
     def wrapped(index, kind):
         agent = next(i for i in range(env.n) if set(index) == set(env.pairs_for(i)))
         log["walks"][agent] += 1
         start, below = full(index, kind)
+        keys, values = {}, {}
 
-        def asked(r, l, value, at_b):
-            state = start(r, l, value, at_b)
+        def asked(r, l, value, at_b, key):
+            named = (value, at_b[r], at_b[l])
+            assert keys.setdefault(key, named) == named and values.setdefault(named, key) == key
+            state = start(r, l, value, at_b, key)
             log["asked"].append(((agent, r, l, value, tuple(at_b.items())), state is not None))
             return state
 

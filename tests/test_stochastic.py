@@ -38,6 +38,8 @@ from exmech.stochastic import (
     Lottery,
     ProbMechanism,
     _chain_walk,
+    _reached,
+    _steps,
     best_outcome,
     build_mixed_counterexample,
     build_relative_frequency,
@@ -52,10 +54,18 @@ from exmech.stochastic import (
     prob_mech_to_json,
     random_completely_mixed_mechanism,
     random_totally_mixed,
+    search_prob_ba_witness,
     validate_prob_witness,
 )
 
-from rowsets import assert_relations_match, fsd_relations, full_rows, row_sets
+from rowsets import (
+    assert_relations_match,
+    forward_chain,
+    fsd_relations,
+    full_rows,
+    repunit_steps,
+    row_sets,
+)
 from test_search import altered
 
 Z2 = ("z0", "z1")
@@ -456,7 +466,7 @@ def assert_chain_test_matches_rows(kind, n_actions, n_outcomes, tied, at_b, ri, 
             rows = beats_iii((r, at_b[ri]), (x, value), rows)
     start, below = _chain_walk(index, kind)
     values = dict(zip(actions, at_b))
-    state = start(r, l, tied, values)
+    state = start(r, l, tied, values, (tied, values[r], values[l]))
     assert (state is not None) == bool(rows)
     if rows:
         ranks = first_ranks(len(pairs), state, kind, below)
@@ -520,6 +530,74 @@ def test_chain_test_equals_brute_existence_on_random_tuples(case):
     assert_chain_test_matches_rows(*case)
 
 
+@st.composite
+def chain_masks(draw):
+    """m <= 4, random valid points holding the end (a dense or a sparse draw),
+    the two needs within them, and the step rule."""
+    m = draw(st.integers(1, 4))
+    points = 1 << 2 * m
+    bits = st.integers(0, (1 << points) - 1)
+    valid = draw(bits) & (draw(bits) if draw(st.booleans()) else -1) | 1 << points - 1
+    return m, valid, draw(bits) & valid, draw(bits) & valid, draw(st.booleans())
+
+
+@given(chain_masks())
+@settings(max_examples=150, deadline=None)
+def test_backward_reach_equals_the_forward_chain_test(case):
+    # at every valid point and for each set of unmet needs, one bit of the
+    # backward sets answers the forward reach through the needs in every order
+    m, valid, a_more, b_more, strict = case
+    steps = _steps(m)
+    assert list(steps) == repunit_steps(m)
+    reached = _reached(valid, a_more, b_more, steps, strict)
+    for point in range(1 << 2 * m):
+        if valid >> point & 1:
+            for unmet in range(4):
+                needs = [need for bit, need in ((1, a_more), (2, b_more)) if unmet & bit]
+                assert reached[unmet] >> point & 1 == forward_chain(m, valid, needs, point, strict)
+
+
+def test_search_is_the_same_on_shared_and_fresh_equal_distributions():
+    # the walk memoizes by the search's value codes: a mechanism whose equal
+    # distributions are one object and its copy with a fresh object at every
+    # profile give the same witnesses and stats under every full kind
+    rng = random.Random(37)
+    answers = set()
+    for actions, n_outcomes in ((("a0", "a1", "a2"), 2), (("a0", "a1"), 3), (("a0", "a1"), 2)):
+        outcomes = tuple(f"z{j}" for j in range(n_outcomes))
+        env = Environment.create((actions, ("b0", "b1", "b2")), outcomes)
+        for _ in range(12):
+            palette = []
+            for _ in range(rng.randint(2, 4)):
+                ks = [rng.choice((0, 1, 1, 2, 3)) for _ in outcomes]
+                ks[rng.randrange(n_outcomes)] += 1
+                probs = {z: Fraction(k, sum(ks)) for z, k in zip(outcomes, ks)}
+                palette.append(Distribution(probs))
+            shared = {p: rng.choice(palette) for p in enumerate_profiles(env)}
+            fresh = {p: Distribution(dict(d.probs)) for p, d in shared.items()}
+            assert all(fresh[p] is not d and fresh[p] == d for p, d in shared.items())
+            for kind in FULL_KINDS:  # a cap over the second agent's 9 pairs, if it has them
+                result = search_prob_ba_witness(ProbMechanism(env, shared), kind, cap=9)
+                assert search_prob_ba_witness(ProbMechanism(env, fresh), kind, cap=9) == result
+                answers.add(result.witness is None)
+    assert answers == {False, True}
+
+
+def test_the_walk_memo_tells_tied_values_apart():
+    # r = x0 and l = x1 tie at b0 on a point mass and at b1 on (1/3, 2/3);
+    # at b2 the anchor's and the l-rival's values are the same for both tied
+    # values, and only the second completes a chain there: a memo that
+    # forgot the tied value would carry the first's rejection over
+    env = Environment.create((("x0", "x1"), ("b0", "b1", "b2")), Z2)
+    point, third = dist(0, 1), dist("1/3", "2/3")
+    at = {"b0": (point, point), "b1": (third, third), "b2": (point, dist("1/2", "1/2"))}
+    mech = ProbMechanism(env, {(x, b): at[b][int(x[1])] for x, b in enumerate_profiles(env)})
+    witness = find_prob_ba_witness(mech, DomainKind.UNRESTRICTED)
+    assert (witness.agent, witness.r, witness.l) == (0, "x0", "x1")
+    assert (witness.a_minus, witness.b_minus) == (("b1",), ("b2",))
+    validate_prob_witness(mech, witness, DomainKind.UNRESTRICTED)
+
+
 def test_chain_test_rejects_totally_mixed_strict_tuples_at_the_first_step():
     # the dominance dichotomy: with A and B_l totally mixed, an r-step breaks
     # (ii) and an l-step (iii), whatever B_r is
@@ -527,7 +605,7 @@ def test_chain_test_rejects_totally_mixed_strict_tuples_at_the_first_step():
     start, _ = _chain_walk(index, DomainKind.STRICT)
     mixed = dist("1/3", "2/3")
     for b in (dist(1, 0), dist(0, 1), mixed):
-        assert start("x0", "x1", mixed, {"x0": b, "x1": mixed}) is None
+        assert start("x0", "x1", mixed, {"x0": b, "x1": mixed}, (mixed, b, mixed)) is None
     # the mixed counterexample's witness tuple, totally mixed, passes only off `strict`
     _, mech = build_mixed_counterexample()
     witness = find_prob_ba_witness(mech, DomainKind.WEAK_ONLY)
@@ -536,7 +614,8 @@ def test_chain_test_rejects_totally_mixed_strict_tuples_at_the_first_step():
     tied = mech.dist_at(agent, r, a)
     at_b = {x: mech.dist_at(agent, x, b) for x in mech.env.actions[agent]}
     assert all(is_totally_mixed(value) for value in (tied, *at_b.values()))
-    found = [_chain_walk(index, kind)[0](r, l, tied, at_b) is not None for kind in FULL_KINDS]
+    key = (tied, at_b[r], at_b[l])
+    found = [_chain_walk(index, kind)[0](r, l, tied, at_b, key) is not None for kind in FULL_KINDS]
     assert found == [True, False, True]
 
 
@@ -546,7 +625,7 @@ def test_the_walk_refuses_a_head_that_leaves_a_rival_unbeatable():
     index = {(x, z): c for c, (x, z) in enumerate(itertools.product(("x0", "x1", "x2"), Z2))}
     start, below = _chain_walk(index, DomainKind.UNRESTRICTED)
     at_b = {"x0": dist(1, 0), "x1": dist(0, 1), "x2": dist(1, 0)}
-    state = start("x0", "x1", dist(0, 1), at_b)
+    state = start("x0", "x1", dist(0, 1), at_b, (dist(0, 1), at_b["x0"], at_b["x1"]))
     assert state is not None
     assert below((0, 4), state, 4, DomainKind.UNRESTRICTED) is None
     assert below((0,), state, 5, DomainKind.UNRESTRICTED) is not None
