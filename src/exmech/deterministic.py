@@ -45,7 +45,7 @@ from .model import (
     string_labels,
     sub_profiles,
 )
-from .domains import build_queueing_pref_1, completable, edges_below, full_kind
+from .domains import build_queueing_pref_1, full_kind
 from .queueing import QueueingOutcome, QueueingParams, grid_labels
 from .search import SearchResult, check_certificate, search_witness
 
@@ -151,9 +151,8 @@ def witness_from_counterexample(
     other action's pair at `b_minus` (just below (l, z) if it is (r, z), as
     then o(l, b) is not z); for the weak-only kind two unconstrained pairs
     are merged to create an indifference.  So it also meets strict (iii),
-    and tie propagation decides that form too: its constraints, (l, z) above
-    (r, z) and (r, o(r, b)) above each distinct (x, o(x, b)), form a cycle
-    only when o(r, b) = o(l, b) = z, that is, when the tie propagates to b.
+    and tie propagation decides that form too: its constraints form a cycle
+    only where the tie propagates to b, as `_edge_walk` shows.
     """
     kind = full_kind(kind)
     env = mech.env
@@ -205,23 +204,53 @@ def _preferences(strict_iii: bool) -> tuple:
 def _edge_walk(index: Mapping[Pair, int], kind: DomainKind, strict_iii: bool = False):
     """(start, below) for a full kind's walk over heads, with (iii) as `_preferences` takes it.
 
-    A tuple's constraints on an ordering are few: (ii) puts (l, z) strictly
-    above (r, z), and (iii) puts (r, o(r, b)) at or above each (x, o(x, b)),
-    or strictly above.  So the walk's state is the list of those edges (p,
-    q, strict) between pair positions: `start` gives it while some ordering
-    of `kind` meets every edge (`domains.completable`), and None otherwise,
-    and the step that places a head is `domains.edges_below`.  The edges
-    read every action's value at b, so `start` memoizes nothing by `key`.
+    The walk's state is a tuple's edges (p, q, strict) between pair
+    positions, p ranking at or above q, strictly if `strict`: (ii)'s
+    protest edge from (l, z) strictly above (r, z), then (iii)'s star from
+    the anchor (r, o(r, b)) to each rival (x, o(x, b)), strict only under
+    `strict_iii`.  Every rival edge leaves the anchor and no rival is (r,
+    z), so a path has at most two edges and the edges have no triangle.  A
+    cycle can only run (l, z) -> (r, z) -> (l, z), with the anchor (r, z)
+    and (l, z) a rival: o(r, b) = o(l, b) = z, the tie propagates to b, and
+    `start` gives None.  Otherwise no subset of the edges has a cycle, so
+    the `unrestricted` and `strict` steps need no test but the head's own.
+
+    A `weak_only` tail must also tie two of its k positions, and can iff
+    some two are joined by no path through a strict edge: merging them
+    makes at most a cycle of weak edges, which one class meets.  A position
+    other than the anchor, (l, z) and (r, z) is joined only to the anchor
+    and, when that is (r, z), to (l, z), so at most three positions are
+    pairwise joined, and three only along a strict edge continuing another.
+    So a tail can be completed iff k >= 4, or k = 3 with no strict edge
+    continuing another, or k = 2 with no strict edge left.  A tie breaks
+    only with two actions and two outcomes, so `start` has four positions
+    or more and needs no such test; `kind` is not read.
     """
-    n = len(index)
 
     def start(r: str, l: str, z: str, at_b: Mapping[str, str], key: tuple) -> list | None:
+        if at_b[r] == z == at_b[l]:
+            return None
         anchor = index[r, at_b[r]]
         edges = [(index[l, z], index[r, z], True)]
         edges += [(anchor, index[x, value], strict_iii) for x, value in at_b.items() if x != r]
-        return edges if completable(n, edges, kind) else None
+        return edges
 
-    return start, edges_below
+    def below(head: tuple[int, ...], edges: list, k: int, tail: DomainKind) -> list | None:
+        """The edges left below `head`, or None if no ordering of `tail` below it meets them."""
+        left = []
+        for p, q, strict in edges:
+            if q in head:
+                if strict or p not in head:
+                    return None
+            elif p not in head:
+                left.append((p, q, strict))
+        if tail is DomainKind.WEAK_ONLY and k < 4:
+            tops = {p for p, _, strict in left if strict}
+            if k < 2 or any(strict and (k == 2 or q in tops) for _, q, strict in left):
+                return None
+        return left
+
+    return start, below
 
 
 def search_ba_witness(

@@ -15,9 +15,7 @@ lexicographic order.  Two things iterate `heads`:
   witness ordering, depth by depth and with no count.  The rows led by one
   head form one block, so the first head after which the search's tuple
   can still be completed leads the first row completing it.  The kind
-  supplies only that test, as the step `below`; `edges_below` is the step
-  over a few edges between pair positions (p at or above q, or strictly
-  above), which `completable` decides.
+  supplies only that test, as the step `below`.
 `row_count` counts each full domain directly, with no head.
 Also classifies orderings as classical or separable and builds the
 lexicographic queueing preferences.  Enumeration is capped because the
@@ -53,10 +51,6 @@ DEFAULT_STRICT_CAP = 8
 
 # the kinds `heads` orders, and under which tie propagation decides the anomaly
 FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
-
-# (p, q, strict): position p ranks at or above position q, strictly if `strict`
-Edge = tuple[int, int, bool]
-
 
 def full_kind(kind: DomainKind | str) -> DomainKind:
     """`kind`, or the kind a string names, after checking it is one of `FULL_KINDS`."""
@@ -111,53 +105,6 @@ def row_count(n: int, kind: DomainKind) -> int:
 _weak_counts = [1]  # _weak_counts[m]: weak orders over m positions, each counted once
 
 
-def completable(k: int, edges: Sequence[Edge], kind: DomainKind) -> bool:
-    """True iff some ordering of `kind` over k positions meets every edge.
-
-    An edge (p, q, strict) asks position p to rank at or above position q,
-    strictly if `strict`; both are among the k positions.  A weak order
-    meets the edges iff no cycle of them runs through a strict edge (a
-    cycle's positions share one class); a strict order, which ties nothing,
-    iff they have no cycle at all; and a weak-only order iff a weak order
-    does and two positions can also share a class: a position no edge
-    touches can join any class, and two edge ends u and v can share one iff
-    a weak order meets the edges with v renamed u.
-    """
-    if kind is DomainKind.WEAK_ONLY and k < 2:
-        return False
-    if not edges:
-        return True
-    below: dict[int, list[int]] = {}  # p -> every q an edge puts at or below it
-    for p, q, _ in edges:
-        below.setdefault(p, []).append(q)
-    every_strict = kind is DomainKind.STRICT
-    for p, q, strict in edges:
-        if (strict or every_strict) and p in _reach(below, q):
-            return False
-    if kind is not DomainKind.WEAK_ONLY:
-        return True
-    ends = {p for p, _, _ in edges} | {q for _, q, _ in edges}
-    return k > len(ends) or any(
-        completable(
-            k - 1,
-            [(u if p == v else p, u if q == v else q, strict) for p, q, strict in edges],
-            DomainKind.UNRESTRICTED,
-        )
-        for u, v in itertools.combinations(ends, 2)
-    )
-
-
-def _reach(below: dict[int, list[int]], v: int) -> set[int]:
-    """The positions v is at or above by a path of edges, v itself included."""
-    seen, todo = {v}, [v]
-    while todo:
-        for w in below.get(todo.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen
-
-
 def first_ranks(n: int, state, kind: DomainKind, below: Callable) -> list[int]:
     """Each position's class index under the canonically first ordering of `kind` a walk completes.
 
@@ -190,26 +137,6 @@ def first_ranks(n: int, state, kind: DomainKind, below: Callable) -> list[int]:
         kind, state = tail, placed
         depth += 1
     return ranks
-
-
-def edges_below(
-    head: tuple[int, ...], edges: Sequence[Edge], k: int, tail: DomainKind
-) -> list | None:
-    """`first_ranks`'s step over edges: the edges left below `head`, or None if it cannot top them.
-
-    `edges` are those among the remaining positions.  `head` cannot top them
-    if an edge puts a pair outside it above one in it, or a strict edge
-    joins two of its pairs, or the edges left cannot be met by a tail of
-    `tail` over the k positions below (`completable`).
-    """
-    left = []
-    for p, q, strict in edges:
-        if q in head:
-            if strict or p not in head:
-                return None
-        elif p not in head:
-            left.append((p, q, strict))
-    return left if completable(k, left, tail) else None
 
 
 @functools.cache

@@ -11,7 +11,8 @@ agent's pairs to columns, which gives `(beats_ii, beats_iii)`, each called
 as `beats(lhs, rhs, rows)` and returning the part of `rows` under which
 `lhs`, an (action, value) pair, beats `rhs`: `rank_relations` for the
 deterministic kind and `fsd_relations` for the probabilistic one.
-`assert_relations_match` pins each to the comparisons it stands for.
+`assert_relations_match` pins each to the comparisons it stands for, and
+`rows_below` walks the rows with `domains.first_ranks`.
 
 `forward_chain` is the probabilistic walk's chain test run forward, one
 reach per need in every order of the needs: the oracle for
@@ -47,6 +48,22 @@ def full_rows(n, kind):
     """(rank table, `le`) of a full kind over n positions."""
     table = rank_table(n, kind)
     return table, row_sets(table, n)
+
+
+def rows_below(table):
+    """`domains.first_ranks`'s step over a rank table's rows, whose state is (depth, row indices).
+
+    A head placed at `depth` keeps the rows whose class there is exactly the
+    head's positions, and is refused where none is left.  The table's kind
+    orders the rows, so the step reads neither `k` nor `tail`.
+    """
+
+    def below(head, state, k, tail):
+        depth, rows = state
+        kept = [o for o in rows if {p for p, c in enumerate(table[o]) if c == depth} == set(head)]
+        return (depth + 1, kept) if kept else None
+
+    return below
 
 
 def rank_relations(index, le, strict_iii=False):

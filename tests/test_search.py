@@ -66,7 +66,7 @@ from exmech.stochastic import (
     validate_prob_witness,
 )
 
-from rowsets import fsd_relations, full_rows, rank_relations, row_sets
+from rowsets import fsd_relations, full_rows, rank_relations, row_sets, rows_below
 
 FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 
@@ -333,25 +333,28 @@ def assert_walk_equals_rows(pairs, kind, strict_iii, r, l, z, at_b):
     """Decide one deterministic tuple by the walk and by the rank table's rows.
 
     The tuple ties r and l at z and has each action x give `at_b[x]` at b.
-    After (ii) and after each rival of (iii), the edges so far must be
-    completable exactly when rows of the rank table survive; the walk's
-    start must keep the edges exactly when rows survive them all, and the
-    walk's ranks must then be the lowest surviving row's.  Returns whether
-    the tuple is a witness.
+    After (ii) and after each rival of (iii), rows of the rank table must
+    survive the edges so far exactly when they form no cycle and, under
+    `weak_only`, the walk's step passes them below an empty head (the
+    weak-only rule); the walk's start must keep the edges exactly when rows
+    survive them all, and the walk's ranks must then be the lowest
+    surviving row's.  Returns whether the tuple is a witness.
     """
     index = {pair: k for k, pair in enumerate(pairs)}
     table, le = full_rows(len(pairs), kind)
     by_rows = rank_relations(index, le, strict_iii)
     steps = [(0, (l, z), (r, z))]
     steps += [(1, (r, at_b[r]), (x, at_b[x])) for x in at_b if x != r]
+    start, below = _edge_walk(index, kind, strict_iii)
     rows, edges = le[0][0], []
     for which, lhs, rhs in steps:
         rows = by_rows[which](lhs, rhs, rows)
         edges.append((index[lhs], index[rhs], which == 0 or strict_iii))
-        assert domains.completable(len(pairs), edges, kind) == bool(rows)
+        ends = {(p, q) for p, q, _ in edges}
+        cycle = any((q, p) in ends for p, q in ends)
+        assert (not cycle and below((), edges, len(pairs), kind) is not None) == bool(rows)
         if not rows:
             break
-    start, below = _edge_walk(index, kind, strict_iii)
     state = start(r, l, z, at_b, (z, at_b[r], at_b[l]))
     assert state == (edges if rows else None)
     if not rows:
@@ -385,7 +388,8 @@ def test_walk_equals_the_lowest_row_on_every_tuple(kind, strict_iii):
     # one outcome: r and l tie again at b, so no tuple is a witness
     assert found[2, 1] == found[6, 1] == 0 < found[3, 2]
     # two pairs under weak_only: the one row ties them, so not even (ii) holds
-    assert domains.completable(2, [(1, 0, True)], kind) == (kind is not DomainKind.WEAK_ONLY)
+    _, below = _edge_walk({}, kind, strict_iii)
+    assert (below((), [(1, 0, True)], 2, kind) is not None) == (kind is not DomainKind.WEAK_ONLY)
 
 
 @given(data=st.data())
@@ -409,52 +413,63 @@ def test_walk_equals_the_lowest_row_on_random_tables(data):
         assert search_ba_witness(mech, kind, strict_iii=strict_iii) == expected
 
 
-def edge_sets():
-    """(n, edges) over n positions: random sets, then every small one.
+def tuple_edge_sets(k):
+    """Every subset of a deterministic tuple's edges that k positions can hold, up to renaming.
 
-    Every edge set over at most three positions (each ordered pair absent,
-    weak or strict), and every set of at most three edges over four; among
-    them are the sets whose edges touch every position, the only ones for
-    which `weak_only` must merge two edge ends.
+    A protest edge from (l, z) = 0 to (r, z) = 1, or none, and a star of
+    rival edges, each weak or strict, from the anchor to any positions but
+    itself and (r, z): with no protest edge the anchor is 0, and with one it
+    is (r, z) itself, whose rivals leave out (l, z) as that makes the cycle
+    `start` refuses, or position 2, where (l, z) may be a rival.
     """
-    rng = random.Random(9)
-    for n in range(1, 7):
-        choices = [(p, q, s) for p in range(n) for q in range(n) if p != q for s in (False, True)]
-        for _ in range(150):
-            yield n, rng.sample(choices, min(len(choices), rng.randint(0, 5)))
-    for n in range(1, 4):
-        ordered = list(itertools.permutations(range(n), 2))
-        for marks in itertools.product((None, False, True), repeat=len(ordered)):
-            yield n, [(p, q, s) for (p, q), s in zip(ordered, marks) if s is not None]
-    ordered = list(itertools.permutations(range(4), 2))
-    for size in range(4):
-        for chosen in itertools.combinations(ordered, size):
-            for marks in itertools.product((False, True), repeat=size):
-                yield 4, [(p, q, s) for (p, q), s in zip(chosen, marks)]
+    shapes = [([], 0, range(1, k))]
+    if k >= 2:
+        shapes.append(([(0, 1, True)], 1, range(2, k)))
+    if k >= 3:
+        shapes.append(([(0, 1, True)], 2, [0, *range(3, k)]))
+    for protest, anchor, allowed in shapes:
+        for size in range(len(allowed) + 1):
+            for rivals in itertools.combinations(allowed, size):
+                for marks in itertools.product((False, True), repeat=size):
+                    yield protest + [(anchor, q, s) for q, s in zip(rivals, marks)]
 
 
-@pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
-def test_walk_equals_the_lowest_row_on_any_edges(kind):
-    # edge sets no deterministic tuple makes too, such as cycles of weak edges
-    touching_all = 0  # completable sets whose edges touch every position
-    for n, edges in edge_sets():
-        table, le = full_rows(n, kind)
-        rows = le[0][0]
-        for p, q, strict in edges:
-            rows &= ~le[q][p] if strict else le[p][q]
-        assert domains.completable(n, edges, kind) == bool(rows)
-        if rows:
-            lowest = (rows & -rows).bit_length() - 1
-            ranks = domains.first_ranks(n, edges, kind, domains.edges_below)
-            assert tuple(ranks) == table[lowest]
-            touching_all += len({p for p, _, _ in edges} | {q for _, q, _ in edges}) == n
-    assert touching_all > 0
+def test_weak_only_rule_equals_the_rows():
+    # a weak_only tail over k positions meets a tuple's edges iff k >= 4, or
+    # k = 3 with no strict edge continuing another, or k = 2 with no strict edge
+    _, below = _edge_walk({}, DomainKind.WEAK_ONLY)
+    verdicts = collections.defaultdict(set)
+    for k in range(7):
+        table, le = full_rows(k, DomainKind.WEAK_ONLY)
+        for edges in tuple_edge_sets(k):
+            rows = (1 << len(table)) - 1
+            for p, q, strict in edges:
+                rows &= ~le[q][p] if strict else le[p][q]
+            fits = below((), edges, k, DomainKind.WEAK_ONLY)
+            assert (fits is not None) == bool(rows), (k, edges)
+            verdicts[k].add(bool(rows))
+    assert verdicts == {0: {False}, 1: {False}, 2: {False, True}, 3: {False, True}} | {
+        k: {True} for k in (4, 5, 6)
+    }
+
+
+def test_edge_step_refuses_heads_an_edge_forbids():
+    # a head may not tie a strict edge's ends, nor take a pair an edge puts
+    # below one outside it; a weak edge inside a head is met
+    _, below = _edge_walk({}, DomainKind.UNRESTRICTED)
+    edges = [(0, 1, True), (1, 2, False)]
+    assert below((0, 1), edges, 1, DomainKind.UNRESTRICTED) is None
+    assert below((1, 2), edges, 1, DomainKind.UNRESTRICTED) is None
+    assert below((0,), edges, 2, DomainKind.UNRESTRICTED) == [(1, 2, False)]
+    assert below((1, 2), [(1, 2, False)], 0, DomainKind.UNRESTRICTED) == []
 
 
 def test_walk_refuses_edges_no_ordering_meets():
     # two positions under weak_only must tie, which a strict edge forbids
+    table = rank_table(2, DomainKind.WEAK_ONLY)
+    state = (0, [o for o, ranks in enumerate(table) if ranks[0] < ranks[1]])
     with pytest.raises(InvariantViolation, match=r"^no weak_only ordering of positions \[0, 1\]"):
-        domains.first_ranks(2, [(0, 1, True)], DomainKind.WEAK_ONLY, domains.edges_below)
+        domains.first_ranks(2, state, DomainKind.WEAK_ONLY, rows_below(table))
 
 
 def tie_heavy_3x3x2():
