@@ -110,6 +110,11 @@ class Ordering(Value):
                 raise InvariantViolation("pair appears in multiple classes")
             seen |= cls
 
+    def __repr__(self) -> str:  # each class's pairs sorted, so no string hash orders them
+        classes = [f"frozenset({{{', '.join(map(repr, sorted(cls)))}}})" for cls in self.classes]
+        inner = ", ".join(classes) + ("," if len(classes) == 1 else "")
+        return f"{type(self).__qualname__}(agent={self.agent!r}, classes=({inner}))"
+
     @classmethod
     def from_ranks(cls, agent: int, pairs: Sequence[Pair], ranks: Sequence[int]) -> "Ordering":
         """The ordering that puts pairs[k] in class ranks[k]."""

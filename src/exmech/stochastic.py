@@ -15,15 +15,18 @@ listed orderings one at a time, with no `Lottery` built.  Over a full kind
 no ordering is listed: `_chain_walk` decides each tuple from the tied
 distribution and each action's distribution at b, as a chain over pairs of
 outcome sets, and finds the witness ordering by the walk over heads,
-placing masses class by class.  Under `strict`, totally mixed tied and
-l-rival distributions fail the chain's first step (the dominance
-dichotomy), so a completely mixed mechanism is found NBA at once.  A
-`Distribution` compares and hashes on its exact integer form, so the search
-interns each agent's distributions to small ints; the chain test memoizes
-by the codes of the tied, anchor and l-rival distributions and runs on
-ints, point sets being bitmasks, with one backward reach per tuple.  Each
-tied distribution is decided once per action pair, which relies on
-dominance being asymmetric, the contract `search.search_witness` states.
+placing masses class by class.  Under a strict ordering, totally mixed
+tied and l-rival distributions meet (ii) and (iii) at no tuple (the
+dominance dichotomy).  So for a completely mixed mechanism the search is
+told to settle every agent whose admissible orderings are all strict before
+reading its values; for one only partly mixed, such a tuple fails the
+chain's first step under `strict`.  A `Distribution` compares and hashes on
+its exact integer form, so the search interns each agent's distributions
+to small ints; the chain test memoizes by the codes of the tied, anchor and
+l-rival distributions and runs on ints, point sets being bitmasks, with one
+backward reach per tuple.  Each tied distribution is decided once per
+action pair, which relies on dominance being asymmetric, the contract
+`search.search_witness` states.
 """
 
 from __future__ import annotations
@@ -390,7 +393,10 @@ def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
     `start` memoizes it per agent by `key`, the search's codes of the three
     values, and looks it up first.  Under `strict`, totally mixed A and B_l
     give no first step (an r-step breaks (ii), an l-step (iii)): the
-    dominance dichotomy, memoized as a failed test.
+    dominance dichotomy, memoized as a failed test.  `search_prob_ba_witness`
+    has the search settle a completely mixed mechanism's `strict` agents
+    within the cap before their values are read, so there this check serves
+    mechanisms only partly mixed.
 
     Points are the bits of an int, (L, R) being bit L + R * 2^m for outcome
     masks L and R, and masses are integers.  A tuple's first test builds
@@ -533,9 +539,12 @@ def search_prob_ba_witness(
 
     Condition (i) is exact distribution equality; (ii) and (iii) use
     first-order stochastic dominance.  The search order is that of
-    `search.search_witness`.
+    `search.search_witness`, which a completely mixed mechanism lets skip
+    every agent whose admissible orderings are all strict (the dominance
+    dichotomy).
     """
-    return search_witness(mech.env, mech.dist_at, domains, (fsd, fsd), _chain_walk, cap)
+    mixed = functools.partial(is_completely_mixed, mech)
+    return search_witness(mech.env, mech.dist_at, domains, (fsd, fsd), _chain_walk, cap, mixed)
 
 
 def find_prob_ba_witness(

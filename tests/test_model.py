@@ -1,8 +1,12 @@
 import copy
 import inspect
 import itertools
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +34,16 @@ from exmech.model import (
 )
 from exmech.queueing import QueueingOutcome, QueueingParams
 from exmech.search import SearchResult
-from exmech.stochastic import Distribution, Lottery, ProbMechanism
+from exmech.stochastic import (
+    Distribution,
+    Lottery,
+    ProbMechanism,
+    build_mixed_counterexample,
+    find_prob_ba_witness,
+)
 from exmech.verify import ClaimResult
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def ordering_of(agent, *classes):
@@ -402,6 +414,42 @@ def test_value_types_compare_hash_print_copy_and_refuse_changes(
     defaults = {p.name: p.default for p in parameters if p.default is not p.empty}
     assert defaults == DEFAULTS.get(cls, {})
     assert cls(**dict(zip(names, args))) == value
+
+
+# prints the repr of an ordering with a three-pair class, and of a search
+# witness whose ordering has two classes of two pairs
+REPR_PROBE = """
+from exmech.model import Ordering
+from exmech.stochastic import build_mixed_counterexample, find_prob_ba_witness
+cls = frozenset({("a", "z0"), ("b", "z0"), ("a", "z1")})
+print(repr(Ordering(0, (cls, frozenset({("b", "z1")})))))
+print(repr(find_prob_ba_witness(build_mixed_counterexample()[1], "weak_only")))
+"""
+
+
+def test_ordering_repr_is_the_same_under_every_hash_seed():
+    # a frozenset iterates in string-hash order; the repr lists each class sorted
+    printed = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", REPR_PROBE], env=env, capture_output=True, text=True, check=True
+        )
+        printed.append(done.stdout)
+    assert printed[0] == printed[1]
+    ordering, witness = printed[0].splitlines()
+    assert ordering == (
+        "Ordering(agent=0, classes=(frozenset({('a', 'z0'), ('a', 'z1'), ('b', 'z0')}), "
+        "frozenset({('b', 'z1')})))"
+    )
+    assert witness.endswith(
+        "ordering=Ordering(agent=0, classes=(frozenset({('a0', 'z0'), ('a1', 'z1')}), "
+        "frozenset({('a0', 'z1'), ('a1', 'z0')}))))"
+    )
+    names = {"Ordering": Ordering, "BAWitness": BAWitness}  # each evaluates back to its value
+    top = (("a", "z0"), ("b", "z0"), ("a", "z1"))
+    assert eval(ordering, names) == ordering_of(0, top, [("b", "z1")])
+    assert eval(witness, names) == find_prob_ba_witness(build_mixed_counterexample()[1], "weak_only")
 
 
 def test_value_type_defaults():

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exmech import domains, search, stochastic
@@ -35,6 +35,7 @@ from exmech.domains import (
     build_queueing_pref_1,
     build_queueing_pref_2,
     domain_orderings,
+    enumerate_strict_orderings,
     enumerate_weak_orderings,
     indifferent_ordering,
     rank_table,
@@ -60,6 +61,7 @@ from exmech.stochastic import (
     find_prob_ba_witness,
     fsd,
     is_completely_mixed,
+    is_totally_mixed,
     random_completely_mixed_mechanism,
     random_totally_mixed,
     search_prob_ba_witness,
@@ -1257,35 +1259,161 @@ def test_one_signature_agents_build_no_rows(monkeypatch):
     assert result.stats["orderings_per_agent"] == [5, 5]
 
 
-def test_completely_mixed_strict_mechanisms_are_nba_with_no_rows(monkeypatch):
-    # the dominance dichotomy: the chain test rejects every tuple at the
-    # chain's first step, so no row is built and no (ii) or (iii) runs
-    def no_comparison(ordering, lhs, rhs):
-        raise AssertionError("an ordering was compared for a completely mixed mechanism")
-
-    asked = []
-    chain_walk = stochastic._chain_walk
-
-    def counted(index, kind):
-        start, below = chain_walk(index, kind)
-        return (lambda *values: asked.append(values) or start(*values)), below
-
-    monkeypatch.setattr(stochastic, "fsd", no_comparison)
-    monkeypatch.setattr(stochastic, "_chain_walk", counted)
-    forbid_rows(monkeypatch)
-    rng = random.Random(29)
+def completely_mixed_mechanisms(rng):
+    """Seeded completely mixed mechanisms: the 2x3x2 shape on a palette of
+    three distributions, and 2x2x2 and 3x3x2 ones on a palette of two."""
     env = Environment.create((("a0", "a1", "a2"), ("b0", "b1", "b2")), ("z0", "z1"))
     mechs = []
-    for _ in range(4):  # the 2x3x2 shape on a palette of three distributions
+    for _ in range(4):
         palette = [random_totally_mixed(env.outcomes, rng) for _ in range(3)]
         mechs.append(ProbMechanism(env, {p: rng.choice(palette) for p in enumerate_profiles(env)}))
     for actions in ((("a0", "a1"),) * 3, (("a0", "a1", "a2"),) * 2):
         shape = Environment.create(actions, ("z0", "z1"))
         mechs += [random_completely_mixed_mechanism(shape, rng) for _ in range(4)]
-    for mech in mechs:
+    return mechs
+
+
+def test_completely_mixed_strict_mechanisms_are_nba_with_no_rows(monkeypatch):
+    # the dominance dichotomy settles each agent whose orderings are all
+    # strict before the scan: no value is read, no walk is made (so no start
+    # is asked), no row is built and no (ii) or (iii) runs
+    def no_comparison(ordering, lhs, rhs):
+        raise AssertionError("an ordering was compared for a completely mixed mechanism")
+
+    def no_walk(index, kind):
+        raise AssertionError("a walk was made for a completely mixed mechanism")
+
+    def no_read(self, agent, action, sub):
+        raise AssertionError("a value was read for a completely mixed mechanism")
+
+    mechs = completely_mixed_mechanisms(random.Random(29))
+    listed_strict = [
+        tuple(
+            DomainSpec.explicit(itertools.islice(enumerate_strict_orderings(i, pairs), 5))
+            for i, pairs in enumerate(map(mech.env.pairs_for, range(mech.env.n)))
+        )
+        for mech in mechs
+    ]
+    monkeypatch.setattr(stochastic, "fsd", no_comparison)
+    monkeypatch.setattr(stochastic, "_chain_walk", no_walk)
+    monkeypatch.setattr(ProbMechanism, "dist_at", no_read)
+    forbid_rows(monkeypatch)
+    for mech, explicit in zip(mechs, listed_strict):
         assert is_completely_mixed(mech)
-        assert search_prob_ba_witness(mech, DomainKind.STRICT).witness is None
-    assert len(asked) > len(mechs)
+        result = search_prob_ba_witness(mech, DomainKind.STRICT)
+        assert result.witness is None
+        assert result.stats["orderings_per_agent"] == [
+            math.factorial(len(pairs)) for pairs in map(mech.env.pairs_for, range(mech.env.n))
+        ]
+        result = search_prob_ba_witness(mech, explicit)
+        assert result.witness is None
+        assert result.stats["orderings_per_agent"] == [5] * mech.env.n
+
+
+def test_partly_mixed_tuples_are_still_rejected_at_the_first_step(monkeypatch):
+    # one profile carries a zero weight, so no agent is settled before the
+    # scan; the walk's start still rejects each tied tuple whose tied and
+    # l-rival values are totally mixed (the dominance dichotomy) without
+    # laying out the agent's pairs (`_steps`) or running a reach (`_reached`)
+    calls = []
+    steps, reached, chain_walk = stochastic._steps, stochastic._reached, stochastic._chain_walk
+    monkeypatch.setattr(stochastic, "_steps", lambda m: calls.append("lay out") or steps(m))
+    monkeypatch.setattr(stochastic, "_reached", lambda *a: calls.append("reach") or reached(*a))
+    asked = []  # (tied and l-rival values totally mixed, calls during start, its answer)
+
+    def logged(index, kind):
+        start, below = chain_walk(index, kind)
+
+        def asking(r, l, tied, at_b, key):
+            before = len(calls)
+            answer = start(r, l, tied, at_b, key)
+            mixed = is_totally_mixed(tied) and is_totally_mixed(at_b[l])
+            asked.append((mixed, calls[before:], answer))
+            return answer
+
+        return asking, below
+
+    monkeypatch.setattr(stochastic, "_chain_walk", logged)
+    rng = random.Random(30)
+    for mech in completely_mixed_mechanisms(rng):
+        env = mech.env
+        zero = Distribution({"z0": Fraction(0), "z1": Fraction(1)})
+        profile = rng.choice(list(enumerate_profiles(env)))
+        mech = ProbMechanism(env, {**mech.table, profile: zero})
+        assert not is_completely_mixed(mech)
+        expected = search_prob_ba_witness(mech, listed(env, DomainKind.STRICT))
+        assert search_prob_ba_witness(mech, DomainKind.STRICT) == expected
+    mixed = [(during, answer) for totally, during, answer in asked if totally]
+    assert mixed and len(mixed) < len(asked)
+    assert all(during == [] and answer is None for during, answer in mixed)
+    assert any("lay out" in during for totally, during, _ in asked if not totally)
+
+
+@st.composite
+def dichotomy_cases(draw):
+    """A completely mixed mechanism, or one with a single zero weight at one
+    profile, over up to six pairs per agent; per agent `strict`, `weak_only`,
+    `unrestricted`, an explicit domain of strict orderings or one with a
+    single weak ordering among them; maybe a cap below the pair count."""
+    env = draw(environments(6).filter(lambda env: min(map(len, env.actions)) > 1))
+    rng = random.Random(draw(st.integers(0, 999)))
+    palette = st.sampled_from([random_totally_mixed(env.outcomes, rng) for _ in range(2)])
+    table = {p: draw(palette) for p in enumerate_profiles(env)}
+    if len(env.outcomes) > 1 and draw(st.booleans()):
+        ks = draw(st.permutations([0] + [1] * (len(env.outcomes) - 1)))
+        zero = Distribution({z: Fraction(k, sum(ks)) for z, k in zip(env.outcomes, ks)})
+        for profile in draw(st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=2)):
+            table[profile] = zero
+    specs = []
+    for agent in range(env.n):
+        pairs = env.pairs_for(agent)
+        form = draw(st.sampled_from(("strict", "strict", "weak_only", "unrestricted", "listed")))
+        if form != "listed":
+            specs.append(DomainSpec(DomainKind(form)))
+            continue
+        ranks = st.permutations(range(len(pairs)))
+        orderings = [
+            Ordering.from_ranks(agent, pairs, perm)
+            for perm in draw(st.lists(ranks, min_size=1, max_size=4))
+        ]
+        if draw(st.booleans()):  # and one weak ordering of two classes at most
+            labels = draw(st.lists(st.integers(0, 1), min_size=len(pairs), max_size=len(pairs)))
+            weak = Ordering.from_ranks(agent, pairs, [c - min(labels) for c in labels])
+            if not weak.is_strict:
+                orderings.insert(draw(st.integers(0, len(orderings))), weak)
+        specs.append(DomainSpec.explicit(orderings))
+    return ProbMechanism(env, table), tuple(specs), draw(st.sampled_from((None, None, 2, 3, 5)))
+
+
+def dichotomy_examples():
+    """Two BA cases the draws reach rarely: the mixed counterexample with its
+    weak ordering listed after strict ones, and a mechanism with two point
+    masses, whose tie at them gives a strict witness."""
+    env, counterexample = build_mixed_counterexample()
+    strict = tuple(itertools.islice(enumerate_strict_orderings(0, env.pairs_for(0)), 3))
+    listed_weak = (DomainSpec.explicit((*strict, counterexample_preference())),)
+    at_b1 = [Distribution({"z0": p, "z1": 1 - p}) for p in (Fraction(1, 4), Fraction(1, 2))]
+    point = Distribution.point_mass("z0", env.outcomes)
+    table = {("a0", "b0"): point, ("a1", "b0"): point, ("a0", "b1"): at_b1[0], ("a1", "b1"): at_b1[1]}
+    return [
+        (counterexample, listed_weak + (DomainSpec(DomainKind.STRICT),), None),
+        (ProbMechanism(env, table), DomainKind.STRICT, None),
+    ]
+
+
+@given(dichotomy_cases())
+@example(dichotomy_examples()[0])
+@example(dichotomy_examples()[1])
+@settings(max_examples=80, deadline=None)
+def test_dichotomy_settled_search_equals_the_pairwise_scan(case):
+    # strict agents of completely mixed mechanisms are settled before the
+    # scan; the pairwise scan over row sets settles nothing, so it checks
+    # the verdict, the witness, the statistics and the cap's error
+    mech, specs, cap = case
+    expected = outcome_or_cap(
+        lambda: pairwise_search_witness(mech.env, mech.dist_at, specs, fsd_relations, cap)
+    )
+    assert outcome_or_cap(lambda: search_prob_ba_witness(mech, specs, cap=cap)) == expected
 
 
 def test_the_walk_start_is_asked_per_l_rival_value():
