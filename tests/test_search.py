@@ -1351,8 +1351,8 @@ def test_partly_mixed_tuples_are_still_rejected_at_the_first_step(monkeypatch):
 
 @st.composite
 def dichotomy_cases(draw):
-    """A completely mixed mechanism, or one with a single zero weight at one
-    profile, over up to six pairs per agent; per agent `strict`, `weak_only`,
+    """A completely mixed mechanism, or one where one or two profiles carry a
+    distribution with a single zero weight, over up to six pairs per agent; per agent `strict`, `weak_only`,
     `unrestricted`, an explicit domain of strict orderings or one with a
     single weak ordering among them; maybe a cap below the pair count."""
     env = draw(environments(6).filter(lambda env: min(map(len, env.actions)) > 1))
@@ -1394,7 +1394,8 @@ def dichotomy_examples():
     listed_weak = (DomainSpec.explicit((*strict, counterexample_preference())),)
     at_b1 = [Distribution({"z0": p, "z1": 1 - p}) for p in (Fraction(1, 4), Fraction(1, 2))]
     point = Distribution.point_mass("z0", env.outcomes)
-    table = {("a0", "b0"): point, ("a1", "b0"): point, ("a0", "b1"): at_b1[0], ("a1", "b1"): at_b1[1]}
+    table = {("a0", "b0"): point, ("a1", "b0"): point}
+    table.update({("a0", "b1"): at_b1[0], ("a1", "b1"): at_b1[1]})
     return [
         (counterexample, listed_weak + (DomainSpec(DomainKind.STRICT),), None),
         (ProbMechanism(env, table), DomainKind.STRICT, None),
