@@ -105,7 +105,7 @@ def build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run the built-in claim suite")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--mixed-count", type=_positive_int_arg, default=200)
-    p_verify.add_argument("--samples", type=_positive_int_arg, default=100)
+    p_verify.add_argument("--samples", type=_positive_int_arg, default=10)
     return parser
 
 

@@ -145,7 +145,13 @@ class Lottery(Value):
 
 
 class ProbMechanism(Value):
-    """Total map from action profiles to outcome distributions."""
+    """Total map from action profiles to outcome distributions.
+
+    Validation visits every distribution, so it also records whether all are
+    totally mixed (`_completely_mixed`).  That is not a field: equality, the
+    repr and pickling ignore it, and unpickling, which runs the constructor,
+    records it again.
+    """
 
     _fields = ("env", "table")
 
@@ -159,6 +165,7 @@ class ProbMechanism(Value):
         set_field(self, "table", table)
         check_profile_table(self.env, table)
         outcomes = set(self.env.outcomes)
+        mixed = True
         for profile, dist in table.items():
             if not isinstance(dist, Distribution):
                 raise InvariantViolation(f"value at {profile!r} is not a distribution")
@@ -166,6 +173,8 @@ class ProbMechanism(Value):
                 raise InvariantViolation(
                     f"distribution at {profile!r} must cover every outcome exactly"
                 )
+            mixed = mixed and is_totally_mixed(dist)
+        set_field(self, "_completely_mixed", mixed)
 
     def dist(self, profile: Profile) -> Distribution:
         return self.table[tuple(profile)]
@@ -175,8 +184,8 @@ class ProbMechanism(Value):
 
 
 def is_completely_mixed(mech: ProbMechanism) -> bool:
-    """Totally mixed at every profile."""
-    return all(is_totally_mixed(d) for d in mech.table.values())
+    """Totally mixed at every profile, as the constructor recorded."""
+    return mech._completely_mixed
 
 
 # --- first-order stochastic dominance ----------------------------------------

@@ -1,20 +1,24 @@
+import inspect
 import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
-from exmech.cli import main
+from exmech.cli import build_parser, main
 from exmech.deterministic import (
     build_groves_queueing,
     build_majority_referendum,
     det_mech_from_json,
+    satisfies_monotonicity,
+    satisfies_unanimity,
     validate_witness,
 )
 from exmech.errors import ParseError
 from exmech.model import (
     DomainKind,
     DomainSpec,
+    Environment,
     env_from_json,
     enumerate_profiles,
     sub_profiles,
@@ -558,8 +562,8 @@ PASS voting-axioms-force-anomaly: 54/54 witnesses across 18 qualifying tables x 
 PASS groves-tie-propagation-fails: counterexample a2=0 < r1=1/4 < l1=1/2 < b2=3/4
 PASS queueing-preferences-separable: 30/30 orderings separable over 3 grids x 5 costs x 2 patients
 PASS queueing-witness-validates: witness r=3/4 l=1/2 a=(1/4) b=(3/4)
-PASS strict-dichotomy-blocks-dominance: 0 dominance violations in 4800 sampled lottery pairs
-PASS mixed-mechanisms-avoid-anomaly: 200/200 seeded mechanisms witness-free under strict domains
+PASS strict-dichotomy-blocks-dominance: 48/48 (ordering, action order) cases blocked exactly; 0 dominance violations in 480 (ordering, action order, sample) checks
+PASS mixed-mechanisms-avoid-anomaly: 200/200 seeded mechanisms witness-free under strict domains, each settled by the dominance dichotomy
 PASS mixed-counterexample-reproduced: 16/16 contour values match; witness found
 PASS classical-domains-avoid-anomaly: 16/16 tables witness-free under all-classical domains
 9/9 claims passed
@@ -581,8 +585,8 @@ PASS voting-axioms-force-anomaly: 54/54 witnesses across 18 qualifying tables x 
 PASS groves-tie-propagation-fails: counterexample a2=0 < r1=1/4 < l1=1/2 < b2=3/4
 PASS queueing-preferences-separable: 30/30 orderings separable over 3 grids x 5 costs x 2 patients
 PASS queueing-witness-validates: witness r=3/4 l=1/2 a=(1/4) b=(3/4)
-PASS strict-dichotomy-blocks-dominance: 0 dominance violations in 336 sampled lottery pairs
-PASS mixed-mechanisms-avoid-anomaly: 13/13 seeded mechanisms witness-free under strict domains
+PASS strict-dichotomy-blocks-dominance: 48/48 (ordering, action order) cases blocked exactly; 0 dominance violations in 336 (ordering, action order, sample) checks
+PASS mixed-mechanisms-avoid-anomaly: 13/13 seeded mechanisms witness-free under strict domains, each settled by the dominance dichotomy
 PASS mixed-counterexample-reproduced: 16/16 contour values match; witness found
 PASS classical-domains-avoid-anomaly: 16/16 tables witness-free under all-classical domains
 9/9 claims passed
@@ -605,9 +609,18 @@ def test_sweep_claims_fail_when_they_check_nothing():
     assert claim_strict_dichotomy_blocks_dominance(samples=3).passed
 
 
+def test_verify_sample_defaults_agree():
+    args = build_parser().parse_args(["verify"])
+    for fn in (run_all, claim_strict_dichotomy_blocks_dominance):
+        assert inspect.signature(fn).parameters["samples"].default == args.samples == 10
+    for fn, name in ((run_all, "mixed_count"), (claim_mixed_mechanisms_avoid_anomaly, "count")):
+        assert inspect.signature(fn).parameters[name].default == args.mixed_count
+
+
 def test_dichotomy_claim_catches_a_wrong_dichotomy(monkeypatch):
-    # with each ordering's blocked direction reversed, the sampled lotteries
-    # of the action holding the better top pair dominate the other's
+    # with each ordering's blocked direction reversed, the best pair is the
+    # blocked action's, so no case holds, whatever the sample count, and the
+    # sampled lotteries of the action holding it dominate the other's
     right = verify.dominance_dichotomy
 
     def reversed_block(ordering, r, l):
@@ -615,10 +628,53 @@ def test_dichotomy_claim_catches_a_wrong_dichotomy(monkeypatch):
         return DominanceBlock.L_TOP if block is DominanceBlock.R_TOP else DominanceBlock.R_TOP
 
     monkeypatch.setattr(verify, "dominance_dichotomy", reversed_block)
-    result = claim_strict_dichotomy_blocks_dominance(samples=10)
-    violations = int(result.detail.split()[0])
-    assert not result.passed and violations > 0
-    assert result.detail.endswith(f"in {24 * 2 * 10} sampled lottery pairs")
+    for samples in (1, 10):
+        result = claim_strict_dichotomy_blocks_dominance(samples=samples)
+        exact, cases = map(int, result.detail.split()[0].split("/"))
+        assert not result.passed and exact < cases == 48
+    violations = int(result.detail.split("; ")[1].split()[0])
+    assert violations > 0
+    assert result.detail.endswith(f"in {24 * 2 * 10} (ordering, action order, sample) checks")
+
+
+def _target_action_phi(ordering, lottery, target):
+    # reads the target's action in place of the lottery's, so the point mass
+    # on the blocked action's pair at the target's outcome gets mass at t
+    return stochastic.phi(ordering, stochastic.Lottery(target[0], lottery.dist), target)
+
+
+def _strict_contour_phi(ordering, lottery, target):
+    # sums only the pairs strictly above the target, so the point mass on t
+    # gets none
+    limit = ordering.rank(target)
+    probs = lottery.dist.probs.items()
+    return sum((p for z, p in probs if ordering.rank((lottery.action, z)) < limit), Fraction(0))
+
+
+@pytest.mark.parametrize("wrong_phi", (_target_action_phi, _strict_contour_phi))
+def test_dichotomy_claim_catches_a_wrong_contour(monkeypatch, wrong_phi):
+    # fsd is untouched, so only the exact cases see the wrong contour
+    monkeypatch.setattr(verify, "phi", wrong_phi)
+    result = claim_strict_dichotomy_blocks_dominance(samples=1)
+    assert not result.passed
+    assert result.detail == (
+        "0/48 (ordering, action order) cases blocked exactly; "
+        "0 dominance violations in 48 (ordering, action order, sample) checks"
+    )
+
+
+def test_voting_claim_builds_exactly_the_unanimous_tables():
+    candidates = ("1", "2")
+    env = Environment.create((("0",) + candidates, ("0",) + candidates), candidates)
+    every = verify.all_tables(env)
+    unanimous = verify.all_tables(env, {(c, c): c for c in candidates})
+    assert len(every) == 2**9 and len(unanimous) == 2**7
+    assert unanimous == [mech for mech in every if satisfies_unanimity(mech)]
+    qualifying = [mech for mech in unanimous if satisfies_monotonicity(mech)]
+    assert len(qualifying) == 18
+    assert qualifying == [
+        mech for mech in every if satisfies_unanimity(mech) and satisfies_monotonicity(mech)
+    ]
 
 
 def test_mixed_claim_fails_on_mechanisms_that_are_not_completely_mixed(monkeypatch):
@@ -659,7 +715,10 @@ def test_mixed_claim_reaches_the_dominance_tests(monkeypatch):
     monkeypatch.setattr(verify, "find_prob_ba_witness", recorded)
     result = claim_mixed_mechanisms_avoid_anomaly()
     assert result.passed
-    assert result.detail == "200/200 seeded mechanisms witness-free under strict domains"
+    assert result.detail == (
+        "200/200 seeded mechanisms witness-free under strict domains, "
+        "each settled by the dominance dichotomy"
+    )
     assert len(seen) == 200
     assert sum(map(reaches_a_rival_signature, seen)) > len(seen) // 2
 

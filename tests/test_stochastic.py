@@ -637,6 +637,17 @@ def test_completely_mixed_mechanism_predicate():
     env = Environment.create((("a0", "a1"), ("b0", "b1")), Z2)
     table = {p: Distribution.point_mass("z0", Z2) for p in enumerate_profiles(env)}
     assert not is_completely_mixed(ProbMechanism(env, table))
+    # one zero-probability outcome at one profile is enough; the constructor
+    # records the answer outside the fields, so equality and the repr ignore
+    # it, and a pickle or copy, which runs the constructor, records it again
+    table = dict(mech.table)
+    table[("a1", "b1")] = Distribution({"z0": Fraction(1), "z1": Fraction(0)})
+    partly = ProbMechanism(mech.env, table)
+    for value, mixed in ((mech, True), (partly, False)):
+        for clone in (value, pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert is_completely_mixed(clone) is mixed
+            assert clone == value and repr(clone) == repr(value)
+    assert "_completely_mixed" not in repr(partly)
 
 
 def test_mixed_counterexample_rows():
