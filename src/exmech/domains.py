@@ -8,9 +8,10 @@ ranked partitions) takes heads of any size, `strict` takes single pairs
 only, and `weak_only` keeps a weak-only tail after a single pair and an
 unrestricted tail after a larger head.  Heads of one size come in
 lexicographic order.  Two things iterate `heads`:
-- `rank_table` materializes the order as rank vectors over pair positions,
-  one table per pair count and kind, so every agent with as many
-  action-outcome pairs shares one table (a search never makes it);
+- `rows` lists the order lazily as rank vectors over pair positions,
+  recursing head by head, and `orderings` turns them into the orderings of
+  given pairs; every public listing of a full domain is a view of these two
+  (a search never lists one);
 - `first_ranks`, the walk by which a search on a full kind finds its
   witness ordering, depth by depth and with no count.  The rows led by one
   head form one block, so the first head after which the search's tuple
@@ -139,42 +140,44 @@ def first_ranks(n: int, state, kind: DomainKind, below: Callable) -> list[int]:
     return ranks
 
 
-@functools.cache
-def rank_table(n: int, kind: DomainKind) -> tuple[tuple[int, ...], ...]:
-    """Rank vectors of every ordering in a full domain over pair positions 0..n-1.
+def rows(n: int, kind: DomainKind) -> Iterator[tuple[int, ...]]:
+    """Rank vectors of every ordering in a full domain over pair positions 0..n-1, lazily.
 
-    Row k gives each position's class index (0 is best) under the k-th
+    Each row gives each position's class index (0 is best) under one
     ordering, in the order `heads` states: the first class varies slowest
-    and the tail recurses the same way.  Only the pair count matters, so
-    every agent and environment with n pairs shares one table.
+    and the tail recurses the same way.  The recursion fills one list of
+    ranks head by head and copies it at each leaf; nothing is kept between
+    rows, so a row is made only when it is asked for.
     """
-    if n == 0:
-        return ((),) * row_count(0, kind)
-    rows = []
-    for head, tail in heads(range(n), kind):
-        rest = [p for p in range(n) if p not in head]
-        for tail_row in rank_table(len(rest), tail):
-            ranks = [0] * n
-            for p, c in zip(rest, tail_row):
-                ranks[p] = c + 1
-            rows.append(tuple(ranks))
-    return tuple(rows)
+    ranks = [0] * n
+
+    def fill(rest: list[int], kind: DomainKind, depth: int) -> Iterator[tuple[int, ...]]:
+        if not rest:
+            yield from (tuple(ranks),) * row_count(0, kind)  # none for `weak_only`
+            return
+        for head, tail in heads(rest, kind):
+            for p in head:
+                ranks[p] = depth
+            yield from fill([p for p in rest if p not in head], tail, depth + 1)
+
+    return fill(list(range(n)), kind, 0)
 
 
-def table_orderings(agent: int, pairs: Sequence[Pair], table: Iterable) -> Iterator[Ordering]:
-    """The orderings a rank table describes over the given pairs, row by row."""
-    return (Ordering.from_ranks(agent, pairs, ranks) for ranks in table)
+def orderings(
+    kind: DomainKind, agent: int, pairs: Iterable[Pair], cap: int | None = None
+) -> Iterator[Ordering]:
+    """Every ordering of a full domain kind over the pairs, in `rows` order.
 
-
-def check_full_domain(kind: DomainKind, pairs: Iterable[Pair], cap: int | None) -> tuple[Pair, ...]:
-    """The pairs as a tuple, after checking that there are some, none twice, and `check_size`."""
+    The checks run when this is called, before anything is iterated: there
+    must be some pairs, none twice, and `check_size` must pass.
+    """
     pairs = tuple(tuple(p) for p in pairs)
     if not pairs:
         raise InvariantViolation("need at least one pair to enumerate orderings")
     if len(set(pairs)) != len(pairs):
         raise InvariantViolation("duplicate pairs")
     check_size(kind, len(pairs), cap)
-    return pairs
+    return (Ordering.from_ranks(agent, pairs, ranks) for ranks in rows(len(pairs), kind))
 
 
 def check_size(kind: DomainKind, n: int, cap: int | None) -> None:
@@ -183,7 +186,7 @@ def check_size(kind: DomainKind, n: int, cap: int | None) -> None:
     Raises InvariantViolation for a `cap` that is neither None nor an int >= 0.
     Raises CapExceeded for more pairs than `cap` (by default the strict or
     the weak cap, by kind), and, whatever `cap` says, for more orderings
-    than `sys.maxsize`.  The search walks a full kind with no rank table, so
+    than `sys.maxsize`.  The search walks a full kind with no listing, so
     it needs neither bound; both stay only so that no pinned verdict moves
     until the caps are lifted together.
     """
@@ -199,35 +202,29 @@ def check_size(kind: DomainKind, n: int, cap: int | None) -> None:
     if n > 20 or row_count(n, kind) > sys.maxsize:
         raise CapExceeded(
             f"{n} pairs give the {kind.value} domain more orderings than "
-            f"sys.maxsize ({sys.maxsize}), the most a search can index"
+            f"sys.maxsize ({sys.maxsize})"
         )
-
-
-def _full_table(kind: DomainKind, pairs: Iterable[Pair], cap: int | None) -> tuple:
-    """(pairs, rank table) for a full domain kind, after the size checks."""
-    pairs = check_full_domain(kind, pairs, cap)
-    return pairs, rank_table(len(pairs), kind)
 
 
 def enumerate_weak_orderings(
     agent: int, pairs: Iterable[Pair], cap: int | None = None
 ) -> Iterator[Ordering]:
     """Every weak order over the pairs, exactly once, in a fixed order."""
-    return table_orderings(agent, *_full_table(DomainKind.UNRESTRICTED, pairs, cap))
+    return orderings(DomainKind.UNRESTRICTED, agent, pairs, cap)
 
 
 def enumerate_strict_orderings(
     agent: int, pairs: Iterable[Pair], cap: int | None = None
 ) -> Iterator[Ordering]:
     """Every strict (all-singleton) order, i.e. every permutation of the pairs."""
-    return table_orderings(agent, *_full_table(DomainKind.STRICT, pairs, cap))
+    return orderings(DomainKind.STRICT, agent, pairs, cap)
 
 
 def enumerate_weak_only_orderings(
     agent: int, pairs: Iterable[Pair], cap: int | None = None
 ) -> Iterator[Ordering]:
     """Weak orders with at least one non-trivial indifference class."""
-    return table_orderings(agent, *_full_table(DomainKind.WEAK_ONLY, pairs, cap))
+    return orderings(DomainKind.WEAK_ONLY, agent, pairs, cap)
 
 
 def domain_rank_vectors(
@@ -235,22 +232,24 @@ def domain_rank_vectors(
 ) -> tuple[tuple[int, ...], ...]:
     """Rank vectors of the agent's admissible orderings over its canonical pairs.
 
-    A full domain kind gives the shared `rank_table` of the agent's pair
-    count; an explicit domain gives its listed orderings' ranks, in order.
+    A full domain kind gives its `rows` over the agent's pair count, after
+    `check_size`; an explicit domain gives its listed orderings' ranks, in
+    order.
     """
     pairs = env.pairs_for(agent)
     if spec.kind is DomainKind.EXPLICIT:
         validate_explicit_domain(env, agent, spec)
         return tuple(tuple(o.rank(p) for p in pairs) for o in spec.orderings)
-    return _full_table(spec.kind, pairs, cap)[1]
+    check_size(spec.kind, len(pairs), cap)
+    return tuple(rows(len(pairs), spec.kind))
 
 
 def domain_orderings(
     env: Environment, agent: int, spec: DomainSpec, cap: int | None = None
 ) -> tuple[Ordering, ...]:
     """Materialize the admissible orderings of one agent in enumeration order."""
-    table = domain_rank_vectors(env, agent, spec, cap)
-    return tuple(table_orderings(agent, env.pairs_for(agent), table))
+    pairs, table = env.pairs_for(agent), domain_rank_vectors(env, agent, spec, cap)
+    return tuple(Ordering.from_ranks(agent, pairs, ranks) for ranks in table)
 
 
 def resolve_domains(
@@ -362,8 +361,10 @@ def classical_orderings(
 ) -> Iterator[Ordering]:
     """Every classical ordering: a weak order over outcomes lifted to pairs."""
     pairs = tuple((a, z) for a in actions for z in outcomes)
-    lifted = (ranks * len(actions) for ranks in rank_table(len(outcomes), DomainKind.UNRESTRICTED))
-    return table_orderings(agent, pairs, lifted)
+    return (
+        Ordering.from_ranks(agent, pairs, ranks * len(actions))
+        for ranks in rows(len(outcomes), DomainKind.UNRESTRICTED)
+    )
 
 
 def indifferent_ordering(agent: int, actions: Sequence[str], outcomes: Sequence[str]) -> Ordering:

@@ -48,11 +48,11 @@ each tied value is decided once per (r, l), at its first tie, by a walk
 over the other signatures that stops at the first completing it; a value
 with none is dead for every later a.  An agent whose sub-profiles all
 share one signature (a constant mechanism's, say) never has anything built.
-And a kind may settle agents before the scan: when no strict ordering
-completes any tuple of the mechanism (`strict_settled`, which the
-probabilistic kind answers for a completely mixed mechanism by the
-dominance dichotomy), an agent within the cap whose admissible orderings
-are all strict has none of its values read and nothing built or asked.
+And a kind may settle agents before the scan: when it says that no strict
+ordering completes any tuple of the mechanism (`strict_settled`, which the
+probabilistic kind sets for a completely mixed mechanism by the dominance
+dichotomy), an agent within the cap whose admissible orderings are all
+strict has none of its values read and nothing built or asked.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def search_witness(
     beats: tuple[Callable, Callable],
     full: Callable,
     cap: int | None = None,
-    strict_settled: Callable[[], bool] | None = None,
+    strict_settled: bool = False,
 ) -> SearchResult:
     """Canonically first witness over the admissible orderings `domain_specs` resolve to.
 
@@ -104,12 +104,11 @@ def search_witness(
     beats_iii)` of comparisons `check_certificate` takes, the full kinds
     through `full(index, kind)`.  An agent past the cap gets nothing built
     and a `None` count; CapExceeded is raised only at its first tuple
-    passing (i).  `strict_settled()` says whether no strict ordering meets
-    (ii) and (iii) for any tuple of the mechanism, as the dominance
-    dichotomy gives for a completely mixed probabilistic one; it is asked
-    once, at the first agent within the cap whose admissible orderings are
-    all strict, and if it holds, each such agent has none of its values read
-    and nothing built or asked.
+    passing (i).  `strict_settled` says that no strict ordering meets (ii)
+    and (iii) for any tuple of the mechanism, as the dominance dichotomy
+    gives for a completely mixed probabilistic one; then each agent within
+    the cap whose admissible orderings are all strict has none of its values
+    read and nothing built or asked.
 
     The walk requires each kind's comparisons to meet one contract: no
     ordering meets (ii) for a lottery x over a lottery y and (iii) for y
@@ -127,13 +126,9 @@ def search_witness(
         "sub_profiles": [math.prod(map(len, env.actions)) // len(acts) for acts in env.actions],
         "orderings_per_agent": [count for count, _ in views],
     }
-    settled = None  # strict_settled's answer, once asked
     for agent, (spec, acts, (count, making)) in enumerate(zip(specs, env.actions, views)):
-        if strict_settled is not None and count is not None and _all_strict(spec):
-            if settled is None:
-                settled = strict_settled()
-            if settled:
-                continue
+        if strict_settled and count is not None and _all_strict(spec):
+            continue
         unread = sub_profiles(env, agent)  # per agent: a witness ends the search early
         more = True  # until `unread` runs out
         deciding = ordering_of = None  # made at the agent's first rival signature

@@ -17,16 +17,17 @@ distribution and each action's distribution at b, as a chain over pairs of
 outcome sets, and finds the witness ordering by the walk over heads,
 placing masses class by class.  Under a strict ordering, totally mixed
 tied and l-rival distributions meet (ii) and (iii) at no tuple (the
-dominance dichotomy).  So for a completely mixed mechanism the search is
-told to settle every agent whose admissible orderings are all strict before
-reading its values; for one only partly mixed, such a tuple fails the
-chain's first step under `strict`.  A `Distribution` compares and hashes on
-its exact integer form, so the search interns each agent's distributions
-to small ints; the chain test memoizes by the codes of the tied, anchor and
-l-rival distributions and runs on ints, point sets being bitmasks, with one
-backward reach per tuple.  Each tied distribution is decided once per
-action pair, which relies on dominance being asymmetric, the contract
-`search.search_witness` states.
+dominance dichotomy).  The mechanism records at construction whether it
+is completely mixed, and if it is, the search settles every agent whose
+admissible orderings are all strict before reading its values; for one
+only partly mixed, such a tuple fails the chain's first step under
+`strict`.  A `Distribution` compares and hashes on its exact integer form,
+so the search interns each agent's distributions to small ints; the chain
+test memoizes by the codes of the tied, anchor and l-rival distributions
+and runs on ints, point sets being bitmasks, with one backward reach per
+tuple.  Each tied distribution is decided once per action pair, which
+relies on dominance being asymmetric, the contract `search.search_witness`
+states.
 """
 
 from __future__ import annotations
@@ -405,7 +406,9 @@ def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
     dominance dichotomy, memoized as a failed test.  `search_prob_ba_witness`
     has the search settle a completely mixed mechanism's `strict` agents
     within the cap before their values are read, so there this check serves
-    mechanisms only partly mixed.
+    mechanisms only partly mixed.  The layout (each column's action and
+    outcome bit, and `_steps`) is made with the walk, and the search makes a
+    walk only at an agent's first tied value that reaches a rival signature.
 
     Points are the bits of an int, (L, R) being bit L + R * 2^m for outcome
     masks L and R, and masses are integers.  A tuple's first test builds
@@ -421,19 +424,14 @@ def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
     """
     strict = kind is DomainKind.STRICT
     tested: dict = {}  # key -> the tuple's chain, or False when no ordering completes it
-    # the layout, made by `lay_out` at the first tuple past the dominance dichotomy
     actions: dict = {}  # action -> its position, in order of first column
     outcomes: dict = {}  # outcome -> its bit's position, the same way
     column = [None] * len(index)  # column -> (its action's position, its outcome's bit)
-    m = steps = None
-
-    def lay_out() -> None:
-        nonlocal m, steps
-        for (x, z), c in index.items():
-            bit = 1 << outcomes.setdefault(z, len(outcomes))
-            column[c] = (actions.setdefault(x, len(actions)), bit)
-        m = len(outcomes)
-        steps = _steps(m)
+    for (x, z), c in index.items():
+        bit = 1 << outcomes.setdefault(z, len(outcomes))
+        column[c] = (actions.setdefault(x, len(actions)), bit)
+    m = len(outcomes)
+    steps = _steps(m)
 
     def masses(dist: Distribution, factor: int) -> list[int]:
         """The distribution's mass on each outcome set, its weights times `factor`."""
@@ -496,8 +494,6 @@ def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
             ):
                 chain = False
             else:
-                if steps is None:
-                    lay_out()
                 chain = chain_of(tied, anchor, rival)
             tested[key] = chain
         if chain is False:
@@ -552,7 +548,7 @@ def search_prob_ba_witness(
     every agent whose admissible orderings are all strict (the dominance
     dichotomy).
     """
-    mixed = functools.partial(is_completely_mixed, mech)
+    mixed = is_completely_mixed(mech)
     return search_witness(mech.env, mech.dist_at, domains, (fsd, fsd), _chain_walk, cap, mixed)
 
 

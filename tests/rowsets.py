@@ -2,10 +2,11 @@
 
 The search asks its comparisons of one ordering at a time.  The tests that
 need an oracle over a whole full domain (up to 40320 strict orderings) read
-it as row sets instead.  Row o of a rank table ranks an agent's pairs, by
-column, as the o-th ordering does; a row set is an int whose bit o stands
-for row o, read through one matrix `le`, where `le[p][q]` holds the rows
-ranking column p weakly above column q (`row_sets`).  Each kind's
+it as row sets instead.  Row o of a rank table (`rank_table`, the rows
+`domains.rows` lists, kept once per pair count and kind) ranks an agent's
+pairs, by column, as the o-th ordering does; a row set is an int whose bit
+o stands for row o, read through one matrix `le`, where `le[p][q]` holds
+the rows ranking column p weakly above column q (`row_sets`).  Each kind's
 comparisons have a row-set form, `relations(index, le)`, `index` mapping the
 agent's pairs to columns, which gives `(beats_ii, beats_iii)`, each called
 as `beats(lhs, rhs, rows)` and returning the part of `rows` under which
@@ -23,7 +24,13 @@ import functools
 import itertools
 import math
 
-from exmech.domains import rank_table
+from exmech import domains
+
+
+@functools.cache
+def rank_table(n, kind):
+    """Every row of a full kind over n positions, in `domains.rows` order, listed once."""
+    return tuple(domains.rows(n, kind))
 
 
 def row_set(rows):

@@ -27,7 +27,7 @@ from exmech.deterministic import (
     validate_witness,
     witness_from_counterexample,
 )
-from exmech.domains import build_queueing_pref_1, classical_orderings, rank_table
+from exmech.domains import build_queueing_pref_1, classical_orderings
 from exmech.errors import (
     GridDoesNotSupportWitness,
     InvariantViolation,
@@ -43,7 +43,7 @@ from exmech.model import (
 )
 from exmech.queueing import QueueingParams, clinic_revenue, QueueingOutcome
 
-from rowsets import assert_relations_match, rank_relations, row_sets
+from rowsets import assert_relations_match, rank_relations, rank_table, row_sets
 
 FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 

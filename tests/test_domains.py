@@ -11,10 +11,8 @@ from exmech.deterministic import build_groves_queueing
 from exmech.domains import (
     build_queueing_pref_1,
     build_queueing_pref_2,
-    check_full_domain,
     classical_orderings,
     domain_orderings,
-    domain_rank_vectors,
     enumerate_strict_orderings,
     enumerate_weak_only_orderings,
     enumerate_weak_orderings,
@@ -22,16 +20,17 @@ from exmech.domains import (
     indifferent_ordering,
     is_classical,
     is_separable,
-    rank_table,
+    orderings,
     row_count,
+    rows,
     separability_violation,
 )
-from exmech.errors import CapExceeded, NotQueueingEnvironment, UnknownPair
+from exmech.errors import CapExceeded, InvariantViolation, NotQueueingEnvironment, UnknownPair
 from exmech.model import DomainKind, DomainSpec, Environment, Ordering
 from exmech.queueing import QueueingParams, clinic_revenue, material_payoff, queueing_outcomes_of
 from exmech.verify import GRID_SWEEP, THETA_SWEEP
 
-from rowsets import rows_below
+from rowsets import rank_table, rows_below
 
 
 def ordered_bell(n):
@@ -98,16 +97,18 @@ def test_full_domain_past_sys_maxsize_orderings_is_a_cap(kind):
     past = "more orderings than sys.maxsize"
     for n in range(1, 21):
         if row_count(n, kind) <= sys.maxsize:
-            assert check_full_domain(kind, pairs(n), 28) == pairs(n)
+            # within the bound nothing is listed, not even at 20! orderings, until asked
+            first = next(orderings(kind, 0, pairs(n), 28), None)
+            assert first is None if row_count(n, kind) == 0 else first.pairs == set(pairs(n))
         else:
             with pytest.raises(CapExceeded, match=f"^{n} pairs give the {kind.value} domain {past}"):
-                check_full_domain(kind, pairs(n), 28)
+                orderings(kind, 0, pairs(n), 28)
     # past 20 pairs the bound is reached without a count, which at 300 pairs
     # would be a number of hundreds of digits
     domains.row_count.cache_clear()
     for n in (21, 28, 300):
         with pytest.raises(CapExceeded, match=f"^{n} pairs give the {kind.value} domain {past}"):
-            check_full_domain(kind, pairs(n), n)
+            orderings(kind, 0, pairs(n), n)
 
 
 def queueing_setup(theta1=Fraction(1, 2), theta2=Fraction(1, 4), grid=None):
@@ -355,19 +356,6 @@ def test_domain_orderings_follow_the_pinned_order(kind):
     assert list(domain_orderings(env, 1, DomainSpec(DomainKind(kind)))) == expected
 
 
-@pytest.mark.parametrize("kind", ("unrestricted", "strict", "weak_only"))
-def test_equal_pair_counts_share_one_rank_table(kind):
-    spec = DomainSpec(DomainKind(kind))
-    env = Environment.create((("a0", "a1", "a2"), ("b0", "b1", "b2")), ("z0", "z1"))
-    # different labels and a different split into actions and outcomes, same six pairs
-    other = Environment.create((("p", "q"), ("r",)), ("x", "y", "w"))
-    table = domain_rank_vectors(env, 0, spec)
-    assert domain_rank_vectors(env, 1, spec) is table
-    assert domain_rank_vectors(other, 0, spec) is table
-    assert domain_rank_vectors(other, 1, spec) is not table
-    assert len(table) == {"unrestricted": 4683, "strict": 720, "weak_only": 4683 - 720}[kind]
-
-
 def frozen_rank_table(n, kind):
     """The rank-table generator as it stood before the canonical order was stated by `heads`.
 
@@ -402,18 +390,17 @@ def test_domain_kind_caches_hit_when_the_kind_is_looked_up_by_value():
     kind = DomainKind("strict")
     assert DomainKind.__hash__ is object.__hash__ and kind is DomainKind.STRICT
     assert {DomainKind.STRICT: "strict"}[kind] == "strict"
-    for cached in (row_count, rank_table):
-        cached(5, DomainKind.STRICT)
-        before = cached.cache_info()
-        cached(5, kind)
-        after = cached.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    row_count(5, DomainKind.STRICT)
+    before = row_count.cache_info()
+    row_count(5, kind)
+    after = row_count.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 @pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_rank_table_matches_the_frozen_generator(n, kind):
-    assert rank_table(n, kind) == frozen_rank_table(n, kind)
+    assert tuple(rows(n, kind)) == frozen_rank_table(n, kind)
 
 
 @pytest.mark.parametrize("kind", FULL_KINDS, ids=lambda k: k.value)
@@ -454,3 +441,29 @@ def test_row_count_past_the_rank_tables(kind):
     assert row_count(6, kind) == {"unrestricted": 4683, "strict": 720, "weak_only": 3963}[kind.value]
     if kind is DomainKind.STRICT:
         assert row_count(20, kind) == factorial(20)
+
+
+def test_rows_are_listed_lazily():
+    # 20 pairs give 20! strict orderings: the first two come without the rest
+    first, second = itertools.islice(rows(20, DomainKind.STRICT), 2)
+    assert first == tuple(range(20))
+    assert second == (*range(18), 19, 18)
+
+
+LISTINGS = {f"orderings-{kind.value}": functools.partial(orderings, kind) for kind in FULL_KINDS}
+LISTINGS.update(
+    weak=enumerate_weak_orderings,
+    strict=enumerate_strict_orderings,
+    weak_only=enumerate_weak_only_orderings,
+)
+
+
+@pytest.mark.parametrize("listing", LISTINGS.values(), ids=LISTINGS.keys())
+def test_listings_check_their_pairs_when_called(listing):
+    # each check raises at the call, before anything is iterated
+    with pytest.raises(InvariantViolation, match="^need at least one pair to enumerate orderings$"):
+        listing(0, ())
+    with pytest.raises(InvariantViolation, match="^duplicate pairs$"):
+        listing(0, pairs(2) + pairs(1))
+    with pytest.raises(CapExceeded, match="^2 pairs exceed the .* enumeration cap of 0$"):
+        listing(0, pairs(2), 0)

@@ -1,5 +1,7 @@
 """The package needs nothing beyond the standard library at runtime."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+TRACER = SRC.parent / "perfbench" / "tracer.py"
 
 # -S skips site-packages, so a third-party import fails or shows up here
 PROBE = (
@@ -80,3 +83,17 @@ def test_package_names_resolve_on_first_access():
     exec("from exmech import *", star)
     assert set(star) - {"__builtins__"} == set(exmech.__all__)
     assert not hasattr(exmech, "no_such_name")
+
+
+def test_every_traced_binding_resolves():
+    # the benchmark's tracer wraps these names; one that no longer resolves
+    # would otherwise show only as missing_metrics in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, attr, _, group in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (group, attr)
+    for module, name, attr, _, group in tracer.METHODS:
+        cls = getattr(importlib.import_module(module), name, None)
+        # looked up in the class's own namespace, as the tracer patches it
+        assert isinstance(cls, type) and vars(cls).get(attr) is not None, (group, name, attr)

@@ -38,7 +38,6 @@ from exmech.domains import (
     enumerate_strict_orderings,
     enumerate_weak_orderings,
     indifferent_ordering,
-    rank_table,
     resolve_domains,
 )
 from exmech.errors import AgentOutOfRange, CapExceeded, InvariantViolation
@@ -68,7 +67,7 @@ from exmech.stochastic import (
     validate_prob_witness,
 )
 
-from rowsets import fsd_relations, full_rows, rank_relations, row_sets, rows_below
+from rowsets import fsd_relations, full_rows, rank_relations, rank_table, row_sets, rows_below
 
 FULL_KINDS = (DomainKind.UNRESTRICTED, DomainKind.STRICT, DomainKind.WEAK_ONLY)
 
@@ -111,7 +110,7 @@ def listed(env, specs, cap=None):
         if spec.kind is not DomainKind.EXPLICIT:
             pairs = env.pairs_for(agent)
             try:
-                domains.check_full_domain(spec.kind, pairs, cap)
+                domains.orderings(spec.kind, agent, pairs, cap)
             except CapExceeded:
                 continue
             if domains.row_count(len(pairs), spec.kind):
@@ -123,8 +122,7 @@ def listed(env, specs, cap=None):
 @functools.cache
 def listing(agent, pairs, kind):
     """The explicit domain of every ordering of a full kind over an agent's pairs."""
-    table = rank_table(len(pairs), kind)
-    return DomainSpec.explicit(domains.table_orderings(agent, pairs, table))
+    return DomainSpec.explicit(domains.orderings(kind, agent, pairs, len(pairs)))
 
 
 @pytest.mark.parametrize("strict_iii", (False, True))
@@ -305,6 +303,7 @@ def test_full_row_sets_equal_those_of_the_rank_table(n, kind):
 
 
 def test_search_never_builds_a_rank_table(monkeypatch):
+    # a full kind is walked, never listed: `domains.rows` is not asked
     env = Environment.create((("a0", "a1", "a2"), ("b0", "b1", "b2")), ("z0", "z1"))
     constant = DetMechanism(env, {p: "z0" for p in enumerate_profiles(env)})
     _, referendum = build_majority_referendum(1)
@@ -312,10 +311,10 @@ def test_search_never_builds_a_rank_table(monkeypatch):
     wide = Environment.create((tuple(f"x{k}" for k in range(7)), ("b0",)), ("z",))
     wide_constant = DetMechanism(wide, {p: "z" for p in enumerate_profiles(wide)})
 
-    def no_rank_table(n, kind):
-        raise AssertionError(f"rank_table({n}, {kind}) built during a search")
+    def no_rows(n, kind):
+        raise AssertionError(f"rows({n}, {kind}) listed during a search")
 
-    monkeypatch.setattr(domains, "rank_table", no_rank_table)
+    monkeypatch.setattr(domains, "rows", no_rows)
     for kind in FULL_KINDS:
         nba = search_ba_witness(constant, kind)
         assert nba.witness is None
@@ -481,12 +480,12 @@ def tie_heavy_3x3x2():
 
 
 def forbid_rows(monkeypatch):
-    """Fail the test if a rank table or any domain's rank vectors are built."""
+    """Fail the test if a full domain's rows or any domain's rank vectors are listed."""
 
     def no_rows(*args):
         raise AssertionError("rank vectors were built during a search")
 
-    monkeypatch.setattr(domains, "rank_table", no_rows)
+    monkeypatch.setattr(domains, "rows", no_rows)
     monkeypatch.setattr(domains, "domain_rank_vectors", no_rows)
 
 
@@ -539,7 +538,7 @@ def test_walk_needs_no_cap_and_no_recursion(kind, strict_iii, points):
     acts, pairs = env.actions[cex.agent], env.pairs_for(cex.agent)
     assert len(pairs) == {4: 28, 19: 703}[points]
     with pytest.raises(CapExceeded):
-        domains.check_full_domain(kind, pairs, None)
+        domains.orderings(kind, cex.agent, pairs)
     start, below = _edge_walk({p: k for k, p in enumerate(pairs)}, kind, strict_iii)
     at_b = {x: groves.outcome_at(cex.agent, x, cex.b_minus) for x in acts}
     edges = start(cex.r, cex.l, cex.z, at_b, (cex.z, at_b[cex.r], at_b[cex.l]))
@@ -799,7 +798,7 @@ def domain_rows(env, agent, spec, cap=None):
         table = [[o.rank(p) for p in pairs] for o in spec.orderings]
         return row_sets(table, len(pairs)), spec.orderings.__getitem__
     try:
-        domains.check_full_domain(spec.kind, pairs, cap)
+        domains.orderings(spec.kind, agent, pairs, cap)
     except CapExceeded:
         return None, None
     table = rank_table(len(pairs), spec.kind)
@@ -847,7 +846,7 @@ def pairwise_search_witness(env, value_at, domain_specs, relations, cap=None):
                     if value != value_at(agent, l, a):
                         continue
                     if le is None:
-                        domains.check_full_domain(spec.kind, pairs, cap)
+                        domains.orderings(spec.kind, agent, pairs, cap)
                     candidates = beats_ii((l, value), (r, value), every)
                     if not candidates:
                         continue
@@ -1314,15 +1313,18 @@ def test_partly_mixed_tuples_are_still_rejected_at_the_first_step(monkeypatch):
     # one profile carries a zero weight, so no agent is settled before the
     # scan; the walk's start still rejects each tied tuple whose tied and
     # l-rival values are totally mixed (the dominance dichotomy) without
-    # laying out the agent's pairs (`_steps`) or running a reach (`_reached`)
+    # running a reach (`_reached`); the agent's pairs are laid out (`_steps`)
+    # once per walk, when the walk is made, and never by a start
     calls = []
     steps, reached, chain_walk = stochastic._steps, stochastic._reached, stochastic._chain_walk
     monkeypatch.setattr(stochastic, "_steps", lambda m: calls.append("lay out") or steps(m))
     monkeypatch.setattr(stochastic, "_reached", lambda *a: calls.append("reach") or reached(*a))
     asked = []  # (tied and l-rival values totally mixed, calls during start, its answer)
+    made = []  # one entry per walk made
 
     def logged(index, kind):
         start, below = chain_walk(index, kind)
+        made.append(kind)
 
         def asking(r, l, tied, at_b, key):
             before = len(calls)
@@ -1346,7 +1348,8 @@ def test_partly_mixed_tuples_are_still_rejected_at_the_first_step(monkeypatch):
     mixed = [(during, answer) for totally, during, answer in asked if totally]
     assert mixed and len(mixed) < len(asked)
     assert all(during == [] and answer is None for during, answer in mixed)
-    assert any("lay out" in during for totally, during, _ in asked if not totally)
+    assert not any("lay out" in during for _, during, _ in asked)
+    assert calls.count("lay out") == len(made) > 0
 
 
 @st.composite

@@ -14,7 +14,6 @@ from exmech.domains import (
     enumerate_weak_orderings,
     first_ranks,
     indifferent_ordering,
-    rank_table,
 )
 from exmech.errors import (
     ActionsEqual,
@@ -63,6 +62,7 @@ from rowsets import (
     forward_chain,
     fsd_relations,
     full_rows,
+    rank_table,
     repunit_steps,
     row_sets,
 )
