@@ -9,28 +9,28 @@ the statistics block, the witness ordering and the witness check
 
 A tuple (agent, r, l, a, b) passing (i) is a witness when some admissible
 ordering meets (ii) and (iii); the search takes the canonically first such
-ordering, in one place (`_admissible`).  The candidates take one of two forms.
-- Listed orderings, for explicit domains.  The kind hands the search `beats
-  = (beats_ii, beats_iii)`, the comparisons `check_certificate` takes, each
-  called as `beats(ordering, lhs, rhs)` on (action, value) pairs.  (ii),
-  `beats_ii(o, (l, value), (r, value))`, runs on every listed ordering o
-  once per tied value and keeps those that pass; at a signature the witness
-  is the first kept ordering with `beats_iii(o, (r, value at b), (x, value
-  at b))` for every rival x, asked in action order.
-- Walk states, for the full kinds, which are never listed.  The kind hands
-  the search `full(index, kind)`, `index` mapping the agent's pairs to
-  positions, which gives `(start, below)`: `start(r, l, value, at_b, key)`,
-  where `at_b` maps each action to its value at b and `key` holds the codes
-  (below) of the tied value, r's value at b and l's value at b, is the
-  first state of a walk over heads, or None when no ordering of the kind
-  meets (ii) and (iii) for the tuple.  Equal keys stand for equal values,
-  so a kind may memoize `start`'s verdict by `key`.  From that state,
-  `domains.first_ranks` takes at each depth the first head that `below`
-  accepts, and so reaches the canonically first ordering meeting both.  No
-  ordering is listed.
-The ordering count comes from `domains.row_count` or the number of listed
-orderings, and a full kind's hook is made only at the agent's first tied
-value that reaches a signature other than its own.
+ordering from one hook per agent, `witness_ordering(r, l, value, at_b,
+key)`, where `at_b` maps each action to its value at b and `key` holds the
+codes (below) of the tied value, r's value at b and l's value at b.  The
+hook is made at the agent's first tied value that reaches a signature other
+than its own, in one of two forms.
+- For an explicit domain, from the kind's `beats = (beats_ii, beats_iii)`,
+  the comparisons `check_certificate` takes, each called as `beats(ordering,
+  lhs, rhs)` on (action, value) pairs.  `beats_ii(o, (l, value), (r,
+  value))` runs on every listed ordering o once per tied value, and the
+  orderings that pass are kept; the witness is the first kept ordering with
+  `beats_iii(o, (r, value at b), (x, value at b))` for every rival x, asked
+  in action order.
+- For a full kind, which is never listed, from the kind's `full(index,
+  kind)`, `index` mapping the agent's pairs to positions, which gives
+  `(start, below)`.  `start(r, l, value, at_b, key)` is the first state of
+  a walk over heads, or None when no ordering of the kind meets (ii) and
+  (iii) for the tuple; equal keys stand for equal values, so a kind may
+  memoize its verdict by `key`.  From that state `domains.first_ranks`
+  takes at each depth the first head that `below` accepts, and so reaches
+  the canonically first ordering meeting both.
+The ordering count, `domains.row_count` or the number of listed orderings,
+is all that is computed at search start.
 
 The scan is quotiented by sub-profile signatures.  Each agent's values are
 read lazily, in sub-profile order, and interned to small ints (so values
@@ -57,7 +57,6 @@ strict has none of its values read and nothing built or asked.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Callable
 
@@ -100,15 +99,16 @@ def search_witness(
     domain row order; it is walked by tied value and signature, a as well
     as b taking the distinct signatures by first index (see the module
     docstring), and values are read only as far as the walk reaches.
-    Explicit domains are searched with `beats`, the pair `(beats_ii,
-    beats_iii)` of comparisons `check_certificate` takes, the full kinds
-    through `full(index, kind)`.  An agent past the cap gets nothing built
-    and a `None` count; CapExceeded is raised only at its first tuple
-    passing (i).  `strict_settled` says that no strict ordering meets (ii)
-    and (iii) for any tuple of the mechanism, as the dominance dichotomy
-    gives for a completely mixed probabilistic one; then each agent within
-    the cap whose admissible orderings are all strict has none of its values
-    read and nothing built or asked.
+    Each agent's witness ordering comes from one hook (see the module
+    docstring), made from `beats`, the pair `(beats_ii, beats_iii)` of
+    comparisons `check_certificate` takes, for an explicit domain, and from
+    `full(index, kind)` for a full kind.  An agent past the cap gets a
+    `None` count, and CapExceeded is raised only at its first tuple passing
+    (i).  `strict_settled` says that no strict ordering meets (ii) and (iii)
+    for any tuple of the mechanism, as the dominance dichotomy gives for a
+    completely mixed probabilistic one; then each agent within the cap
+    whose admissible orderings are all strict has none of its values read
+    and nothing built or asked.
 
     The walk requires each kind's comparisons to meet one contract: no
     ordering meets (ii) for a lottery x over a lottery y and (iii) for y
@@ -119,23 +119,23 @@ def search_witness(
     dominance, being asymmetric, meets it as both.
     """
     specs = domains.resolve_domains(env, domain_specs)
-    views = [_admissible(env, i, spec, cap, beats, full) for i, spec in enumerate(specs)]
+    counts = [_count(env, i, spec, cap) for i, spec in enumerate(specs)]
     stats = {
         "agents": env.n,
         "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
         "sub_profiles": [math.prod(map(len, env.actions)) // len(acts) for acts in env.actions],
-        "orderings_per_agent": [count for count, _ in views],
+        "orderings_per_agent": counts,
     }
-    for agent, (spec, acts, (count, making)) in enumerate(zip(specs, env.actions, views)):
+    for agent, (spec, acts, count) in enumerate(zip(specs, env.actions, counts)):
         if strict_settled and count is not None and _all_strict(spec):
             continue
         unread = sub_profiles(env, agent)  # per agent: a witness ends the search early
         more = True  # until `unread` runs out
-        deciding = ordering_of = None  # made at the agent's first rival signature
+        witness_ordering = None  # made at the agent's first rival signature
         codes: dict = {}  # value -> its code, in order of first reading
-        first: dict[tuple[int, ...], SubProfile] = {}  # signature -> its first sub-profile
-        at: dict = {}  # signature -> each action's value at its first sub-profile
-        order: list[tuple[int, ...]] = []  # the distinct signatures, by first index
+        seen: set[tuple[int, ...]] = set()
+        # (signature, its first sub-profile, each action's value there), by first index
+        signatures: list[tuple[tuple[int, ...], SubProfile, dict]] = []
 
         def read() -> bool:
             """Read sub-profiles up to the next new signature; False once none is left."""
@@ -147,10 +147,9 @@ def search_witness(
                     here.append(value)
                     sig.append(codes.setdefault(value, len(codes)))
                 sig = tuple(sig)
-                if sig not in first:
-                    first[sig] = b
-                    at[sig] = dict(zip(acts, here))
-                    order.append(sig)
+                if sig not in seen:
+                    seen.add(sig)
+                    signatures.append((sig, b, dict(zip(acts, here))))
                     return True
             more = False
             return False
@@ -161,8 +160,8 @@ def search_witness(
                     continue
                 dead: set[int] = set()  # tied values that complete no witness for (r, l)
                 j = 0  # walk the signatures by first index, reading only once they run out
-                while j < len(order) or more and read():
-                    sig_a = order[j]
+                while j < len(signatures) or more and read():
+                    sig_a, a, at_a = signatures[j]
                     j += 1
                     code = sig_a[ri]
                     if code != sig_a[li] or code in dead:
@@ -170,26 +169,17 @@ def search_witness(
                     if count is None:  # past the cap, so this raises CapExceeded
                         domains.check_size(spec.kind, len(env.pairs_for(agent)), cap)
                     dead.add(code)  # decided at its first tie: a witness, or none at all
-                    value = at[sig_a][r]
-                    decide = None  # decides a signature for this tied value, once one is reached
                     k = 0
-                    while k < len(order) or more and read():
-                        sig = order[k]
+                    while k < len(signatures) or more and read():
+                        sig, b, at_b = signatures[k]
                         k += 1
                         if sig == sig_a:  # (iii) against (l, value) there undoes (ii)
                             continue
-                        if decide is None:
-                            if deciding is None:
-                                deciding, ordering_of = making()
-                            decide = deciding(r, l, value)
-                            if decide is None:  # (ii) fails whatever b is
-                                break
-                        found = decide(at[sig], (code, sig[ri], sig[li]))
+                        if witness_ordering is None:
+                            witness_ordering = _witness_ordering(env, agent, spec, beats, full)
+                        found = witness_ordering(r, l, at_a[r], at_b, (code, sig[ri], sig[li]))
                         if found is not None:
-                            a, b = first[sig_a], first[sig]
-                            return SearchResult(
-                                BAWitness(agent, r, l, a, b, ordering_of(found)), stats
-                            )
+                            return SearchResult(BAWitness(agent, r, l, a, b, found), stats)
     return SearchResult(None, stats)
 
 
@@ -200,64 +190,65 @@ def _all_strict(spec: DomainSpec) -> bool:
     return spec.kind is DomainKind.STRICT
 
 
-def _admissible(
+def _count(env: Environment, agent: int, spec: DomainSpec, cap: int | None) -> int | None:
+    """The number of orderings `spec` admits for `agent`, or None past the cap.
+
+    A full kind's cap and type checks run here, at search start; an explicit
+    domain was checked when it was resolved.
+    """
+    if spec.kind is DomainKind.EXPLICIT:
+        return len(spec.orderings)
+    n = len(env.pairs_for(agent))
+    try:
+        domains.check_size(spec.kind, n, cap)
+    except CapExceeded:
+        return None
+    return domains.row_count(n, spec.kind)
+
+
+def _witness_ordering(
     env: Environment,
     agent: int,
     spec: DomainSpec,
-    cap: int | None,
     beats: tuple[Callable, Callable],
     full: Callable,
-) -> tuple:
-    """(ordering count, thunk making (deciding, ordering of a found candidate)).
+) -> Callable:
+    """The agent's hook `witness_ordering(r, l, value, at_b, key) -> Ordering | None`.
 
-    `deciding(r, l, value)` is called once per tied value: it gives
-    `decide(at_b, key)`, `key` being `start`'s, which returns the candidate
-    meeting (ii) and (iii) at a signature, or None when none does;
-    `deciding` gives None when (ii) alone already fails.  The canonically
-    first candidate is the witness ordering, chosen here and nowhere else:
-    over an explicit domain, the first listed ordering meeting both; over a
-    full kind's walk state, the ordering the walk over heads
-    (`domains.first_ranks`) completes.
-
-    A full kind's cap and type checks run here, at search start; an explicit
-    domain was checked when it was resolved.  The hook waits for the walk to
-    need it.  Past the cap both are None.
+    It gives the canonically first admissible ordering meeting (ii) for the
+    tied `value` and (iii) at the signature whose values `at_b` maps each
+    action to, or None when none does; `key` holds the codes of the tied
+    value and of r's and l's values at b.  The witness ordering is chosen
+    here and nowhere else: over an explicit domain, the first listed
+    ordering meeting both; over a full kind, the ordering the walk over
+    heads (`domains.first_ranks`) completes from `start`'s state.
     """
-    kind = spec.kind
-    if kind is DomainKind.EXPLICIT:
+    if spec.kind is DomainKind.EXPLICIT:
         beats_ii, beats_iii = beats
+        kept: dict[tuple, list[Ordering]] = {}  # (r, l, tied code) -> orderings meeting (ii)
 
-        def decide(kept: list[Ordering], r: str, at_b: dict, key: tuple) -> Ordering | None:
+        def witness_ordering(r: str, l: str, value, at_b: dict, key: tuple) -> Ordering | None:
+            memo = r, l, key[0]
+            if memo not in kept:
+                kept[memo] = [o for o in spec.orderings if beats_ii(o, (l, value), (r, value))]
             anchor = (r, at_b[r])
-            for ordering in kept:
-                for x, value in at_b.items():
-                    if x != r and not beats_iii(ordering, anchor, (x, value)):
-                        break
-                else:
+            for ordering in kept[memo]:
+                if all(beats_iii(ordering, anchor, (x, v)) for x, v in at_b.items() if x != r):
                     return ordering
             return None
 
-        def deciding(r: str, l: str, value) -> Callable | None:
-            kept = [o for o in spec.orderings if beats_ii(o, (l, value), (r, value))]
-            return functools.partial(decide, kept, r) if kept else None
-
-        return len(spec.orderings), lambda: (deciding, lambda ordering: ordering)
+        return witness_ordering
     pairs = env.pairs_for(agent)
     n = len(pairs)
-    try:
-        domains.check_size(kind, n, cap)
-    except CapExceeded:
-        return None, None
+    start, below = full({pair: c for c, pair in enumerate(pairs)}, spec.kind)
 
-    def walking() -> tuple:
-        start, below = full({pair: c for c, pair in enumerate(pairs)}, kind)
+    def witness_ordering(r: str, l: str, value, at_b: dict, key: tuple) -> Ordering | None:
+        state = start(r, l, value, at_b, key)
+        if state is None:
+            return None
+        return Ordering.from_ranks(agent, pairs, domains.first_ranks(n, state, spec.kind, below))
 
-        def ordering_of(state) -> Ordering:
-            return Ordering.from_ranks(agent, pairs, domains.first_ranks(n, state, kind, below))
-
-        return lambda r, l, value: functools.partial(start, r, l, value), ordering_of
-
-    return domains.row_count(n, kind), walking
+    return witness_ordering
 
 
 def check_certificate(

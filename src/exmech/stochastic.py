@@ -90,9 +90,16 @@ class Distribution(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        probs = {z: p if type(p) is Fraction else Fraction(p) for z, p in self.probs.items()}
-        if not all(isinstance(z, str) for z in probs):
+        if not all(isinstance(z, str) for z in self.probs):
             raise InvariantViolation("distribution keys must be outcome labels (strings)")
+        probs = {}
+        for z, p in self.probs.items():
+            try:
+                probs[z] = p if type(p) is Fraction else Fraction(p)
+            except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+                raise InvariantViolation(
+                    f"probability of outcome {z!r} is not a finite rational: {p!r}"
+                ) from None
         ratios = [(z, *p.as_integer_ratio()) for z, p in probs.items()]
         if any(n < 0 for _, n, _ in ratios):
             raise InvariantViolation("negative probability")
@@ -489,9 +496,7 @@ def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
         chain = tested.get(key)
         if chain is None:
             anchor, rival = at_b[r], at_b[l]
-            if strict and (  # both totally mixed: the dominance dichotomy
-                len(tied.weights) == len(tied.probs) and len(rival.weights) == len(rival.probs)
-            ):
+            if strict and is_totally_mixed(tied) and is_totally_mixed(rival):  # dominance dichotomy
                 chain = False
             else:
                 chain = chain_of(tied, anchor, rival)

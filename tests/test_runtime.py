@@ -1,5 +1,6 @@
 """The package needs nothing beyond the standard library at runtime."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -97,3 +98,34 @@ def test_every_traced_binding_resolves():
         cls = getattr(importlib.import_module(module), name, None)
         # looked up in the class's own namespace, as the tracer patches it
         assert isinstance(cls, type) and vars(cls).get(attr) is not None, (group, name, attr)
+
+
+def test_every_private_helper_is_used():
+    # a private top-level name referenced nowhere but in its own definition
+    # is dead code, such as a helper left behind by a simplification
+    trees = {path.name: ast.parse(path.read_text()) for path in (SRC / "exmech").glob("*.py")}
+    defined = {}  # name -> (module, its top-level definition)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = [
+                    name.id
+                    for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                ]
+            else:
+                continue
+            for name in targets:
+                if name.startswith("_") and not name.endswith("__"):
+                    defined[name] = (module, node)
+    used = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            for child in ast.walk(node):
+                name = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+                if name in defined and defined[name] != (module, node):
+                    used.add(name)
+    assert sorted(set(defined) - used) == []

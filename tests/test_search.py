@@ -1489,9 +1489,7 @@ def test_ordering_counts_are_the_domain_sizes(kind):
             built = [domain_rows(env, i, specs[i])[0] for i in range(env.n)]
             assert counts == [le[0][0].bit_length() for le in built]
         if n > 1:
-            beats = _preferences(False)
-            past = search._admissible(env, 0, DomainSpec(kind), n - 1, beats, _edge_walk)
-            assert past == (None, None)
+            assert search._count(env, 0, DomainSpec(kind), n - 1) is None
 
 
 def test_search_start_checks_do_not_wait_for_a_tie():

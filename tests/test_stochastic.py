@@ -87,6 +87,17 @@ def test_distribution_keys_are_not_coerced_to_labels():
         Distribution({0: Fraction(1), 1: Fraction(0)})
 
 
+def test_distribution_rejects_probabilities_that_are_not_finite_rationals():
+    for bad in (float("nan"), float("inf"), -float("inf"), None, [1], "half", "1/0"):
+        with pytest.raises(InvariantViolation, match="^probability of outcome 'z1' is not"):
+            Distribution({"z0": Fraction(1), "z1": bad})
+    # the keys are checked before any probability is read
+    with pytest.raises(InvariantViolation, match="keys must be outcome labels"):
+        Distribution({0: float("nan")})
+    ok = Distribution({"z0": 0.25, "z1": "1/4", "z2": Fraction(1, 4), "z3": 0, "z4": "0.25"})
+    assert ok.probs == {z: Fraction(1, 4) if z != "z3" else 0 for z in ok.probs}
+
+
 def test_distribution_hash_agrees_with_equality():
     half = Distribution({"z0": "1/2", "z1": "1/2"})
     same = [
