@@ -37,10 +37,10 @@ from .model import (
     Profile,
     SubProfile,
     Value,
-    check_profile_table,
     enumerate_profiles,
     full_profile,
     profile_rows,
+    profile_values,
     set_field,
     string_labels,
     sub_profiles,
@@ -51,7 +51,15 @@ from .search import SearchResult, check_certificate, search_witness
 
 
 class DetMechanism(Value):
-    """Total map from action profiles to a single outcome label."""
+    """Total map from action profiles to a single outcome label.
+
+    Validation looks up every profile, so it also records the code table
+    (`_codes`): the outcome at each profile in `enumerate_profiles` order,
+    each label its own code, which the search slices for signatures.  It
+    is a snapshot taken at construction, and not a field: equality, the
+    repr and pickling ignore it, and unpickling, which runs the
+    constructor, records it again.
+    """
 
     _fields = ("env", "table")
 
@@ -63,11 +71,12 @@ class DetMechanism(Value):
     def __post_init__(self) -> None:
         table = {tuple(k): v for k, v in self.table.items()}
         set_field(self, "table", table)
-        check_profile_table(self.env, table)
+        codes = tuple(profile_values(self.env, table))
         outcomes = set(self.env.outcomes)
         for profile, value in table.items():
             if not isinstance(value, str) or value not in outcomes:
                 raise InvariantViolation(f"value {value!r} at {profile!r} is not an outcome")
+        set_field(self, "_codes", codes)
 
     def outcome(self, profile: Profile) -> str:
         return self.table[tuple(profile)]
@@ -266,7 +275,8 @@ def search_ba_witness(
     `search.search_witness`.
     """
     walk = functools.partial(_edge_walk, strict_iii=strict_iii)
-    return search_witness(mech.env, mech.outcome_at, domains, _preferences(strict_iii), walk, cap)
+    beats = _preferences(strict_iii)
+    return search_witness(mech.env, mech.outcome_at, mech._codes, domains, beats, walk, cap)
 
 
 def find_ba_witness(

@@ -332,13 +332,23 @@ def enumerate_profiles(env: Environment) -> Iterator[Profile]:
     return itertools.product(*env.actions)
 
 
-def check_profile_table(env: Environment, table: Mapping[Profile, object]) -> None:
-    """A mechanism table must have exactly one entry per action profile."""
-    expected = set(enumerate_profiles(env))
-    if set(table) - expected:
-        raise InvariantViolation("mechanism table has an unknown profile")
-    if expected - set(table):
+def profile_values(env: Environment, table: Mapping[Profile, object]) -> list:
+    """The table's values in `enumerate_profiles` order; it must have one entry per profile.
+
+    One lookup per profile decides a well-formed table: every profile is
+    found and no other key is left.  Only a malformed one is compared as
+    sets, to name an unknown profile before a missing one.
+    """
+    try:
+        values = [table[profile] for profile in enumerate_profiles(env)]
+    except KeyError:
+        values = None
+    if values is None or len(values) != len(table):
+        expected = set(enumerate_profiles(env))
+        if set(table) - expected:
+            raise InvariantViolation("mechanism table has an unknown profile")
         raise InvariantViolation("mechanism table incomplete")
+    return values
 
 
 def sub_profiles(env: Environment, agent: int) -> Iterator[SubProfile]:

@@ -32,33 +32,45 @@ than its own, in one of two forms.
 The ordering count, `domains.row_count` or the number of listed orderings,
 is all that is computed at search start.
 
-The scan is quotiented by sub-profile signatures.  Each agent's values are
-read lazily, in sub-profile order, and interned to small ints (so values
-must hash consistently with `==`); the signature of sub-profile b is the
-tuple of the codes of every action's value at b.  For fixed (r, l),
+The scan is quotiented by sub-profile signatures, read from the
+mechanism's code table `codes`: one code per profile, in
+`enumerate_profiles` order, equal codes standing for equal values.  That
+order is lexicographic in per-agent indices, so an agent's actions at one
+sub-profile sit `stride` apart, the product of the later agents' action
+counts, from the profile where it plays its first action (the sub-profile's
+`base`); the signature of sub-profile b, the codes of every action's value
+at b, is the one slice `codes[base:base + block:stride]`, with `block` the
+agent's action count times `stride`.  The sub-profiles and their bases are
+walked together, lazily, in sub-profile order.  For fixed (r, l),
 condition (i) depends on a only through its signature, (ii) only through
 the tied value, and (iii) depends on b only through its signature.  So a
 and b both walk the distinct signatures by first index, each standing for
 its first sub-profile, and the scan costs action pairs times signatures; a
-walk that runs out reads on up to the next new signature, and once the
-sub-profiles are all read no walk asks again.  A b sharing a's
+walk that runs out slices on up to the next new signature, and once the
+sub-profiles are all sliced no walk asks again.  A b sharing a's
 signature never completes a witness: there l's value is the tied one, and
 each kind's comparisons meet the contract `search_witness` states.  So
 each tied value is decided once per (r, l), at its first tie, by a walk
 over the other signatures that stops at the first completing it; a value
-with none is dead for every later a.  An agent whose sub-profiles all
-share one signature (a constant mechanism's, say) never has anything built.
-And a kind may settle agents before the scan: when it says that no strict
-ordering completes any tuple of the mechanism (`strict_settled`, which the
-probabilistic kind sets for a completely mixed mechanism by the dominance
-dichotomy), an agent within the cap whose admissible orderings are all
-strict has none of its values read and nothing built or asked.
+with none is dead for every later a.  Values themselves are read through
+`value_at` only where the hook needs them: the tied value once its tie
+reaches a rival signature, and each action's value at a signature once,
+the first time that signature serves as b.  An agent whose sub-profiles all
+share one signature (a constant mechanism's, say) has no value read and
+nothing built, and within the cap, once they are all sliced, its other
+action pairs are not walked.  And a kind may settle agents before the scan: when it says
+that no strict ordering completes any tuple of the mechanism
+(`strict_settled`, which the probabilistic kind sets for a completely mixed
+mechanism by the dominance dichotomy), an agent within the cap whose
+admissible orderings are all strict has nothing sliced, read, built or
+asked.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import domains
 from .errors import CapExceeded, InvariantViolation
@@ -86,6 +98,7 @@ class SearchResult(Value):
 def search_witness(
     env: Environment,
     value_at: Callable[[int, str, SubProfile], object],
+    codes: Sequence,
     domain_specs,
     beats: tuple[Callable, Callable],
     full: Callable,
@@ -97,17 +110,18 @@ def search_witness(
     The search space is ordered by agent, then ordered action pairs (r, l),
     then ordered pairs of distinct sub-profiles (a, b), then orderings in
     domain row order; it is walked by tied value and signature, a as well
-    as b taking the distinct signatures by first index (see the module
-    docstring), and values are read only as far as the walk reaches.
-    Each agent's witness ordering comes from one hook (see the module
-    docstring), made from `beats`, the pair `(beats_ii, beats_iii)` of
-    comparisons `check_certificate` takes, for an explicit domain, and from
-    `full(index, kind)` for a full kind.  An agent past the cap gets a
+    as b taking the distinct signatures by first index.  Signatures are
+    slices of `codes`, the mechanism's code table, and values are read
+    through `value_at` only where a hook needs them (see the module
+    docstring).  Each agent's witness ordering comes from one hook (see the
+    module docstring), made from `beats`, the pair `(beats_ii, beats_iii)`
+    of comparisons `check_certificate` takes, for an explicit domain, and
+    from `full(index, kind)` for a full kind.  An agent past the cap gets a
     `None` count, and CapExceeded is raised only at its first tuple passing
     (i).  `strict_settled` says that no strict ordering meets (ii) and (iii)
     for any tuple of the mechanism, as the dominance dichotomy gives for a
     completely mixed probabilistic one; then each agent within the cap
-    whose admissible orderings are all strict has none of its values read
+    whose admissible orderings are all strict has nothing sliced or read
     and nothing built or asked.
 
     The walk requires each kind's comparisons to meet one contract: no
@@ -120,66 +134,75 @@ def search_witness(
     """
     specs = domains.resolve_domains(env, domain_specs)
     counts = [_count(env, i, spec, cap) for i, spec in enumerate(specs)]
+    size = math.prod(map(len, env.actions))
+    action_pairs, subs = 0, []
+    for acts in env.actions:
+        action_pairs += len(acts) * (len(acts) - 1)
+        subs.append(size // len(acts))
     stats = {
         "agents": env.n,
-        "action_pairs": sum(len(acts) * (len(acts) - 1) for acts in env.actions),
-        "sub_profiles": [math.prod(map(len, env.actions)) // len(acts) for acts in env.actions],
+        "action_pairs": action_pairs,
+        "sub_profiles": subs,
         "orderings_per_agent": counts,
     }
+    stride = size
     for agent, (spec, acts, count) in enumerate(zip(specs, env.actions, counts)):
+        block, stride = stride, stride // len(acts)
         if strict_settled and count is not None and _all_strict(spec):
             continue
-        unread = sub_profiles(env, agent)  # per agent: a witness ends the search early
+        # per agent, as a witness ends the search early: each sub-profile and its base
+        bases = map(sum, itertools.product(range(0, size, block), range(stride)))
+        unread = zip(sub_profiles(env, agent), bases)
         more = True  # until `unread` runs out
         witness_ordering = None  # made at the agent's first rival signature
-        codes: dict = {}  # value -> its code, in order of first reading
-        seen: set[tuple[int, ...]] = set()
-        # (signature, its first sub-profile, each action's value there), by first index
-        signatures: list[tuple[tuple[int, ...], SubProfile, dict]] = []
+        seen: set[tuple] = set()
+        # [signature, its first sub-profile, each action's value there once read], by first index
+        signatures: list[list] = []
 
-        def read() -> bool:
-            """Read sub-profiles up to the next new signature; False once none is left."""
+        def next_signature() -> bool:
+            """Slice sub-profiles up to the next new signature; False once none is left."""
             nonlocal more
-            for b in unread:
-                sig, here = [], []
-                for x in acts:
-                    value = value_at(agent, x, b)
-                    here.append(value)
-                    sig.append(codes.setdefault(value, len(codes)))
-                sig = tuple(sig)
+            for b, base in unread:
+                sig = codes[base : base + block : stride]
                 if sig not in seen:
                     seen.add(sig)
-                    signatures.append((sig, b, dict(zip(acts, here))))
+                    signatures.append([sig, b, None])
                     return True
             more = False
             return False
 
-        for ri, r in enumerate(acts):
-            for li, l in enumerate(acts):
-                if r == l:
+        for ri, li in itertools.permutations(range(len(acts)), 2):  # (r, l) in action order
+            if not more and len(signatures) == 1 and count is not None:
+                break  # every sub-profile sliced, and none with a rival signature
+            r, l = acts[ri], acts[li]
+            dead: set = set()  # codes of tied values that complete no witness for (r, l)
+            j = 0  # walk the signatures by first index, slicing only once they run out
+            while j < len(signatures) or more and next_signature():
+                sig_a, a, _ = signatures[j]
+                j += 1
+                code = sig_a[ri]
+                if code != sig_a[li] or code in dead:
                     continue
-                dead: set[int] = set()  # tied values that complete no witness for (r, l)
-                j = 0  # walk the signatures by first index, reading only once they run out
-                while j < len(signatures) or more and read():
-                    sig_a, a, at_a = signatures[j]
-                    j += 1
-                    code = sig_a[ri]
-                    if code != sig_a[li] or code in dead:
+                if count is None:  # past the cap, so this raises CapExceeded
+                    domains.check_size(spec.kind, len(env.pairs_for(agent)), cap)
+                dead.add(code)  # decided at its first tie: a witness, or none at all
+                value = None  # the tied value, read at the first rival signature
+                k = 0
+                while k < len(signatures) or more and next_signature():
+                    entry = signatures[k]
+                    k += 1
+                    sig, b, at_b = entry
+                    if sig == sig_a:  # (iii) against (l, value) there undoes (ii)
                         continue
-                    if count is None:  # past the cap, so this raises CapExceeded
-                        domains.check_size(spec.kind, len(env.pairs_for(agent)), cap)
-                    dead.add(code)  # decided at its first tie: a witness, or none at all
-                    k = 0
-                    while k < len(signatures) or more and read():
-                        sig, b, at_b = signatures[k]
-                        k += 1
-                        if sig == sig_a:  # (iii) against (l, value) there undoes (ii)
-                            continue
-                        if witness_ordering is None:
-                            witness_ordering = _witness_ordering(env, agent, spec, beats, full)
-                        found = witness_ordering(r, l, at_a[r], at_b, (code, sig[ri], sig[li]))
-                        if found is not None:
-                            return SearchResult(BAWitness(agent, r, l, a, b, found), stats)
+                    if witness_ordering is None:
+                        witness_ordering = _witness_ordering(env, agent, spec, beats, full)
+                    if value is None:
+                        value = value_at(agent, r, a)
+                    if at_b is None:
+                        at_b = entry[2] = {x: value_at(agent, x, b) for x in acts}
+                    found = witness_ordering(r, l, value, at_b, (code, sig[ri], sig[li]))
+                    if found is not None:
+                        return SearchResult(BAWitness(agent, r, l, a, b, found), stats)
     return SearchResult(None, stats)
 
 

@@ -22,12 +22,12 @@ is completely mixed, and if it is, the search settles every agent whose
 admissible orderings are all strict before reading its values; for one
 only partly mixed, such a tuple fails the chain's first step under
 `strict`.  A `Distribution` compares and hashes on its exact integer form,
-so the search interns each agent's distributions to small ints; the chain
-test memoizes by the codes of the tied, anchor and l-rival distributions
-and runs on ints, point sets being bitmasks, with one backward reach per
-tuple.  Each tied distribution is decided once per action pair, which
-relies on dominance being asymmetric, the contract `search.search_witness`
-states.
+and the mechanism codes each profile's distribution by it at construction,
+a small int per distinct distribution; the chain test memoizes by the
+codes of the tied, anchor and l-rival distributions and runs on ints,
+point sets being bitmasks, with one backward reach per tuple.  Each tied
+distribution is decided once per action pair, which relies on dominance
+being asymmetric, the contract `search.search_witness` states.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import random
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 from .errors import (
     ActionsEqual,
@@ -58,10 +58,10 @@ from .model import (
     Profile,
     SubProfile,
     Value,
-    check_profile_table,
     enumerate_profiles,
     full_profile,
     profile_rows,
+    profile_values,
     set_field,
 )
 from .queueing import parse_fraction
@@ -155,10 +155,15 @@ class Lottery(Value):
 class ProbMechanism(Value):
     """Total map from action profiles to outcome distributions.
 
-    Validation visits every distribution, so it also records whether all are
-    totally mixed (`_completely_mixed`).  That is not a field: equality, the
-    repr and pickling ignore it, and unpickling, which runs the constructor,
-    records it again.
+    Validation looks up every profile and checks each distinct distribution
+    once, so it also records whether all are totally mixed
+    (`_completely_mixed`), and the code table (`_codes`): a small int per
+    profile in `enumerate_profiles` order, equal for equal distributions,
+    which the search slices for signatures.  Distributions are coded by
+    their `_key`, so coding runs no `__hash__` or `__eq__` in Python.  Both
+    are a snapshot taken at construction, and neither is a field: equality,
+    the repr and pickling ignore them, and unpickling, which runs the
+    constructor, records them again.
     """
 
     _fields = ("env", "table")
@@ -171,24 +176,39 @@ class ProbMechanism(Value):
     def __post_init__(self) -> None:
         table = {tuple(k): v for k, v in self.table.items()}
         set_field(self, "table", table)
-        check_profile_table(self.env, table)
         outcomes = set(self.env.outcomes)
         mixed = True
-        for profile, dist in table.items():
+        codes: dict = {}  # each distinct distribution's `_key` -> its code
+        row = []
+        for dist in profile_values(self.env, table):
             if not isinstance(dist, Distribution):
-                raise InvariantViolation(f"value at {profile!r} is not a distribution")
-            if set(dist.probs) != outcomes:
-                raise InvariantViolation(
-                    f"distribution at {profile!r} must cover every outcome exactly"
-                )
-            mixed = mixed and is_totally_mixed(dist)
+                _reject_values(table, outcomes)
+            code = codes.get(dist._key)
+            if code is None:  # a distribution unlike any before it: check it once
+                if set(dist.probs) != outcomes:
+                    _reject_values(table, outcomes)
+                mixed = mixed and is_totally_mixed(dist)
+                code = codes[dist._key] = len(codes)
+            row.append(code)
         set_field(self, "_completely_mixed", mixed)
+        set_field(self, "_codes", tuple(row))
 
     def dist(self, profile: Profile) -> Distribution:
         return self.table[tuple(profile)]
 
     def dist_at(self, agent: int, action: str, sub: SubProfile) -> Distribution:
         return self.table[full_profile(sub, agent, action)]
+
+
+def _reject_values(table: Mapping[Profile, object], outcomes: set[str]) -> NoReturn:
+    """Raise at the first profile, in table order, not mapped to a distribution over `outcomes`."""
+    for profile, dist in table.items():
+        if not isinstance(dist, Distribution):
+            raise InvariantViolation(f"value at {profile!r} is not a distribution")
+        if set(dist.probs) != outcomes:
+            raise InvariantViolation(
+                f"distribution at {profile!r} must cover every outcome exactly"
+            )
 
 
 def is_completely_mixed(mech: ProbMechanism) -> bool:
@@ -407,9 +427,9 @@ def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
     unmet and three pairs left, no one point meets both, as one of l and r
     has a single outcome left, carrying all of its remaining mass.
     At the origin nothing is placed, so the test reads only A, B_r and B_l:
-    `start` memoizes it per agent by `key`, the search's codes of the three
-    values, and looks it up first.  Under `strict`, totally mixed A and B_l
-    give no first step (an r-step breaks (ii), an l-step (iii)): the
+    `start` memoizes it per agent by `key`, the mechanism's codes of the
+    three values, and looks it up first.  Under `strict`, totally mixed A
+    and B_l give no first step (an r-step breaks (ii), an l-step (iii)): the
     dominance dichotomy, memoized as a failed test.  `search_prob_ba_witness`
     has the search settle a completely mixed mechanism's `strict` agents
     within the cap before their values are read, so there this check serves
@@ -554,7 +574,9 @@ def search_prob_ba_witness(
     dichotomy).
     """
     mixed = is_completely_mixed(mech)
-    return search_witness(mech.env, mech.dist_at, domains, (fsd, fsd), _chain_walk, cap, mixed)
+    return search_witness(
+        mech.env, mech.dist_at, mech._codes, domains, (fsd, fsd), _chain_walk, cap, mixed
+    )
 
 
 def find_prob_ba_witness(

@@ -6,9 +6,12 @@ to the comparisons themselves.
 """
 
 import collections
+import collections.abc
+import copy
 import functools
 import itertools
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -48,6 +51,7 @@ from exmech.model import (
     Environment,
     Ordering,
     enumerate_profiles,
+    full_profile,
     sub_profiles,
 )
 from exmech.queueing import QueueingParams
@@ -578,15 +582,21 @@ def test_past_cap_agent_after_a_witness_is_never_read(kind, strict_iii):
 
 
 def test_past_cap_agent_raises_at_its_first_tie():
-    # agent 0 dictates, so it never ties and needs no rows; agent 1 ties at once
+    # agent 0 dictates, so it never ties and needs no rows; agent 1 ties at once.
+    # In `own`, agent 0's sub-profiles share one signature, so no witness can
+    # complete there, but past the cap its first tie, at (a1, a2) after four
+    # action pairs that never tie, still raises
     env = Environment.create(
         (("a0", "a1", "a2"), ("b0", "b1", "b2", "b3")), ("z0", "z1", "z2")
     )
     dictator = DetMechanism(env, {p: "z" + p[0][1] for p in enumerate_profiles(env)})
-    for kind in FULL_KINDS:
-        what = "strict" if kind is DomainKind.STRICT else "weak"
-        with pytest.raises(CapExceeded, match=f"^12 pairs exceed the {what}-order enumeration cap of 8$"):
-            find_ba_witness(dictator, kind, cap=8)
+    own = DetMechanism(env, {p: "z0" if p[0] == "a0" else "z1" for p in enumerate_profiles(env)})
+    for mech, pairs in ((dictator, 12), (own, 9)):
+        for kind in FULL_KINDS:
+            what = "strict" if kind is DomainKind.STRICT else "weak"
+            message = f"^{pairs} pairs exceed the {what}-order enumeration cap of 8$"
+            with pytest.raises(CapExceeded, match=message):
+                find_ba_witness(mech, kind, cap=8)
 
 
 @pytest.mark.parametrize("domains_arg", (["strict"] * 3, "bogus", [None] * 3, 3), ids=repr)
@@ -941,15 +951,48 @@ def test_signature_search_equals_the_pairwise_scan(prob, data):
             lambda: pairwise_search_witness(mech.env, value_at, specs, relations, cap)
         )
         assert outcome_or_cap(
-            lambda: search.search_witness(mech.env, value_at, specs, beats, full, cap)
+            lambda: search.search_witness(mech.env, value_at, mech._codes, specs, beats, full, cap)
         ) == expected
+
+
+class CountedCodes(collections.abc.Sequence):
+    """A code table that counts the slices taken of it, by (start, stop, step)."""
+
+    def __init__(self, codes):
+        self.codes = codes
+        self.slices = collections.Counter()
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            self.slices[index.start, index.stop, index.step] += 1
+        return self.codes[index]
+
+
+def signature_slices(env):
+    """(agent, sub-profile) -> the slice of the code table holding the agent's
+    values there, found by listing the profiles, not by the search's strides;
+    every agent must have two actions or more."""
+    index = {profile: k for k, profile in enumerate(enumerate_profiles(env))}
+    slices = {}
+    for agent, acts in enumerate(env.actions):
+        for sub in sub_profiles(env, agent):
+            at = [index[full_profile(sub, agent, x)] for x in acts]
+            step = at[1] - at[0]
+            assert at == list(range(at[0], at[0] + len(at) * step, step))
+            slices[agent, sub] = (at[0], at[0] + len(at) * step, step)
+    return slices
 
 
 def test_search_reads_only_the_sub_profiles_it_reaches():
     # the first tie is at the first sub-profile and its witness b is the third,
-    # so of 81 sub-profiles per agent only the first three are read
+    # so of 81 sub-profiles per agent only the first three are sliced, each
+    # once, and values are read at those three alone
     env, referendum = build_majority_referendum(2)
     subs = list(sub_profiles(env, 0))
+    slices = signature_slices(env)
     read = []
 
     def value_at(agent, action, sub):
@@ -958,27 +1001,27 @@ def test_search_reads_only_the_sub_profiles_it_reaches():
 
     for kind in FULL_KINDS:
         read.clear()
-        result = search.search_witness(env, value_at, kind, _preferences(False), _edge_walk)
+        codes = CountedCodes(referendum._codes)
+        beats = _preferences(False)
+        result = search.search_witness(env, value_at, codes, kind, beats, _edge_walk)
         assert result.witness == find_ba_witness(referendum, kind)
+        assert codes.slices == collections.Counter(slices[0, sub] for sub in subs[:3])
         assert {agent for agent, _ in read} == {0}
-        assert sorted({subs.index(sub) for _, sub in read}) == [0, 1, 2]
+        assert {subs.index(sub) for _, sub in read} <= {0, 1, 2}
         assert result.witness.b_minus == subs[2]
 
 
 def test_nba_scan_reads_each_value_once_on_constant_mechanisms():
     # six agents of three actions (3^6 profiles): each agent's sub-profiles
-    # share one signature, so the scan reads all 243 of them looking for a
-    # second, and walks the one signature it found for every action pair
+    # share one signature, so the scan slices all 243 of them once looking
+    # for a second, and walks the one signature it found for every action
+    # pair; no tie reaches a rival signature, so no value is read at all
     env = Environment.create([[f"x{i}{k}" for k in range(3)] for i in range(6)], ("z0", "z1"))
     profiles = list(enumerate_profiles(env))
     constant = DetMechanism(env, dict.fromkeys(profiles, "z0"))
     uniform = ProbMechanism(env, dict.fromkeys(profiles, Distribution.uniform(env.outcomes)))
-    every = collections.Counter(
-        (agent, x, sub)
-        for agent, acts in enumerate(env.actions)
-        for sub in sub_profiles(env, agent)
-        for x in acts
-    )
+    every = collections.Counter(signature_slices(env).values())
+    assert sum(every.values()) == 6 * 243
     for mech, prob in ((constant, False), (uniform, True)):
         for value_at, _, beats, full in relation_cases(mech, prob):
             for kind in FULL_KINDS:
@@ -988,8 +1031,68 @@ def test_nba_scan_reads_each_value_once_on_constant_mechanisms():
                     read[agent, action, sub] += 1
                     return value_at(agent, action, sub)
 
-                assert search.search_witness(env, counted, kind, beats, full).witness is None
-                assert read == every
+                codes = CountedCodes(mech._codes)
+                assert search.search_witness(env, counted, codes, kind, beats, full).witness is None
+                assert codes.slices == every
+                assert not read
+
+
+@st.composite
+def coded_tables(draw):
+    """(prob, env, table): a random deterministic or probabilistic table over
+    up to three agents, listed in shuffled profile order.  A probabilistic
+    table builds each profile's distribution apart, from weights of 0 to 2,
+    so equal distributions are distinct objects and some carry zero weights."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    outcomes = ("z0", "z1", "z2")[: draw(st.integers(1, 3))]
+    env = Environment.create(
+        [tuple(f"{chr(97 + i)}{k}" for k in range(size)) for i, size in enumerate(sizes)], outcomes
+    )
+    profiles = list(enumerate_profiles(env))
+    prob = draw(st.booleans())
+    if prob:
+        weights = st.lists(st.integers(0, 2), min_size=len(outcomes), max_size=len(outcomes))
+        rows = draw(st.lists(weights.filter(any), min_size=len(profiles), max_size=len(profiles)))
+        values = [
+            Distribution({z: Fraction(k, sum(ks)) for z, k in zip(outcomes, ks)}) for ks in rows
+        ]
+    else:
+        values = draw(
+            st.lists(st.sampled_from(outcomes), min_size=len(profiles), max_size=len(profiles))
+        )
+    order = draw(st.permutations(range(len(profiles))))
+    return prob, env, {profiles[k]: values[k] for k in order}
+
+
+@given(coded_tables())
+@settings(max_examples=100, deadline=None)
+def test_code_table_agrees_with_the_value_reads(case):
+    # one code per profile in `enumerate_profiles` order, equal codes iff the
+    # values read through `outcome_at` or `dist_at`, from any agent's side,
+    # are equal (for distributions, as probability maps); the table stays
+    # outside the fields, so equality, the repr, pickling and copying are
+    # those of the fields, and a clone, which runs the constructor, records
+    # the same table again
+    prob, env, table = case
+    mech = ProbMechanism(env, table) if prob else DetMechanism(env, table)
+    value_at = mech.dist_at if prob else mech.outcome_at
+    profiles = list(enumerate_profiles(env))
+    assert len(mech._codes) == len(profiles)
+    reads = []
+    for profile in profiles:
+        seen = {value_at(i, x, profile[:i] + profile[i + 1 :]) for i, x in enumerate(profile)}
+        assert len(seen) == 1
+        value = seen.pop()
+        reads.append(dict(value.probs) if prob else value)
+    for (code, value), (other, value_there) in itertools.product(zip(mech._codes, reads), repeat=2):
+        assert (code == other) == (value == value_there)
+    for clone in (mech, pickle.loads(pickle.dumps(mech)), copy.deepcopy(mech)):
+        assert clone == mech and repr(clone) == repr(mech)
+        assert clone._codes == mech._codes
+        with pytest.raises(TypeError):  # the table field is a dict, so no mechanism hashes
+            hash(clone)
+    assert "_codes" not in repr(mech)
+    assert type(mech)._fields == ("env", "table")
 
 
 def test_a_signature_is_narrowed_again_for_another_tied_value():
@@ -1144,7 +1247,7 @@ def logged_walk(env, full, log):
     return wrapped
 
 
-def assert_within_budget(env, value_at, beats, full, specs, cap=None):
+def assert_within_budget(env, value_at, codes, beats, full, specs, cap=None):
     """Search with logged comparisons and walks and check the calls against the budget.
 
     (ii) runs once on each listed ordering, in listed order, per (agent, r,
@@ -1164,7 +1267,8 @@ def assert_within_budget(env, value_at, beats, full, specs, cap=None):
     log["walks"] = collections.Counter()
     logged = logged_comparisons(env, beats, log)
     walk = logged_walk(env, full, log)
-    result = outcome_or_cap(lambda: search.search_witness(env, value_at, specs, logged, walk, cap))
+    run = functools.partial(search.search_witness, env, value_at, codes, specs, logged, walk, cap)
+    result = outcome_or_cap(run)
     listed = [spec.orderings for spec in resolve_domains(env, specs)]
     runs = [
         (key, [ordering for _, ordering, _ in run])
@@ -1213,7 +1317,7 @@ def assert_within_budget(env, value_at, beats, full, specs, cap=None):
 def test_relation_call_budget_on_few_signature_mechanisms(prob, data):
     mech, specs, cap = data.draw(few_signature_cases(prob))
     for value_at, _, beats, full in relation_cases(mech, prob):
-        assert_within_budget(mech.env, value_at, beats, full, specs, cap)
+        assert_within_budget(mech.env, value_at, mech._codes, beats, full, specs, cap)
 
 
 def constant_3x3x2():
@@ -1231,7 +1335,7 @@ def test_relation_call_budget_on_constant_mechanisms():
     for kind in FULL_KINDS:
         for mech, prob in ((constant, False), (uniform, True)):
             for value_at, _, beats, full in relation_cases(mech, prob):
-                result = assert_within_budget(env, value_at, beats, full, kind)
+                result = assert_within_budget(env, value_at, mech._codes, beats, full, kind)
                 assert result.witness is None
 
 
@@ -1251,9 +1355,9 @@ def test_one_signature_agents_build_no_rows(monkeypatch):
     )
     forbid_rows(monkeypatch)
     for domain in (*FULL_KINDS, specs):
-        for value_at in (constant.outcome_at, uniform.dist_at):
+        for mech, value_at in ((constant, constant.outcome_at), (uniform, uniform.dist_at)):
             beats = (no_comparison, no_comparison)
-            result = search.search_witness(env, value_at, domain, beats, no_walk)
+            result = search.search_witness(env, value_at, mech._codes, domain, beats, no_walk)
             assert result.witness is None
     assert result.stats["orderings_per_agent"] == [5, 5]
 
