@@ -32,15 +32,14 @@ from .model import (
     DomainKind,
     DomainSpec,
     Environment,
+    Mechanism,
     Ordering,
     Pair,
     Profile,
     SubProfile,
     Value,
     enumerate_profiles,
-    full_profile,
     profile_rows,
-    profile_values,
     set_field,
     string_labels,
     sub_profiles,
@@ -50,39 +49,24 @@ from .queueing import QueueingOutcome, QueueingParams, grid_labels
 from .search import SearchResult, check_certificate, search_witness
 
 
-class DetMechanism(Value):
-    """Total map from action profiles to a single outcome label.
-
-    Validation looks up every profile, so it also records the code table
-    (`_codes`): the outcome at each profile in `enumerate_profiles` order,
-    each label its own code, which the search slices for signatures.  It
-    is a snapshot taken at construction, and not a field: equality, the
-    repr and pickling ignore it, and unpickling, which runs the
-    constructor, records it again.
-    """
-
-    _fields = ("env", "table")
-
-    def __init__(self, env: Environment, table: Mapping[Profile, str]) -> None:
-        set_field(self, "env", env)
-        set_field(self, "table", table)
-        self.__post_init__()
+class DetMechanism(Mechanism):
+    """Total map from action profiles to a single outcome label, each label its own code."""
 
     def __post_init__(self) -> None:
-        table = {tuple(k): v for k, v in self.table.items()}
-        set_field(self, "table", table)
-        codes = tuple(profile_values(self.env, table))
+        values = self._store()
         outcomes = set(self.env.outcomes)
-        for profile, value in table.items():
+        for value in values:
             if not isinstance(value, str) or value not in outcomes:
-                raise InvariantViolation(f"value {value!r} at {profile!r} is not an outcome")
-        set_field(self, "_codes", codes)
+                self._reject()
+        set_field(self, "_codes", tuple(values))
 
-    def outcome(self, profile: Profile) -> str:
-        return self.table[tuple(profile)]
+    def _fault(self, profile: Profile, value: object) -> str | None:
+        if not isinstance(value, str) or value not in self.env.outcomes:
+            return f"value {value!r} at {profile!r} is not an outcome"
+        return None
 
-    def outcome_at(self, agent: int, action: str, sub: SubProfile) -> str:
-        return self.table[full_profile(sub, agent, action)]
+    outcome = Mechanism.value
+    outcome_at = Mechanism.value_at
 
 
 # --- tie-propagation characterization ---------------------------------------
@@ -436,11 +420,7 @@ def construct_queueing_witness(params: QueueingParams) -> BAWitness:
 
 
 def det_mech_to_json(mech: DetMechanism) -> dict:
-    profiles = list(enumerate_profiles(mech.env))
-    return {
-        "profiles": [list(p) for p in profiles],
-        "outcomes": [mech.outcome(p) for p in profiles],
-    }
+    return mech.to_rows("outcomes", str)
 
 
 def det_mech_from_json(env: Environment, data: object) -> DetMechanism:

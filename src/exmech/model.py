@@ -24,7 +24,9 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from functools import cached_property
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import NoReturn
 
 from .errors import AgentOutOfRange, InvariantViolation, ParseError, UnknownPair
 
@@ -332,25 +334,6 @@ def enumerate_profiles(env: Environment) -> Iterator[Profile]:
     return itertools.product(*env.actions)
 
 
-def profile_values(env: Environment, table: Mapping[Profile, object]) -> list:
-    """The table's values in `enumerate_profiles` order; it must have one entry per profile.
-
-    One lookup per profile decides a well-formed table: every profile is
-    found and no other key is left.  Only a malformed one is compared as
-    sets, to name an unknown profile before a missing one.
-    """
-    try:
-        values = [table[profile] for profile in enumerate_profiles(env)]
-    except KeyError:
-        values = None
-    if values is None or len(values) != len(table):
-        expected = set(enumerate_profiles(env))
-        if set(table) - expected:
-            raise InvariantViolation("mechanism table has an unknown profile")
-        raise InvariantViolation("mechanism table incomplete")
-    return values
-
-
 def sub_profiles(env: Environment, agent: int) -> Iterator[SubProfile]:
     """Every profile of the other agents' actions, lexicographic order."""
     env.check_agent(agent)
@@ -361,6 +344,72 @@ def sub_profiles(env: Environment, agent: int) -> Iterator[SubProfile]:
 def full_profile(sub: SubProfile, agent: int, action: str) -> Profile:
     """Insert `action` for `agent` into a sub-profile of the others."""
     return sub[:agent] + (action,) + sub[agent:]
+
+
+class Mechanism(Value):
+    """Total map from action profiles to values: the part both mechanism kinds share.
+
+    The constructor runs the kind's `__post_init__`, which stores the table
+    through `_store` as the mechanism's own copy, keyed by profile tuples,
+    behind a read-only view (as `Distribution.probs` is).  It then checks
+    each value, calling `_reject` at a bad one, and records the code table
+    (`_codes`): one code per profile in `enumerate_profiles` order, equal
+    codes iff equal values, which the search slices for signatures.  No
+    write reaches the table, so `_codes`, and whatever else a kind records,
+    always describes it.  None of these is a field: equality, the repr and
+    pickling ignore them, and unpickling, which runs the constructor,
+    records them again.  A kind defines `__post_init__` and `_fault`, which
+    says what is wrong with a value, and names the readers for its values.
+    """
+
+    _fields = ("env", "table")
+
+    def __init__(self, env: Environment, table: Mapping[Profile, object]) -> None:
+        set_field(self, "env", env)
+        set_field(self, "table", table)
+        self.__post_init__()
+
+    def __reduce__(self):  # a mappingproxy does not pickle or deep-copy; rebuild from a dict
+        return type(self), (self.env, dict(self.table))
+
+    def _store(self) -> list:
+        """Keep a read-only copy of the table; its values in `enumerate_profiles` order.
+
+        One lookup per profile decides a well-formed table: every profile is
+        found and no other key is left.  Only a malformed one is compared as
+        sets, to name an unknown profile before a missing one.
+        """
+        table = {tuple(k): v for k, v in self.table.items()}
+        set_field(self, "table", MappingProxyType(table))
+        try:
+            values = list(map(table.__getitem__, enumerate_profiles(self.env)))
+        except KeyError:
+            values = None
+        if values is None or len(values) != len(table):
+            if set(table) - set(enumerate_profiles(self.env)):
+                raise InvariantViolation("mechanism table has an unknown profile")
+            raise InvariantViolation("mechanism table incomplete")
+        return values
+
+    def _reject(self) -> NoReturn:
+        """Raise at the first profile, in table order, whose value has a fault."""
+        for profile, value in self.table.items():
+            fault = self._fault(profile, value)
+            if fault is not None:
+                raise InvariantViolation(fault)
+        raise AssertionError("no value has a fault")
+
+    def value(self, profile: Profile) -> object:
+        return self.table[tuple(profile)]
+
+    def value_at(self, agent: int, action: str, sub: SubProfile) -> object:
+        return self.table[full_profile(sub, agent, action)]
+
+    def to_rows(self, key: str, write: Callable[[object], object]) -> dict:
+        """The document {"profiles": [...], key: [...]} that `profile_rows` reads, values written."""
+        profiles = list(enumerate_profiles(self.env))
+        values = [write(self.table[p]) for p in profiles]
+        return {"profiles": [list(p) for p in profiles], key: values}
 
 
 class BAWitness(Value):

@@ -20,12 +20,13 @@ tied and l-rival distributions meet (ii) and (iii) at no tuple (the
 dominance dichotomy).  The mechanism records at construction whether it
 is completely mixed, and if it is, the search settles every agent whose
 admissible orderings are all strict before reading its values; for one
-only partly mixed, such a tuple fails the chain's first step under
-`strict`.  A `Distribution` compares and hashes on its exact integer form,
-and the mechanism codes each profile's distribution by it at construction,
-a small int per distinct distribution; the chain test memoizes by the
-codes of the tied, anchor and l-rival distributions and runs on ints,
-point sets being bitmasks, with one backward reach per tuple.  Each tied
+only partly mixed, the chain test rejects such a tuple at its first step,
+with no check of its own.  A `Distribution` compares and hashes on its
+exact integer form, and the mechanism codes each profile's distribution
+by it at construction, a small int per distinct distribution; the chain
+test memoizes by the codes of the tied, anchor and l-rival distributions
+and runs on ints, point sets being bitmasks, with one backward reach per
+tuple.  Each tied
 distribution is decided once per action pair, which relies on dominance
 being asymmetric, the contract `search.search_witness` states.
 """
@@ -38,7 +39,7 @@ import random
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ActionsEqual,
@@ -53,15 +54,13 @@ from .model import (
     DomainKind,
     DomainSpec,
     Environment,
+    Mechanism,
     Ordering,
     Pair,
     Profile,
-    SubProfile,
     Value,
     enumerate_profiles,
-    full_profile,
     profile_rows,
-    profile_values,
     set_field,
 )
 from .queueing import parse_fraction
@@ -152,63 +151,42 @@ class Lottery(Value):
         return iter((self.action, self.dist))
 
 
-class ProbMechanism(Value):
+class ProbMechanism(Mechanism):
     """Total map from action profiles to outcome distributions.
 
-    Validation looks up every profile and checks each distinct distribution
-    once, so it also records whether all are totally mixed
-    (`_completely_mixed`), and the code table (`_codes`): a small int per
-    profile in `enumerate_profiles` order, equal for equal distributions,
-    which the search slices for signatures.  Distributions are coded by
-    their `_key`, so coding runs no `__hash__` or `__eq__` in Python.  Both
-    are a snapshot taken at construction, and neither is a field: equality,
-    the repr and pickling ignore them, and unpickling, which runs the
-    constructor, records them again.
+    Validation checks each distinct distribution once, so it also records
+    whether all are totally mixed (`_completely_mixed`).  A distribution's
+    code is a small int per distinct `_key`, so coding runs no `__hash__`
+    or `__eq__` in Python.
     """
 
-    _fields = ("env", "table")
-
-    def __init__(self, env: Environment, table: Mapping[Profile, Distribution]) -> None:
-        set_field(self, "env", env)
-        set_field(self, "table", table)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
-        table = {tuple(k): v for k, v in self.table.items()}
-        set_field(self, "table", table)
         outcomes = set(self.env.outcomes)
         mixed = True
         codes: dict = {}  # each distinct distribution's `_key` -> its code
         row = []
-        for dist in profile_values(self.env, table):
+        for dist in self._store():
             if not isinstance(dist, Distribution):
-                _reject_values(table, outcomes)
+                self._reject()
             code = codes.get(dist._key)
             if code is None:  # a distribution unlike any before it: check it once
                 if set(dist.probs) != outcomes:
-                    _reject_values(table, outcomes)
+                    self._reject()
                 mixed = mixed and is_totally_mixed(dist)
                 code = codes[dist._key] = len(codes)
             row.append(code)
         set_field(self, "_completely_mixed", mixed)
         set_field(self, "_codes", tuple(row))
 
-    def dist(self, profile: Profile) -> Distribution:
-        return self.table[tuple(profile)]
+    def _fault(self, profile: Profile, value: object) -> str | None:
+        if not isinstance(value, Distribution):
+            return f"value at {profile!r} is not a distribution"
+        if set(value.probs) != set(self.env.outcomes):
+            return f"distribution at {profile!r} must cover every outcome exactly"
+        return None
 
-    def dist_at(self, agent: int, action: str, sub: SubProfile) -> Distribution:
-        return self.table[full_profile(sub, agent, action)]
-
-
-def _reject_values(table: Mapping[Profile, object], outcomes: set[str]) -> NoReturn:
-    """Raise at the first profile, in table order, not mapped to a distribution over `outcomes`."""
-    for profile, dist in table.items():
-        if not isinstance(dist, Distribution):
-            raise InvariantViolation(f"value at {profile!r} is not a distribution")
-        if set(dist.probs) != outcomes:
-            raise InvariantViolation(
-                f"distribution at {profile!r} must cover every outcome exactly"
-            )
+    dist = Mechanism.value
+    dist_at = Mechanism.value_at
 
 
 def is_completely_mixed(mech: ProbMechanism) -> bool:
@@ -430,12 +408,13 @@ def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
     `start` memoizes it per agent by `key`, the mechanism's codes of the
     three values, and looks it up first.  Under `strict`, totally mixed A
     and B_l give no first step (an r-step breaks (ii), an l-step (iii)): the
-    dominance dichotomy, memoized as a failed test.  `search_prob_ba_witness`
-    has the search settle a completely mixed mechanism's `strict` agents
-    within the cap before their values are read, so there this check serves
-    mechanisms only partly mixed.  The layout (each column's action and
-    outcome bit, and `_steps`) is made with the walk, and the search makes a
-    walk only at an agent's first tied value that reaches a rival signature.
+    dominance dichotomy, which the test thus meets with no check of its
+    own.  `search_prob_ba_witness` has the search settle a completely mixed
+    mechanism's `strict` agents within the cap before their values are
+    read, so the test meets such tuples only in mechanisms partly mixed.
+    The layout (each column's action and outcome bit, and `_steps`) is made
+    with the walk, and the search makes a walk only at an agent's first
+    tied value that reaches a rival signature.
 
     Points are the bits of an int, (L, R) being bit L + R * 2^m for outcome
     masks L and R, and masses are integers.  A tuple's first test builds
@@ -515,12 +494,7 @@ def _chain_walk(index: Mapping[Pair, int], kind: DomainKind):
     def start(r: str, l: str, tied: Distribution, at_b: Mapping[str, Distribution], key: tuple):
         chain = tested.get(key)
         if chain is None:
-            anchor, rival = at_b[r], at_b[l]
-            if strict and is_totally_mixed(tied) and is_totally_mixed(rival):  # dominance dichotomy
-                chain = False
-            else:
-                chain = chain_of(tied, anchor, rival)
-            tested[key] = chain
+            chain = tested[key] = chain_of(tied, at_b[r], at_b[l])
         if chain is False:
             return None
         values = [at_b[x] for x in actions]
@@ -668,13 +642,7 @@ def random_completely_mixed_mechanism(env: Environment, rng: random.Random) -> P
 
 
 def prob_mech_to_json(mech: ProbMechanism) -> dict:
-    profiles = list(enumerate_profiles(mech.env))
-    return {
-        "profiles": [list(p) for p in profiles],
-        "distributions": [
-            [str(mech.dist(p)[z]) for z in mech.env.outcomes] for p in profiles
-        ],
-    }
+    return mech.to_rows("distributions", lambda dist: [str(dist[z]) for z in mech.env.outcomes])
 
 
 def prob_mech_from_json(env: Environment, data: object) -> ProbMechanism:

@@ -334,7 +334,7 @@ VALUE_CASES = [
         DetMechanism, "env table",
         (Environment(*ONE_AGENT), {("a0",): "z0", ("a1",): "z0"}),
         (Environment(*ONE_AGENT_STRICT), {("a0",): "z0", ("a1",): "z0"}),
-        f"DetMechanism(env={ENV_REPR}, table={{('a0',): 'z0', ('a1',): 'z0'}})",
+        f"DetMechanism(env={ENV_REPR}, table=mappingproxy({{('a0',): 'z0', ('a1',): 'z0'}}))",
     ),
     (
         Condition1Violation, "agent r l a_minus b_minus z",
@@ -350,7 +350,8 @@ VALUE_CASES = [
         ProbMechanism, "env table",
         (Environment(*ONE_AGENT), {("a0",): POINT, ("a1",): POINT}),
         (Environment(*ONE_AGENT_STRICT), {("a0",): POINT, ("a1",): POINT}),
-        f"ProbMechanism(env={ENV_REPR}, table={{('a0',): {POINT_REPR}, ('a1',): {POINT_REPR}}})",
+        f"ProbMechanism(env={ENV_REPR}, "
+        f"table=mappingproxy({{('a0',): {POINT_REPR}, ('a1',): {POINT_REPR}}}))",
     ),
     (
         AnalysisReport, "mechanism probabilistic domains verdict method witness search duration_ms",
