@@ -15,7 +15,7 @@ _EXPORTS = {
     "errors": """ActionsEqual AgentMismatch AgentOutOfRange CapExceeded ExmechError
         GridDoesNotSupportWitness InvariantViolation NotQueueingEnvironment NotStrict
         NotVotingEnvironment ParseError UnknownPair""",
-    "model": """BAWitness DomainKind DomainSpec Environment Ordering Relation
+    "model": """BAWitness DomainKind DomainSpec Environment Ordering
         enumerate_profiles env_from_json env_to_json full_profile sub_profiles
         witness_from_json witness_to_json""",
     "domains": """build_queueing_pref_1 build_queueing_pref_2 classical_orderings

@@ -159,23 +159,21 @@ def _read_json(path: str) -> object:
             raise ParseError("invalid JSON: nested too deeply") from None
 
 
-def _mechanism_from_json(
-    env: Environment, data: object
-) -> tuple[DetMechanism | ProbMechanism, bool]:
-    """(mechanism, probabilistic): a document holding "distributions" is probabilistic."""
+def _mechanism_from_json(env: Environment, data: object) -> DetMechanism | ProbMechanism:
+    """The mechanism; a document holding "distributions" is probabilistic."""
     if isinstance(data, dict) and "distributions" in data:
         from .stochastic import prob_mech_from_json
-        return prob_mech_from_json(env, data), True
+        return prob_mech_from_json(env, data)
     from .deterministic import det_mech_from_json
-    return det_mech_from_json(env, data), False
+    return det_mech_from_json(env, data)
 
 
-def _load_bundle(path: str) -> tuple[Environment, DetMechanism | ProbMechanism, bool]:
+def _load_bundle(path: str) -> tuple[Environment, DetMechanism | ProbMechanism]:
     data = _read_json(path)
     if not isinstance(data, dict) or "environment" not in data or "mechanism" not in data:
         raise ParseError("bundle must have 'environment' and 'mechanism' keys")
     env = env_from_json(data["environment"])
-    return (env, *_mechanism_from_json(env, data["mechanism"]))
+    return env, _mechanism_from_json(env, data["mechanism"])
 
 
 def _domains_from_flag(flag: str, env: Environment, args) -> object:
@@ -275,7 +273,7 @@ def cmd_validate(args) -> int:
         env = env_from_json(data["environment"])
         if "mechanism" not in data:
             kind = "environment"
-        elif _mechanism_from_json(env, data["mechanism"])[1]:
+        elif _mechanism_from_json(env, data["mechanism"]).probabilistic:
             kind = "probabilistic mechanism"
         else:
             kind = "deterministic mechanism"
@@ -288,7 +286,7 @@ def cmd_validate(args) -> int:
 
 def cmd_build(args) -> int:
     _, env, mech = _run_builder(args)
-    if args.builder in PROB_BUILDERS:
+    if mech.probabilistic:
         from .stochastic import prob_mech_to_json as to_json
     else:
         from .deterministic import det_mech_to_json as to_json
@@ -306,10 +304,10 @@ def cmd_analyze(args) -> int:
     started = time.perf_counter()
     if args.mech:
         identity = args.mech
-        env, mech, prob = _load_bundle(args.mech)
+        env, mech = _load_bundle(args.mech)
     else:
         identity, env, mech = _run_builder(args)
-        prob = args.builder in PROB_BUILDERS
+    prob = mech.probabilistic
     if args.prob and not prob:
         if args.mech:
             raise ParseError("--prob given but the file holds a deterministic mechanism")

@@ -52,6 +52,8 @@ from .search import SearchResult, check_certificate, search_witness
 class DetMechanism(Mechanism):
     """Total map from action profiles to a single outcome label, each label its own code."""
 
+    probabilistic = False
+
     def __post_init__(self) -> None:
         values = self._store()
         outcomes = set(self.env.outcomes)

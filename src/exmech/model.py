@@ -4,7 +4,9 @@ Agents pick actions, a mechanism maps the joint action profile to a social
 outcome, and each agent ranks (own action, outcome) pairs -- so the act of
 choosing can matter to an agent beyond the outcome it induces.  Orderings are
 ranked partitions (ordered indifference classes, best first), which makes
-completeness, transitivity and reflexivity hold by construction.
+completeness, transitivity and reflexivity hold by construction.  An
+ordering records its pair set, the union of its classes, when it is built,
+and `check_fit` is the one test that it ranks exactly an agent's pairs.
 
 Everything here is immutable after construction.  The model and result
 types of the package derive from `Value`: a subclass names its fields in
@@ -77,19 +79,13 @@ class Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Relation(Enum):
-    """Result of comparing two action-outcome pairs under an ordering."""
-
-    PREFERRED = "preferred"
-    INDIFFERENT = "indifferent"
-    DISPREFERRED = "dispreferred"
-
-
 class Ordering(Value):
     """Ranked partition of one agent's action-outcome pairs, best class first.
 
     Two pairs in the same class are indifferent; a pair in an earlier class is
-    strictly preferred to any pair in a later one.
+    strictly preferred to any pair in a later one.  The constructor records
+    `pairs`, the union of the classes, as it checks that they are disjoint;
+    it is not a field.
     """
 
     _fields = ("agent", "classes")
@@ -100,7 +96,14 @@ class Ordering(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        normalized = tuple(frozenset(map(_pair, cls)) for cls in self.classes)
+        agent = self.agent
+        if not isinstance(agent, int) or isinstance(agent, bool) or agent < 0:
+            raise InvariantViolation(f"ordering agent must be an int >= 0, not {agent!r}")
+        classes = _labels(self.classes, "ordering classes")
+        try:
+            normalized = tuple(frozenset(map(_pair, cls)) for cls in classes)
+        except TypeError:  # a class that is not a collection
+            raise InvariantViolation(f"ordering classes {classes!r} are not pair sets") from None
         set_field(self, "classes", normalized)
         if not normalized:
             raise InvariantViolation("ordering has no classes")
@@ -111,6 +114,7 @@ class Ordering(Value):
             if seen & cls:
                 raise InvariantViolation("pair appears in multiple classes")
             seen |= cls
+        set_field(self, "pairs", frozenset(seen))
 
     def __repr__(self) -> str:  # each class's pairs sorted, so no string hash orders them
         classes = [f"frozenset({{{', '.join(map(repr, sorted(cls)))}}})" for cls in self.classes]
@@ -120,6 +124,7 @@ class Ordering(Value):
     @classmethod
     def from_ranks(cls, agent: int, pairs: Sequence[Pair], ranks: Sequence[int]) -> "Ordering":
         """The ordering that puts pairs[k] in class ranks[k]."""
+        ranks = _labels(ranks, "ranks")
         if len(ranks) != len(pairs) or not all(
             isinstance(rank, int) and not isinstance(rank, bool) and rank >= 0 for rank in ranks
         ):
@@ -133,24 +138,12 @@ class Ordering(Value):
     def _ranks(self) -> dict[Pair, int]:
         return {pair: idx for idx, cls in enumerate(self.classes) for pair in cls}
 
-    @cached_property
-    def pairs(self) -> frozenset[Pair]:
-        return frozenset(self._ranks)
-
     def rank(self, pair: Pair) -> int:
         """Index of the class containing `pair` (0 is best)."""
         try:
             return self._ranks[tuple(pair)]
         except KeyError:
             raise UnknownPair(f"pair {pair!r} is not in the ordering's partition") from None
-
-    def compare(self, p: Pair, q: Pair) -> Relation:
-        rp, rq = self.rank(p), self.rank(q)
-        if rp < rq:
-            return Relation.PREFERRED
-        if rp > rq:
-            return Relation.DISPREFERRED
-        return Relation.INDIFFERENT
 
     def strictly_prefers(self, p: Pair, q: Pair) -> bool:
         return self.rank(p) < self.rank(q)
@@ -163,7 +156,7 @@ class Ordering(Value):
 
     @property
     def is_strict(self) -> bool:
-        return all(len(cls) == 1 for cls in self.classes)
+        return len(self.classes) == len(self.pairs)
 
 
 def _pair(pair: object) -> Pair:
@@ -211,10 +204,13 @@ class DomainSpec(Value):
     def __post_init__(self) -> None:
         if not isinstance(self.kind, DomainKind):
             raise InvariantViolation(f"domain kind {self.kind!r} is not a DomainKind")
-        set_field(self, "orderings", tuple(self.orderings))
+        set_field(self, "orderings", _labels(self.orderings, "domain orderings"))
         if self.kind is DomainKind.EXPLICIT:
             if not self.orderings:
                 raise InvariantViolation("explicit domain must list at least one ordering")
+            for ordering in self.orderings:
+                if not isinstance(ordering, Ordering):
+                    raise InvariantViolation(f"domain ordering {ordering!r} is not an Ordering")
             if len({o.agent for o in self.orderings}) != 1:
                 raise InvariantViolation("explicit domain mixes orderings of different agents")
         elif self.orderings:
@@ -315,18 +311,21 @@ class Environment(Value):
         return self._pairs[agent]
 
 
+def check_fit(ordering: Ordering, agent: int, pairs: frozenset[Pair]) -> None:
+    """Raise unless `ordering` is tagged for `agent` and partitions exactly `pairs`."""
+    if ordering.agent != agent:
+        raise InvariantViolation(f"ordering tagged for agent {ordering.agent}, expected {agent}")
+    if not ordering.pairs <= pairs:
+        raise InvariantViolation("ordering contains pairs outside the agent's pair set")
+    if len(ordering.pairs) < len(pairs):
+        raise InvariantViolation("partition incomplete")
+
+
 def validate_explicit_domain(env: Environment, agent: int, spec: DomainSpec) -> None:
     """Check each listed ordering partitions exactly the agent's pair set."""
-    expected = set(env.pairs_for(agent))
+    expected = frozenset(env.pairs_for(agent))
     for ordering in spec.orderings:
-        if ordering.agent != agent:
-            raise InvariantViolation(
-                f"domain ordering tagged for agent {ordering.agent}, expected {agent}"
-            )
-        if ordering.pairs - expected:
-            raise InvariantViolation("ordering contains pairs outside the agent's pair set")
-        if expected - ordering.pairs:
-            raise InvariantViolation("partition incomplete")
+        check_fit(ordering, agent, expected)
 
 
 def enumerate_profiles(env: Environment) -> Iterator[Profile]:
@@ -359,10 +358,12 @@ class Mechanism(Value):
     always describes it.  None of these is a field: equality, the repr and
     pickling ignore them, and unpickling, which runs the constructor,
     records them again.  A kind defines `__post_init__` and `_fault`, which
-    says what is wrong with a value, and names the readers for its values.
+    says what is wrong with a value, names the readers for its values and
+    sets the class attribute `probabilistic`.
     """
 
     _fields = ("env", "table")
+    probabilistic: bool
 
     def __init__(self, env: Environment, table: Mapping[Profile, object]) -> None:
         set_field(self, "env", env)

@@ -82,6 +82,7 @@ from .model import (
     Ordering,
     SubProfile,
     Value,
+    check_fit,
     set_field,
     sub_profiles,
 )
@@ -313,10 +314,7 @@ def check_certificate(
     ordering = witness.ordering
     if not isinstance(ordering, Ordering):
         raise InvariantViolation(f"witness ordering {ordering!r} is not an Ordering")
-    if ordering.agent != witness.agent:
-        raise InvariantViolation("witness ordering tagged for a different agent")
-    if ordering.pairs != frozenset(env.pairs_for(witness.agent)):
-        raise InvariantViolation("witness ordering does not partition the agent's pairs")
+    check_fit(ordering, witness.agent, frozenset(env.pairs_for(witness.agent)))
     if isinstance(domain, (str, DomainKind)):
         domain = DomainSpec(domains.full_kind(domain))
     elif domain is not None and not isinstance(domain, DomainSpec):

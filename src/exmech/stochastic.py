@@ -160,6 +160,8 @@ class ProbMechanism(Mechanism):
     or `__eq__` in Python.
     """
 
+    probabilistic = True
+
     def __post_init__(self) -> None:
         outcomes = set(self.env.outcomes)
         mixed = True

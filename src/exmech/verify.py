@@ -138,15 +138,13 @@ def claim_voting_axioms_force_anomaly() -> ClaimResult:
     )
 
 
-def claim_groves_tie_propagation_fails(mech: DetMechanism | None = None) -> ClaimResult:
+def claim_groves_tie_propagation_fails() -> ClaimResult:
     """Tie propagation fails on the queueing grid, with an ordered counterexample.
 
     Looks for a failure where the tying sub-profile report sits below both of
     the agent's reports and the tie-breaking report sits above both.
     """
-    if mech is None:
-        params = QueueingParams(Fraction(1, 2), Fraction(1, 2), PROP_GRID)
-        _, mech = build_groves_queueing(params)
+    _, mech = build_groves_queueing(QueueingParams(Fraction(1, 2), Fraction(1, 2), PROP_GRID))
     first = condition1_counterexample(mech)
     if first is None:
         return ClaimResult("groves-tie-propagation-fails", False, "no counterexample found")

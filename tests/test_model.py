@@ -3,6 +3,7 @@ import inspect
 import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,9 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exmech import domains
 from exmech.cli import AnalysisReport
-from exmech.deterministic import Condition1Violation, DetMechanism
-from exmech.domains import SeparabilityViolation
+from exmech.deterministic import (
+    Condition1Violation,
+    DetMechanism,
+    build_groves_queueing,
+    build_majority_referendum,
+    find_ba_witness,
+    validate_witness,
+)
+from exmech.domains import SeparabilityViolation, build_queueing_pref_1, indifferent_ordering
 from exmech.errors import AgentOutOfRange, InvariantViolation, ParseError, UnknownPair
 from exmech.model import (
     BAWitness,
@@ -22,7 +31,6 @@ from exmech.model import (
     DomainSpec,
     Environment,
     Ordering,
-    Relation,
     enumerate_profiles,
     env_from_json,
     env_to_json,
@@ -30,6 +38,7 @@ from exmech.model import (
     ordering_from_json,
     ordering_to_json,
     sub_profiles,
+    validate_explicit_domain,
     witness_from_json,
 )
 from exmech.queueing import QueueingOutcome, QueueingParams
@@ -52,25 +61,33 @@ def ordering_of(agent, *classes):
 
 def test_compare_first_vs_last_class():
     ord_ = ordering_of(0, {("a", "z1")}, {("a", "z0"), ("b", "z1")}, {("b", "z0")})
-    assert ord_.compare(("a", "z1"), ("b", "z0")) is Relation.PREFERRED
-    assert ord_.compare(("b", "z0"), ("a", "z1")) is Relation.DISPREFERRED
+    assert (ord_.rank(("a", "z1")), ord_.rank(("b", "z0"))) == (0, 2)
+    assert ord_.strictly_prefers(("a", "z1"), ("b", "z0"))
+    assert not ord_.strictly_prefers(("b", "z0"), ("a", "z1"))
+    assert not ord_.indifferent(("a", "z1"), ("b", "z0"))
 
 
 def test_compare_same_class_indifferent():
     ord_ = ordering_of(0, {("a", "z1")}, {("a", "z0"), ("b", "z1")}, {("b", "z0")})
-    assert ord_.compare(("a", "z0"), ("b", "z1")) is Relation.INDIFFERENT
+    assert ord_.rank(("a", "z0")) == ord_.rank(("b", "z1")) == 1
+    assert ord_.indifferent(("a", "z0"), ("b", "z1"))
+    assert not ord_.strictly_prefers(("a", "z0"), ("b", "z1"))
+    assert not ord_.strictly_prefers(("b", "z1"), ("a", "z0"))
 
 
 def test_compare_counterexample_preference_top_class():
     ord_ = ordering_of(0, {("a0", "z1"), ("a1", "z0")}, {("a0", "z0"), ("a1", "z1")})
-    assert ord_.compare(("a0", "z1"), ("a1", "z0")) is Relation.INDIFFERENT
+    assert ord_.indifferent(("a0", "z1"), ("a1", "z0"))
     assert ord_.strictly_prefers(("a1", "z0"), ("a0", "z0"))
 
 
 def test_compare_unknown_pair():
     ord_ = ordering_of(0, {("a", "z")})
+    for ask in (ord_.strictly_prefers, ord_.weakly_prefers, ord_.indifferent):
+        with pytest.raises(UnknownPair):
+            ask(("a", "z"), ("b", "z"))
     with pytest.raises(UnknownPair):
-        ord_.compare(("a", "z"), ("b", "z"))
+        ord_.rank(("b", "z"))
 
 
 def test_ordering_rejects_empty_class_and_duplicates():
@@ -222,8 +239,96 @@ def test_compare_is_complete_transitive_reflexive(ordering):
 @settings(max_examples=100)
 def test_ordering_json_round_trip_preserves_relation(ordering):
     rebuilt = ordering_from_json(0, ordering_to_json(ordering))
+    for p in ordering.pairs:
+        assert rebuilt.rank(p) == ordering.rank(p)
     for p, q in itertools.product(sorted(ordering.pairs), repeat=2):
-        assert ordering.compare(p, q) is rebuilt.compare(p, q)
+        assert rebuilt.strictly_prefers(p, q) is ordering.strictly_prefers(p, q)
+        assert rebuilt.indifferent(p, q) is ordering.indifferent(p, q)
+
+
+def orderings_from_the_library():
+    """Orderings that builders and searches make, one per constructor path."""
+    params = QueueingParams(Fraction(1, 2), Fraction(1, 4), (Fraction(0), Fraction(1, 2)))
+    groves_env, _ = build_groves_queueing(params)
+    _, referendum = build_majority_referendum(1)
+    return (
+        build_queueing_pref_1(params, groves_env),
+        indifferent_ordering(1, ("a", "b"), ("x", "y")),
+        find_ba_witness(referendum, "weak_only").ordering,
+        find_prob_ba_witness(build_mixed_counterexample()[1], "weak_only").ordering,
+    )
+
+
+LIBRARY_ORDERINGS = orderings_from_the_library()
+
+
+def pickle_round_trip(value):
+    return pickle.loads(pickle.dumps(value))
+
+
+@given(ranked_partitions())
+@settings(max_examples=100)
+def test_an_ordering_records_the_union_of_its_classes(ordering):
+    pairs = sorted(ordering.pairs)
+    made = [
+        ordering,
+        Ordering.from_ranks(0, pairs, [ordering.rank(p) for p in pairs]),
+        ordering_from_json(0, ordering_to_json(ordering)),
+        next(o for o in domains.orderings(DomainKind.UNRESTRICTED, 0, pairs) if o == ordering),
+        *LIBRARY_ORDERINGS,
+    ]
+    for original in made:
+        union = frozenset().union(*original.classes)
+        copies = (f(original) for f in (pickle_round_trip, copy.copy, copy.deepcopy))
+        for value in (original, *copies):
+            assert type(value.pairs) is frozenset and value.pairs == union
+            assert value.is_strict is all(len(cls) == 1 for cls in value.classes)
+
+
+MALFORMED = (
+    (lambda: Ordering("x", TOP), "ordering agent must be an int >= 0, not 'x'"),
+    (lambda: Ordering(True, TOP), "ordering agent must be an int >= 0, not True"),
+    (lambda: Ordering(-1, TOP), "ordering agent must be an int >= 0, not -1"),
+    (lambda: Ordering(0.0, TOP), "ordering agent must be an int >= 0, not 0.0"),
+    (lambda: Ordering(0, 5), "ordering classes must be a sequence, not 5"),
+    (
+        lambda: Ordering(0, ({("a", "z")}, 5)),
+        "ordering classes ({('a', 'z')}, 5) are not pair sets",
+    ),
+    (lambda: Ordering.from_ranks(0, (("a", "z"),), 5), "ranks must be a sequence, not 5"),
+    (lambda: DomainSpec(DomainKind.EXPLICIT, 5), "domain orderings must be a sequence, not 5"),
+    (lambda: DomainSpec.explicit([1]), "domain ordering 1 is not an Ordering"),
+)
+
+
+@pytest.mark.parametrize("make, message", MALFORMED, ids=[message for _, message in MALFORMED])
+def test_malformed_ordering_and_domain_arguments_raise_typed_errors(make, message):
+    with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_a_domain_and_a_witness_reject_an_ordering_that_does_not_fit_alike():
+    env = Environment.create((("a0", "a1"), ("b0", "b1")), ("z0", "z1"))
+    mech = DetMechanism(env, {p: "z0" for p in enumerate_profiles(env)})
+    pairs = env.pairs_for(0)
+    unfit = (
+        (Ordering.from_ranks(1, pairs, range(4)), "ordering tagged for agent 1, expected 0"),
+        (Ordering.from_ranks(0, pairs[1:], range(3)), "partition incomplete"),
+        (
+            Ordering.from_ranks(0, (*pairs, ("a2", "z0")), range(5)),
+            "ordering contains pairs outside the agent's pair set",
+        ),
+    )
+    for ordering, message in unfit:
+        witness = BAWitness(0, "a1", "a0", ("b0",), ("b1",), ordering)
+        for check in (
+            lambda: validate_explicit_domain(env, 0, DomainSpec.explicit((ordering,))),
+            lambda: validate_witness(mech, witness),
+        ):
+            with pytest.raises(InvariantViolation, match=f"^{re.escape(message)}$"):
+                check()
+    fits = Ordering.from_ranks(0, pairs, range(4))
+    validate_explicit_domain(env, 0, DomainSpec.explicit((fits,)))
 
 
 @given(

@@ -1622,7 +1622,7 @@ def test_search_start_checks_do_not_wait_for_a_tie():
     agent_1 = tuple(enumerate_weak_orderings(1, env.pairs_for(1)))[:3]
     short = Ordering.from_ranks(0, env.pairs_for(0)[1:], range(5))
     malformed = (
-        (agent_1, "^domain ordering tagged for agent 1, expected 0$"),
+        (agent_1, "^ordering tagged for agent 1, expected 0$"),
         ((short,), "^partition incomplete$"),
     )
     for listed, message in malformed:
