@@ -124,11 +124,13 @@ class Ordering(Value):
     @classmethod
     def from_ranks(cls, agent: int, pairs: Sequence[Pair], ranks: Sequence[int]) -> "Ordering":
         """The ordering that puts pairs[k] in class ranks[k]."""
-        ranks = _labels(ranks, "ranks")
-        if len(ranks) != len(pairs) or not all(
-            isinstance(rank, int) and not isinstance(rank, bool) and rank >= 0 for rank in ranks
-        ):
-            raise InvariantViolation(f"ranks {ranks!r} are not one int >= 0 per pair")
+        try:
+            if len(ranks) != len(pairs) or not all(
+                isinstance(rank, int) and not isinstance(rank, bool) and rank >= 0 for rank in ranks
+            ):
+                raise InvariantViolation(f"ranks {ranks!r} are not one int >= 0 per pair")
+        except TypeError:  # an argument without a length
+            raise InvariantViolation(f"pairs {pairs!r} and ranks {ranks!r} must be sequences") from None
         classes: list[list[Pair]] = [[] for _ in range(max(ranks, default=-1) + 1)]
         for pair, rank in zip(pairs, ranks):
             classes[rank].append(pair)
@@ -170,9 +172,10 @@ def _pair(pair: object) -> Pair:
 
 def _labels(values: object, what: str) -> tuple:
     """`values` as a tuple; a string or a non-iterable is not a sequence of labels."""
-    if isinstance(values, str) or not isinstance(values, Iterable):
-        raise InvariantViolation(f"{what} must be a sequence, not {values!r}")
-    return tuple(values)
+    try:  # a string is not a sequence of labels, and tuple(0) raises as a non-iterable does
+        return tuple(0 if isinstance(values, str) else values)
+    except TypeError:
+        raise InvariantViolation(f"{what} must be a sequence, not {values!r}") from None
 
 
 class DomainKind(Enum):

@@ -266,23 +266,32 @@ def pickle_round_trip(value):
     return pickle.loads(pickle.dumps(value))
 
 
+def assert_records_the_union_of_its_classes(original):
+    union = frozenset().union(*original.classes)
+    copies = (f(original) for f in (pickle_round_trip, copy.copy, copy.deepcopy))
+    for value in (original, *copies):
+        assert type(value.pairs) is frozenset and value.pairs == union
+        assert value.is_strict is all(len(cls) == 1 for cls in value.classes)
+
+
 @given(ranked_partitions())
 @settings(max_examples=100)
 def test_an_ordering_records_the_union_of_its_classes(ordering):
     pairs = sorted(ordering.pairs)
-    made = [
+    for made in (
         ordering,
         Ordering.from_ranks(0, pairs, [ordering.rank(p) for p in pairs]),
         ordering_from_json(0, ordering_to_json(ordering)),
         next(o for o in domains.orderings(DomainKind.UNRESTRICTED, 0, pairs) if o == ordering),
-        *LIBRARY_ORDERINGS,
-    ]
-    for original in made:
-        union = frozenset().union(*original.classes)
-        copies = (f(original) for f in (pickle_round_trip, copy.copy, copy.deepcopy))
-        for value in (original, *copies):
-            assert type(value.pairs) is frozenset and value.pairs == union
-            assert value.is_strict is all(len(cls) == 1 for cls in value.classes)
+    ):
+        assert_records_the_union_of_its_classes(made)
+
+
+@pytest.mark.parametrize(
+    "ordering", LIBRARY_ORDERINGS, ids=["queueing", "indifferent", "det_witness", "prob_witness"]
+)
+def test_a_library_ordering_records_the_union_of_its_classes(ordering):
+    assert_records_the_union_of_its_classes(ordering)
 
 
 MALFORMED = (
@@ -295,7 +304,11 @@ MALFORMED = (
         lambda: Ordering(0, ({("a", "z")}, 5)),
         "ordering classes ({('a', 'z')}, 5) are not pair sets",
     ),
-    (lambda: Ordering.from_ranks(0, (("a", "z"),), 5), "ranks must be a sequence, not 5"),
+    (
+        lambda: Ordering.from_ranks(0, (("a", "z"),), 5),
+        "pairs (('a', 'z'),) and ranks 5 must be sequences",
+    ),
+    (lambda: Ordering.from_ranks(0, 5, (0,)), "pairs 5 and ranks (0,) must be sequences"),
     (lambda: DomainSpec(DomainKind.EXPLICIT, 5), "domain orderings must be a sequence, not 5"),
     (lambda: DomainSpec.explicit([1]), "domain ordering 1 is not an Ordering"),
 )
